@@ -18,9 +18,8 @@ from .harness import (METHODS, ExperimentConfig, ExperimentResult, RunArtifacts,
 from .losses import (DistanceSpec, FilterSpec, OldModelOracle, PCLossConfig,
                      distance_kl, distance_lm, filter_weight, make_ce_objective,
                      make_objective, pc_loss_focal, pc_loss_naive, total_objective)
-from .nn import (MLPModel, TrainConfig, TrainResult, backward, batch_logits,
-                 cross_entropy, error_rate, forward, init_model, predict,
-                 predict_batch, softmax, train)
+from .nn import (MLPModel, TrainConfig, TrainResult, batch_logits, cross_entropy,
+                 error_rate, init_model, predict_batch, softmax, train)
 from .scenarios import (DataFilter, ModelSpec, ScenarioKind, UpdateScenario,
                         build_scenario, reference_scenario)
 
@@ -39,9 +38,8 @@ __all__ = [
     "DistanceSpec", "FilterSpec", "OldModelOracle", "PCLossConfig",
     "distance_kl", "distance_lm", "filter_weight", "make_ce_objective",
     "make_objective", "pc_loss_focal", "pc_loss_naive", "total_objective",
-    "MLPModel", "TrainConfig", "TrainResult", "backward", "batch_logits",
-    "cross_entropy", "error_rate", "forward", "init_model", "predict",
-    "predict_batch", "softmax", "train",
+    "MLPModel", "TrainConfig", "TrainResult", "batch_logits", "cross_entropy",
+    "error_rate", "init_model", "predict_batch", "softmax", "train",
     "DataFilter", "ModelSpec", "ScenarioKind", "UpdateScenario",
     "build_scenario", "reference_scenario",
     "__version__",

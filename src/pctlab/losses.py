@@ -20,8 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import kernels
-from .nn import DimensionError, MLPModel, batch_logits
+from .nn import DimensionError, MLPModel, batch_logits, ce_rows
 
 DISTANCE_KINDS = ("kl", "logit_match")
 PC_MODES = ("none", "naive", "focal")
@@ -110,7 +109,7 @@ class OldModelOracle:
         """
         labels = np.asarray(labels, dtype=np.int64)
         logits = batch_logits(model, features)
-        preds = kernels.argmax_rows(logits)
+        preds = np.argmax(logits, axis=1)
         if class_map is not None:
             class_map = np.asarray(class_map, dtype=np.int64)
             pred_labels = class_map[preds]
@@ -172,7 +171,7 @@ def _ce_value_grad(logits: np.ndarray, label: int) -> tuple:
     logits = np.ascontiguousarray(logits, dtype=np.float64)
     if not 0 <= label < logits.shape[0]:
         raise IndexError(f"label {label} out of range")
-    losses, probs = kernels.ce_rows(logits[None, :], np.array([label], dtype=np.int64))
+    losses, probs = ce_rows(logits[None, :], np.array([label], dtype=np.int64))
     grad = probs[0]
     grad[label] -= 1.0
     return float(losses[0]), grad
@@ -227,7 +226,7 @@ def make_ce_objective(labels: np.ndarray):
 
     def objective(logits, idx):
         y = labels[idx]
-        losses, probs = kernels.ce_rows(logits, y)
+        losses, probs = ce_rows(logits, y)
         b = logits.shape[0]
         dlogits = probs
         dlogits[np.arange(b), y] -= 1.0
@@ -255,7 +254,7 @@ def make_objective(labels: np.ndarray, oracle: Optional[OldModelOracle],
 
         def objective(logits, idx):
             y = labels[idx]
-            losses, probs = kernels.ce_rows(logits, y)
+            losses, probs = ce_rows(logits, y)
             b = logits.shape[0]
             w = 1.0 + lam * oracle.old_correct[idx]
             loss = float(np.mean(w * losses))
@@ -271,7 +270,7 @@ def make_objective(labels: np.ndarray, oracle: Optional[OldModelOracle],
 
     def objective(logits, idx):
         y = labels[idx]
-        losses, probs = kernels.ce_rows(logits, y)
+        losses, probs = ce_rows(logits, y)
         b = logits.shape[0]
         sub = np.ascontiguousarray(logits[:, logit_index])
         old = oracle.logits[idx]

@@ -3,10 +3,11 @@
 Dense layers with relu hidden activations and raw-logit output, exact
 analytic gradients, and SGD with momentum under a stepped learning-rate
 schedule. Everything is driven by counter-based RNG streams so that a
-(seed, config, dataset) triple always reproduces the same trained weights
-on a given backend.
+(seed, config, dataset) triple always reproduces the same trained weights,
+bit for bit.
 
-The per-batch numeric work routes through :mod:`pctlab.kernels`.
+Batches are row-major ``(n, dim)`` float64 arrays, weights are
+``(fan_in, fan_out)``, biases ``(fan_out,)`` and labels int64.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from . import kernels
 from .rng import STREAM_INIT, STREAM_SHUFFLE, stream_rng
 
 ACTIVATIONS = ("relu", "identity")
@@ -136,19 +136,6 @@ class TrainConfig:
 
 
 @dataclass
-class ForwardCache:
-    """Per-layer intermediates for one sample, kept for backprop."""
-
-    x: np.ndarray
-    pre_activations: List[np.ndarray]
-    activations: List[np.ndarray]
-
-    @property
-    def logits(self) -> np.ndarray:
-        return self.activations[-1]
-
-
-@dataclass
 class BatchCache:
     """Per-layer intermediates for a batch of rows."""
 
@@ -213,23 +200,11 @@ def forward_batch(model: MLPModel, x: np.ndarray) -> BatchCache:
     pre, acts = [], []
     a = x
     for layer in model.layers:
-        z = kernels.affine(a, layer.weights, layer.bias)
+        z = a @ layer.weights + layer.bias
         pre.append(z)
-        a = kernels.relu(z) if layer.activation == "relu" else z
+        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
         acts.append(a)
     return BatchCache(x, pre, acts)
-
-
-def forward(model: MLPModel, x: np.ndarray) -> ForwardCache:
-    """Forward pass for one feature vector."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != model.input_dim:
-        raise DimensionError(
-            f"expected vector of length {model.input_dim}, got shape {x.shape}")
-    cache = forward_batch(model, x[None, :])
-    return ForwardCache(x,
-                        [z[0] for z in cache.pre_activations],
-                        [a[0] for a in cache.activations])
 
 
 def batch_logits(model: MLPModel, x: np.ndarray) -> np.ndarray:
@@ -241,21 +216,31 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     logits = np.asarray(logits, dtype=np.float64)
     if logits.ndim != 1:
         raise DimensionError("softmax expects a 1-D logit vector")
-    return kernels.softmax_rows(np.ascontiguousarray(logits[None, :]))[0]
-
-
-def predict(model: MLPModel, x: np.ndarray) -> int:
-    """Argmax class for one sample; ties resolve to the lowest index."""
-    return int(np.argmax(forward(model, x).logits))
+    e = np.exp(logits - logits.max())
+    return e / e.sum()
 
 
 def predict_batch(model: MLPModel, x: np.ndarray) -> np.ndarray:
-    return kernels.argmax_rows(forward_batch(model, x).logits)
+    """Argmax class per row; ties resolve to the lowest index."""
+    return np.argmax(forward_batch(model, x).logits, axis=1)
 
 
 def error_rate(model: MLPModel, x: np.ndarray, y: np.ndarray) -> float:
     y = np.asarray(y)
     return float(np.mean(predict_batch(model, x) != y))
+
+
+def ce_rows(logits: np.ndarray, labels: np.ndarray) -> tuple:
+    """Per-row cross-entropy and softmax probabilities of ``(n, K)`` logits.
+
+    Returns (losses, probs); callers reuse probs to assemble the gradient
+    softmax(logits) - onehot(label).
+    """
+    m = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - m)
+    s = e.sum(axis=1, keepdims=True)
+    losses = m[:, 0] + np.log(s[:, 0]) - logits[np.arange(logits.shape[0]), labels]
+    return losses, e / s
 
 
 def cross_entropy(logits: np.ndarray, label: int) -> float:
@@ -265,7 +250,7 @@ def cross_entropy(logits: np.ndarray, label: int) -> float:
         raise DimensionError("cross_entropy expects a 1-D logit vector")
     if not 0 <= label < logits.shape[0]:
         raise IndexError(f"label {label} out of range for {logits.shape[0]} classes")
-    losses, _ = kernels.ce_rows(logits[None, :], np.array([label], dtype=np.int64))
+    losses, _ = ce_rows(logits[None, :], np.array([label], dtype=np.int64))
     return float(losses[0])
 
 
@@ -283,24 +268,14 @@ def backward_batch(model: MLPModel, cache: BatchCache,
     dz = dlogits
     for i in range(len(model.layers) - 1, -1, -1):
         a_prev = cache.x if i == 0 else cache.activations[i - 1]
-        dw, db, dx = kernels.affine_backward(dz, a_prev, model.layers[i].weights)
-        grads[i] = (dw, db)
+        grads[i] = (a_prev.T @ dz, dz.sum(axis=0))
         if i > 0:
+            dx = dz @ model.layers[i].weights.T
             if model.layers[i - 1].activation == "relu":
-                dz = kernels.relu_backward(dx, cache.pre_activations[i - 1])
+                dz = dx * (cache.pre_activations[i - 1] > 0.0)
             else:
                 dz = dx
     return grads
-
-
-def backward(model: MLPModel, cache: ForwardCache,
-             dlogits: np.ndarray) -> List[tuple]:
-    """Single-sample wrapper around :func:`backward_batch`."""
-    batch = BatchCache(cache.x[None, :],
-                       [z[None, :] for z in cache.pre_activations],
-                       [a[None, :] for a in cache.activations])
-    dlogits = np.asarray(dlogits, dtype=np.float64)
-    return backward_batch(model, batch, dlogits[None, :])
 
 
 def zero_velocity(model: MLPModel) -> List[tuple]:
@@ -315,9 +290,10 @@ def sgd_step(model: MLPModel, grads: List[tuple], velocity: List[tuple],
     for layer, (dw, db), (vw, vb) in zip(model.layers, grads, velocity):
         if dw.shape != layer.weights.shape or db.shape != layer.bias.shape:
             raise DimensionError("gradient shapes do not match model parameters")
-        kernels.sgd_update(layer.weights.reshape(-1), vw.reshape(-1),
-                           np.ascontiguousarray(dw).reshape(-1), lr, mu)
-        kernels.sgd_update(layer.bias, vb, np.ascontiguousarray(db), lr, mu)
+        for param, vel, grad in ((layer.weights, vw, dw), (layer.bias, vb, db)):
+            vel *= mu
+            vel -= lr * grad
+            param += vel
 
 
 def train(model: MLPModel, features: np.ndarray, labels: np.ndarray,
@@ -357,7 +333,7 @@ def train(model: MLPModel, features: np.ndarray, labels: np.ndarray,
             _, dlogits = objective(cache.logits, idx)
             grads = backward_batch(model, cache, dlogits)
             sgd_step(model, grads, velocity, config, epoch)
-            preds = kernels.argmax_rows(cache.logits)
+            preds = np.argmax(cache.logits, axis=1)
             miss += int(np.sum(preds != labels[idx]))
         errors.append(miss / n)
         if on_epoch_end is not None:

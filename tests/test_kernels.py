@@ -1,37 +1,45 @@
-"""Checks of the hot numeric kernels.
+"""Oracle checks of the per-layer math of the numpy engine.
 
-Each kernel is compared against a naive loop/numpy oracle, and the two
-backends are compared against each other. The backends agree to floating
-point roundoff (reduction order), not bitwise, so cross-backend checks use
-tight allclose rather than equality.
+Each operation is checked through the public ``pctlab.nn`` function that
+holds it: affine and relu in ``forward_batch``, their gradients in
+``backward_batch``, the row softmax in ``softmax``, cross-entropy in
+``ce_rows``/``cross_entropy``, the momentum update in ``sgd_step`` and the
+row argmax in ``predict_batch``. Each is compared against a naive loop or
+closed-form numpy oracle.
 """
-
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-from pctlab import kernels
-
-BACKENDS = kernels.available_backends()
+from pctlab import nn
 
 
-@pytest.fixture(params=BACKENDS)
-def impl(request):
-    return kernels.impls(request.param)
+@pytest.fixture(autouse=True, params=["numpy"])
+def engine(request):
+    """numpy is the only engine; the ``[numpy]`` test ids are kept from when
+    the engine had a second backend, so these checks keep their names."""
+    return request.param
 
 
 def _rng(tag: int) -> np.random.Generator:
     return np.random.default_rng(1000 + tag)
 
 
-def test_affine_matches_loop_oracle(impl):
+def _single_layer(w: np.ndarray, b: np.ndarray) -> nn.MLPModel:
+    return nn.MLPModel([nn.Layer(w, b, "identity")])
+
+
+def _identity_model(k: int) -> nn.MLPModel:
+    """One identity layer with unit weights: the logits are the inputs."""
+    return _single_layer(np.eye(k), np.zeros(k))
+
+
+def test_affine_matches_loop_oracle():
     rng = _rng(1)
     x = rng.standard_normal((5, 4))
     w = rng.standard_normal((4, 3))
     b = rng.standard_normal(3)
-    z = impl["affine"](x, w, b)
+    z = nn.forward_batch(_single_layer(w, b), x).logits
     expect = np.empty((5, 3))
     for i in range(5):
         for j in range(3):
@@ -39,144 +47,94 @@ def test_affine_matches_loop_oracle(impl):
     np.testing.assert_allclose(z, expect, rtol=1e-12, atol=1e-12)
 
 
-def test_relu_and_backward(impl):
+def test_relu_and_backward():
+    w2 = _rng(7).standard_normal((3, 2))
+    model = nn.MLPModel([nn.Layer(np.eye(3), np.zeros(3), "relu"),
+                         nn.Layer(w2, np.zeros(2), "identity")])
     z = np.array([[-1.5, 0.0, 2.0], [3.0, -0.1, 0.5]])
-    a = impl["relu"](z)
-    np.testing.assert_array_equal(a, np.where(z > 0, z, 0.0))
-    da = np.ones_like(z)
-    dz = impl["relu_backward"](da, z)
+    cache = nn.forward_batch(model, z)
+    np.testing.assert_array_equal(cache.pre_activations[0], z)
+    np.testing.assert_array_equal(cache.activations[0], np.where(z > 0, z, 0.0))
+    dlogits = np.array([[1.0, -2.0], [0.5, 0.25]])
+    (dw1, db1), _ = nn.backward_batch(model, cache, dlogits)
     # gradient passes only where the pre-activation was strictly positive
-    np.testing.assert_array_equal(dz, (z > 0).astype(float))
+    dz1 = (dlogits @ w2.T) * (z > 0)
+    np.testing.assert_array_equal(db1, dz1.sum(axis=0))
+    np.testing.assert_array_equal(dw1, z.T @ dz1)
 
 
-def test_affine_backward_matches_loop_oracle(impl):
+def test_affine_backward_matches_loop_oracle():
     rng = _rng(2)
     x = rng.standard_normal((6, 4))
-    w = rng.standard_normal((4, 3))
-    dz = rng.standard_normal((6, 3))
-    dw, db, dx = impl["affine_backward"](dz, x, w)
-    np.testing.assert_allclose(dw, x.T @ dz, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(db, dz.sum(axis=0), rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(dx, dz @ w.T, rtol=1e-12, atol=1e-12)
+    w1 = rng.standard_normal((4, 3))
+    w2 = rng.standard_normal((3, 2))
+    dlogits = rng.standard_normal((6, 2))
+    model = nn.MLPModel([nn.Layer(w1, np.zeros(3), "identity"),
+                         nn.Layer(w2, np.zeros(2), "identity")])
+    cache = nn.forward_batch(model, x)
+    (dw1, db1), (dw2, db2) = nn.backward_batch(model, cache, dlogits)
+    np.testing.assert_allclose(dw2, cache.activations[0].T @ dlogits,
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(db2, dlogits.sum(axis=0), rtol=1e-12, atol=1e-12)
+    # the hidden layer's dz is the top layer's dx
+    dz = dlogits @ w2.T
+    np.testing.assert_allclose(dw1, x.T @ dz, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(db1, dz.sum(axis=0), rtol=1e-12, atol=1e-12)
 
 
-def test_softmax_rows_simplex_and_shift_invariance(impl):
+def test_softmax_rows_simplex_and_shift_invariance():
     rng = _rng(3)
     logits = rng.standard_normal((8, 5)) * 3
-    p = impl["softmax_rows"](logits)
+    p = np.array([nn.softmax(row) for row in logits])
     assert np.all(p > 0)
     np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-    shifted = impl["softmax_rows"](logits + 123.0)
+    shifted = np.array([nn.softmax(row) for row in logits + 123.0])
     np.testing.assert_allclose(p, shifted, rtol=1e-12, atol=1e-15)
 
 
-def test_softmax_rows_stable_for_large_logits(impl):
-    logits = np.array([[1e4, 0.0, -1e4], [-1e4, -1e4, -1e4]])
-    p = impl["softmax_rows"](logits)
+def test_softmax_rows_stable_for_large_logits():
+    p = nn.softmax(np.array([1e4, 0.0, -1e4]))
     assert np.isfinite(p).all()
-    np.testing.assert_allclose(p[0], [1.0, 0.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(p[1], [1 / 3] * 3, atol=1e-12)
+    np.testing.assert_allclose(p, [1.0, 0.0, 0.0], atol=1e-12)
+    p = nn.softmax(np.full(3, -1e4))
+    np.testing.assert_allclose(p, [1 / 3] * 3, atol=1e-12)
 
 
-def test_ce_rows_matches_logsumexp_oracle(impl):
+def test_ce_rows_matches_logsumexp_oracle():
     rng = _rng(4)
     logits = rng.standard_normal((7, 4)) * 2
     labels = rng.integers(0, 4, size=7).astype(np.int64)
-    losses, probs = impl["ce_rows"](np.ascontiguousarray(logits), labels)
-    lse = np.logaddexp.reduce(logits, axis=1)
-    np.testing.assert_allclose(losses, lse - logits[np.arange(7), labels],
-                               rtol=1e-12, atol=1e-12)
+    expect = np.logaddexp.reduce(logits, axis=1) - logits[np.arange(7), labels]
+    losses, probs = nn.ce_rows(logits, labels)
+    np.testing.assert_allclose(losses, expect, rtol=1e-12, atol=1e-12)
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     np.testing.assert_allclose(probs, e / e.sum(axis=1, keepdims=True),
                                rtol=1e-12, atol=1e-15)
+    for row, label, want in zip(logits, labels, expect):
+        assert nn.cross_entropy(row, int(label)) == pytest.approx(want, rel=1e-12)
     assert np.all(losses > 0)
 
 
-def test_sgd_update_matches_formula_exactly(impl):
+def test_sgd_update_matches_formula_exactly():
     rng = _rng(5)
-    p = rng.standard_normal(10)
-    v = rng.standard_normal(10)
-    g = rng.standard_normal(10)
+    layer = nn.Layer(rng.standard_normal((4, 3)), rng.standard_normal(3), "identity")
+    params = [layer.weights, layer.bias]
+    before = [p.copy() for p in params]
+    velocity = [rng.standard_normal(p.shape) for p in params]
+    v_before = [v.copy() for v in velocity]
+    grads = [rng.standard_normal(p.shape) for p in params]
     lr, mu = 0.05, 0.9
-    p2, v2 = p.copy(), v.copy()
-    impl["sgd_update"](p2, v2, g, lr, mu)
-    v_expect = mu * v - lr * g
-    np.testing.assert_array_equal(v2, v_expect)
-    np.testing.assert_array_equal(p2, p + v_expect)
+    nn.sgd_step(nn.MLPModel([layer]), [tuple(grads)], [tuple(velocity)],
+                nn.TrainConfig(learning_rate=lr, momentum=mu), epoch=0)
+    for p, p0, v, v0, g in zip(params, before, velocity, v_before, grads):
+        v_expect = mu * v0 - lr * g
+        np.testing.assert_array_equal(v, v_expect)
+        np.testing.assert_array_equal(p, p0 + v_expect)
 
 
-def test_argmax_rows_ties_resolve_to_lowest_index(impl):
+def test_argmax_rows_ties_resolve_to_lowest_index():
     logits = np.array([[0.0, 0.0, 0.0],
                        [1.0, 2.0, 2.0],
                        [0.1, 0.9, 0.3]])
-    np.testing.assert_array_equal(impl["argmax_rows"](logits), [0, 1, 1])
-
-
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="only one backend available")
-def test_backends_agree_to_roundoff():
-    a = kernels.impls("numpy")
-    b = kernels.impls("numba")
-    rng = _rng(6)
-    x = rng.standard_normal((16, 8))
-    w = rng.standard_normal((8, 5))
-    bias = rng.standard_normal(5)
-    z = rng.standard_normal((16, 5)) * 4
-    labels = rng.integers(0, 5, size=16).astype(np.int64)
-    dz = rng.standard_normal((16, 5))
-
-    np.testing.assert_allclose(a["affine"](x, w, bias), b["affine"](x, w, bias),
-                               rtol=1e-12, atol=1e-12)
-    np.testing.assert_array_equal(a["relu"](z), b["relu"](z))
-    np.testing.assert_array_equal(a["relu_backward"](dz, z),
-                                  b["relu_backward"](dz, z))
-    for ga, gb in zip(a["affine_backward"](dz, x, w),
-                      b["affine_backward"](dz, x, w)):
-        np.testing.assert_allclose(ga, gb, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(a["softmax_rows"](z), b["softmax_rows"](z),
-                               rtol=1e-12, atol=1e-15)
-    la, pa = a["ce_rows"](np.ascontiguousarray(z), labels)
-    lb, pb = b["ce_rows"](np.ascontiguousarray(z), labels)
-    np.testing.assert_allclose(la, lb, rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(pa, pb, rtol=1e-12, atol=1e-15)
-
-    p1, v1 = x[0].copy(), x[1].copy()
-    p2, v2 = x[0].copy(), x[1].copy()
-    a["sgd_update"](p1, v1, x[2], 0.1, 0.9)
-    b["sgd_update"](p2, v2, x[2], 0.1, 0.9)
-    np.testing.assert_array_equal(p1, p2)
-    np.testing.assert_array_equal(v1, v2)
-    np.testing.assert_array_equal(a["argmax_rows"](z), b["argmax_rows"](z))
-
-
-def test_impls_rejects_unknown_backend():
-    with pytest.raises(ValueError, match="unknown backend"):
-        kernels.impls("fortran")
-
-
-def test_kernel_names_cover_both_tables():
-    for name in kernels.KERNEL_NAMES:
-        for backend in BACKENDS:
-            assert name in kernels.impls(backend)
-
-
-def _import_with_backend(value: str) -> subprocess.CompletedProcess:
-    import os
-
-    env = dict(os.environ, PCTLAB_BACKEND=value)
-    code = "import pctlab.kernels as k; print(k.BACKEND)"
-    return subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True)
-
-
-@pytest.mark.parametrize("env_value,expected", [("numpy", "numpy"),
-                                                ("auto", BACKENDS[-1])])
-def test_env_flag_selects_backend(env_value, expected):
-    out = _import_with_backend(env_value)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == expected
-
-
-def test_env_flag_rejects_unknown_value():
-    out = _import_with_backend("cuda")
-    assert out.returncode != 0
-    assert "PCTLAB_BACKEND" in out.stderr
+    np.testing.assert_array_equal(nn.predict_batch(_identity_model(3), logits),
+                                  [0, 1, 1])

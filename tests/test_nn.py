@@ -85,29 +85,16 @@ def test_layer_rejects_nonfinite_parameters():
 # forward / predict
 
 
-def test_forward_single_matches_batch_row():
-    model = nn.init_model([5, 7, 3], seed=2)
-    rng = np.random.default_rng(0)
-    x = rng.standard_normal((4, 5))
-    batch = nn.forward_batch(model, x)
-    single = nn.forward(model, x[2])
-    # batched and single-row matmuls may take different BLAS paths, so the
-    # agreement contract is roundoff, not bitwise
-    np.testing.assert_allclose(single.logits, batch.logits[2],
-                               rtol=1e-13, atol=1e-15)
-
-
 def test_forward_rejects_wrong_input_dim():
     model = nn.init_model([5, 3], seed=0)
     with pytest.raises(nn.DimensionError):
         nn.forward_batch(model, np.zeros((2, 4)))
     with pytest.raises(nn.DimensionError):
-        nn.forward(model, np.zeros(4))
+        nn.forward_batch(model, np.zeros(5))
 
 
 def test_predict_ties_resolve_to_lowest_index():
     model = nn.init_model([3, 4], seed=0, weight_init="zeros")
-    assert nn.predict(model, np.ones(3)) == 0
     np.testing.assert_array_equal(nn.predict_batch(model, np.ones((2, 3))), 0)
 
 
@@ -170,6 +157,29 @@ def test_backward_rejects_mismatched_dlogits():
 
 # ---------------------------------------------------------------------------
 # training loop
+
+
+def test_train_calls_the_step_functions_once_per_batch(monkeypatch):
+    """nn.train reaches forward_batch, backward_batch and sgd_step through
+    module globals, once per mini-batch, so a wrapper set there sees every
+    step."""
+    x, y = _blobs(10)
+    counts = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("forward_batch", "backward_batch", "sgd_step"):
+        monkeypatch.setattr(nn, name, counting(name, getattr(nn, name)))
+    cfg = nn.TrainConfig(epochs=3, batch_size=8)
+    nn.train(nn.init_model([2, 3, 2], seed=0), x, y, make_ce_objective(y), cfg)
+    steps = math.ceil(len(x) / cfg.batch_size) * cfg.epochs
+    assert steps == 9
+    assert counts == {"forward_batch": steps, "backward_batch": steps,
+                      "sgd_step": steps}
 
 
 def test_lr_schedule_steps_down():

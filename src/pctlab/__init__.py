@@ -7,7 +7,7 @@ focal distillation, and logit-averaged ensembles.
 """
 
 from .datasets import Dataset, DatasetView, SyntheticSpec, generate
-from .ensembles import Ensemble, ensemble_logits, sweep_ensemble_size, train_ensemble
+from .ensembles import Ensemble, sweep_ensemble_size, train_ensemble
 from .flips import (FlipQuadrant, FlipReport, PredictionRecord, UncertaintyRecord,
                     classify_flip, compute_nfr, compute_relative_nfr,
                     default_entropy_bins, flip_report, nfr_by_uncertainty_bin,
@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset", "DatasetView", "SyntheticSpec", "generate",
-    "Ensemble", "ensemble_logits", "sweep_ensemble_size", "train_ensemble",
+    "Ensemble", "sweep_ensemble_size", "train_ensemble",
     "FlipQuadrant", "FlipReport", "PredictionRecord", "UncertaintyRecord",
     "classify_flip", "compute_nfr", "compute_relative_nfr",
     "default_entropy_bins", "flip_report", "nfr_by_uncertainty_bin",

@@ -85,8 +85,7 @@ def _cmd_sweep_focal(args) -> int:
 
 def _cmd_sweep_ensemble(args) -> int:
     doc, cfg = _load(args)
-    result = sweep_ensemble(cfg, cfgmod.ensemble_sizes_from_document(doc),
-                            max_workers=args.max_workers)
+    result = sweep_ensemble(cfg, cfgmod.ensemble_sizes_from_document(doc))
     files = reports.write_ensemble_sweep(result, _out_dir(cfg), args.format)
     sys.stdout.write(result.to_csv())
     _note(files)
@@ -136,8 +135,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-ensemble", help="flip metrics versus ensemble size")
     common(p)
-    p.add_argument("--max-workers", type=int, default=1,
-                   help="concurrent member training")
     p.set_defaults(func=_cmd_sweep_ensemble)
 
     p = sub.add_parser("report", help="re-emit files from a stored artifacts.json")

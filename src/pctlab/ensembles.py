@@ -1,18 +1,19 @@
 """Independently trained model ensembles with logit averaging.
 
 An ensemble predicts through the softmax of the arithmetic mean of member
-logits. Members are trained under plain cross-entropy from consecutive
-seeds, so ensembles are reproducible and two ensembles built from disjoint
-seed ranges are independent.
+logits. ``train_ensemble`` is the one loop that trains CE members: one
+after another, member j from seed base_seed + j, so ensembles are
+reproducible and two ensembles built from disjoint seed ranges are
+independent. The old side of every update, the ``ensemble`` method and the
+size sweep all train through it.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -54,38 +55,30 @@ class Ensemble:
         return sum(m.parameter_count() for m in self.members)
 
 
-def ensemble_logits(ensemble: Ensemble, x: np.ndarray) -> np.ndarray:
-    """Mean member logits for one sample; argmax of this is the ensemble
-    prediction (softmax afterwards does not change the argmax)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError("expected a single feature vector")
-    return ensemble.logits_batch(x[None, :])[0]
-
-
-def _train_member(dims, features, labels, config: TrainConfig, seed: int) -> MLPModel:
-    model = init_model(dims, seed, weight_init=config.weight_init)
-    objective = make_ce_objective(labels)
-    return train(model, features, labels, objective, with_seed(config, seed)).model
-
-
 def train_ensemble(dims: Sequence[int], features: np.ndarray, labels: np.ndarray,
                    config: TrainConfig, size: int, base_seed: int,
-                   max_workers: int = 1) -> Ensemble:
+                   init: Optional[Sequence[MLPModel]] = None,
+                   on_epoch_end: Optional[Callable[[int, MLPModel], None]] = None,
+                   ) -> Ensemble:
     """Train ``size`` members under plain CE; member j uses seed base_seed + j.
 
-    Members are independent, so concurrent training (max_workers > 1) yields
-    bit-identical results to sequential execution.
+    Member j starts from ``init[j]`` when given (fine-tuning), else from a
+    fresh init under its seed; the seed also drives its shuffle stream.
+    ``on_epoch_end`` is passed to ``train`` for every member.
     """
     if size < 1:
         raise ValueError("ensemble size must be >= 1")
-    seeds = [base_seed + j for j in range(size)]
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            members = list(pool.map(
-                lambda s: _train_member(dims, features, labels, config, s), seeds))
-    else:
-        members = [_train_member(dims, features, labels, config, s) for s in seeds]
+    if init is not None and len(init) != size:
+        raise ValueError("init needs one model per member")
+    objective = make_ce_objective(labels)
+    members = []
+    for j in range(size):
+        seed = base_seed + j
+        model = (init[j] if init is not None
+                 else init_model(dims, seed, weight_init=config.weight_init))
+        members.append(train(model, features, labels, objective,
+                             with_seed(config, seed),
+                             on_epoch_end=on_epoch_end).model)
     return Ensemble(members)
 
 
@@ -115,7 +108,7 @@ class SweepResult:
 def sweep_ensemble_size(old_dims: Sequence[int], new_dims: Sequence[int],
                         dataset: Dataset, config: TrainConfig,
                         sizes: Sequence[int], old_base_seed: int,
-                        new_base_seed: int, max_workers: int = 1) -> SweepResult:
+                        new_base_seed: int) -> SweepResult:
     """Flip metrics between old and new ensembles for each requested size.
 
     Trains max(sizes) members per side once and evaluates every size L on
@@ -135,9 +128,9 @@ def sweep_ensemble_size(old_dims: Sequence[int], new_dims: Sequence[int],
     test_y = dataset.labels[dataset.rows_of_split(SPLIT_TEST)]
 
     old_ens = train_ensemble(old_dims, train_x, train_y, config, top,
-                             old_base_seed, max_workers)
+                             old_base_seed)
     new_ens = train_ensemble(new_dims, train_x, train_y, config, top,
-                             new_base_seed, max_workers)
+                             new_base_seed)
     old_logits = np.cumsum([batch_logits(m, test_x) for m in old_ens.members], axis=0)
     new_logits = np.cumsum([batch_logits(m, test_x) for m in new_ens.members], axis=0)
 

@@ -4,6 +4,9 @@ An experiment fixes a synthetic task, an update scenario, a training
 schedule, and one update method. Running it trains the old model once,
 trains the new model under the method's objective (repeated across seeds),
 and records flip metrics per epoch plus a final flip report per repetition.
+Every CE-trained old side and every new ensemble is trained by
+``ensembles.train_ensemble``; the single old model is member 0 of a
+one-member ensemble.
 
 Update methods
   no_treatment  plain cross-entropy
@@ -12,12 +15,13 @@ Update methods
   fd_lm         focal distillation, squared logit distance
   ensemble      both sides are logit-averaged ensembles trained under CE
 
-Seed layout (relative to the configured base seed)
+Seed layout (relative to the configured base seed), all from ``model_seed``
   base + j                        old model (member j for ensembles)
   base + 1000 + r                 new model, repetition r
   base + 100000 + 1000*r + j      new ensemble member j, repetition r
-The ranges stay disjoint for ensemble sizes below 1000, so old and new
-models never share an initialisation or shuffle stream.
+The ranges stay disjoint because ExperimentConfig bounds ensemble sizes
+below 1000 and repetitions to at most 99000, so old and new models never
+share an initialisation or shuffle stream.
 """
 
 from __future__ import annotations
@@ -30,9 +34,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import ensembles
 from .datasets import SPLIT_TRAIN, Dataset, SyntheticSpec, generate
 from .ensembles import SweepResult, sweep_ensemble_size
 from .flips import FlipReport, report_from_arrays
+# make_ce_objective is unused here; pctbench/tracing.py wraps it by name
 from .losses import (FilterSpec, OldModelOracle, PCLossConfig, make_ce_objective,
                      make_objective)
 from .nn import (MLPModel, TrainConfig, batch_logits, init_model, predict_batch,
@@ -45,6 +51,21 @@ METHODS = ("no_treatment", "naive", "fd_kl", "fd_lm", "ensemble")
 NEW_MODEL_SEED_OFFSET = 1000
 ENSEMBLE_SEED_OFFSET = 100_000
 ENSEMBLE_REP_STRIDE = 1000
+MAX_REPETITIONS = ENSEMBLE_SEED_OFFSET - NEW_MODEL_SEED_OFFSET
+
+
+def model_seed(base_seed: int, role: str, rep: int = 0, member: int = 0) -> int:
+    """Seed of one model in the module docstring's layout: role "old" (old
+    member), "new" (new model of repetition ``rep``) or "new_member" (member
+    of repetition ``rep``'s new ensemble). Member j of an ensemble trained
+    from the member-0 seed gets the seed of ``member=j``."""
+    if role == "old":
+        return base_seed + member
+    if role == "new":
+        return base_seed + NEW_MODEL_SEED_OFFSET + rep
+    if role == "new_member":
+        return base_seed + ENSEMBLE_SEED_OFFSET + rep * ENSEMBLE_REP_STRIDE + member
+    raise ValueError(f"unknown seed role {role!r}")
 
 
 def pc_config_for_method(method: str, base: Optional[PCLossConfig] = None) -> PCLossConfig:
@@ -76,8 +97,8 @@ class ExperimentConfig:
     output_dir: Optional[str] = None
 
     def __post_init__(self):
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        if not 1 <= self.repetitions <= MAX_REPETITIONS:
+            raise ValueError(f"repetitions must be in [1, {MAX_REPETITIONS}]")
         if not 1 <= self.ensemble_size < ENSEMBLE_REP_STRIDE:
             raise ValueError(f"ensemble_size must be in [1, {ENSEMBLE_REP_STRIDE})")
         # the method determines the PC mode; hyperparameters come from `pc`
@@ -169,45 +190,33 @@ def _combined_class_map(plan: ScenarioPlan) -> np.ndarray:
         raise ValueError("every old class must be present in the new data view")
 
 
-def _mean_logits(models: Sequence[MLPModel], x: np.ndarray) -> np.ndarray:
-    acc = batch_logits(models[0], x)
-    for m in models[1:]:
-        acc = acc + batch_logits(m, x)
-    return acc / len(models)
-
-
 def _build_old_reference(plan: ScenarioPlan, train_cfg: TrainConfig,
                          members: Optional[int] = None) -> OldReference:
     """Train the old side (one model, or `members` CE-trained models) and
     cache its predictions on the new training view and the eval set."""
     view = plan.old_job.view
     x, y = view.features(SPLIT_TRAIN), view.labels(SPLIT_TRAIN)
-    dims = plan.old_job.dims()
-    seeds = ([train_cfg.seed] if members is None
-             else [train_cfg.seed + j for j in range(members)])
-    objective = make_ce_objective(y)
-    models = []
-    for s in seeds:
-        m = init_model(dims, s, weight_init=train_cfg.weight_init)
-        models.append(train(m, x, y, objective, with_seed(train_cfg, s)).model)
+    old = ensembles.train_ensemble(plan.old_job.dims(), x, y, train_cfg,
+                                   members or 1, model_seed(train_cfg.seed, "old"))
 
     combined = _combined_class_map(plan)
     new_view = plan.new_job.view
     xt = new_view.features(SPLIT_TRAIN)
     yt = new_view.labels(SPLIT_TRAIN)
     if members is None:
-        oracle = OldModelOracle.from_model(models[0], xt, yt, class_map=combined)
+        oracle = OldModelOracle.from_model(old.members[0], xt, yt,
+                                           class_map=combined)
         train_preds = oracle.old_pred
     else:
         oracle = None
-        train_preds = combined[np.argmax(_mean_logits(models, xt), axis=1)]
+        train_preds = combined[old.predict_batch(xt)]
 
     ep = plan.eval_plan
     old_map = np.asarray(ep.old_label_map, dtype=np.int64)
-    eval_preds = old_map[np.argmax(_mean_logits(models, ep.features), axis=1)]
+    eval_preds = old_map[old.predict_batch(ep.features)]
     er_old = float(np.mean(eval_preds != ep.labels))
-    return OldReference(models, eval_preds, er_old, train_preds, oracle,
-                        sum(m.parameter_count() for m in models))
+    return OldReference(old.members, eval_preds, er_old, train_preds, oracle,
+                        old.parameter_count())
 
 
 def prepare_scenario(config: ExperimentConfig) -> ScenarioState:
@@ -265,7 +274,7 @@ def run_experiment(config: ExperimentConfig,
 
     runs = []
     for rep in range(config.repetitions):
-        seed = config.train.seed + NEW_MODEL_SEED_OFFSET + rep
+        seed = model_seed(config.train.seed, "new", rep)
         cfg = with_seed(config.train, seed)
         if plan.new_job.init_from_old:
             model = old.models[0].copy()
@@ -292,46 +301,34 @@ def _run_ensemble(config: ExperimentConfig, state: ScenarioState) -> ExperimentR
 
     new_view = plan.new_job.view
     x, y = new_view.features(SPLIT_TRAIN), new_view.labels(SPLIT_TRAIN)
-    dims = plan.new_job.dims()
-    objective = make_ce_objective(y)
+    init = old.models if plan.new_job.init_from_old else None
     ep = plan.eval_plan
     epochs = config.train.epochs
     k = new_view.num_classes
 
     runs = []
     for rep in range(config.repetitions):
-        base = (config.train.seed + ENSEMBLE_SEED_OFFSET
-                + rep * ENSEMBLE_REP_STRIDE)
+        base = model_seed(config.train.seed, "new_member", rep)
         # member logits summed per epoch; the mean's argmax never needs the 1/L
         train_acc = np.zeros((epochs, x.shape[0], k))
         eval_acc = np.zeros((epochs, ep.features.shape[0], k))
-        members = []
-        for j in range(size):
-            seed = base + j
 
-            def hook(e, m):
-                train_acc[e] += batch_logits(m, x)
-                eval_acc[e] += batch_logits(m, ep.features)
+        def hook(e, m):
+            train_acc[e] += batch_logits(m, x)
+            eval_acc[e] += batch_logits(m, ep.features)
 
-            if plan.new_job.init_from_old:
-                model = old.models[j].copy()
-            else:
-                model = init_model(dims, seed, weight_init=config.train.weight_init)
-            members.append(train(model, x, y, objective,
-                                 with_seed(config.train, seed),
-                                 on_epoch_end=hook).model)
+        new = ensembles.train_ensemble(plan.new_job.dims(), x, y, config.train,
+                                       size, base, init=init, on_epoch_end=hook)
         collector = _EpochCollector(x, y, old.train_preds, ep, old.eval_preds)
         if epochs == 0:
-            collector.record(-1,
-                             np.argmax(_mean_logits(members, x), axis=1),
-                             np.argmax(_mean_logits(members, ep.features), axis=1))
+            collector.record(-1, new.predict_batch(x),
+                             new.predict_batch(ep.features))
         else:
             for e in range(epochs):
                 collector.record(e, np.argmax(train_acc[e], axis=1),
                                  np.argmax(eval_acc[e], axis=1))
-        param_count = sum(m.parameter_count() for m in members)
-        runs.append(RunArtifacts(rep, base, param_count, collector.rows,
-                                 collector.final))
+        runs.append(RunArtifacts(rep, base, new.parameter_count(),
+                                 collector.rows, collector.final))
     return ExperimentResult(config, old.er_old, old.param_count, runs)
 
 
@@ -448,14 +445,16 @@ def sweep_ensemble(config: ExperimentConfig, sizes: Sequence[int],
 
     Both sides use the scenario's architectures and the full data so that
     size is the only variable; seed ranges are disjoint by construction.
+    Members train one after another: ``max_workers`` is accepted and
+    ignored, because pctbench/workloads.py still passes ``max_workers=1``.
     """
     dataset = generate(config.dataset)
     old_dims = config.scenario.old_model.dims(dataset.input_dim, dataset.num_classes)
     new_dims = config.scenario.new_model.dims(dataset.input_dim, dataset.num_classes)
+    base = config.train.seed
     return sweep_ensemble_size(old_dims, new_dims, dataset, config.train, sizes,
-                               config.train.seed,
-                               config.train.seed + ENSEMBLE_SEED_OFFSET,
-                               max_workers=max_workers)
+                               model_seed(base, "old"),
+                               model_seed(base, "new_member"))
 
 
 def epoch_series_csv(run: RunArtifacts) -> str:

@@ -118,10 +118,10 @@ def test_sweep_focal_auto_switches_to_focal_method(tmp_path, capsys):
     assert (out_dir / "focal_sweep.csv").exists()
 
 
-def test_sweep_ensemble_with_workers(config_path, tmp_path, capsys):
+def test_sweep_ensemble_writes_size_rows(config_path, tmp_path, capsys):
     out_dir = tmp_path / "ens"
     assert main(["sweep-ensemble", "--config", config_path,
-                 "--out", str(out_dir), "--max-workers", "2"]) == 0
+                 "--out", str(out_dir)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "L,er_old,er_new,nfr,rel_nfr"
     assert [l.split(",")[0] for l in lines[1:]] == ["1", "2"]

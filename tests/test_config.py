@@ -106,6 +106,8 @@ def test_invalid_values_surface_as_config_errors():
         loads_config("train: {momentum: 1.5}")
     with pytest.raises(ConfigError):
         loads_config("repetitions: 0")
+    with pytest.raises(ConfigError, match="repetitions"):
+        loads_config("repetitions: 99001")
 
 
 def test_sweep_lists_defaults():

@@ -6,8 +6,7 @@ import pytest
 
 from pctlab import nn
 from pctlab.datasets import SPLIT_TEST, SPLIT_TRAIN, SyntheticSpec, generate
-from pctlab.ensembles import (Ensemble, ensemble_logits, sweep_ensemble_size,
-                              train_ensemble)
+from pctlab.ensembles import Ensemble, sweep_ensemble_size, train_ensemble
 from pctlab.flips import report_from_arrays
 from pctlab.losses import make_ce_objective
 
@@ -59,14 +58,6 @@ def test_single_member_ensemble_equals_member_exactly():
                                   nn.batch_logits(member, x))
     np.testing.assert_array_equal(ens.predict_batch(x),
                                   nn.predict_batch(member, x))
-    np.testing.assert_array_equal(ensemble_logits(ens, x[0]),
-                                  nn.batch_logits(member, x[:1])[0])
-
-
-def test_ensemble_logits_rejects_batches():
-    ens = Ensemble(_models(1))
-    with pytest.raises(ValueError):
-        ensemble_logits(ens, np.zeros((2, 5)))
 
 
 def test_prediction_is_permutation_invariant():
@@ -79,29 +70,31 @@ def test_prediction_is_permutation_invariant():
 
 def test_train_ensemble_member_j_matches_individual_run(train_xy):
     x, y = train_xy
-    ens = train_ensemble([5, 8, 4], x, y, CFG, size=3, base_seed=40)
-    for j, member in enumerate(ens.members):
-        solo = nn.train(nn.init_model([5, 8, 4], seed=40 + j), x, y,
-                        make_ce_objective(y), nn.with_seed(CFG, 40 + j)).model
-        for la, lb in zip(member.layers, solo.layers):
-            np.testing.assert_array_equal(la.weights, lb.weights)
-            np.testing.assert_array_equal(la.bias, lb.bias)
-
-
-def test_concurrent_training_matches_sequential(train_xy):
-    x, y = train_xy
-    seq = train_ensemble([5, 8, 4], x, y, CFG, size=4, base_seed=7)
-    par = train_ensemble([5, 8, 4], x, y, CFG, size=4, base_seed=7,
-                         max_workers=3)
-    for ma, mb in zip(seq.members, par.members):
-        for la, lb in zip(ma.layers, mb.layers):
-            np.testing.assert_array_equal(la.weights, lb.weights)
+    starts = [nn.init_model([5, 8, 4], seed=90 + j) for j in range(3)]
+    epochs_seen = []
+    for init, hook in ((None, None),
+                       (starts, lambda epoch, model: epochs_seen.append(epoch))):
+        ens = train_ensemble([5, 8, 4], x, y, CFG, size=3, base_seed=40,
+                             init=init, on_epoch_end=hook)
+        for j, member in enumerate(ens.members):
+            start = (nn.init_model([5, 8, 4], seed=40 + j) if init is None
+                     else init[j])
+            solo = nn.train(start, x, y, make_ce_objective(y),
+                            nn.with_seed(CFG, 40 + j)).model
+            for la, lb in zip(member.layers, solo.layers):
+                np.testing.assert_array_equal(la.weights, lb.weights)
+                np.testing.assert_array_equal(la.bias, lb.bias)
+    # the hook runs once per epoch of every member, members one after another
+    assert epochs_seen == list(range(CFG.epochs)) * 3
 
 
 def test_train_ensemble_rejects_bad_size(train_xy):
     x, y = train_xy
     with pytest.raises(ValueError):
         train_ensemble([5, 4], x, y, CFG, size=0, base_seed=0)
+    with pytest.raises(ValueError, match="one model per member"):
+        train_ensemble([5, 4], x, y, CFG, size=2, base_seed=0,
+                       init=[nn.init_model([5, 4], seed=0)])
 
 
 def test_sweep_validates_sizes_and_seed_ranges(data):

@@ -6,11 +6,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pctlab.datasets import SyntheticSpec
 from pctlab.harness import (ENSEMBLE_REP_STRIDE, ENSEMBLE_SEED_OFFSET,
-                            METHODS, NEW_MODEL_SEED_OFFSET, ExperimentConfig,
-                            compare_methods, epoch_series_csv,
+                            MAX_REPETITIONS, METHODS, NEW_MODEL_SEED_OFFSET,
+                            ExperimentConfig, compare_methods,
+                            epoch_series_csv, model_seed,
                             pc_config_for_method, prepare_scenario,
                             run_experiment, sweep_ensemble, sweep_focal)
 from pctlab.losses import DistanceSpec, PCLossConfig
@@ -50,6 +53,37 @@ def test_experiment_config_normalizes_pc_mode(small_config):
         replace(small_config, ensemble_size=0)
     with pytest.raises(ValueError):
         replace(small_config, ensemble_size=ENSEMBLE_REP_STRIDE)
+    # the last repetition's new-model seed stays below the ensemble range
+    assert replace(small_config, repetitions=MAX_REPETITIONS).repetitions == (
+        ENSEMBLE_SEED_OFFSET - NEW_MODEL_SEED_OFFSET)
+    with pytest.raises(ValueError, match="repetitions"):
+        replace(small_config, repetitions=MAX_REPETITIONS + 1)
+
+
+def _seed_key(role, rep, member):
+    # the coordinates a role's seed depends on
+    return (role, 0 if role == "old" else rep, 0 if role == "new" else member)
+
+
+@settings(max_examples=300, deadline=None)
+@given(size=st.integers(1, ENSEMBLE_REP_STRIDE - 1),
+       reps=st.integers(1, MAX_REPETITIONS),
+       base=st.integers(0, 2**31), data=st.data())
+def test_seed_ranges_are_pairwise_disjoint(size, reps, base, data):
+    ExperimentConfig(ensemble_size=size, repetitions=reps)   # an allowed pair
+    first = {role: model_seed(base, role) for role in ("old", "new", "new_member")}
+    last = {"old": model_seed(base, "old", member=size - 1),
+            "new": model_seed(base, "new", rep=reps - 1),
+            "new_member": model_seed(base, "new_member", reps - 1, size - 1)}
+    assert last["old"] < first["new"] and last["new"] < first["new_member"]
+    # any two models of the layout share a seed only if they are the same model
+    keys = st.tuples(st.sampled_from(["old", "new", "new_member"]),
+                     st.integers(0, reps - 1), st.integers(0, size - 1))
+    a, b = data.draw(keys), data.draw(keys)
+    assert (model_seed(base, *a) == model_seed(base, *b)) == (
+        _seed_key(*a) == _seed_key(*b))
+    with pytest.raises(ValueError, match="seed role"):
+        model_seed(base, "newest")
 
 
 def test_run_experiment_is_deterministic(small_config, small_state):
@@ -178,6 +212,24 @@ def test_fine_tune_with_zero_epochs_scores_the_old_model():
     result = run_experiment(cfg)
     run = result.runs[0]
     # the init IS the old model, so there are no flips at all
+    assert run.final.er_new == result.er_old
+    assert run.final.nfr == 0.0 and run.final.pfr == 0.0
+    assert len(run.epochs) == 1 and run.epochs[0].epoch == 0
+
+
+def test_ensemble_fine_tune_with_zero_epochs_scores_the_old_ensemble():
+    spec = SyntheticSpec(num_classes=4, input_dim=6, samples_per_class=40,
+                         cluster_spread=1.0, seed=2)
+    cfg = ExperimentConfig(
+        dataset=spec,
+        scenario=reference_scenario(ScenarioKind.FINE_TUNE, 4),
+        train=TrainConfig(epochs=0, seed=1),
+        method="ensemble",
+        ensemble_size=3,
+    )
+    result = run_experiment(cfg)
+    run = result.runs[0]
+    # member j starts from old member j, so the new ensemble IS the old one
     assert run.final.er_new == result.er_old
     assert run.final.nfr == 0.0 and run.final.pfr == 0.0
     assert len(run.epochs) == 1 and run.epochs[0].epoch == 0

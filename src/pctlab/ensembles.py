@@ -1,11 +1,13 @@
 """Independently trained model ensembles with logit averaging.
 
 An ensemble predicts through the softmax of the arithmetic mean of member
-logits. ``train_ensemble`` is the one loop that trains CE members: one
-after another, member j from seed base_seed + j, so ensembles are
-reproducible and two ensembles built from disjoint seed ranges are
-independent. The old side of every update, the ``ensemble`` method and the
-size sweep all train through it.
+logits. ``train_ensemble`` is the one function that trains CE members:
+member j from seed base_seed + j (its init and its shuffle), all members in
+lockstep as one ``(M, fan_in, fan_out)`` weight stack through a single
+``nn.train`` call. Ensembles are therefore reproducible, member j equals a
+solo run under its seed bit for bit, and two ensembles built from disjoint
+seed ranges are independent. The old side of every update, the
+``ensemble`` method and the size sweep all train through it.
 """
 
 from __future__ import annotations
@@ -20,7 +22,8 @@ import numpy as np
 from .datasets import SPLIT_TEST, SPLIT_TRAIN, Dataset
 from .flips import report_from_arrays
 from .losses import make_ce_objective
-from .nn import MLPModel, TrainConfig, batch_logits, init_model, train, with_seed
+from .nn import (MLPModel, TrainConfig, batch_logits, init_model, stack_models,
+                 train, with_seed)
 
 
 @dataclass
@@ -63,23 +66,22 @@ def train_ensemble(dims: Sequence[int], features: np.ndarray, labels: np.ndarray
     """Train ``size`` members under plain CE; member j uses seed base_seed + j.
 
     Member j starts from ``init[j]`` when given (fine-tuning), else from a
-    fresh init under its seed; the seed also drives its shuffle stream.
-    ``on_epoch_end`` is passed to ``train`` for every member.
+    fresh init under its seed; the seed also drives its shuffle stream. All
+    members train in lockstep as one stack in a single ``train`` call, so
+    ``on_epoch_end(epoch, stack)`` fires once per epoch with the whole live
+    stack (``stack.member(j)`` is member j). The members returned are views
+    of the trained stack.
     """
     if size < 1:
         raise ValueError("ensemble size must be >= 1")
     if init is not None and len(init) != size:
         raise ValueError("init needs one model per member")
-    objective = make_ce_objective(labels)
-    members = []
-    for j in range(size):
-        seed = base_seed + j
-        model = (init[j] if init is not None
-                 else init_model(dims, seed, weight_init=config.weight_init))
-        members.append(train(model, features, labels, objective,
-                             with_seed(config, seed),
-                             on_epoch_end=on_epoch_end).model)
-    return Ensemble(members)
+    if init is None:
+        init = [init_model(dims, base_seed + j, weight_init=config.weight_init)
+                for j in range(size)]
+    stack = train(stack_models(init), features, labels, make_ce_objective(labels),
+                  with_seed(config, base_seed), on_epoch_end=on_epoch_end).model
+    return Ensemble([stack.member(j) for j in range(size)])
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,11 @@ schedule, and one update method. Running it trains the old model once,
 trains the new model under the method's objective (repeated across seeds),
 and records flip metrics per epoch plus a final flip report per repetition.
 Every CE-trained old side and every new ensemble is trained by
-``ensembles.train_ensemble``; the single old model is member 0 of a
-one-member ensemble.
+``ensembles.train_ensemble``, all members of one ensemble in lockstep as a
+single weight stack; the single old model is member 0 of a one-member
+ensemble. The ensemble method's per-epoch hook sees the whole stack once
+per epoch, sums its member logits member by member and records that
+epoch's flip metrics at once.
 
 Update methods
   no_treatment  plain cross-entropy
@@ -303,30 +306,30 @@ def _run_ensemble(config: ExperimentConfig, state: ScenarioState) -> ExperimentR
     x, y = new_view.features(SPLIT_TRAIN), new_view.labels(SPLIT_TRAIN)
     init = old.models if plan.new_job.init_from_old else None
     ep = plan.eval_plan
-    epochs = config.train.epochs
     k = new_view.num_classes
 
     runs = []
     for rep in range(config.repetitions):
         base = model_seed(config.train.seed, "new_member", rep)
-        # member logits summed per epoch; the mean's argmax never needs the 1/L
-        train_acc = np.zeros((epochs, x.shape[0], k))
-        eval_acc = np.zeros((epochs, ep.features.shape[0], k))
+        collector = _EpochCollector(x, y, old.train_preds, ep, old.eval_preds)
 
-        def hook(e, m):
-            train_acc[e] += batch_logits(m, x)
-            eval_acc[e] += batch_logits(m, ep.features)
+        def hook(e, stack):
+            # member logits summed in member order, so the sums are exact and
+            # only this epoch's are held; the mean's argmax never needs the 1/L
+            train_sum = np.zeros((x.shape[0], k))
+            eval_sum = np.zeros((ep.features.shape[0], k))
+            for j in range(size):
+                member = stack.member(j)
+                train_sum += batch_logits(member, x)
+                eval_sum += batch_logits(member, ep.features)
+            collector.record(e, np.argmax(train_sum, axis=1),
+                             np.argmax(eval_sum, axis=1))
 
         new = ensembles.train_ensemble(plan.new_job.dims(), x, y, config.train,
                                        size, base, init=init, on_epoch_end=hook)
-        collector = _EpochCollector(x, y, old.train_preds, ep, old.eval_preds)
-        if epochs == 0:
+        if collector.final is None:  # zero-epoch schedule: score the init
             collector.record(-1, new.predict_batch(x),
                              new.predict_batch(ep.features))
-        else:
-            for e in range(epochs):
-                collector.record(e, np.argmax(train_acc[e], axis=1),
-                                 np.argmax(eval_acc[e], axis=1))
         runs.append(RunArtifacts(rep, base, new.parameter_count(),
                                  collector.rows, collector.final))
     return ExperimentResult(config, old.er_old, old.param_count, runs)
@@ -445,8 +448,9 @@ def sweep_ensemble(config: ExperimentConfig, sizes: Sequence[int],
 
     Both sides use the scenario's architectures and the full data so that
     size is the only variable; seed ranges are disjoint by construction.
-    Members train one after another: ``max_workers`` is accepted and
-    ignored, because pctbench/workloads.py still passes ``max_workers=1``.
+    Each side's members train in lockstep as one stack: ``max_workers`` is
+    accepted and ignored, because pctbench/workloads.py still passes
+    ``max_workers=1``.
     """
     dataset = generate(config.dataset)
     old_dims = config.scenario.old_model.dims(dataset.input_dim, dataset.num_classes)

@@ -221,17 +221,21 @@ def total_objective(new_logits: np.ndarray, label: int, entry: OracleEntry,
 
 
 def make_ce_objective(labels: np.ndarray):
-    """Plain mean cross-entropy over the batch."""
+    """Plain mean cross-entropy over the batch.
+
+    Also takes a stack's ``(M, B, K)`` logits with ``(M, B)`` indices: each
+    member's gradient is its own batch mean, and the loss is the mean over
+    all M * B rows.
+    """
     labels = np.ascontiguousarray(labels, dtype=np.int64)
 
     def objective(logits, idx):
-        y = labels[idx]
-        losses, probs = ce_rows(logits, y)
-        b = logits.shape[0]
+        y = labels[idx].ravel()
+        losses, probs = ce_rows(logits.reshape(-1, logits.shape[-1]), y)
         dlogits = probs
-        dlogits[np.arange(b), y] -= 1.0
-        dlogits /= b
-        return float(losses.mean()), dlogits
+        dlogits[np.arange(y.shape[0]), y] -= 1.0
+        dlogits /= logits.shape[-2]
+        return float(losses.mean()), dlogits.reshape(logits.shape)
 
     return objective
 

@@ -8,11 +8,20 @@ bit for bit.
 
 Batches are row-major ``(n, dim)`` float64 arrays, weights are
 ``(fan_in, fan_out)``, biases ``(fan_out,)`` and labels int64.
+
+A stack of M same-shape models (``stack_models``) is one ``MLPModel`` whose
+layers hold ``(M, fan_in, fan_out)`` weights and ``(M, fan_out)`` biases;
+its batches are ``(M, n, dim)``. ``forward_batch``, ``backward_batch`` and
+``sgd_step`` work on the last two axes through stacked ``np.matmul``, so
+``train`` trains all M members in lockstep, one step per mini-batch, and
+member j ends bit for bit where training it alone would leave it. A single
+model is the 2-D case of the same code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import copy
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -29,18 +38,19 @@ class DimensionError(ValueError):
 
 @dataclass
 class Layer:
-    """One dense layer: ``out = act(x @ weights + bias)``."""
+    """One dense layer: ``out = act(x @ weights + bias)``, or a stack of M
+    such layers with a leading member axis."""
 
-    weights: np.ndarray  # (fan_in, fan_out)
-    bias: np.ndarray     # (fan_out,)
+    weights: np.ndarray  # (fan_in, fan_out), stacked (M, fan_in, fan_out)
+    bias: np.ndarray     # (fan_out,), stacked (M, fan_out)
     activation: str
 
     def __post_init__(self):
         self.weights = np.ascontiguousarray(self.weights, dtype=np.float64)
         self.bias = np.ascontiguousarray(self.bias, dtype=np.float64)
-        if self.weights.ndim != 2:
-            raise DimensionError("layer weights must be 2-D")
-        if self.bias.shape != (self.weights.shape[1],):
+        if self.weights.ndim not in (2, 3):
+            raise DimensionError("layer weights must be 2-D, or 3-D for a stack")
+        if self.bias.shape != self.weights.shape[:-2] + self.weights.shape[-1:]:
             raise DimensionError(
                 f"bias shape {self.bias.shape} does not match weights "
                 f"{self.weights.shape}")
@@ -51,11 +61,11 @@ class Layer:
 
     @property
     def fan_in(self) -> int:
-        return self.weights.shape[0]
+        return self.weights.shape[-2]
 
     @property
     def fan_out(self) -> int:
-        return self.weights.shape[1]
+        return self.weights.shape[-1]
 
     def copy(self) -> "Layer":
         return Layer(self.weights.copy(), self.bias.copy(), self.activation)
@@ -74,6 +84,8 @@ class MLPModel:
             if prev.fan_out != nxt.fan_in:
                 raise DimensionError(
                     f"layer dims do not chain: {prev.fan_out} -> {nxt.fan_in}")
+            if prev.weights.shape[:-2] != nxt.weights.shape[:-2]:
+                raise DimensionError("stacked layers disagree on the member count")
         if self.layers[-1].activation != "identity":
             raise ValueError("final layer must have identity activation")
 
@@ -85,11 +97,43 @@ class MLPModel:
     def num_classes(self) -> int:
         return self.layers[-1].fan_out
 
+    @property
+    def stack_size(self) -> Optional[int]:
+        """M for a stack of M models, None for a single model."""
+        weights = self.layers[0].weights
+        return weights.shape[0] if weights.ndim == 3 else None
+
     def copy(self) -> "MLPModel":
         return MLPModel([layer.copy() for layer in self.layers])
 
+    def member(self, j: int) -> "MLPModel":
+        """Model j of a stack, as live views of the stacked parameters.
+
+        The views skip ``Layer``'s checks, so a member that diverged comes
+        back unchecked, as ``train`` returns a diverged single model.
+        """
+        layers = []
+        for layer in self.layers:
+            view = copy.copy(layer)
+            view.weights, view.bias = layer.weights[j], layer.bias[j]
+            layers.append(view)
+        return MLPModel(layers)
+
     def parameter_count(self) -> int:
         return sum(l.weights.size + l.bias.size for l in self.layers)
+
+
+def stack_models(models: Sequence[MLPModel]) -> MLPModel:
+    """One stack of same-shape models; member j holds a copy of ``models[j]``."""
+    first = models[0]
+    for m in models[1:]:
+        if [(l.weights.shape, l.activation) for l in m.layers] != \
+                [(l.weights.shape, l.activation) for l in first.layers]:
+            raise DimensionError("stacked models must share layer shapes")
+    return MLPModel([
+        Layer(np.stack([m.layers[i].weights for m in models]),
+              np.stack([m.layers[i].bias for m in models]), layer.activation)
+        for i, layer in enumerate(first.layers)])
 
 
 @dataclass(frozen=True)
@@ -151,12 +195,12 @@ class BatchCache:
 @dataclass
 class TrainResult:
     model: MLPModel
-    train_error: List[float] = field(default_factory=list)
 
 
 # Objective protocol: (batch_logits (B, K), batch_indices (B,)) -> (loss, dlogits).
 # dlogits is the gradient of the scalar batch loss w.r.t. the logits, so any
-# batch averaging must already be folded in.
+# batch averaging must already be folded in. Training a stack passes
+# (M, B, K) logits with (M, B) indices; only the CE objective accepts them.
 Objective = Callable[[np.ndarray, np.ndarray], tuple]
 
 
@@ -192,15 +236,20 @@ def init_model(dims: Sequence[int], seed: int, hidden_activation: str = "relu",
 
 
 def forward_batch(model: MLPModel, x: np.ndarray) -> BatchCache:
-    """Forward pass over a batch ``(n, input_dim)``; caches intermediates."""
+    """Forward pass over a batch ``(n, input_dim)``, or ``(M, n, input_dim)``
+    for a stack of M; caches intermediates."""
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.input_dim:
+    lead = model.layers[0].weights.shape[:-2]
+    if x.ndim != len(lead) + 2 or x.shape[:-2] != lead \
+            or x.shape[-1] != model.input_dim:
         raise DimensionError(
-            f"expected batch of shape (n, {model.input_dim}), got {x.shape}")
+            f"expected batch of shape {lead + ('n', model.input_dim)}, "
+            f"got {x.shape}")
     pre, acts = [], []
     a = x
     for layer in model.layers:
-        z = a @ layer.weights + layer.bias
+        z = a @ layer.weights
+        z += layer.bias[..., None, :]
         pre.append(z)
         a = np.maximum(z, 0.0) if layer.activation == "relu" else z
         acts.append(a)
@@ -268,13 +317,11 @@ def backward_batch(model: MLPModel, cache: BatchCache,
     dz = dlogits
     for i in range(len(model.layers) - 1, -1, -1):
         a_prev = cache.x if i == 0 else cache.activations[i - 1]
-        grads[i] = (a_prev.T @ dz, dz.sum(axis=0))
+        grads[i] = (a_prev.swapaxes(-1, -2) @ dz, dz.sum(axis=-2))
         if i > 0:
-            dx = dz @ model.layers[i].weights.T
+            dz = dz @ model.layers[i].weights.swapaxes(-1, -2)
             if model.layers[i - 1].activation == "relu":
-                dz = dx * (cache.pre_activations[i - 1] > 0.0)
-            else:
-                dz = dx
+                dz *= cache.pre_activations[i - 1] > 0.0
     return grads
 
 
@@ -302,10 +349,13 @@ def train(model: MLPModel, features: np.ndarray, labels: np.ndarray,
           ) -> TrainResult:
     """Mini-batch SGD on a copy of ``model``; the input model is untouched.
 
-    The shuffle order for epoch t comes from the counter-based stream
-    (seed, t), so training is reproducible regardless of global RNG state.
-    The returned per-epoch train error is the running error over the
-    epoch's mini-batches (predictions taken as each batch is visited).
+    ``model`` is one model or a stack of M. Member j of a stack shuffles
+    with seed ``config.seed + j``: epoch t visits the rows in the order of
+    the counter-based stream (seed + j, t), gathered as
+    ``features[order[:, s:e]]``, so training is reproducible regardless of
+    global RNG state and member j ends exactly as training it alone under
+    seed ``config.seed + j`` would leave it. ``on_epoch_end(epoch, model)``
+    fires once per epoch with the whole live model or stack.
     """
     features = np.ascontiguousarray(features, dtype=np.float64)
     labels = np.ascontiguousarray(labels, dtype=np.int64)
@@ -322,23 +372,31 @@ def train(model: MLPModel, features: np.ndarray, labels: np.ndarray,
 
     model = model.copy()
     velocity = zero_velocity(model)
-    bs = config.batch_size
-    errors: List[float] = []
     for epoch in range(config.epochs):
-        order = stream_rng(config.seed, STREAM_SHUFFLE, epoch).permutation(n)
-        miss = 0
-        for start in range(0, n, bs):
-            idx = order[start:start + bs]
-            cache = forward_batch(model, features[idx])
-            _, dlogits = objective(cache.logits, idx)
-            grads = backward_batch(model, cache, dlogits)
-            sgd_step(model, grads, velocity, config, epoch)
-            preds = np.argmax(cache.logits, axis=1)
-            miss += int(np.sum(preds != labels[idx]))
-        errors.append(miss / n)
+        _train_epoch(model, features, objective, velocity, config, epoch)
         if on_epoch_end is not None:
             on_epoch_end(epoch, model)
-    return TrainResult(model, errors)
+    return TrainResult(model)
+
+
+def _train_epoch(model: MLPModel, features: np.ndarray, objective: Objective,
+                 velocity: List[tuple], config: TrainConfig, epoch: int) -> None:
+    """One epoch of steps; the stacked shuffle and the last batch's arrays
+    die on return, before ``on_epoch_end`` runs."""
+    n = features.shape[0]
+    size = model.stack_size
+    if size is None:
+        order = stream_rng(config.seed, STREAM_SHUFFLE, epoch).permutation(n)
+    else:
+        order = np.stack([stream_rng(config.seed + j, STREAM_SHUFFLE, epoch)
+                          .permutation(n) for j in range(size)])
+    bs = config.batch_size
+    for start in range(0, n, bs):
+        idx = order[..., start:start + bs]
+        cache = forward_batch(model, features.take(idx, axis=0))
+        _, dlogits = objective(cache.logits, idx)
+        grads = backward_batch(model, cache, dlogits)
+        sgd_step(model, grads, velocity, config, epoch)
 
 
 def with_seed(config: TrainConfig, seed: int) -> TrainConfig:

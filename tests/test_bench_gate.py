@@ -1,0 +1,27 @@
+"""The benchmark's byte-identity gate on every workload, at tiny size.
+
+Each ``pctbench/run.py`` pass hashes every report it writes and compares the
+digests recorded from the reference sources, so a change that moves any
+output byte of a workload fails here.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("workload", ["methods", "ensemble", "sweep", "wide"])
+def test_bench_outputs_match_reference_digests(workload, tmp_path):
+    proc = subprocess.run(
+        [sys.executable, os.path.join("pctbench", "run.py"), "--workload",
+         workload, "--size", "tiny", "--seconds", "1", "--out-dir",
+         str(tmp_path)],
+        cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, result

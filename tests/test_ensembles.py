@@ -69,23 +69,39 @@ def test_prediction_is_permutation_invariant():
 
 
 def test_train_ensemble_member_j_matches_individual_run(train_xy):
+    """Lockstep members equal solo 2-D runs bit for bit, fresh and
+    fine-tuned, with no hidden layer, one or two hidden layers, and a last
+    mini-batch of a single row."""
     x, y = train_xy
-    starts = [nn.init_model([5, 8, 4], seed=90 + j) for j in range(3)]
-    epochs_seen = []
-    for init, hook in ((None, None),
-                       (starts, lambda epoch, model: epochs_seen.append(epoch))):
-        ens = train_ensemble([5, 8, 4], x, y, CFG, size=3, base_seed=40,
-                             init=init, on_epoch_end=hook)
-        for j, member in enumerate(ens.members):
-            start = (nn.init_model([5, 8, 4], seed=40 + j) if init is None
-                     else init[j])
-            solo = nn.train(start, x, y, make_ce_objective(y),
-                            nn.with_seed(CFG, 40 + j)).model
-            for la, lb in zip(member.layers, solo.layers):
-                np.testing.assert_array_equal(la.weights, lb.weights)
-                np.testing.assert_array_equal(la.bias, lb.bias)
-    # the hook runs once per epoch of every member, members one after another
-    assert epochs_seen == list(range(CFG.epochs)) * 3
+    assert len(x) == 140 and 129 % CFG.batch_size == 1
+    cases = (([5, 8, 4], 140), ([5, 4], 140), ([5, 8, 6, 4], 140),
+             ([5, 8, 4], 129))
+    for dims, n in cases:
+        xs, ys = x[:n], y[:n]
+        starts = [nn.init_model(dims, seed=90 + j) for j in range(3)]
+        for init in (None, starts):
+            seen, last = [], {}
+
+            def hook(epoch, stack):
+                seen.append((epoch, stack.stack_size))
+                last["logits"] = sum(nn.batch_logits(stack.member(j), xs)
+                                     for j in range(stack.stack_size))
+
+            ens = train_ensemble(dims, xs, ys, CFG, size=3, base_seed=40,
+                                 init=init, on_epoch_end=hook)
+            for j, member in enumerate(ens.members):
+                start = (nn.init_model(dims, seed=40 + j) if init is None
+                         else init[j])
+                solo = nn.train(start, xs, ys, make_ce_objective(ys),
+                                nn.with_seed(CFG, 40 + j)).model
+                for la, lb in zip(member.layers, solo.layers):
+                    np.testing.assert_array_equal(la.weights, lb.weights)
+                    np.testing.assert_array_equal(la.bias, lb.bias)
+            # the hook runs once per epoch, in order, on the whole stack
+            assert seen == [(epoch, 3) for epoch in range(CFG.epochs)]
+            # its last view is the returned ensemble, not a stale copy
+            np.testing.assert_array_equal(
+                last["logits"], sum(nn.batch_logits(m, xs) for m in ens.members))
 
 
 def test_train_ensemble_rejects_bad_size(train_xy):
@@ -95,6 +111,10 @@ def test_train_ensemble_rejects_bad_size(train_xy):
     with pytest.raises(ValueError, match="one model per member"):
         train_ensemble([5, 4], x, y, CFG, size=2, base_seed=0,
                        init=[nn.init_model([5, 4], seed=0)])
+    with pytest.raises(nn.DimensionError, match="share layer shapes"):
+        train_ensemble([5, 4], x, y, CFG, size=2, base_seed=0,
+                       init=[nn.init_model([5, 4], seed=0),
+                             nn.init_model([5, 6, 4], seed=1)])
 
 
 def test_sweep_validates_sizes_and_seed_ranges(data):

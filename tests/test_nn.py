@@ -91,6 +91,11 @@ def test_forward_rejects_wrong_input_dim():
         nn.forward_batch(model, np.zeros((2, 4)))
     with pytest.raises(nn.DimensionError):
         nn.forward_batch(model, np.zeros(5))
+    stack = nn.stack_models([model, model])
+    with pytest.raises(nn.DimensionError):
+        nn.forward_batch(stack, np.zeros((2, 5)))
+    with pytest.raises(nn.DimensionError):
+        nn.forward_batch(stack, np.zeros((3, 2, 5)))
 
 
 def test_predict_ties_resolve_to_lowest_index():
@@ -213,8 +218,6 @@ def test_train_is_deterministic_and_leaves_input_untouched():
         np.testing.assert_array_equal(l1.bias, l2.bias)
     for layer, w in zip(model.layers, before):
         np.testing.assert_array_equal(layer.weights, w)
-    assert r1.train_error == r2.train_error
-    assert len(r1.train_error) == 3
 
 
 def test_train_zero_epochs_returns_unchanged_copy():
@@ -222,7 +225,6 @@ def test_train_zero_epochs_returns_unchanged_copy():
     model = nn.init_model([2, 4, 2], seed=3)
     result = nn.train(model, x, y, make_ce_objective(y),
                       nn.TrainConfig(epochs=0))
-    assert result.train_error == []
     for l1, l2 in zip(result.model.layers, model.layers):
         np.testing.assert_array_equal(l1.weights, l2.weights)
     assert result.model is not model

@@ -4,6 +4,8 @@ An experiment fixes a synthetic task, an update scenario, a training
 schedule, and one update method. Running it trains the old model once,
 trains the new model under the method's objective (repeated across seeds),
 and records flip metrics per epoch plus a final flip report per repetition.
+The repetitions of a single-model method train in lockstep as one weight
+stack, in consecutive stacks of at most ``REPETITION_STACK`` repetitions.
 Every CE-trained old side and every new ensemble is trained by
 ``ensembles.train_ensemble``, all members of one ensemble in lockstep as a
 single weight stack; the single old model is member 0 of a one-member
@@ -45,7 +47,7 @@ from .flips import FlipReport, report_from_arrays
 from .losses import (FilterSpec, OldModelOracle, PCLossConfig, make_ce_objective,
                      make_objective)
 from .nn import (MLPModel, TrainConfig, batch_logits, init_model, predict_batch,
-                 train, with_seed)
+                 stack_models, train, with_seed)
 from .scenarios import (EvalPlan, ScenarioKind, ScenarioPlan, UpdateScenario,
                         build_scenario, reference_scenario)
 
@@ -55,6 +57,9 @@ NEW_MODEL_SEED_OFFSET = 1000
 ENSEMBLE_SEED_OFFSET = 100_000
 ENSEMBLE_REP_STRIDE = 1000
 MAX_REPETITIONS = ENSEMBLE_SEED_OFFSET - NEW_MODEL_SEED_OFFSET
+# at most this many repetitions share one weight stack, so memory stays flat
+# in the repetition count
+REPETITION_STACK = 16
 
 
 def model_seed(base_seed: int, role: str, rep: int = 0, member: int = 0) -> int:
@@ -263,7 +268,15 @@ class _EpochCollector:
 
 def run_experiment(config: ExperimentConfig,
                    state: Optional[ScenarioState] = None) -> ExperimentResult:
-    """Run one experiment; reuses `state` (dataset + old side) when given."""
+    """Run one experiment; reuses `state` (dataset + old side) when given.
+
+    A single-model method trains its repetitions in lockstep, in consecutive
+    stacks of at most ``REPETITION_STACK``. The stack that starts at
+    repetition r0 trains under seed ``model_seed(base, "new", r0)``, and
+    ``train`` shuffles its member j with that seed + j, so repetition r keeps
+    the seed ``model_seed(base, "new", r)`` and ends bit for bit where
+    training it alone would leave it.
+    """
     if state is None:
         state = prepare_scenario(config)
     if config.method == "ensemble":
@@ -276,21 +289,30 @@ def run_experiment(config: ExperimentConfig,
     objective = make_objective(y, old.oracle, config.pc)
 
     runs = []
-    for rep in range(config.repetitions):
-        seed = model_seed(config.train.seed, "new", rep)
-        cfg = with_seed(config.train, seed)
+    for r0 in range(0, config.repetitions, REPETITION_STACK):
+        reps = range(r0, min(r0 + REPETITION_STACK, config.repetitions))
+        seeds = [model_seed(config.train.seed, "new", r) for r in reps]
         if plan.new_job.init_from_old:
-            model = old.models[0].copy()
+            models = [old.models[0]] * len(reps)
         else:
-            model = init_model(plan.new_job.dims(), seed,
-                               weight_init=cfg.weight_init)
-        collector = _EpochCollector(x, y, old.train_preds, plan.eval_plan,
-                                    old.eval_preds)
-        result = train(model, x, y, objective, cfg, on_epoch_end=collector)
-        if collector.final is None:  # zero-epoch schedule: score the init
-            collector(-1, result.model)
-        runs.append(RunArtifacts(rep, seed, result.model.parameter_count(),
-                                 collector.rows, collector.final))
+            models = [init_model(plan.new_job.dims(), seed,
+                                 weight_init=config.train.weight_init)
+                      for seed in seeds]
+        collectors = [_EpochCollector(x, y, old.train_preds, plan.eval_plan,
+                                      old.eval_preds) for _ in reps]
+
+        def hook(e, stack):
+            for j, collector in enumerate(collectors):
+                collector(e, stack.member(j))
+
+        result = train(stack_models(models), x, y, objective,
+                       with_seed(config.train, seeds[0]), on_epoch_end=hook)
+        for j, (rep, seed, collector) in enumerate(zip(reps, seeds, collectors)):
+            model = result.model.member(j)
+            if collector.final is None:  # zero-epoch schedule: score the init
+                collector(-1, model)
+            runs.append(RunArtifacts(rep, seed, model.parameter_count(),
+                                     collector.rows, collector.final))
     return ExperimentResult(config, old.er_old, old.param_count, runs)
 
 

@@ -10,7 +10,10 @@ congruence) term penalizes drifting away from a frozen reference model:
 
 Per-sample functions return ``(value, gradient w.r.t. new logits)``; the
 batch objective factories fold in the batch mean and are what ``nn.train``
-consumes.
+consumes. Every batch objective takes ``(B, K)`` logits with ``(B,)``
+indices, or a stack's ``(M, B, K)`` logits with ``(M, B)`` indices, which it
+flattens to ``M * B`` rows through the same per-row ops, so member m's
+gradient equals that of its own 2-D call bit for bit.
 """
 
 from __future__ import annotations
@@ -245,7 +248,10 @@ def make_objective(labels: np.ndarray, oracle: Optional[OldModelOracle],
     """Batch-mean of the per-sample total objective.
 
     Equals ``mean_i [CE_i + lambda * PC_i]``; with ``mode="none"`` this is
-    exactly the plain CE objective.
+    exactly the plain CE objective. Like ``make_ce_objective`` it also takes
+    a stack's ``(M, B, K)`` logits with ``(M, B)`` indices: each member's
+    gradient is its own batch mean, and the loss is the mean over all
+    M * B rows.
     """
     if config.mode == "none":
         return make_ce_objective(labels)
@@ -257,15 +263,15 @@ def make_objective(labels: np.ndarray, oracle: Optional[OldModelOracle],
     if config.mode == "naive":
 
         def objective(logits, idx):
+            idx = idx.ravel()
             y = labels[idx]
-            losses, probs = ce_rows(logits, y)
-            b = logits.shape[0]
+            losses, probs = ce_rows(logits.reshape(-1, logits.shape[-1]), y)
             w = 1.0 + lam * oracle.old_correct[idx]
             loss = float(np.mean(w * losses))
             dlogits = probs
-            dlogits[np.arange(b), y] -= 1.0
-            dlogits *= (w / b)[:, None]
-            return loss, dlogits
+            dlogits[np.arange(y.shape[0]), y] -= 1.0
+            dlogits *= (w / logits.shape[-2])[:, None]
+            return loss, dlogits.reshape(logits.shape)
 
         return objective
 
@@ -273,10 +279,12 @@ def make_objective(labels: np.ndarray, oracle: Optional[OldModelOracle],
     logit_index = oracle.logit_index
 
     def objective(logits, idx):
+        idx = idx.ravel()
         y = labels[idx]
-        losses, probs = ce_rows(logits, y)
-        b = logits.shape[0]
-        sub = np.ascontiguousarray(logits[:, logit_index])
+        rows = logits.reshape(-1, logits.shape[-1])
+        losses, probs = ce_rows(rows, y)
+        b = logits.shape[-2]
+        sub = np.ascontiguousarray(rows[:, logit_index])
         old = oracle.logits[idx]
         if dist.kind == "kl":
             ls_new = _log_softmax_rows(sub / dist.tau)
@@ -291,9 +299,9 @@ def make_objective(labels: np.ndarray, oracle: Optional[OldModelOracle],
         f = filt.alpha + filt.beta * oracle.old_correct[idx]
         loss = float(losses.mean() + lam * np.mean(f * d))
         dlogits = probs
-        dlogits[np.arange(b), y] -= 1.0
+        dlogits[np.arange(y.shape[0]), y] -= 1.0
         dlogits /= b
         dlogits[:, logit_index] += (lam / b) * f[:, None] * sub_grad
-        return loss, dlogits
+        return loss, dlogits.reshape(logits.shape)
 
     return objective

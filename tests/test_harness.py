@@ -9,15 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pctlab.datasets import SyntheticSpec
+from pctlab import harness, nn
+from pctlab.datasets import SPLIT_TRAIN, SyntheticSpec
 from pctlab.harness import (ENSEMBLE_REP_STRIDE, ENSEMBLE_SEED_OFFSET,
                             MAX_REPETITIONS, METHODS, NEW_MODEL_SEED_OFFSET,
-                            ExperimentConfig, compare_methods,
-                            epoch_series_csv, model_seed,
+                            ExperimentConfig, _EpochCollector,
+                            compare_methods, epoch_series_csv, model_seed,
                             pc_config_for_method, prepare_scenario,
                             run_experiment, sweep_ensemble, sweep_focal)
-from pctlab.losses import DistanceSpec, PCLossConfig
-from pctlab.nn import TrainConfig
+from pctlab.losses import DistanceSpec, PCLossConfig, make_objective
+from pctlab.nn import TrainConfig, init_model, with_seed
 from pctlab.scenarios import ScenarioKind, reference_scenario
 
 
@@ -109,6 +110,80 @@ def test_run_seed_layout_and_series_shape(small_config, small_state):
     # repetitions use different seeds, so they are distinct runs
     assert result.runs[0].final != result.runs[1].final or (
         result.runs[0].epochs != result.runs[1].epochs)
+
+
+def _solo_runs(config, state):
+    """Each repetition trained alone as a 2-D model, with its own collector:
+    the oracle for the repetition stack."""
+    plan, old = state.plan, state.old_single
+    view = plan.new_job.view
+    x, y = view.features(SPLIT_TRAIN), view.labels(SPLIT_TRAIN)
+    objective = make_objective(y, old.oracle, config.pc)
+    runs = []
+    for rep in range(config.repetitions):
+        seed = model_seed(config.train.seed, "new", rep)
+        if plan.new_job.init_from_old:
+            start = old.models[0]
+        else:
+            start = init_model(plan.new_job.dims(), seed,
+                               weight_init=config.train.weight_init)
+        collector = _EpochCollector(x, y, old.train_preds, plan.eval_plan,
+                                    old.eval_preds)
+        nn.train(start, x, y, objective, with_seed(config.train, seed),
+                 on_epoch_end=collector)
+        runs.append((rep, seed, collector.rows, collector.final))
+    return runs
+
+
+def _run_keys(result):
+    return [(r.repetition, r.seed, r.epochs, r.final) for r in result.runs]
+
+
+@pytest.mark.parametrize("method", ["fd_kl", "naive"])
+def test_repetition_stack_equals_solo_runs(small_config, small_state, method):
+    cfg = replace(small_config, method=method, repetitions=3)
+    assert _run_keys(run_experiment(cfg, small_state)) == _solo_runs(
+        cfg, small_state)
+
+
+def test_repetition_stack_fine_tune_equals_solo_runs():
+    spec = SyntheticSpec(num_classes=4, input_dim=6, samples_per_class=40,
+                         cluster_spread=1.0, seed=2)
+    cfg = ExperimentConfig(
+        dataset=spec,
+        scenario=reference_scenario(ScenarioKind.FINE_TUNE, 4),
+        train=TrainConfig(epochs=2, batch_size=32, seed=1),
+        method="fd_lm",
+        repetitions=2,
+    )
+    state = prepare_scenario(cfg)
+    old = state.old_single.models[0]
+    before = [(l.weights.copy(), l.bias.copy()) for l in old.layers]
+    result = run_experiment(cfg, state)
+    # every repetition starts from the one old model, which stays untouched
+    for (w, b), layer in zip(before, old.layers):
+        np.testing.assert_array_equal(layer.weights, w)
+        np.testing.assert_array_equal(layer.bias, b)
+    assert _run_keys(result) == _solo_runs(cfg, state)
+    assert result.runs[0].epochs != result.runs[1].epochs
+
+
+def test_repetition_stacks_carry_seeds_across_a_boundary(
+        small_config, small_state, monkeypatch):
+    cfg = replace(small_config, method="fd_kl", repetitions=3)
+    default = run_experiment(cfg, small_state)
+    calls = []
+    train = harness.train
+
+    def counting_train(model, *args, **kwargs):
+        calls.append(model.stack_size)
+        return train(model, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "REPETITION_STACK", 2)
+    monkeypatch.setattr(harness, "train", counting_train)
+    chunked = run_experiment(cfg, small_state)
+    assert calls == [2, 1]
+    assert _run_keys(chunked) == _run_keys(default)
 
 
 def test_summary_medians_match_statistics(small_config, small_state):

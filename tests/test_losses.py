@@ -283,17 +283,16 @@ def test_batch_objective_equals_mean_of_per_sample(name, cfg, index):
     assert loss == pytest.approx(np.mean(per_values), rel=1e-12)
     np.testing.assert_allclose(dlogits, np.stack(per_grads) / n,
                                rtol=1e-12, atol=1e-15)
-    if cfg.mode == "none":
-        # a stack's (M, B, K) logits with (M, B) indices: member m's gradient
-        # is bit for bit that of its own 2-D call
-        rng = np.random.default_rng(3)
-        stack = rng.standard_normal((3, 6, logits.shape[1])) * 2
-        rows = np.stack([rng.permutation(n)[:6] for _ in range(3)])
-        _, stacked = objective(stack.copy(), rows)
-        assert stacked.shape == stack.shape
-        for m in range(3):
-            np.testing.assert_array_equal(
-                stacked[m], objective(stack[m].copy(), rows[m])[1])
+    # a stack's (M, B, K) logits with (M, B) indices: member m's gradient
+    # is bit for bit that of its own 2-D call
+    rng = np.random.default_rng(3)
+    stack = rng.standard_normal((3, 6, logits.shape[1])) * 2
+    rows = np.stack([rng.permutation(n)[:6] for _ in range(3)])
+    _, stacked = objective(stack.copy(), rows)
+    assert stacked.shape == stack.shape
+    for m in range(3):
+        np.testing.assert_array_equal(
+            stacked[m], objective(stack[m].copy(), rows[m])[1])
 
 
 def test_lambda_zero_naive_collapses_to_plain_ce():

@@ -9,17 +9,15 @@ focal distillation, and logit-averaged ensembles.
 from .datasets import Dataset, DatasetView, SyntheticSpec, generate
 from .ensembles import Ensemble, sweep_ensemble_size, train_ensemble
 from .flips import (FlipQuadrant, FlipReport, PredictionRecord, UncertaintyRecord,
-                    classify_flip, compute_nfr, compute_relative_nfr,
-                    default_entropy_bins, flip_report, nfr_by_uncertainty_bin,
-                    predictive_entropy, report_from_arrays)
+                    classify_flip, compute_relative_nfr, default_entropy_bins,
+                    nfr_by_uncertainty_bin, predictive_entropy, report_from_arrays)
 from .harness import (METHODS, ExperimentConfig, ExperimentResult, RunArtifacts,
                       compare_methods, pc_config_for_method, prepare_scenario,
                       run_experiment, sweep_ensemble, sweep_focal)
 from .losses import (DistanceSpec, FilterSpec, OldModelOracle, PCLossConfig,
-                     distance_kl, distance_lm, filter_weight, make_ce_objective,
-                     make_objective, pc_loss_focal, pc_loss_naive, total_objective)
-from .nn import (MLPModel, TrainConfig, TrainResult, batch_logits, cross_entropy,
-                 error_rate, init_model, predict_batch, softmax, train)
+                     distance_kl, filter_weight, make_ce_objective, make_objective)
+from .nn import (MLPModel, TrainConfig, TrainResult, batch_logits, init_model,
+                 predict_batch, train)
 from .scenarios import (DataFilter, ModelSpec, ScenarioKind, UpdateScenario,
                         build_scenario, reference_scenario)
 
@@ -29,17 +27,15 @@ __all__ = [
     "Dataset", "DatasetView", "SyntheticSpec", "generate",
     "Ensemble", "sweep_ensemble_size", "train_ensemble",
     "FlipQuadrant", "FlipReport", "PredictionRecord", "UncertaintyRecord",
-    "classify_flip", "compute_nfr", "compute_relative_nfr",
-    "default_entropy_bins", "flip_report", "nfr_by_uncertainty_bin",
-    "predictive_entropy", "report_from_arrays",
+    "classify_flip", "compute_relative_nfr", "default_entropy_bins",
+    "nfr_by_uncertainty_bin", "predictive_entropy", "report_from_arrays",
     "METHODS", "ExperimentConfig", "ExperimentResult", "RunArtifacts",
     "compare_methods", "pc_config_for_method", "prepare_scenario",
     "run_experiment", "sweep_ensemble", "sweep_focal",
     "DistanceSpec", "FilterSpec", "OldModelOracle", "PCLossConfig",
-    "distance_kl", "distance_lm", "filter_weight", "make_ce_objective",
-    "make_objective", "pc_loss_focal", "pc_loss_naive", "total_objective",
-    "MLPModel", "TrainConfig", "TrainResult", "batch_logits", "cross_entropy",
-    "error_rate", "init_model", "predict_batch", "softmax", "train",
+    "distance_kl", "filter_weight", "make_ce_objective", "make_objective",
+    "MLPModel", "TrainConfig", "TrainResult", "batch_logits", "init_model",
+    "predict_batch", "train",
     "DataFilter", "ModelSpec", "ScenarioKind", "UpdateScenario",
     "build_scenario", "reference_scenario",
     "__version__",

@@ -1,13 +1,16 @@
-"""Independently trained model ensembles with logit averaging.
+"""Independently trained model ensembles.
 
-An ensemble predicts through the softmax of the arithmetic mean of member
-logits. ``train_ensemble`` is the one function that trains CE members:
-member j from seed base_seed + j (its init and its shuffle), all members in
-lockstep as one ``(M, fan_in, fan_out)`` weight stack through a single
-``nn.train`` call. Ensembles are therefore reproducible, member j equals a
-solo run under its seed bit for bit, and two ensembles built from disjoint
-seed ranges are independent. The old side of every update, the
-``ensemble`` method and the size sweep all train through it.
+An ensemble predicts the argmax of its member logits summed in member
+order. The sum skips the 1/L of the mean, so one exact rule scores every
+ensemble: the old side, the new side of every run (a single model is an
+ensemble of one) and every size of the sweep. ``train_ensemble`` trains CE
+members: member j from seed base_seed + j (its init and its shuffle), all
+members in lockstep as one ``(M, fan_in, fan_out)`` weight stack through a
+single ``nn.train`` call. Ensembles are therefore reproducible, member j
+equals a solo run under its seed bit for bit, and two ensembles built from
+disjoint seed ranges are independent. The old side of every update and the
+size sweep train through it; the ``ensemble`` method's new side trains in
+``harness.run_experiment``, by the same seeds and the same stack.
 """
 
 from __future__ import annotations
@@ -48,11 +51,17 @@ class Ensemble:
         return self.members[0].num_classes
 
     def logits_batch(self, x: np.ndarray) -> np.ndarray:
+        """Mean member logits; ``predict_batch`` does not divide by L."""
         stacked = np.stack([batch_logits(m, x) for m in self.members])
         return stacked.mean(axis=0)
 
     def predict_batch(self, x: np.ndarray) -> np.ndarray:
-        return np.argmax(self.logits_batch(x), axis=1)
+        """Argmax of the member logits summed in member order; ties resolve
+        to the lowest index."""
+        total = batch_logits(self.members[0], x)
+        for m in self.members[1:]:
+            total += batch_logits(m, x)
+        return np.argmax(total, axis=1)
 
     def parameter_count(self) -> int:
         return sum(m.parameter_count() for m in self.members)
@@ -115,7 +124,9 @@ def sweep_ensemble_size(old_dims: Sequence[int], new_dims: Sequence[int],
 
     Trains max(sizes) members per side once and evaluates every size L on
     the first L members, which is exactly the ensemble train_ensemble would
-    produce for that L. Seed ranges for the two sides must not overlap.
+    produce for that L: the running member-order sum of their logits is the
+    sum ``Ensemble.predict_batch`` takes. Seed ranges for the two sides must
+    not overlap.
     """
     sizes = [int(s) for s in sizes]
     if not sizes or sizes != sorted(sizes) or sizes[0] < 1:
@@ -138,8 +149,8 @@ def sweep_ensemble_size(old_dims: Sequence[int], new_dims: Sequence[int],
 
     rows = []
     for size in sizes:
-        old_preds = np.argmax(old_logits[size - 1] / size, axis=1)
-        new_preds = np.argmax(new_logits[size - 1] / size, axis=1)
+        old_preds = np.argmax(old_logits[size - 1], axis=1)
+        new_preds = np.argmax(new_logits[size - 1], axis=1)
         report = report_from_arrays(test_y, old_preds, new_preds)
         rows.append(SweepRow(size, report.er_old, report.er_new, report.nfr,
                              report.rel_nfr))

@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -83,9 +83,6 @@ class FlipReport:
             "n", "both_correct", "negative_flips", "positive_flips",
             "both_wrong", "er_old", "er_new", "nfr", "pfr", "rel_nfr")})
 
-    @classmethod
-    def from_json(cls, text: str) -> "FlipReport":
-        return cls.from_dict(json.loads(text))
 
 
 def classify_flip(record: PredictionRecord) -> FlipQuadrant:
@@ -100,19 +97,6 @@ def classify_flip(record: PredictionRecord) -> FlipQuadrant:
     return FlipQuadrant.BOTH_WRONG
 
 
-def records_from_arrays(true_labels: Sequence[int], old_preds: Sequence[int],
-                        new_preds: Sequence[int],
-                        sample_ids: Optional[Sequence[int]] = None,
-                        ) -> List[PredictionRecord]:
-    n = len(true_labels)
-    if len(old_preds) != n or len(new_preds) != n:
-        raise ValueError("prediction arrays must have equal length")
-    if sample_ids is None:
-        sample_ids = range(n)
-    return [PredictionRecord(int(s), int(y), int(o), int(p))
-            for s, y, o, p in zip(sample_ids, true_labels, old_preds, new_preds)]
-
-
 def _quadrant_counts(true_labels: np.ndarray, old_preds: np.ndarray,
                      new_preds: np.ndarray) -> Tuple[int, int, int, int]:
     old_ok = old_preds == true_labels
@@ -122,14 +106,6 @@ def _quadrant_counts(true_labels: np.ndarray, old_preds: np.ndarray,
     pf = int(np.sum(~old_ok & new_ok))
     bw = int(np.sum(~old_ok & ~new_ok))
     return bc, nf, pf, bw
-
-
-def compute_nfr(records: Sequence[PredictionRecord]) -> float:
-    """Fraction of records where the reference was right and the update wrong."""
-    if not records:
-        raise ValueError("cannot compute a flip rate over an empty record set")
-    nf = sum(classify_flip(r) is FlipQuadrant.NEGATIVE_FLIP for r in records)
-    return nf / len(records)
 
 
 def compute_relative_nfr(nfr: float, er_old: float, er_new: float) -> float:
@@ -152,15 +128,6 @@ def report_from_counts(bc: int, nf: int, pf: int, bw: int) -> FlipReport:
     denom = (1.0 - er_old) * er_new
     rel_nfr = nfr / denom if denom > 0.0 else None
     return FlipReport(n, bc, nf, pf, bw, er_old, er_new, nfr, pfr, rel_nfr)
-
-
-def flip_report(records: Sequence[PredictionRecord]) -> FlipReport:
-    if not records:
-        raise ValueError("cannot build a report over an empty record set")
-    y = np.array([r.true_label for r in records])
-    old = np.array([r.old_pred for r in records])
-    new = np.array([r.new_pred for r in records])
-    return report_from_counts(*_quadrant_counts(y, old, new))
 
 
 def report_from_arrays(true_labels: np.ndarray, old_preds: np.ndarray,

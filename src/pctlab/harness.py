@@ -1,17 +1,19 @@
 """Config-driven experiment runner.
 
 An experiment fixes a synthetic task, an update scenario, a training
-schedule, and one update method. Running it trains the old model once,
-trains the new model under the method's objective (repeated across seeds),
+schedule, and one update method. Running it trains the old side once,
+trains the new side under the method's objective (repeated across seeds),
 and records flip metrics per epoch plus a final flip report per repetition.
-The repetitions of a single-model method train in lockstep as one weight
-stack, in consecutive stacks of at most ``REPETITION_STACK`` repetitions.
-Every CE-trained old side and every new ensemble is trained by
-``ensembles.train_ensemble``, all members of one ensemble in lockstep as a
-single weight stack; the single old model is member 0 of a one-member
-ensemble. The ensemble method's per-epoch hook sees the whole stack once
-per epoch, sums its member logits member by member and records that
-epoch's flip metrics at once.
+
+``run_experiment`` holds the one run loop for all five methods. Each
+repetition is a group of L members, L = ``ensemble_size`` for ``ensemble``
+and 1 for every other method, scored every epoch as ``Ensemble(members)``:
+the argmax of its member logits summed in member order. A weight stack
+holds one ensemble repetition, or up to ``REPETITION_STACK`` repetitions of
+a single-model method; its member seeds are consecutive, so one ``train``
+call trains the whole stack in lockstep. The old side (one model, or L
+members for ``ensemble``) is the only side trained by
+``ensembles.train_ensemble``.
 
 Update methods
   no_treatment  plain cross-entropy
@@ -41,9 +43,10 @@ import numpy as np
 
 from . import ensembles
 from .datasets import SPLIT_TRAIN, Dataset, SyntheticSpec, generate
-from .ensembles import SweepResult, sweep_ensemble_size
+from .ensembles import Ensemble, SweepResult, sweep_ensemble_size
 from .flips import FlipReport, report_from_arrays
-# make_ce_objective is unused here; pctbench/tracing.py wraps it by name
+# make_ce_objective, batch_logits and predict_batch are not called here; they
+# stay importable from this module because pctbench/tracing.py wraps them by name
 from .losses import (FilterSpec, OldModelOracle, PCLossConfig, make_ce_objective,
                      make_objective)
 from .nn import (MLPModel, TrainConfig, batch_logits, init_model, predict_batch,
@@ -236,7 +239,8 @@ def prepare_scenario(config: ExperimentConfig) -> ScenarioState:
 
 
 class _EpochCollector:
-    """Per-epoch train/held-out flip metrics against a fixed old side."""
+    """Per-epoch train/held-out flip metrics of one repetition's members,
+    scored as one ensemble, against a fixed old side."""
 
     def __init__(self, train_x, train_y, old_train_preds, plan: EvalPlan,
                  old_eval_preds):
@@ -250,16 +254,13 @@ class _EpochCollector:
         self.rows: List[EpochMetrics] = []
         self.final: Optional[FlipReport] = None
 
-    def __call__(self, epoch: int, model: MLPModel) -> None:
-        self.record(epoch, predict_batch(model, self.train_x),
-                    predict_batch(model, self.eval_x))
-
-    def record(self, epoch: int, train_preds: np.ndarray,
-               eval_preds_raw: np.ndarray) -> None:
+    def __call__(self, epoch: int, *members: MLPModel) -> None:
+        new = Ensemble(list(members))
+        train_preds = new.predict_batch(self.train_x)
         er_train = float(np.mean(train_preds != self.train_y))
         nfr_train = report_from_arrays(self.train_y, self.old_train_preds,
                                        train_preds).nfr
-        eval_preds = self.new_label_map[eval_preds_raw]
+        eval_preds = self.new_label_map[new.predict_batch(self.eval_x)]
         report = report_from_arrays(self.eval_y, self.old_eval_preds, eval_preds)
         self.rows.append(EpochMetrics(epoch + 1, er_train, report.er_new,
                                       report.nfr, report.rel_nfr, nfr_train))
@@ -270,30 +271,36 @@ def run_experiment(config: ExperimentConfig,
                    state: Optional[ScenarioState] = None) -> ExperimentResult:
     """Run one experiment; reuses `state` (dataset + old side) when given.
 
-    A single-model method trains its repetitions in lockstep, in consecutive
-    stacks of at most ``REPETITION_STACK``. The stack that starts at
-    repetition r0 trains under seed ``model_seed(base, "new", r0)``, and
-    ``train`` shuffles its member j with that seed + j, so repetition r keeps
-    the seed ``model_seed(base, "new", r)`` and ends bit for bit where
-    training it alone would leave it.
+    Repetition r is a group of L members (module docstring) with
+    consecutive seeds: ``model_seed(base, "new", r)`` when L = 1, else
+    ``model_seed(base, "new_member", r, j)`` for member j. A stack trains
+    under the seed of its first member, and ``train`` shuffles stack member
+    i with that seed + i, so every member keeps its own seed and ends bit for
+    bit where training it alone would leave it.
     """
     if state is None:
         state = prepare_scenario(config)
-    if config.method == "ensemble":
-        return _run_ensemble(config, state)
-
     plan = state.plan
-    old = state.old_single
+    if config.method == "ensemble":
+        size, per_stack, role = config.ensemble_size, 1, "new_member"
+        old = state.old_ensembles.get(size)
+        if old is None:
+            old = _build_old_reference(plan, config.train, members=size)
+            state.old_ensembles[size] = old
+    else:
+        size, per_stack, role = 1, REPETITION_STACK, "new"
+        old = state.old_single
     new_view = plan.new_job.view
     x, y = new_view.features(SPLIT_TRAIN), new_view.labels(SPLIT_TRAIN)
     objective = make_objective(y, old.oracle, config.pc)
 
     runs = []
-    for r0 in range(0, config.repetitions, REPETITION_STACK):
-        reps = range(r0, min(r0 + REPETITION_STACK, config.repetitions))
-        seeds = [model_seed(config.train.seed, "new", r) for r in reps]
+    for r0 in range(0, config.repetitions, per_stack):
+        reps = range(r0, min(r0 + per_stack, config.repetitions))
+        seeds = [model_seed(config.train.seed, role, r, j)
+                 for r in reps for j in range(size)]
         if plan.new_job.init_from_old:
-            models = [old.models[0]] * len(reps)
+            models = old.models * len(reps)
         else:
             models = [init_model(plan.new_job.dims(), seed,
                                  weight_init=config.train.weight_init)
@@ -301,59 +308,22 @@ def run_experiment(config: ExperimentConfig,
         collectors = [_EpochCollector(x, y, old.train_preds, plan.eval_plan,
                                       old.eval_preds) for _ in reps]
 
+        def groups(stack):
+            return [[stack.member(j) for j in range(g * size, (g + 1) * size)]
+                    for g in range(len(reps))]
+
         def hook(e, stack):
-            for j, collector in enumerate(collectors):
-                collector(e, stack.member(j))
+            for collector, members in zip(collectors, groups(stack)):
+                collector(e, *members)
 
         result = train(stack_models(models), x, y, objective,
                        with_seed(config.train, seeds[0]), on_epoch_end=hook)
-        for j, (rep, seed, collector) in enumerate(zip(reps, seeds, collectors)):
-            model = result.model.member(j)
+        for rep, seed, collector, members in zip(reps, seeds[::size], collectors,
+                                                 groups(result.model)):
             if collector.final is None:  # zero-epoch schedule: score the init
-                collector(-1, model)
-            runs.append(RunArtifacts(rep, seed, model.parameter_count(),
+                collector(-1, *members)
+            runs.append(RunArtifacts(rep, seed, Ensemble(members).parameter_count(),
                                      collector.rows, collector.final))
-    return ExperimentResult(config, old.er_old, old.param_count, runs)
-
-
-def _run_ensemble(config: ExperimentConfig, state: ScenarioState) -> ExperimentResult:
-    plan = state.plan
-    size = config.ensemble_size
-    old = state.old_ensembles.get(size)
-    if old is None:
-        old = _build_old_reference(plan, config.train, members=size)
-        state.old_ensembles[size] = old
-
-    new_view = plan.new_job.view
-    x, y = new_view.features(SPLIT_TRAIN), new_view.labels(SPLIT_TRAIN)
-    init = old.models if plan.new_job.init_from_old else None
-    ep = plan.eval_plan
-    k = new_view.num_classes
-
-    runs = []
-    for rep in range(config.repetitions):
-        base = model_seed(config.train.seed, "new_member", rep)
-        collector = _EpochCollector(x, y, old.train_preds, ep, old.eval_preds)
-
-        def hook(e, stack):
-            # member logits summed in member order, so the sums are exact and
-            # only this epoch's are held; the mean's argmax never needs the 1/L
-            train_sum = np.zeros((x.shape[0], k))
-            eval_sum = np.zeros((ep.features.shape[0], k))
-            for j in range(size):
-                member = stack.member(j)
-                train_sum += batch_logits(member, x)
-                eval_sum += batch_logits(member, ep.features)
-            collector.record(e, np.argmax(train_sum, axis=1),
-                             np.argmax(eval_sum, axis=1))
-
-        new = ensembles.train_ensemble(plan.new_job.dims(), x, y, config.train,
-                                       size, base, init=init, on_epoch_end=hook)
-        if collector.final is None:  # zero-epoch schedule: score the init
-            collector.record(-1, new.predict_batch(x),
-                             new.predict_batch(ep.features))
-        runs.append(RunArtifacts(rep, base, new.parameter_count(),
-                                 collector.rows, collector.final))
     return ExperimentResult(config, old.er_old, old.param_count, runs)
 
 

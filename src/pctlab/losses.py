@@ -8,12 +8,18 @@ congruence) term penalizes drifting away from a frozen reference model:
 * ``focal``  - a distillation distance (temperature-scaled KL or half squared
   logit distance) weighted per sample by ``alpha + beta * [reference correct]``.
 
-Per-sample functions return ``(value, gradient w.r.t. new logits)``; the
-batch objective factories fold in the batch mean and are what ``nn.train``
-consumes. Every batch objective takes ``(B, K)`` logits with ``(B,)``
-indices, or a stack's ``(M, B, K)`` logits with ``(M, B)`` indices, which it
-flattens to ``M * B`` rows through the same per-row ops, so member m's
-gradient equals that of its own 2-D call bit for bit.
+Objectives are computed on whole batches: the factories
+``make_ce_objective`` and ``make_objective`` fold in the batch mean and are
+what ``nn.train`` consumes. The per-sample forms kept here, ``distance_kl``
+and ``filter_weight``, return a value (and, for the distance, the gradient
+w.r.t. the new logits) for one sample; the other per-sample oracles the
+batch code is tested against (CE, the naive and focal PC terms, the logit
+distance and their sum) live in ``tests/oracles.py``.
+
+Every batch objective takes ``(B, K)`` logits with ``(B,)`` indices, or a
+stack's ``(M, B, K)`` logits with ``(M, B)`` indices, which it flattens to
+``M * B`` rows through the same per-row ops, so member m's gradient equals
+that of its own 2-D call bit for bit.
 """
 
 from __future__ import annotations
@@ -68,15 +74,6 @@ class PCLossConfig:
             raise ValueError("lambda must be non-negative")
 
 
-@dataclass(frozen=True)
-class OracleEntry:
-    """Reference-model cache for one training sample."""
-
-    old_logits: np.ndarray
-    old_correct: bool
-    logit_index: np.ndarray  # positions of the reference classes in the new logit vector
-
-
 class OldModelOracle:
     """Frozen reference-model outputs over a training set.
 
@@ -123,11 +120,6 @@ class OldModelOracle:
     def __len__(self) -> int:
         return self.logits.shape[0]
 
-    def entry(self, i: int) -> OracleEntry:
-        if not 0 <= i < len(self):
-            raise IndexError(f"no oracle entry for sample {i}")
-        return OracleEntry(self.logits[i], bool(self.old_correct[i]), self.logit_index)
-
 
 def filter_weight(spec: FilterSpec, old_correct: bool) -> float:
     return spec.alpha + spec.beta if old_correct else spec.alpha
@@ -157,66 +149,6 @@ def distance_kl(new_logits: np.ndarray, old_logits: np.ndarray,
     value = float(np.dot(p_old, ls_old - ls_new))
     grad = (np.exp(ls_new) - p_old) / tau
     return max(value, 0.0), grad
-
-
-def distance_lm(new_logits: np.ndarray, old_logits: np.ndarray) -> tuple:
-    """Half squared Euclidean distance between logit vectors; gradient is
-    simply (new - old)."""
-    new_logits = np.asarray(new_logits, dtype=np.float64)
-    old_logits = np.asarray(old_logits, dtype=np.float64)
-    if new_logits.shape != old_logits.shape:
-        raise DimensionError("logit vectors must have equal length")
-    diff = new_logits - old_logits
-    return 0.5 * float(np.dot(diff, diff)), diff
-
-
-def _ce_value_grad(logits: np.ndarray, label: int) -> tuple:
-    logits = np.ascontiguousarray(logits, dtype=np.float64)
-    if not 0 <= label < logits.shape[0]:
-        raise IndexError(f"label {label} out of range")
-    losses, probs = ce_rows(logits[None, :], np.array([label], dtype=np.int64))
-    grad = probs[0]
-    grad[label] -= 1.0
-    return float(losses[0]), grad
-
-
-def pc_loss_naive(new_logits: np.ndarray, label: int, old_correct: bool) -> tuple:
-    """Cross-entropy gated on the reference model being correct."""
-    if not old_correct:
-        return 0.0, np.zeros(np.asarray(new_logits).shape[0])
-    return _ce_value_grad(new_logits, label)
-
-
-def pc_loss_focal(new_logits: np.ndarray, entry: OracleEntry,
-                  filt: FilterSpec, dist: DistanceSpec) -> tuple:
-    """Filter-weighted distillation distance to the reference logits.
-
-    With more new classes than reference classes, the distance only sees the
-    logits at ``entry.logit_index``; the gradient is zero elsewhere.
-    """
-    new_logits = np.asarray(new_logits, dtype=np.float64)
-    sub = new_logits[entry.logit_index]
-    if dist.kind == "kl":
-        value, sub_grad = distance_kl(sub, entry.old_logits, dist.tau)
-    else:
-        value, sub_grad = distance_lm(sub, entry.old_logits)
-    weight = filter_weight(filt, entry.old_correct)
-    grad = np.zeros_like(new_logits)
-    grad[entry.logit_index] = weight * sub_grad
-    return weight * value, grad
-
-
-def total_objective(new_logits: np.ndarray, label: int, entry: OracleEntry,
-                    config: PCLossConfig) -> tuple:
-    """Per-sample CE + lambda * PC term, with gradient w.r.t. new logits."""
-    ce, grad = _ce_value_grad(new_logits, label)
-    if config.mode == "none":
-        return ce, grad
-    if config.mode == "naive":
-        pc, pc_grad = pc_loss_naive(new_logits, label, entry.old_correct)
-    else:
-        pc, pc_grad = pc_loss_focal(new_logits, entry, config.filter, config.distance)
-    return ce + config.lam * pc, grad + config.lam * pc_grad
 
 
 # ---------------------------------------------------------------------------

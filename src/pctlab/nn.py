@@ -261,23 +261,9 @@ def batch_logits(model: MLPModel, x: np.ndarray) -> np.ndarray:
     return forward_batch(model, x).logits
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    """Stable softmax of a logit vector (max-subtracted)."""
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1:
-        raise DimensionError("softmax expects a 1-D logit vector")
-    e = np.exp(logits - logits.max())
-    return e / e.sum()
-
-
 def predict_batch(model: MLPModel, x: np.ndarray) -> np.ndarray:
     """Argmax class per row; ties resolve to the lowest index."""
     return np.argmax(forward_batch(model, x).logits, axis=1)
-
-
-def error_rate(model: MLPModel, x: np.ndarray, y: np.ndarray) -> float:
-    y = np.asarray(y)
-    return float(np.mean(predict_batch(model, x) != y))
 
 
 def ce_rows(logits: np.ndarray, labels: np.ndarray) -> tuple:
@@ -291,17 +277,6 @@ def ce_rows(logits: np.ndarray, labels: np.ndarray) -> tuple:
     s = e.sum(axis=1, keepdims=True)
     losses = m[:, 0] + np.log(s[:, 0]) - logits[np.arange(logits.shape[0]), labels]
     return losses, e / s
-
-
-def cross_entropy(logits: np.ndarray, label: int) -> float:
-    """-log softmax(logits)[label], computed via log-sum-exp."""
-    logits = np.ascontiguousarray(logits, dtype=np.float64)
-    if logits.ndim != 1:
-        raise DimensionError("cross_entropy expects a 1-D logit vector")
-    if not 0 <= label < logits.shape[0]:
-        raise IndexError(f"label {label} out of range for {logits.shape[0]} classes")
-    losses, _ = ce_rows(logits[None, :], np.array([label], dtype=np.int64))
-    return float(losses[0])
 
 
 def backward_batch(model: MLPModel, cache: BatchCache,

@@ -1,0 +1,165 @@
+"""One-sample and one-record reference forms of the library's batch code.
+
+``pctlab`` computes on whole batches: objectives through
+``losses.make_objective``, flip counts through ``flips.report_from_arrays``.
+The functions here are the slow, obvious per-sample and per-record forms
+that the tests check those batch paths against. Nothing under ``src/``
+calls them.
+"""
+
+from __future__ import annotations
+
+import json
+from collections import Counter
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
+
+import numpy as np
+
+from pctlab.flips import (FlipQuadrant, FlipReport, PredictionRecord,
+                          classify_flip, report_from_counts)
+from pctlab.losses import (DistanceSpec, FilterSpec, OldModelOracle,
+                           PCLossConfig, distance_kl, filter_weight)
+from pctlab.nn import DimensionError, MLPModel, ce_rows, predict_batch
+
+# ---------------------------------------------------------------------------
+# nn
+
+
+def softmax(logits: np.ndarray) -> np.ndarray:
+    """Stable softmax of a logit vector (max-subtracted)."""
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim != 1:
+        raise DimensionError("softmax expects a 1-D logit vector")
+    e = np.exp(logits - logits.max())
+    return e / e.sum()
+
+
+def cross_entropy(logits: np.ndarray, label: int) -> float:
+    """-log softmax(logits)[label], computed via log-sum-exp."""
+    return ce_value_grad(logits, label)[0]
+
+
+def error_rate(model: MLPModel, x: np.ndarray, y: np.ndarray) -> float:
+    return float(np.mean(predict_batch(model, x) != np.asarray(y)))
+
+
+# ---------------------------------------------------------------------------
+# losses: per-sample objectives, each returning (value, gradient w.r.t. the
+# new logits)
+
+
+@dataclass(frozen=True)
+class OracleEntry:
+    """Reference-model cache for one training sample."""
+
+    old_logits: np.ndarray
+    old_correct: bool
+    logit_index: np.ndarray  # positions of the reference classes in the new logit vector
+
+
+def oracle_entry(oracle: OldModelOracle, i: int) -> OracleEntry:
+    if not 0 <= i < len(oracle):
+        raise IndexError(f"no oracle entry for sample {i}")
+    return OracleEntry(oracle.logits[i], bool(oracle.old_correct[i]),
+                       oracle.logit_index)
+
+
+def distance_lm(new_logits: np.ndarray, old_logits: np.ndarray) -> tuple:
+    """Half squared Euclidean distance between logit vectors; gradient is
+    simply (new - old)."""
+    new_logits = np.asarray(new_logits, dtype=np.float64)
+    old_logits = np.asarray(old_logits, dtype=np.float64)
+    if new_logits.shape != old_logits.shape:
+        raise DimensionError("logit vectors must have equal length")
+    diff = new_logits - old_logits
+    return 0.5 * float(np.dot(diff, diff)), diff
+
+
+def ce_value_grad(logits: np.ndarray, label: int) -> tuple:
+    logits = np.ascontiguousarray(logits, dtype=np.float64)
+    if logits.ndim != 1:
+        raise DimensionError("expected a 1-D logit vector")
+    if not 0 <= label < logits.shape[0]:
+        raise IndexError(f"label {label} out of range")
+    losses, probs = ce_rows(logits[None, :], np.array([label], dtype=np.int64))
+    grad = probs[0]
+    grad[label] -= 1.0
+    return float(losses[0]), grad
+
+
+def pc_loss_naive(new_logits: np.ndarray, label: int, old_correct: bool) -> tuple:
+    """Cross-entropy gated on the reference model being correct."""
+    if not old_correct:
+        return 0.0, np.zeros(np.asarray(new_logits).shape[0])
+    return ce_value_grad(new_logits, label)
+
+
+def pc_loss_focal(new_logits: np.ndarray, entry: OracleEntry,
+                  filt: FilterSpec, dist: DistanceSpec) -> tuple:
+    """Filter-weighted distillation distance to the reference logits.
+
+    With more new classes than reference classes, the distance only sees the
+    logits at ``entry.logit_index``; the gradient is zero elsewhere.
+    """
+    new_logits = np.asarray(new_logits, dtype=np.float64)
+    sub = new_logits[entry.logit_index]
+    if dist.kind == "kl":
+        value, sub_grad = distance_kl(sub, entry.old_logits, dist.tau)
+    else:
+        value, sub_grad = distance_lm(sub, entry.old_logits)
+    weight = filter_weight(filt, entry.old_correct)
+    grad = np.zeros_like(new_logits)
+    grad[entry.logit_index] = weight * sub_grad
+    return weight * value, grad
+
+
+def total_objective(new_logits: np.ndarray, label: int, entry: OracleEntry,
+                    config: PCLossConfig) -> tuple:
+    """Per-sample CE + lambda * PC term, with gradient w.r.t. new logits."""
+    ce, grad = ce_value_grad(new_logits, label)
+    if config.mode == "none":
+        return ce, grad
+    if config.mode == "naive":
+        pc, pc_grad = pc_loss_naive(new_logits, label, entry.old_correct)
+    else:
+        pc, pc_grad = pc_loss_focal(new_logits, entry, config.filter, config.distance)
+    return ce + config.lam * pc, grad + config.lam * pc_grad
+
+
+# ---------------------------------------------------------------------------
+# flips: record-at-a-time bookkeeping
+
+
+def records_from_arrays(true_labels: Sequence[int], old_preds: Sequence[int],
+                        new_preds: Sequence[int],
+                        sample_ids: Optional[Sequence[int]] = None,
+                        ) -> List[PredictionRecord]:
+    n = len(true_labels)
+    if len(old_preds) != n or len(new_preds) != n:
+        raise ValueError("prediction arrays must have equal length")
+    if sample_ids is None:
+        sample_ids = range(n)
+    return [PredictionRecord(int(s), int(y), int(o), int(p))
+            for s, y, o, p in zip(sample_ids, true_labels, old_preds, new_preds)]
+
+
+def compute_nfr(records: Sequence[PredictionRecord]) -> float:
+    """Fraction of records where the reference was right and the update wrong."""
+    if not records:
+        raise ValueError("cannot compute a flip rate over an empty record set")
+    nf = sum(classify_flip(r) is FlipQuadrant.NEGATIVE_FLIP for r in records)
+    return nf / len(records)
+
+
+def flip_report(records: Sequence[PredictionRecord]) -> FlipReport:
+    """The report of a record set, counted one record at a time."""
+    counts = Counter(classify_flip(r) for r in records)
+    return report_from_counts(counts[FlipQuadrant.BOTH_CORRECT],
+                              counts[FlipQuadrant.NEGATIVE_FLIP],
+                              counts[FlipQuadrant.POSITIVE_FLIP],
+                              counts[FlipQuadrant.BOTH_WRONG])
+
+
+def flip_report_from_json(text: str) -> FlipReport:
+    return FlipReport.from_dict(json.loads(text))

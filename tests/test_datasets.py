@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import error_rate
 from pctlab import nn
 from pctlab.datasets import (SPLIT_TEST, SPLIT_TRAIN, SPLIT_VALIDATION,
                              Dataset, DegenerateSpecError, SyntheticSpec,
@@ -106,7 +107,7 @@ def test_tiny_spread_task_is_linearly_separable():
     trained = nn.train(model, x, y, make_ce_objective(y), cfg).model
     xt = d.features[d.rows_of_split(SPLIT_TEST)]
     yt = d.labels[d.rows_of_split(SPLIT_TEST)]
-    assert nn.error_rate(trained, xt, yt) == 0.0
+    assert error_rate(trained, xt, yt) == 0.0
 
 
 # ---------------------------------------------------------------------------

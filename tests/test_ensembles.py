@@ -60,6 +60,24 @@ def test_single_member_ensemble_equals_member_exactly():
                                   nn.predict_batch(member, x))
 
 
+def test_predict_batch_takes_argmax_of_member_sum():
+    """The sum keeps apart two classes that dividing by L rounds to a tie.
+
+    Class 1's summed logit is larger, but both mean logits round to
+    1.179062162902959, whose argmax is class 0. One exact rule, the summed
+    argmax, then scores the old and the new side alike.
+    """
+    biases = ([3.5371864887088766, 3.537186488708877, -1.0], [0.0] * 3,
+              [0.0] * 3)
+    members = [nn.MLPModel([nn.Layer(np.zeros((5, 3)), np.array(b), "identity")])
+               for b in biases]
+    ens = Ensemble(members)
+    x = np.random.default_rng(3).standard_normal((4, 5))
+    mean = ens.logits_batch(x)
+    assert mean[0, 0] == mean[0, 1] == 1.179062162902959
+    np.testing.assert_array_equal(ens.predict_batch(x), 1)
+
+
 def test_prediction_is_permutation_invariant():
     members = _models(4)
     x = np.random.default_rng(2).standard_normal((10, 5))

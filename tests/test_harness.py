@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from pctlab import harness, nn
 from pctlab.datasets import SPLIT_TRAIN, SyntheticSpec
+from pctlab.ensembles import train_ensemble
 from pctlab.harness import (ENSEMBLE_REP_STRIDE, ENSEMBLE_SEED_OFFSET,
                             MAX_REPETITIONS, METHODS, NEW_MODEL_SEED_OFFSET,
                             ExperimentConfig, _EpochCollector,
@@ -165,6 +166,47 @@ def test_repetition_stack_fine_tune_equals_solo_runs():
         np.testing.assert_array_equal(layer.weights, w)
         np.testing.assert_array_equal(layer.bias, b)
     assert _run_keys(result) == _solo_runs(cfg, state)
+    assert result.runs[0].epochs != result.runs[1].epochs
+
+
+def _ensemble_runs(config, state):
+    """Each repetition trained by ``train_ensemble`` and scored every epoch
+    as ``Ensemble(members)``: the oracle for the ensemble method's stack."""
+    plan, size = state.plan, config.ensemble_size
+    old = state.old_ensembles[size]
+    view = plan.new_job.view
+    x, y = view.features(SPLIT_TRAIN), view.labels(SPLIT_TRAIN)
+    init = old.models if plan.new_job.init_from_old else None
+    runs = []
+    for rep in range(config.repetitions):
+        base = model_seed(config.train.seed, "new_member", rep)
+        collector = _EpochCollector(x, y, old.train_preds, plan.eval_plan,
+                                    old.eval_preds)
+
+        def hook(e, stack):
+            collector(e, *(stack.member(j) for j in range(size)))
+
+        new = train_ensemble(plan.new_job.dims(), x, y, config.train, size,
+                             base_seed=base, init=init, on_epoch_end=hook)
+        runs.append((rep, base, new.parameter_count(), collector.rows,
+                     collector.final))
+    return runs
+
+
+@pytest.mark.parametrize("kind", [ScenarioKind.SAME_ARCH_RETRAIN,
+                                  ScenarioKind.FINE_TUNE])
+def test_ensemble_method_equals_train_ensemble_runs(small_config, small_state,
+                                                   kind):
+    cfg = replace(small_config, method="ensemble", ensemble_size=3,
+                  repetitions=2)
+    state = small_state
+    if kind is ScenarioKind.FINE_TUNE:
+        cfg = replace(cfg, scenario=reference_scenario(
+            kind, small_config.dataset.num_classes))
+        state = prepare_scenario(cfg)
+    result = run_experiment(cfg, state)
+    assert [(r.repetition, r.seed, r.param_count, r.epochs, r.final)
+            for r in result.runs] == _ensemble_runs(cfg, state)
     assert result.runs[0].epochs != result.runs[1].epochs
 
 

@@ -2,15 +2,17 @@
 
 Each operation is checked through the public ``pctlab.nn`` function that
 holds it: affine and relu in ``forward_batch``, their gradients in
-``backward_batch``, the row softmax in ``softmax``, cross-entropy in
-``ce_rows``/``cross_entropy``, the momentum update in ``sgd_step`` and the
-row argmax in ``predict_batch``. Each is compared against a naive loop or
-closed-form numpy oracle.
+``backward_batch``, the row softmax and cross-entropy in ``ce_rows``, the
+momentum update in ``sgd_step`` and the row argmax in ``predict_batch``.
+Each is compared against a naive loop or closed-form numpy oracle. The 1-D
+``softmax`` and ``cross_entropy`` of ``tests/oracles.py`` are checked here
+too, because other tests lean on them.
 """
 
 import numpy as np
 import pytest
 
+from oracles import cross_entropy, softmax
 from pctlab import nn
 
 
@@ -85,18 +87,18 @@ def test_affine_backward_matches_loop_oracle():
 def test_softmax_rows_simplex_and_shift_invariance():
     rng = _rng(3)
     logits = rng.standard_normal((8, 5)) * 3
-    p = np.array([nn.softmax(row) for row in logits])
+    p = np.array([softmax(row) for row in logits])
     assert np.all(p > 0)
     np.testing.assert_allclose(p.sum(axis=1), 1.0, rtol=0, atol=1e-12)
-    shifted = np.array([nn.softmax(row) for row in logits + 123.0])
+    shifted = np.array([softmax(row) for row in logits + 123.0])
     np.testing.assert_allclose(p, shifted, rtol=1e-12, atol=1e-15)
 
 
 def test_softmax_rows_stable_for_large_logits():
-    p = nn.softmax(np.array([1e4, 0.0, -1e4]))
+    p = softmax(np.array([1e4, 0.0, -1e4]))
     assert np.isfinite(p).all()
     np.testing.assert_allclose(p, [1.0, 0.0, 0.0], atol=1e-12)
-    p = nn.softmax(np.full(3, -1e4))
+    p = softmax(np.full(3, -1e4))
     np.testing.assert_allclose(p, [1 / 3] * 3, atol=1e-12)
 
 
@@ -111,7 +113,7 @@ def test_ce_rows_matches_logsumexp_oracle():
     np.testing.assert_allclose(probs, e / e.sum(axis=1, keepdims=True),
                                rtol=1e-12, atol=1e-15)
     for row, label, want in zip(logits, labels, expect):
-        assert nn.cross_entropy(row, int(label)) == pytest.approx(want, rel=1e-12)
+        assert cross_entropy(row, int(label)) == pytest.approx(want, rel=1e-12)
     assert np.all(losses > 0)
 
 

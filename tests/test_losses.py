@@ -11,11 +11,12 @@ import zlib
 import numpy as np
 import pytest
 
-from pctlab import losses, nn
+from oracles import (OracleEntry, ce_value_grad, cross_entropy, distance_lm,
+                     oracle_entry, pc_loss_focal, pc_loss_naive, total_objective)
+from pctlab import nn
 from pctlab.losses import (DistanceSpec, FilterSpec, OldModelOracle,
-                           OracleEntry, PCLossConfig, distance_kl, distance_lm,
-                           filter_weight, make_ce_objective, make_objective,
-                           pc_loss_focal, pc_loss_naive, total_objective)
+                           PCLossConfig, distance_kl, filter_weight,
+                           make_ce_objective, make_objective)
 
 
 def _entry(k: int, seed: int, correct: bool = True,
@@ -134,7 +135,7 @@ def test_pc_loss_naive_gates_on_reference_correctness():
     assert value == 0.0
     np.testing.assert_array_equal(grad, 0.0)
     value, grad = pc_loss_naive(logits, 1, old_correct=True)
-    assert value == pytest.approx(nn.cross_entropy(logits, 1), rel=1e-12)
+    assert value == pytest.approx(cross_entropy(logits, 1), rel=1e-12)
     assert grad[1] < 0
 
 
@@ -170,7 +171,7 @@ def test_total_objective_composes_ce_and_pc():
     cfg = PCLossConfig(mode="focal", lam=0.5,
                        distance=DistanceSpec("logit_match"))
     value, grad = total_objective(logits, 2, entry, cfg)
-    ce, ce_grad = losses._ce_value_grad(logits, 2)
+    ce, ce_grad = ce_value_grad(logits, 2)
     pc, pc_grad = pc_loss_focal(logits, entry, cfg.filter, cfg.distance)
     assert value == pytest.approx(ce + 0.5 * pc, rel=1e-12)
     np.testing.assert_allclose(grad, ce_grad + 0.5 * pc_grad, rtol=1e-12)
@@ -220,10 +221,10 @@ def test_oracle_from_model_matches_predictions():
 def test_oracle_entry_bounds_and_readonly():
     _, _, _, oracle = _toy_oracle()
     with pytest.raises(IndexError):
-        oracle.entry(len(oracle))
+        oracle_entry(oracle, len(oracle))
     with pytest.raises(ValueError):
         oracle.logits[0, 0] = 1.0
-    entry = oracle.entry(0)
+    entry = oracle_entry(oracle, 0)
     np.testing.assert_array_equal(entry.old_logits, oracle.logits[0])
 
 
@@ -277,7 +278,7 @@ def test_batch_objective_equals_mean_of_per_sample(name, cfg, index):
 
     per_values, per_grads = [], []
     for i in range(n):
-        v, g = total_objective(logits[i], int(y[i]), oracle.entry(i), cfg)
+        v, g = total_objective(logits[i], int(y[i]), oracle_entry(oracle, i), cfg)
         per_values.append(v)
         per_grads.append(g)
     assert loss == pytest.approx(np.mean(per_values), rel=1e-12)

@@ -1,0 +1,26 @@
+"""The package namespace: every exported name resolves, and the per-sample
+and per-record oracles that moved to ``tests/oracles.py`` stay out of it."""
+
+import pctlab
+from pctlab import flips, losses, nn
+
+
+def test_every_exported_name_resolves():
+    assert len(set(pctlab.__all__)) == len(pctlab.__all__)
+    missing = [name for name in pctlab.__all__ if not hasattr(pctlab, name)]
+    assert missing == []
+
+
+def test_oracles_live_only_in_the_tests():
+    moved = {
+        nn: ["softmax", "error_rate", "cross_entropy"],
+        losses: ["total_objective", "pc_loss_naive", "pc_loss_focal",
+                 "OracleEntry", "_ce_value_grad", "distance_lm"],
+        flips: ["records_from_arrays", "compute_nfr", "flip_report"],
+    }
+    for module, names in moved.items():
+        for name in names:
+            assert not hasattr(module, name), f"{module.__name__}.{name}"
+            assert not hasattr(pctlab, name), name
+    assert not hasattr(losses.OldModelOracle, "entry")
+    assert not hasattr(flips.FlipReport, "from_json")

@@ -15,7 +15,7 @@ from .harness import (METHODS, ExperimentConfig, ExperimentResult, RunArtifacts,
                       compare_methods, pc_config_for_method, prepare_scenario,
                       run_experiment, sweep_ensemble, sweep_focal)
 from .losses import (DistanceSpec, FilterSpec, OldModelOracle, PCLossConfig,
-                     distance_kl, filter_weight, make_ce_objective, make_objective)
+                     distance_kl, make_ce_objective, make_objective)
 from .nn import (MLPModel, TrainConfig, TrainResult, batch_logits, init_model,
                  predict_batch, train)
 from .scenarios import (DataFilter, ModelSpec, ScenarioKind, UpdateScenario,
@@ -33,7 +33,7 @@ __all__ = [
     "compare_methods", "pc_config_for_method", "prepare_scenario",
     "run_experiment", "sweep_ensemble", "sweep_focal",
     "DistanceSpec", "FilterSpec", "OldModelOracle", "PCLossConfig",
-    "distance_kl", "filter_weight", "make_ce_objective", "make_objective",
+    "distance_kl", "make_ce_objective", "make_objective",
     "MLPModel", "TrainConfig", "TrainResult", "batch_logits", "init_model",
     "predict_batch", "train",
     "DataFilter", "ModelSpec", "ScenarioKind", "UpdateScenario",

@@ -23,7 +23,6 @@ SPLIT_VALIDATION = 1
 SPLIT_TEST = 2
 SPLIT_NAMES = {SPLIT_TRAIN: "train", SPLIT_VALIDATION: "validation",
                SPLIT_TEST: "test"}
-SPLIT_CODES = {name: code for code, name in SPLIT_NAMES.items()}
 
 
 class DegenerateSpecError(ValueError):
@@ -98,22 +97,6 @@ class Dataset:
             writer.writerow([repr(float(v)) for v in self.features[i]]
                             + [int(self.labels[i]), SPLIT_NAMES[int(self.split[i])]])
         return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str, num_classes: Optional[int] = None) -> "Dataset":
-        reader = csv.reader(io.StringIO(text))
-        header = next(reader)
-        dim = len(header) - 2
-        feats, labels, split = [], [], []
-        for row in reader:
-            feats.append([float(v) for v in row[:dim]])
-            labels.append(int(row[dim]))
-            split.append(SPLIT_CODES[row[dim + 1]])
-        labels = np.array(labels, dtype=np.int64)
-        if num_classes is None:
-            num_classes = int(labels.max()) + 1
-        return cls(np.array(feats), labels, np.array(split, dtype=np.uint8),
-                   num_classes)
 
 
 def generate(spec: SyntheticSpec) -> Dataset:

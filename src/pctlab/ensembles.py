@@ -3,13 +3,15 @@
 An ensemble predicts the argmax of its member logits summed in member
 order. The sum skips the 1/L of the mean, so one exact rule scores every
 ensemble: the old side, the new side of every run (a single model is an
-ensemble of one) and every size of the sweep. ``train_ensemble`` trains CE
-members: member j from seed base_seed + j (its init and its shuffle), all
-members in lockstep as one ``(M, fan_in, fan_out)`` weight stack through a
-single ``nn.train`` call. Ensembles are therefore reproducible, member j
-equals a solo run under its seed bit for bit, and two ensembles built from
-disjoint seed ranges are independent. The old side of every update and the
-size sweep train through it; the ``ensemble`` method's new side trains in
+ensemble of one) and every size of the sweep; ``Ensemble.predict_batch``
+evaluates it in the reusable buffers of an ``nn.Workspace``.
+``train_ensemble`` trains CE members: member j from seed base_seed + j
+(its init and its shuffle), all members in lockstep as one
+``(M, fan_in, fan_out)`` weight stack through a single ``nn.train`` call.
+Ensembles are therefore reproducible, member j equals a solo run under its
+seed bit for bit, and two ensembles built from disjoint seed ranges are
+independent. The old side of every update and the size sweep train
+through it; the ``ensemble`` method's new side trains in
 ``harness.run_experiment``, by the same seeds and the same stack.
 """
 
@@ -18,15 +20,15 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .datasets import SPLIT_TEST, SPLIT_TRAIN, Dataset
 from .flips import report_from_arrays
 from .losses import make_ce_objective
-from .nn import (MLPModel, TrainConfig, batch_logits, init_model, stack_models,
-                 train, with_seed)
+from .nn import (MLPModel, TrainConfig, Workspace, batch_logits, forward_into,
+                 init_model, stack_models, train, with_seed)
 
 
 @dataclass
@@ -55,12 +57,20 @@ class Ensemble:
         stacked = np.stack([batch_logits(m, x) for m in self.members])
         return stacked.mean(axis=0)
 
-    def predict_batch(self, x: np.ndarray) -> np.ndarray:
+    def predict_batch(self, x: np.ndarray,
+                      workspace: Optional[Workspace] = None) -> np.ndarray:
         """Argmax of the member logits summed in member order; ties resolve
-        to the lowest index."""
-        total = batch_logits(self.members[0], x)
+        to the lowest index.
+
+        The members' forwards and their sum use ``workspace``'s buffers, a
+        fresh workspace when none is given. The sum has its own buffer,
+        because each forward overwrites the last one's logits.
+        """
+        workspace = Workspace() if workspace is None else workspace
+        total = workspace.get("sum", (len(x), self.num_classes))
+        total[...] = forward_into(self.members[0], x, workspace)
         for m in self.members[1:]:
-            total += batch_logits(m, x)
+            total += forward_into(m, x, workspace)
         return np.argmax(total, axis=1)
 
     def parameter_count(self) -> int:
@@ -69,17 +79,13 @@ class Ensemble:
 
 def train_ensemble(dims: Sequence[int], features: np.ndarray, labels: np.ndarray,
                    config: TrainConfig, size: int, base_seed: int,
-                   init: Optional[Sequence[MLPModel]] = None,
-                   on_epoch_end: Optional[Callable[[int, MLPModel], None]] = None,
-                   ) -> Ensemble:
+                   init: Optional[Sequence[MLPModel]] = None) -> Ensemble:
     """Train ``size`` members under plain CE; member j uses seed base_seed + j.
 
     Member j starts from ``init[j]`` when given (fine-tuning), else from a
     fresh init under its seed; the seed also drives its shuffle stream. All
-    members train in lockstep as one stack in a single ``train`` call, so
-    ``on_epoch_end(epoch, stack)`` fires once per epoch with the whole live
-    stack (``stack.member(j)`` is member j). The members returned are views
-    of the trained stack.
+    members train in lockstep as one stack in a single ``train`` call. The
+    members returned are views of the trained stack.
     """
     if size < 1:
         raise ValueError("ensemble size must be >= 1")
@@ -89,7 +95,7 @@ def train_ensemble(dims: Sequence[int], features: np.ndarray, labels: np.ndarray
         init = [init_model(dims, base_seed + j, weight_init=config.weight_init)
                 for j in range(size)]
     stack = train(stack_models(init), features, labels, make_ce_objective(labels),
-                  with_seed(config, base_seed), on_epoch_end=on_epoch_end).model
+                  with_seed(config, base_seed)).model
     return Ensemble([stack.member(j) for j in range(size)])
 
 

@@ -15,6 +15,11 @@ call trains the whole stack in lockstep. The old side (one model, or L
 members for ``ensemble``) is the only side trained by
 ``ensembles.train_ensemble``.
 
+A ``ScenarioState`` owns one ``nn.Workspace``. The old side's evaluation
+and every epoch's scoring in every ``run_experiment`` on that state run
+their forwards in its buffers, so per-epoch evaluation reuses the same
+memory instead of allocating (and page-faulting) it anew on every call.
+
 Update methods
   no_treatment  plain cross-entropy
   naive         cross-entropy re-weighted on samples the old model got right
@@ -49,8 +54,8 @@ from .flips import FlipReport, report_from_arrays
 # stay importable from this module because pctbench/tracing.py wraps them by name
 from .losses import (FilterSpec, OldModelOracle, PCLossConfig, make_ce_objective,
                      make_objective)
-from .nn import (MLPModel, TrainConfig, batch_logits, init_model, predict_batch,
-                 stack_models, train, with_seed)
+from .nn import (MLPModel, TrainConfig, Workspace, batch_logits, init_model,
+                 predict_batch, stack_models, train, with_seed)
 from .scenarios import (EvalPlan, ScenarioKind, ScenarioPlan, UpdateScenario,
                         build_scenario, reference_scenario)
 
@@ -182,12 +187,14 @@ class ScenarioState:
     """Shared per-scenario work: the dataset, the plan, and the old side.
 
     Passing one state to several run_experiment calls guarantees every
-    method is scored against the bit-identical old model.
+    method is scored against the bit-identical old model. ``workspace``
+    holds the buffers that every evaluation on this state reuses.
     """
     dataset: Dataset
     plan: ScenarioPlan
     old_single: OldReference
     old_ensembles: Dict[int, OldReference] = field(default_factory=dict)
+    workspace: Workspace = field(default_factory=Workspace)
 
 
 def _combined_class_map(plan: ScenarioPlan) -> np.ndarray:
@@ -202,9 +209,11 @@ def _combined_class_map(plan: ScenarioPlan) -> np.ndarray:
 
 
 def _build_old_reference(plan: ScenarioPlan, train_cfg: TrainConfig,
+                         workspace: Workspace,
                          members: Optional[int] = None) -> OldReference:
     """Train the old side (one model, or `members` CE-trained models) and
-    cache its predictions on the new training view and the eval set."""
+    cache its predictions on the new training view and the eval set,
+    evaluated in ``workspace``."""
     view = plan.old_job.view
     x, y = view.features(SPLIT_TRAIN), view.labels(SPLIT_TRAIN)
     old = ensembles.train_ensemble(plan.old_job.dims(), x, y, train_cfg,
@@ -220,11 +229,11 @@ def _build_old_reference(plan: ScenarioPlan, train_cfg: TrainConfig,
         train_preds = oracle.old_pred
     else:
         oracle = None
-        train_preds = combined[old.predict_batch(xt)]
+        train_preds = combined[old.predict_batch(xt, workspace)]
 
     ep = plan.eval_plan
     old_map = np.asarray(ep.old_label_map, dtype=np.int64)
-    eval_preds = old_map[old.predict_batch(ep.features)]
+    eval_preds = old_map[old.predict_batch(ep.features, workspace)]
     er_old = float(np.mean(eval_preds != ep.labels))
     return OldReference(old.members, eval_preds, er_old, train_preds, oracle,
                         old.parameter_count())
@@ -234,16 +243,17 @@ def prepare_scenario(config: ExperimentConfig) -> ScenarioState:
     """Generate the dataset, resolve the scenario, and train the old model."""
     dataset = generate(config.dataset)
     plan = build_scenario(config.scenario, dataset)
-    old = _build_old_reference(plan, config.train)
-    return ScenarioState(dataset, plan, old)
+    workspace = Workspace()
+    old = _build_old_reference(plan, config.train, workspace)
+    return ScenarioState(dataset, plan, old, workspace=workspace)
 
 
 class _EpochCollector:
     """Per-epoch train/held-out flip metrics of one repetition's members,
-    scored as one ensemble, against a fixed old side."""
+    scored as one ensemble in ``workspace``, against a fixed old side."""
 
     def __init__(self, train_x, train_y, old_train_preds, plan: EvalPlan,
-                 old_eval_preds):
+                 old_eval_preds, workspace: Workspace):
         self.train_x = train_x
         self.train_y = train_y
         self.old_train_preds = old_train_preds
@@ -251,16 +261,18 @@ class _EpochCollector:
         self.eval_y = plan.labels
         self.old_eval_preds = old_eval_preds
         self.new_label_map = np.asarray(plan.new_label_map, dtype=np.int64)
+        self.workspace = workspace
         self.rows: List[EpochMetrics] = []
         self.final: Optional[FlipReport] = None
 
     def __call__(self, epoch: int, *members: MLPModel) -> None:
         new = Ensemble(list(members))
-        train_preds = new.predict_batch(self.train_x)
+        train_preds = new.predict_batch(self.train_x, self.workspace)
         er_train = float(np.mean(train_preds != self.train_y))
         nfr_train = report_from_arrays(self.train_y, self.old_train_preds,
                                        train_preds).nfr
-        eval_preds = self.new_label_map[new.predict_batch(self.eval_x)]
+        eval_preds = self.new_label_map[new.predict_batch(self.eval_x,
+                                                          self.workspace)]
         report = report_from_arrays(self.eval_y, self.old_eval_preds, eval_preds)
         self.rows.append(EpochMetrics(epoch + 1, er_train, report.er_new,
                                       report.nfr, report.rel_nfr, nfr_train))
@@ -285,7 +297,8 @@ def run_experiment(config: ExperimentConfig,
         size, per_stack, role = config.ensemble_size, 1, "new_member"
         old = state.old_ensembles.get(size)
         if old is None:
-            old = _build_old_reference(plan, config.train, members=size)
+            old = _build_old_reference(plan, config.train, state.workspace,
+                                       members=size)
             state.old_ensembles[size] = old
     else:
         size, per_stack, role = 1, REPETITION_STACK, "new"
@@ -306,7 +319,8 @@ def run_experiment(config: ExperimentConfig,
                                  weight_init=config.train.weight_init)
                       for seed in seeds]
         collectors = [_EpochCollector(x, y, old.train_preds, plan.eval_plan,
-                                      old.eval_preds) for _ in reps]
+                                      old.eval_preds, state.workspace)
+                      for _ in reps]
 
         def groups(stack):
             return [[stack.member(j) for j in range(g * size, (g + 1) * size)]

@@ -10,16 +10,26 @@ congruence) term penalizes drifting away from a frozen reference model:
 
 Objectives are computed on whole batches: the factories
 ``make_ce_objective`` and ``make_objective`` fold in the batch mean and are
-what ``nn.train`` consumes. The per-sample forms kept here, ``distance_kl``
-and ``filter_weight``, return a value (and, for the distance, the gradient
-w.r.t. the new logits) for one sample; the other per-sample oracles the
-batch code is tested against (CE, the naive and focal PC terms, the logit
+what ``nn.train`` consumes. The one per-sample form kept here,
+``distance_kl``, returns the value and the gradient w.r.t. the new logits
+for one sample; the other per-sample oracles the batch code is tested
+against (CE, the filter weight, the naive and focal PC terms, the logit
 distance and their sum) live in ``tests/oracles.py``.
 
 Every batch objective takes ``(B, K)`` logits with ``(B,)`` indices, or a
 stack's ``(M, B, K)`` logits with ``(M, B)`` indices, which it flattens to
 ``M * B`` rows through the same per-row ops, so member m's gradient equals
 that of its own 2-D call bit for bit.
+
+The old side is frozen, so ``make_objective`` computes its per-row
+quantities once per factory call, over every training row: the naive weight
+``1 + lambda * old_correct``, the focal weight ``alpha + beta * old_correct``
+and, for the KL distance, the old side's tau-softened log-softmax and its
+exp. A step only gathers them by index. Each is computed row by row, so
+the gathered rows equal what the step used to compute from the gathered
+inputs, bit for bit. When the reference classes are exactly the new
+model's classes in order, the focal objective uses the new logits as they
+are, without the column gather and scatter-add of ``logit_index``.
 """
 
 from __future__ import annotations
@@ -29,7 +39,7 @@ from typing import Optional
 
 import numpy as np
 
-from .nn import DimensionError, MLPModel, batch_logits, ce_rows
+from .nn import DimensionError, MLPModel, batch_logits, ce_rows, row_max
 
 DISTANCE_KINDS = ("kl", "logit_match")
 PC_MODES = ("none", "naive", "focal")
@@ -121,12 +131,8 @@ class OldModelOracle:
         return self.logits.shape[0]
 
 
-def filter_weight(spec: FilterSpec, old_correct: bool) -> float:
-    return spec.alpha + spec.beta if old_correct else spec.alpha
-
-
 def _log_softmax_rows(x: np.ndarray) -> np.ndarray:
-    m = x.max(axis=1, keepdims=True)
+    m = row_max(x)[:, None]
     return x - m - np.log(np.exp(x - m).sum(axis=1, keepdims=True))
 
 
@@ -193,12 +199,13 @@ def make_objective(labels: np.ndarray, oracle: Optional[OldModelOracle],
     lam = config.lam
 
     if config.mode == "naive":
+        weight = 1.0 + lam * oracle.old_correct
 
         def objective(logits, idx):
             idx = idx.ravel()
             y = labels[idx]
             losses, probs = ce_rows(logits.reshape(-1, logits.shape[-1]), y)
-            w = 1.0 + lam * oracle.old_correct[idx]
+            w = weight[idx]
             loss = float(np.mean(w * losses))
             dlogits = probs
             dlogits[np.arange(y.shape[0]), y] -= 1.0
@@ -208,7 +215,12 @@ def make_objective(labels: np.ndarray, oracle: Optional[OldModelOracle],
         return objective
 
     filt, dist = config.filter, config.distance
+    weight = filt.alpha + filt.beta * oracle.old_correct
     logit_index = oracle.logit_index
+    identity = np.array_equal(logit_index, np.arange(logit_index.size))
+    if dist.kind == "kl":
+        ls_old_all = _log_softmax_rows(oracle.logits / dist.tau)
+        p_old_all = np.exp(ls_old_all)
 
     def objective(logits, idx):
         idx = idx.ravel()
@@ -216,24 +228,27 @@ def make_objective(labels: np.ndarray, oracle: Optional[OldModelOracle],
         rows = logits.reshape(-1, logits.shape[-1])
         losses, probs = ce_rows(rows, y)
         b = logits.shape[-2]
-        sub = np.ascontiguousarray(rows[:, logit_index])
-        old = oracle.logits[idx]
+        same = identity and rows.shape[1] == logit_index.size
+        sub = rows if same else np.ascontiguousarray(rows[:, logit_index])
         if dist.kind == "kl":
             ls_new = _log_softmax_rows(sub / dist.tau)
-            ls_old = _log_softmax_rows(old / dist.tau)
-            p_old = np.exp(ls_old)
+            ls_old, p_old = ls_old_all[idx], p_old_all[idx]
             d = np.maximum((p_old * (ls_old - ls_new)).sum(axis=1), 0.0)
             sub_grad = (np.exp(ls_new) - p_old) / dist.tau
         else:
-            diff = sub - old
+            diff = sub - oracle.logits[idx]
             d = 0.5 * (diff * diff).sum(axis=1)
             sub_grad = diff
-        f = filt.alpha + filt.beta * oracle.old_correct[idx]
+        f = weight[idx]
         loss = float(losses.mean() + lam * np.mean(f * d))
         dlogits = probs
         dlogits[np.arange(y.shape[0]), y] -= 1.0
         dlogits /= b
-        dlogits[:, logit_index] += (lam / b) * f[:, None] * sub_grad
+        pc_grad = (lam / b) * f[:, None] * sub_grad
+        if same:
+            dlogits += pc_grad
+        else:
+            dlogits[:, logit_index] += pc_grad
         return loss, dlogits.reshape(logits.shape)
 
     return objective

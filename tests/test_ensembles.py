@@ -106,10 +106,13 @@ def test_train_ensemble_member_j_matches_individual_run(train_xy):
                                      for j in range(stack.stack_size))
 
             ens = train_ensemble(dims, xs, ys, CFG, size=3, base_seed=40,
-                                 init=init, on_epoch_end=hook)
+                                 init=init)
+            fresh = [nn.init_model(dims, seed=40 + j) for j in range(3)]
+            nn.train(nn.stack_models(fresh if init is None else init), xs, ys,
+                     make_ce_objective(ys), nn.with_seed(CFG, 40),
+                     on_epoch_end=hook)
             for j, member in enumerate(ens.members):
-                start = (nn.init_model(dims, seed=40 + j) if init is None
-                         else init[j])
+                start = fresh[j] if init is None else init[j]
                 solo = nn.train(start, xs, ys, make_ce_objective(ys),
                                 nn.with_seed(CFG, 40 + j)).model
                 for la, lb in zip(member.layers, solo.layers):

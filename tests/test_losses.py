@@ -12,11 +12,12 @@ import numpy as np
 import pytest
 
 from oracles import (OracleEntry, ce_value_grad, cross_entropy, distance_lm,
-                     oracle_entry, pc_loss_focal, pc_loss_naive, total_objective)
+                     filter_weight, oracle_entry, pc_loss_focal, pc_loss_naive,
+                     per_step_objective, total_objective)
 from pctlab import nn
 from pctlab.losses import (DistanceSpec, FilterSpec, OldModelOracle,
-                           PCLossConfig, distance_kl, filter_weight,
-                           make_ce_objective, make_objective)
+                           PCLossConfig, distance_kl, make_ce_objective,
+                           make_objective)
 
 
 def _entry(k: int, seed: int, correct: bool = True,
@@ -267,8 +268,10 @@ def _batch_setup(k: int = 5, n: int = 16, seed: int = 20, index=None):
 
 
 @pytest.mark.parametrize("name,cfg", _configs())
-@pytest.mark.parametrize("index", [None, [0, 2, 3]])
+@pytest.mark.parametrize("index", [None, [0, 2, 3], [0, 1, 2]])
 def test_batch_objective_equals_mean_of_per_sample(name, cfg, index):
+    """Also covers a prefix map into more new classes (K = 5), which must
+    take the gather path although its entries are 0, 1, 2."""
     if index is not None and cfg.mode != "focal":
         pytest.skip("subset indexing only affects the focal term")
     logits, y, oracle = _batch_setup(index=index)
@@ -294,6 +297,26 @@ def test_batch_objective_equals_mean_of_per_sample(name, cfg, index):
     for m in range(3):
         np.testing.assert_array_equal(
             stacked[m], objective(stack[m].copy(), rows[m])[1])
+
+
+@pytest.mark.parametrize("name,cfg", _configs()[1:])
+@pytest.mark.parametrize("index", [None, [0, 2, 3], [0, 1, 2]])
+def test_hoisted_objective_equals_per_step_form_bit_for_bit(name, cfg, index):
+    """Old-side quantities computed once per factory call and gathered by
+    index, and the identity map's skipped gather and scatter-add, leave
+    every bit of a stack's gradient and of the loss unchanged."""
+    logits, y, oracle = _batch_setup(n=40, index=index)
+    hoisted = make_objective(y, oracle, cfg)
+    reference = per_step_objective(y, oracle, cfg)
+    rng = np.random.default_rng(8)
+    for m, b in ((5, 16), (1, 7), (3, 1)):
+        stack = rng.standard_normal((m, b, logits.shape[1])) * 3
+        rows = np.stack([rng.permutation(40)[:b] for _ in range(m)])
+        loss, dlogits = hoisted(stack.copy(), rows)
+        want_loss, want = reference(stack.copy(), rows)
+        assert loss == want_loss
+        np.testing.assert_array_equal(dlogits.view(np.uint64),
+                                      want.view(np.uint64))
 
 
 def test_lambda_zero_naive_collapses_to_plain_ce():

@@ -99,6 +99,49 @@ def test_forward_rejects_wrong_input_dim():
         nn.forward_batch(stack, np.zeros((3, 2, 5)))
 
 
+@pytest.mark.parametrize("dims", [[6, 4], [6, 9, 4], [6, 9, 7, 5, 4]])
+def test_forward_into_equals_batch_logits_in_reused_buffers(dims):
+    """Workspace logits equal the cached forward bit for bit, for a larger
+    then a smaller row count, and the second forward reuses the buffers."""
+    rng = np.random.default_rng(4)
+    model = nn.stack_models([nn.init_model(dims, seed=s) for s in (1, 2)]).member(1)
+    for layer in model.layers:
+        layer.bias += rng.standard_normal(layer.bias.shape)
+    ws = nn.Workspace()
+    for n in (300, 70):
+        x = rng.standard_normal((n, dims[0]))
+        got = nn.forward_into(model, x, ws)
+        want = nn.batch_logits(model, x)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        if n == 300:
+            first = {k: b.ctypes.data for k, b in ws.buffers.items()}
+    assert {k: b.ctypes.data for k, b in ws.buffers.items()} == first
+    assert sorted(first) == list(range(len(dims) - 1))
+    with pytest.raises(nn.DimensionError):
+        nn.forward_into(model, np.zeros((2, dims[0] + 1)), ws)
+    with pytest.raises(nn.DimensionError):
+        nn.forward_into(nn.stack_models([model, model]), np.zeros((2, dims[0])), ws)
+
+
+def test_row_max_equals_max_axis1_bit_for_bit():
+    """The transposed-copy max equals ``max(axis=1)`` in every bit, for
+    K = 2..128 and rows holding +inf, -inf and NaN (a diverged run feeds
+    NaN logits through ``ce_rows``)."""
+    rng = np.random.default_rng(11)
+    specials = np.array([np.inf, -np.inf, np.nan])
+    for k in range(2, 129):
+        x = rng.standard_normal((40, k)) * 10
+        hit = rng.random((40, k)) < 0.05
+        x[hit] = rng.choice(specials, size=hit.sum())
+        x[0] = -np.inf
+        x[1, :] = np.nan
+        x[2, -1] = np.inf
+        x[3, 0] = np.nan
+        got, want = nn.row_max(x), x.max(axis=1)
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_predict_ties_resolve_to_lowest_index():
     model = nn.init_model([3, 4], seed=0, weight_init="zeros")
     np.testing.assert_array_equal(nn.predict_batch(model, np.ones((2, 3))), 0)

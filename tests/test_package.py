@@ -1,8 +1,10 @@
 """The package namespace: every exported name resolves, and the per-sample
 and per-record oracles that moved to ``tests/oracles.py`` stay out of it."""
 
+import inspect
+
 import pctlab
-from pctlab import flips, losses, nn
+from pctlab import datasets, ensembles, flips, losses, nn
 
 
 def test_every_exported_name_resolves():
@@ -15,7 +17,9 @@ def test_oracles_live_only_in_the_tests():
     moved = {
         nn: ["softmax", "error_rate", "cross_entropy"],
         losses: ["total_objective", "pc_loss_naive", "pc_loss_focal",
-                 "OracleEntry", "_ce_value_grad", "distance_lm"],
+                 "OracleEntry", "_ce_value_grad", "distance_lm",
+                 "filter_weight"],
+        datasets: ["SPLIT_CODES"],
         flips: ["records_from_arrays", "compute_nfr", "flip_report"],
     }
     for module, names in moved.items():
@@ -24,3 +28,6 @@ def test_oracles_live_only_in_the_tests():
             assert not hasattr(pctlab, name), name
     assert not hasattr(losses.OldModelOracle, "entry")
     assert not hasattr(flips.FlipReport, "from_json")
+    assert not hasattr(datasets.Dataset, "from_csv")
+    assert "on_epoch_end" not in inspect.signature(
+        ensembles.train_ensemble).parameters

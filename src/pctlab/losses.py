@@ -27,9 +27,11 @@ quantities once per factory call, over every training row: the naive weight
 and, for the KL distance, the old side's tau-softened log-softmax and its
 exp. A step only gathers them by index. Each is computed row by row, so
 the gathered rows equal what the step used to compute from the gathered
-inputs, bit for bit. When the reference classes are exactly the new
-model's classes in order, the focal objective uses the new logits as they
-are, without the column gather and scatter-add of ``logit_index``.
+inputs, bit for bit. The focal objective selects the new logits' reference
+columns once per step, through a full slice when the reference classes are
+exactly the new model's classes in order (a view, no copy) and through
+``logit_index`` otherwise, and adds its gradient back through the same
+selector.
 """
 
 from __future__ import annotations
@@ -228,8 +230,9 @@ def make_objective(labels: np.ndarray, oracle: Optional[OldModelOracle],
         rows = logits.reshape(-1, logits.shape[-1])
         losses, probs = ce_rows(rows, y)
         b = logits.shape[-2]
-        same = identity and rows.shape[1] == logit_index.size
-        sub = rows if same else np.ascontiguousarray(rows[:, logit_index])
+        cols = slice(None) if identity and rows.shape[1] == logit_index.size \
+            else logit_index
+        sub = np.ascontiguousarray(rows[:, cols])
         if dist.kind == "kl":
             ls_new = _log_softmax_rows(sub / dist.tau)
             ls_old, p_old = ls_old_all[idx], p_old_all[idx]
@@ -244,11 +247,7 @@ def make_objective(labels: np.ndarray, oracle: Optional[OldModelOracle],
         dlogits = probs
         dlogits[np.arange(y.shape[0]), y] -= 1.0
         dlogits /= b
-        pc_grad = (lam / b) * f[:, None] * sub_grad
-        if same:
-            dlogits += pc_grad
-        else:
-            dlogits[:, logit_index] += pc_grad
+        dlogits[:, cols] += (lam / b) * f[:, None] * sub_grad
         return loss, dlogits.reshape(logits.shape)
 
     return objective

@@ -303,8 +303,8 @@ def test_batch_objective_equals_mean_of_per_sample(name, cfg, index):
 @pytest.mark.parametrize("index", [None, [0, 2, 3], [0, 1, 2]])
 def test_hoisted_objective_equals_per_step_form_bit_for_bit(name, cfg, index):
     """Old-side quantities computed once per factory call and gathered by
-    index, and the identity map's skipped gather and scatter-add, leave
-    every bit of a stack's gradient and of the loss unchanged."""
+    index, and the identity map's full-slice column selector, leave every
+    bit of a stack's gradient and of the loss unchanged."""
     logits, y, oracle = _batch_setup(n=40, index=index)
     hoisted = make_objective(y, oracle, cfg)
     reference = per_step_objective(y, oracle, cfg)

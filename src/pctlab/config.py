@@ -9,14 +9,16 @@ rejected so typos fail loudly instead of silently using defaults.
 Three optional top-level lists parameterize the sweep subcommands:
 ``methods`` (compare), ``focal_grid`` (sweep-focal, pairs of alpha/beta),
 and ``ensemble_sizes`` (sweep-ensemble).
+
+PyYAML is imported only inside the three functions that parse or dump
+YAML (``loads_config``, ``load_document`` and ``dump_config``), so
+importing this module, as every report writer does, does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
 from typing import List, Optional, Sequence, Tuple
-
-import yaml
 
 from .datasets import SyntheticSpec
 from .harness import ExperimentConfig
@@ -198,10 +200,12 @@ def document_from_experiment(config: ExperimentConfig) -> dict:
 
 
 def loads_config(text: str) -> ExperimentConfig:
+    import yaml
     return experiment_from_document(yaml.safe_load(text))
 
 
 def load_document(path: str) -> dict:
+    import yaml
     with open(path, "r", encoding="utf-8") as fh:
         doc = yaml.safe_load(fh)
     if doc is None:
@@ -216,6 +220,7 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def dump_config(config: ExperimentConfig) -> str:
+    import yaml
     return yaml.safe_dump(document_from_experiment(config), sort_keys=False)
 
 

@@ -15,7 +15,17 @@ call trains the whole stack in lockstep. The old side (one model, or L
 members for ``ensemble``) is the only side trained by
 ``ensembles.train_ensemble``.
 
-A ``ScenarioState`` owns one ``nn.Workspace``. The old side's evaluation
+A ``ScenarioState`` holds the dataset, the plan and the old sides, one per
+member count L, each trained on first use under the state's
+``TrainConfig``. L = 1 is the single old model; the ``ensemble`` method at
+size 1 reuses it, since an ensemble of one is that model.
+``prepare_scenario`` trains L = 1 only for the four single-model methods,
+so an ``ensemble`` run trains no old side it does not score against. A
+state serves only configs with its dataset, scenario and training
+schedule; ``run_experiment`` rejects any other, which would score the new
+side against an old side trained on other data or another schedule.
+
+The state also owns one ``nn.Workspace``. The old side's evaluation
 and every epoch's scoring in every ``run_experiment`` on that state run
 their forwards in its buffers, so per-epoch evaluation reuses the same
 memory instead of allocating (and page-faulting) it anew on every call.
@@ -184,17 +194,39 @@ class OldReference:
 
 @dataclass
 class ScenarioState:
-    """Shared per-scenario work: the dataset, the plan, and the old side.
+    """Shared per-scenario work: the dataset, the plan, and the old sides.
 
     Passing one state to several run_experiment calls guarantees every
-    method is scored against the bit-identical old model. ``workspace``
-    holds the buffers that every evaluation on this state reuses.
+    method is scored against the bit-identical old side. ``spec``,
+    ``scenario`` and ``train`` record what the state was prepared with.
+    ``old_sides`` maps a member count L to its old side, which
+    ``old_side(L)`` trains on a miss. ``workspace`` holds the buffers that
+    every evaluation on this state reuses.
     """
     dataset: Dataset
     plan: ScenarioPlan
-    old_single: OldReference
-    old_ensembles: Dict[int, OldReference] = field(default_factory=dict)
+    spec: SyntheticSpec
+    scenario: UpdateScenario
+    train: TrainConfig
+    old_sides: Dict[int, OldReference] = field(default_factory=dict)
     workspace: Workspace = field(default_factory=Workspace)
+
+    def old_side(self, members: int = 1) -> OldReference:
+        old = self.old_sides.get(members)
+        if old is None:
+            old = self.old_sides[members] = _build_old_reference(
+                self.plan, self.train, self.workspace, members)
+        return old
+
+    def check(self, config: ExperimentConfig) -> None:
+        """Raise ValueError unless ``config`` has this state's dataset,
+        scenario and training schedule."""
+        for name, mine, theirs in (("dataset", self.spec, config.dataset),
+                                   ("scenario", self.scenario, config.scenario),
+                                   ("train", self.train, config.train)):
+            if mine != theirs:
+                raise ValueError(f"config.{name} differs from the one the "
+                                 "scenario state was prepared with")
 
 
 def _combined_class_map(plan: ScenarioPlan) -> np.ndarray:
@@ -209,21 +241,21 @@ def _combined_class_map(plan: ScenarioPlan) -> np.ndarray:
 
 
 def _build_old_reference(plan: ScenarioPlan, train_cfg: TrainConfig,
-                         workspace: Workspace,
-                         members: Optional[int] = None) -> OldReference:
-    """Train the old side (one model, or `members` CE-trained models) and
-    cache its predictions on the new training view and the eval set,
-    evaluated in ``workspace``."""
+                         workspace: Workspace, members: int) -> OldReference:
+    """Train the old side (`members` CE-trained models) and cache its
+    predictions on the new training view and the eval set, evaluated in
+    ``workspace``. A single model also gets the oracle the PC objectives
+    read; its training-view predictions are the oracle's."""
     view = plan.old_job.view
     x, y = view.features(SPLIT_TRAIN), view.labels(SPLIT_TRAIN)
     old = ensembles.train_ensemble(plan.old_job.dims(), x, y, train_cfg,
-                                   members or 1, model_seed(train_cfg.seed, "old"))
+                                   members, model_seed(train_cfg.seed, "old"))
 
     combined = _combined_class_map(plan)
     new_view = plan.new_job.view
     xt = new_view.features(SPLIT_TRAIN)
     yt = new_view.labels(SPLIT_TRAIN)
-    if members is None:
+    if members == 1:
         oracle = OldModelOracle.from_model(old.members[0], xt, yt,
                                            class_map=combined)
         train_preds = oracle.old_pred
@@ -240,12 +272,16 @@ def _build_old_reference(plan: ScenarioPlan, train_cfg: TrainConfig,
 
 
 def prepare_scenario(config: ExperimentConfig) -> ScenarioState:
-    """Generate the dataset, resolve the scenario, and train the old model."""
+    """Generate the dataset and resolve the scenario. The single old model
+    trains here when ``config.method`` reads it (every method but
+    ``ensemble``); any other old side trains on first use."""
     dataset = generate(config.dataset)
     plan = build_scenario(config.scenario, dataset)
-    workspace = Workspace()
-    old = _build_old_reference(plan, config.train, workspace)
-    return ScenarioState(dataset, plan, old, workspace=workspace)
+    state = ScenarioState(dataset, plan, config.dataset, config.scenario,
+                          config.train)
+    if config.method != "ensemble":
+        state.old_side(1)
+    return state
 
 
 class _EpochCollector:
@@ -281,7 +317,9 @@ class _EpochCollector:
 
 def run_experiment(config: ExperimentConfig,
                    state: Optional[ScenarioState] = None) -> ExperimentResult:
-    """Run one experiment; reuses `state` (dataset + old side) when given.
+    """Run one experiment; reuses `state` (dataset + old sides) when given,
+    and raises ValueError if it was prepared for another dataset, scenario
+    or training schedule.
 
     Repetition r is a group of L members (module docstring) with
     consecutive seeds: ``model_seed(base, "new", r)`` when L = 1, else
@@ -292,17 +330,13 @@ def run_experiment(config: ExperimentConfig,
     """
     if state is None:
         state = prepare_scenario(config)
+    state.check(config)
     plan = state.plan
     if config.method == "ensemble":
         size, per_stack, role = config.ensemble_size, 1, "new_member"
-        old = state.old_ensembles.get(size)
-        if old is None:
-            old = _build_old_reference(plan, config.train, state.workspace,
-                                       members=size)
-            state.old_ensembles[size] = old
     else:
         size, per_stack, role = 1, REPETITION_STACK, "new"
-        old = state.old_single
+    old = state.old_side(size)
     new_view = plan.new_job.view
     x, y = new_view.features(SPLIT_TRAIN), new_view.labels(SPLIT_TRAIN)
     objective = make_objective(y, old.oracle, config.pc)

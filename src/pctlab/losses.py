@@ -133,9 +133,12 @@ class OldModelOracle:
         return self.logits.shape[0]
 
 
-def _log_softmax_rows(x: np.ndarray) -> np.ndarray:
-    m = row_max(x)[:, None]
-    return x - m - np.log(np.exp(x - m).sum(axis=1, keepdims=True))
+def _log_softmax_rows(x: np.ndarray, m: Optional[np.ndarray] = None) -> np.ndarray:
+    """Row-wise log-softmax of 2-D ``x``; ``m`` is its row max as a column,
+    computed when not given."""
+    z = x - (row_max(x)[:, None] if m is None else m)
+    z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
+    return z
 
 
 def distance_kl(new_logits: np.ndarray, old_logits: np.ndarray,
@@ -227,27 +230,35 @@ def make_objective(labels: np.ndarray, oracle: Optional[OldModelOracle],
     def objective(logits, idx):
         idx = idx.ravel()
         y = labels[idx]
+        n = y.shape[0]
         rows = logits.reshape(-1, logits.shape[-1])
-        losses, probs = ce_rows(rows, y)
+        m = row_max(rows)[:, None]
+        losses, probs = ce_rows(rows, y, m)
         b = logits.shape[-2]
-        cols = slice(None) if identity and rows.shape[1] == logit_index.size \
-            else logit_index
+        full = identity and rows.shape[1] == logit_index.size
+        cols = slice(None) if full else logit_index
         sub = np.ascontiguousarray(rows[:, cols])
         if dist.kind == "kl":
-            ls_new = _log_softmax_rows(sub / dist.tau)
+            # x -> x / tau is monotone for tau > 0, so over all columns the
+            # row max of sub / tau is the CE row max over tau, bit for bit
+            ls_new = _log_softmax_rows(sub / dist.tau,
+                                       m / dist.tau if full else None)
             ls_old, p_old = ls_old_all[idx], p_old_all[idx]
             d = np.maximum((p_old * (ls_old - ls_new)).sum(axis=1), 0.0)
-            sub_grad = (np.exp(ls_new) - p_old) / dist.tau
+            sub_grad = np.exp(ls_new, out=ls_new)
+            sub_grad -= p_old
+            sub_grad /= dist.tau
         else:
-            diff = sub - oracle.logits[idx]
-            d = 0.5 * (diff * diff).sum(axis=1)
-            sub_grad = diff
+            sub_grad = sub - oracle.logits[idx]
+            d = 0.5 * (sub_grad * sub_grad).sum(axis=1)
         f = weight[idx]
-        loss = float(losses.mean() + lam * np.mean(f * d))
+        # sum() / n is how np.mean divides
+        loss = float(losses.sum() / n + lam * ((f * d).sum() / n))
         dlogits = probs
-        dlogits[np.arange(y.shape[0]), y] -= 1.0
+        dlogits[np.arange(n), y] -= 1.0
         dlogits /= b
-        dlogits[:, cols] += (lam / b) * f[:, None] * sub_grad
+        sub_grad *= (lam / b) * f[:, None]
+        dlogits[:, cols] += sub_grad
         return loss, dlogits.reshape(logits.shape)
 
     return objective

@@ -327,13 +327,16 @@ def row_max(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.T).max(axis=0)
 
 
-def ce_rows(logits: np.ndarray, labels: np.ndarray) -> tuple:
+def ce_rows(logits: np.ndarray, labels: np.ndarray,
+            m: Optional[np.ndarray] = None) -> tuple:
     """Per-row cross-entropy and softmax probabilities of ``(n, K)`` logits.
 
     Returns (losses, probs); callers reuse probs to assemble the gradient
-    softmax(logits) - onehot(label).
+    softmax(logits) - onehot(label). ``m`` is the logits' row max as a
+    column, computed when not given.
     """
-    m = row_max(logits)[:, None]
+    if m is None:
+        m = row_max(logits)[:, None]
     e = np.exp(logits - m)
     s = e.sum(axis=1, keepdims=True)
     losses = m[:, 0] + np.log(s[:, 0]) - logits[np.arange(logits.shape[0]), labels]

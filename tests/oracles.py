@@ -22,7 +22,7 @@ from pctlab.datasets import SPLIT_NAMES, Dataset
 from pctlab.flips import (FlipQuadrant, FlipReport, PredictionRecord,
                           classify_flip, report_from_counts)
 from pctlab.losses import (DistanceSpec, FilterSpec, OldModelOracle,
-                           PCLossConfig, _log_softmax_rows, distance_kl)
+                           PCLossConfig, distance_kl)
 from pctlab.nn import DimensionError, MLPModel, ce_rows, predict_batch
 
 # ---------------------------------------------------------------------------
@@ -135,12 +135,21 @@ def total_objective(new_logits: np.ndarray, label: int, entry: OracleEntry,
     return ce + config.lam * pc, grad + config.lam * pc_grad
 
 
+def log_softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax in its textbook form, x - m - log(sum(exp(x - m)))
+    with m the row max, each operation a fresh array."""
+    m = x.max(axis=1, keepdims=True)
+    return x - m - np.log(np.exp(x - m).sum(axis=1, keepdims=True))
+
+
 def per_step_objective(labels: np.ndarray, oracle: OldModelOracle,
                        config: PCLossConfig):
     """``make_objective``'s naive and focal batch objectives in their
     per-step form: every old-side quantity is computed from the gathered
-    rows on each call, and the focal term always gathers the new logits by
-    ``logit_index`` and scatter-adds its gradient back."""
+    rows on each call, the focal term always gathers the new logits by
+    ``logit_index`` and scatter-adds its gradient back, the KL term takes
+    its own row maxima, every operation makes a fresh array and the loss
+    uses ``np.mean``."""
     lam, filt, dist = config.lam, config.filter, config.distance
 
     def objective(logits, idx):
@@ -158,8 +167,8 @@ def per_step_objective(labels: np.ndarray, oracle: OldModelOracle,
         sub = np.ascontiguousarray(rows[:, oracle.logit_index])
         old = oracle.logits[idx]
         if dist.kind == "kl":
-            ls_new = _log_softmax_rows(sub / dist.tau)
-            ls_old = _log_softmax_rows(old / dist.tau)
+            ls_new = log_softmax_rows(sub / dist.tau)
+            ls_old = log_softmax_rows(old / dist.tau)
             p_old = np.exp(ls_old)
             d = np.maximum((p_old * (ls_old - ls_new)).sum(axis=1), 0.0)
             sub_grad = (np.exp(ls_new) - p_old) / dist.tau

@@ -1,10 +1,14 @@
 """YAML config parsing: round trips, defaults, and strict key checking."""
 
+import os
+import subprocess
+import sys
 import textwrap
 from dataclasses import replace
 
 import pytest
 
+import pctlab
 from pctlab.config import (ConfigError, apply_overrides, document_from_experiment,
                            dump_config, ensemble_sizes_from_document,
                            experiment_from_document, focal_grid_from_document,
@@ -157,3 +161,24 @@ def test_load_document_and_config_from_file(tmp_path):
 def test_dump_config_is_stable():
     cfg = _sample_configs()[1]
     assert dump_config(cfg) == dump_config(replace(cfg))
+
+
+def test_yaml_loads_only_to_parse_or_dump_yaml():
+    """Importing the package, its report writers and its CLI leaves PyYAML
+    unloaded; dumping and parsing the reference config loads it and still
+    round-trips."""
+    script = textwrap.dedent("""
+        import sys
+        import pctlab, pctlab.reports, pctlab.cli
+        assert "yaml" not in sys.modules, "yaml imported"
+        from pctlab.config import dump_config, loads_config
+        from pctlab.harness import ExperimentConfig
+        config = ExperimentConfig()
+        assert loads_config(dump_config(config)) == config
+        assert "yaml" in sys.modules
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pctlab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr

@@ -118,7 +118,7 @@ def test_run_seed_layout_and_series_shape(small_config, small_state):
 def _solo_runs(config, state):
     """Each repetition trained alone as a 2-D model, with its own collector:
     the oracle for the repetition stack."""
-    plan, old = state.plan, state.old_single
+    plan, old = state.plan, state.old_side(1)
     view = plan.new_job.view
     x, y = view.features(SPLIT_TRAIN), view.labels(SPLIT_TRAIN)
     objective = make_objective(y, old.oracle, config.pc)
@@ -160,7 +160,7 @@ def test_repetition_stack_fine_tune_equals_solo_runs():
         repetitions=2,
     )
     state = prepare_scenario(cfg)
-    old = state.old_single.models[0]
+    old = state.old_side(1).models[0]
     before = [(l.weights.copy(), l.bias.copy()) for l in old.layers]
     result = run_experiment(cfg, state)
     # every repetition starts from the one old model, which stays untouched
@@ -176,7 +176,7 @@ def _ensemble_runs(config, state):
     through ``nn.train``, and scored every epoch as ``Ensemble(members)``:
     the oracle for the ensemble method's stack."""
     plan, size = state.plan, config.ensemble_size
-    old = state.old_ensembles[size]
+    old = state.old_side(size)
     view = plan.new_job.view
     x, y = view.features(SPLIT_TRAIN), view.labels(SPLIT_TRAIN)
     runs = []
@@ -326,7 +326,7 @@ def test_compare_methods_shares_one_old_model(small_config, small_state):
                             ["no_treatment", "naive", "fd_lm", "ensemble"],
                             small_state)
     by_method = {r.method: r for r in table.rows}
-    er_old = small_state.old_single.er_old
+    er_old = small_state.old_side(1).er_old
     for m in ("no_treatment", "naive", "fd_lm"):
         assert by_method[m].er_old == er_old
     single_params = table.results["no_treatment"].runs[0].param_count
@@ -352,17 +352,107 @@ def test_ensemble_method_caches_old_side(small_config, small_state):
     cfg = replace(small_config, method="ensemble", ensemble_size=3,
                   repetitions=1)
     r1 = run_experiment(cfg, small_state)
-    cached = small_state.old_ensembles[3]
+    assert 3 in small_state.old_sides
+    cached = small_state.old_side(3)
     r2 = run_experiment(cfg, small_state)
-    assert small_state.old_ensembles[3] is cached
+    assert small_state.old_side(3) is cached
     assert r1.summary() == r2.summary()
     single = run_experiment(replace(small_config, method="no_treatment"),
                             small_state).runs[0].param_count
     assert r1.runs[0].param_count == 3 * single
-    assert r1.old_param_count == 3 * small_state.old_single.param_count
+    assert r1.old_param_count == 3 * small_state.old_side(1).param_count
     base = cfg.train.seed + ENSEMBLE_SEED_OFFSET
     assert r1.runs[0].seed == base
     assert len(r1.runs[0].epochs) == cfg.train.epochs
+
+
+def _count_old_trainings(monkeypatch):
+    """Count ``ensembles.train_ensemble`` calls, the old sides' trainer."""
+    calls = []
+    train_ensemble = harness.ensembles.train_ensemble
+
+    def counting(*args, **kwargs):
+        calls.append(args[4])
+        return train_ensemble(*args, **kwargs)
+
+    monkeypatch.setattr(harness.ensembles, "train_ensemble", counting)
+    return calls
+
+
+def test_old_sides_train_on_first_use(small_config, monkeypatch):
+    calls = _count_old_trainings(monkeypatch)
+    state = prepare_scenario(replace(small_config, method="ensemble"))
+    assert calls == [] and state.old_sides == {}
+    run_experiment(replace(small_config, method="no_treatment"), state)
+    assert calls == [1]
+    single = state.old_side(1)
+    run_experiment(replace(small_config, method="naive"), state)
+    assert calls == [1] and state.old_side(1) is single
+    # the ensemble method at size 1 scores against the same entry
+    run_experiment(replace(small_config, method="ensemble", ensemble_size=1),
+                   state)
+    assert calls == [1] and state.old_sides == {1: single}
+
+
+def test_prepare_trains_the_single_old_model_for_single_model_methods(
+        small_config, monkeypatch):
+    calls = _count_old_trainings(monkeypatch)
+    for method in ("no_treatment", "naive", "fd_kl", "fd_lm"):
+        state = prepare_scenario(replace(small_config, method=method))
+        assert list(state.old_sides) == [1]
+    assert calls == [1, 1, 1, 1]
+
+
+def test_single_old_model_equals_an_ensemble_of_one(small_config, small_state):
+    """The cached L = 1 entry, oracle predictions included, is what a
+    separately trained ensemble of one predicts, bit for bit."""
+    plan, cfg = small_state.plan, small_config
+    single = small_state.old_side(1)
+    view, new_view = plan.old_job.view, plan.new_job.view
+    solo = harness.ensembles.train_ensemble(
+        plan.old_job.dims(), view.features(SPLIT_TRAIN),
+        view.labels(SPLIT_TRAIN), cfg.train, 1, model_seed(cfg.train.seed, "old"))
+    for got, want in zip(single.models[0].layers, solo.members[0].layers):
+        np.testing.assert_array_equal(got.weights, want.weights)
+        np.testing.assert_array_equal(got.bias, want.bias)
+    combined = harness._combined_class_map(plan)
+    np.testing.assert_array_equal(
+        single.train_preds,
+        combined[solo.predict_batch(new_view.features(SPLIT_TRAIN))])
+    old_map = np.asarray(plan.eval_plan.old_label_map)
+    eval_preds = old_map[solo.predict_batch(plan.eval_plan.features)]
+    np.testing.assert_array_equal(single.eval_preds, eval_preds)
+    assert single.er_old == float(np.mean(eval_preds != plan.eval_plan.labels))
+    assert single.param_count == solo.parameter_count()
+
+
+def test_compare_is_independent_of_the_preparing_method(small_config):
+    methods = ["no_treatment", "naive", "ensemble"]
+    cfg = replace(small_config, ensemble_size=3, repetitions=1)
+    tables = [compare_methods(cfg, methods,
+                              prepare_scenario(replace(cfg, method=m))).to_csv()
+              for m in ("ensemble", "no_treatment")]
+    assert tables[0] == tables[1]
+
+
+@pytest.mark.parametrize("field", ["dataset", "scenario", "train"])
+def test_a_state_rejects_a_config_it_was_not_prepared_for(
+        small_config, small_state, field):
+    value = {
+        "dataset": replace(small_config.dataset,
+                           seed=small_config.dataset.seed + 1),
+        "scenario": reference_scenario(ScenarioKind.FINE_TUNE,
+                                       small_config.dataset.num_classes),
+        "train": replace(small_config.train,
+                         epochs=small_config.train.epochs + 1),
+    }[field]
+    cfg = replace(small_config, **{field: value})
+    with pytest.raises(ValueError, match=f"config.{field} differs"):
+        run_experiment(cfg, small_state)
+    with pytest.raises(ValueError, match=f"config.{field} differs"):
+        compare_methods(cfg, ["no_treatment"], small_state)
+    with pytest.raises(ValueError, match=f"config.{field} differs"):
+        sweep_focal(cfg, [(1.0, 5.0)], small_state)
 
 
 def test_focal_zero_filter_equals_no_treatment(small_config, small_state):

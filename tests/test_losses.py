@@ -319,6 +319,46 @@ def test_hoisted_objective_equals_per_step_form_bit_for_bit(name, cfg, index):
                                       want.view(np.uint64))
 
 
+@pytest.mark.parametrize("tau", [0.5, 1.0, 100.0])
+def test_kl_focal_objective_equals_per_step_form_bit_for_bit(tau):
+    """The KL focal term's trims (one ``x - m``, the CE row max over tau as
+    the KL row max, ``exp``, divide and gradient scale in place, means as
+    ``sum() / n``) leave every bit of the loss and of a stack's gradient
+    unchanged, for K = 2..128, on finite rows and on rows holding +inf,
+    -inf and NaN, through the full slice and through a gather into one more
+    new class."""
+    rng = np.random.default_rng(12)
+    specials = np.array([np.inf, -np.inf, np.nan])
+    cfg = PCLossConfig(mode="focal", lam=0.7, filter=FilterSpec(0.5, 2.0),
+                       distance=DistanceSpec("kl", tau))
+    n, m, b = 24, 2, 8
+    for k in range(2, 129):
+        for extra in (0, 1):
+            y = rng.integers(0, k, size=n).astype(np.int64)
+            correct = rng.random(n) < 0.5
+            oracle = OldModelOracle(rng.standard_normal((n, k)) * 3, correct,
+                                    np.where(correct, y, (y + 1) % k))
+            stack = rng.standard_normal((m, b, k + extra)) * 10
+            hit = rng.random(stack.shape) < 0.05
+            stack[hit] = rng.choice(specials, size=hit.sum())
+            stack[0, 0] = -np.inf
+            stack[0, 1] = np.nan
+            stack[1, 2, -1] = np.inf
+            stack[1, 3, 0] = np.nan
+            rows = np.stack([rng.permutation(n)[:b] for _ in range(m)])
+            finite = np.where(np.isfinite(stack), stack, 0.0)
+            for logits in (stack, finite):
+                with np.errstate(all="ignore"):
+                    loss, dlogits = make_objective(y, oracle, cfg)(
+                        logits.copy(), rows)
+                    want_loss, want = per_step_objective(y, oracle, cfg)(
+                        logits.copy(), rows)
+                assert np.float64(loss).view(np.uint64) == \
+                    np.float64(want_loss).view(np.uint64), (k, extra)
+                np.testing.assert_array_equal(dlogits.view(np.uint64),
+                                              want.view(np.uint64))
+
+
 def test_lambda_zero_naive_collapses_to_plain_ce():
     logits, y, oracle = _batch_setup(n=8)
     idx = np.arange(8)

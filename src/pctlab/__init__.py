@@ -8,9 +8,7 @@ focal distillation, and logit-averaged ensembles.
 
 from .datasets import Dataset, DatasetView, SyntheticSpec, generate
 from .ensembles import Ensemble, sweep_ensemble_size, train_ensemble
-from .flips import (FlipQuadrant, FlipReport, PredictionRecord, UncertaintyRecord,
-                    classify_flip, compute_relative_nfr, default_entropy_bins,
-                    nfr_by_uncertainty_bin, predictive_entropy, report_from_arrays)
+from .flips import FlipReport, compute_relative_nfr, report_from_arrays
 from .harness import (METHODS, ExperimentConfig, ExperimentResult, RunArtifacts,
                       compare_methods, pc_config_for_method, prepare_scenario,
                       run_experiment, sweep_ensemble, sweep_focal)
@@ -26,9 +24,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Dataset", "DatasetView", "SyntheticSpec", "generate",
     "Ensemble", "sweep_ensemble_size", "train_ensemble",
-    "FlipQuadrant", "FlipReport", "PredictionRecord", "UncertaintyRecord",
-    "classify_flip", "compute_relative_nfr", "default_entropy_bins",
-    "nfr_by_uncertainty_bin", "predictive_entropy", "report_from_arrays",
+    "FlipReport", "compute_relative_nfr", "report_from_arrays",
     "METHODS", "ExperimentConfig", "ExperimentResult", "RunArtifacts",
     "compare_methods", "pc_config_for_method", "prepare_scenario",
     "run_experiment", "sweep_ensemble", "sweep_focal",

@@ -9,14 +9,13 @@ mutating the underlying arrays.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
 
 from .rng import STREAM_DATA, STREAM_NOISE, STREAM_SUBSET, stream_rng
+from .tables import csv_text
 
 SPLIT_TRAIN = 0
 SPLIT_VALIDATION = 1
@@ -89,14 +88,10 @@ class Dataset:
         return np.flatnonzero(self.split == code)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([f"f{j}" for j in range(self.input_dim)]
-                        + ["label", "split"])
-        for i in range(self.n):
-            writer.writerow([repr(float(v)) for v in self.features[i]]
-                            + [int(self.labels[i]), SPLIT_NAMES[int(self.split[i])]])
-        return buf.getvalue()
+        header = [f"f{j}" for j in range(self.input_dim)] + ["label", "split"]
+        return csv_text(header, (x + [y, SPLIT_NAMES[code]] for x, y, code in
+                                 zip(self.features.tolist(), self.labels.tolist(),
+                                     self.split.tolist())))
 
 
 def generate(spec: SyntheticSpec) -> Dataset:

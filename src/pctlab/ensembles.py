@@ -17,10 +17,8 @@ through it; the ``ensemble`` method's new side trains in
 
 from __future__ import annotations
 
-import csv
-import io
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from dataclasses import astuple, dataclass
+from typing import ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,6 +27,7 @@ from .flips import report_from_arrays
 from .losses import make_ce_objective
 from .nn import (MLPModel, TrainConfig, Workspace, batch_logits, forward_into,
                  init_model, stack_models, train, with_seed)
+from .tables import csv_text
 
 
 @dataclass
@@ -101,6 +100,8 @@ def train_ensemble(dims: Sequence[int], features: np.ndarray, labels: np.ndarray
 
 @dataclass(frozen=True)
 class SweepRow:
+    COLUMNS: ClassVar[Tuple[str, ...]] = ("L", "er_old", "er_new", "nfr", "rel_nfr")
+
     size: int
     er_old: float
     er_new: float
@@ -113,13 +114,7 @@ class SweepResult:
     rows: List[SweepRow]
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["L", "er_old", "er_new", "nfr", "rel_nfr"])
-        for r in self.rows:
-            writer.writerow([r.size, repr(r.er_old), repr(r.er_new), repr(r.nfr),
-                             "" if r.rel_nfr is None else repr(r.rel_nfr)])
-        return buf.getvalue()
+        return csv_text(SweepRow.COLUMNS, map(astuple, self.rows))
 
 
 def sweep_ensemble_size(old_dims: Sequence[int], new_dims: Sequence[int],

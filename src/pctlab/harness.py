@@ -30,6 +30,9 @@ and every epoch's scoring in every ``run_experiment`` on that state run
 their forwards in its buffers, so per-epoch evaluation reuses the same
 memory instead of allocating (and page-faulting) it anew on every call.
 
+``EpochMetrics``, ``MethodRow`` and ``FocalSweepRow`` name their CSV
+columns in ``COLUMNS``; ``tables.csv_text`` writes their rows.
+
 Update methods
   no_treatment  plain cross-entropy
   naive         cross-entropy re-weighted on samples the old model got right
@@ -42,17 +45,16 @@ Seed layout (relative to the configured base seed), all from ``model_seed``
   base + 1000 + r                 new model, repetition r
   base + 100000 + 1000*r + j      new ensemble member j, repetition r
 The ranges stay disjoint because ExperimentConfig bounds ensemble sizes
-below 1000 and repetitions to at most 99000, so old and new models never
-share an initialisation or shuffle stream.
+below 1000 and repetitions to at most 99000, and ``sweep_ensemble`` bounds
+its sizes below 1000 too, so old and new models never share an
+initialisation or shuffle stream.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import statistics
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import astuple, dataclass, field, replace
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,6 +70,7 @@ from .nn import (MLPModel, TrainConfig, Workspace, batch_logits, init_model,
                  predict_batch, stack_models, train, with_seed)
 from .scenarios import (EvalPlan, ScenarioKind, ScenarioPlan, UpdateScenario,
                         build_scenario, reference_scenario)
+from .tables import csv_text
 
 METHODS = ("no_treatment", "naive", "fd_kl", "fd_lm", "ensemble")
 
@@ -133,6 +136,9 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class EpochMetrics:
+    COLUMNS: ClassVar[Tuple[str, ...]] = (
+        "epoch", "er_train", "er_val", "nfr_val", "rel_nfr_val", "nfr_train")
+
     epoch: int
     er_train: float
     er_val: float
@@ -381,12 +387,23 @@ def run_experiment(config: ExperimentConfig,
 
 @dataclass(frozen=True)
 class MethodRow:
+    COLUMNS: ClassVar[Tuple[str, ...]] = (
+        "method", "er_old", "er_new", "nfr", "rel_nfr", "n_params")
+
     method: str
     er_old: float
     er_new: float
     nfr: float
     rel_nfr: Optional[float]
     param_count: int
+
+    @classmethod
+    def of(cls, result: ExperimentResult) -> "MethodRow":
+        """The result's medians across repetitions."""
+        s = result.summary()
+        return cls(s["method"], s["er_old"], s["er_new"]["median"],
+                   s["nfr"]["median"], s["rel_nfr"]["median"],
+                   s["new_param_count"])
 
 
 @dataclass
@@ -395,14 +412,7 @@ class ComparisonTable:
     results: Dict[str, ExperimentResult] = field(default_factory=dict, repr=False)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["method", "er_old", "er_new", "nfr", "rel_nfr", "n_params"])
-        for r in self.rows:
-            writer.writerow([r.method, repr(r.er_old), repr(r.er_new), repr(r.nfr),
-                             "" if r.rel_nfr is None else repr(r.rel_nfr),
-                             r.param_count])
-        return buf.getvalue()
+        return csv_text(MethodRow.COLUMNS, map(astuple, self.rows))
 
 
 def compare_methods(config: ExperimentConfig,
@@ -425,16 +435,16 @@ def compare_methods(config: ExperimentConfig,
     rows, results = [], {}
     for m in methods:
         res = run_experiment(replace(config, method=m), state)
-        s = res.summary()
-        rows.append(MethodRow(m, res.er_old, s["er_new"]["median"],
-                              s["nfr"]["median"], s["rel_nfr"]["median"],
-                              res.runs[0].param_count))
+        rows.append(MethodRow.of(res))
         results[m] = res
     return ComparisonTable(rows, results)
 
 
 @dataclass(frozen=True)
 class FocalSweepRow:
+    COLUMNS: ClassVar[Tuple[str, ...]] = (
+        "alpha", "beta", "er_new", "nfr", "rel_nfr")
+
     alpha: float
     beta: float
     er_new: float
@@ -449,14 +459,7 @@ class FocalSweepTable:
         default_factory=dict, repr=False)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["alpha", "beta", "er_new", "nfr", "rel_nfr"])
-        for r in self.rows:
-            writer.writerow([repr(r.alpha), repr(r.beta), repr(r.er_new),
-                             repr(r.nfr),
-                             "" if r.rel_nfr is None else repr(r.rel_nfr)])
-        return buf.getvalue()
+        return csv_text(FocalSweepRow.COLUMNS, map(astuple, self.rows))
 
 
 def sweep_focal(config: ExperimentConfig,
@@ -487,11 +490,15 @@ def sweep_ensemble(config: ExperimentConfig, sizes: Sequence[int],
     """Flip metrics versus ensemble size, on the full training split.
 
     Both sides use the scenario's architectures and the full data so that
-    size is the only variable; seed ranges are disjoint by construction.
-    Each side's members train in lockstep as one stack: ``max_workers`` is
-    accepted and ignored, because pctbench/workloads.py still passes
-    ``max_workers=1``.
+    size is the only variable. Sizes must be below ``ENSEMBLE_REP_STRIDE``,
+    the bound ExperimentConfig puts on ``ensemble_size``, so both sides keep
+    to the seed layout of the module docstring; a larger size raises
+    ValueError before anything trains. Each side's members train in
+    lockstep as one stack: ``max_workers`` is accepted and ignored, because
+    pctbench/workloads.py still passes ``max_workers=1``.
     """
+    if any(int(s) >= ENSEMBLE_REP_STRIDE for s in sizes):
+        raise ValueError(f"ensemble sizes must be below {ENSEMBLE_REP_STRIDE}")
     dataset = generate(config.dataset)
     old_dims = config.scenario.old_model.dims(dataset.input_dim, dataset.num_classes)
     new_dims = config.scenario.new_model.dims(dataset.input_dim, dataset.num_classes)
@@ -503,13 +510,4 @@ def sweep_ensemble(config: ExperimentConfig, sizes: Sequence[int],
 
 def epoch_series_csv(run: RunArtifacts) -> str:
     """Per-epoch metric series, one row per epoch."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["epoch", "er_train", "er_val", "nfr_val", "rel_nfr_val",
-                     "nfr_train"])
-    for row in run.epochs:
-        writer.writerow([row.epoch, repr(row.er_train), repr(row.er_val),
-                         repr(row.nfr_val),
-                         "" if row.rel_nfr_val is None else repr(row.rel_nfr_val),
-                         repr(row.nfr_train)])
-    return buf.getvalue()
+    return csv_text(EpochMetrics.COLUMNS, map(astuple, run.epochs))

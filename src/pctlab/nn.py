@@ -213,7 +213,7 @@ class TrainResult:
 Objective = Callable[[np.ndarray, np.ndarray], tuple]
 
 
-def init_model(dims: Sequence[int], seed: int, hidden_activation: str = "relu",
+def init_model(dims: Sequence[int], seed: int,
                weight_init: str = "glorot_uniform") -> MLPModel:
     """Build an MLP with the given layer sizes ``[input, h1, ..., K]``.
 
@@ -239,7 +239,7 @@ def init_model(dims: Sequence[int], seed: int, hidden_activation: str = "relu",
         else:
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             w = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-        act = "identity" if i == n_layers - 1 else hidden_activation
+        act = "identity" if i == n_layers - 1 else "relu"
         layers.append(Layer(w, np.zeros(fan_out), act))
     return MLPModel(layers)
 

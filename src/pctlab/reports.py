@@ -1,24 +1,27 @@
 """Report files for experiment results.
 
-Every emitter is deterministic: identical inputs yield byte-identical
-files (sorted JSON keys, repr() floats in CSV, "\\n" line endings). A run
-directory contains one epoch-series CSV and one final flip-report JSON per
-repetition, a summary in the requested format, and ``artifacts.json``, a
-complete machine-readable record that the ``report`` subcommand can
-re-emit from without recomputing anything.
+Every file is written in the one format of ``tables``, so identical inputs
+yield byte-identical files. A run directory contains one epoch-series CSV
+and one final flip-report JSON per repetition, a summary in the requested
+format, and ``artifacts.json``, a complete machine-readable record that the
+``report`` subcommand can re-emit from without recomputing anything. The
+comparison and sweep tables are written as CSV, plus JSON on request.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import List, Optional
+from dataclasses import asdict, astuple
+from typing import List, Sequence
 
 from .config import document_from_experiment, experiment_from_document
+from .ensembles import SweepResult, SweepRow
 from .flips import FlipReport
 from .harness import (ComparisonTable, EpochMetrics, ExperimentResult,
-                      FocalSweepTable, RunArtifacts, epoch_series_csv)
-from .ensembles import SweepResult
+                      FocalSweepRow, FocalSweepTable, MethodRow, RunArtifacts,
+                      epoch_series_csv)
+from .tables import csv_text, json_text
 
 FORMATS = ("csv", "json")
 
@@ -34,23 +37,6 @@ def _write(path: str, text: str) -> str:
     return path
 
 
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
-
-
-def _epoch_to_dict(row: EpochMetrics) -> dict:
-    return {"epoch": row.epoch, "er_train": row.er_train, "er_val": row.er_val,
-            "nfr_val": row.nfr_val, "rel_nfr_val": row.rel_nfr_val,
-            "nfr_train": row.nfr_train}
-
-
-def _epoch_from_dict(d: dict) -> EpochMetrics:
-    return EpochMetrics(int(d["epoch"]), float(d["er_train"]),
-                        float(d["er_val"]), float(d["nfr_val"]),
-                        None if d["rel_nfr_val"] is None else float(d["rel_nfr_val"]),
-                        float(d["nfr_train"]))
-
-
 def result_to_document(result: ExperimentResult) -> dict:
     config_doc = document_from_experiment(result.config)
     config_doc["output_dir"] = None  # destination is not part of the experiment
@@ -58,20 +44,14 @@ def result_to_document(result: ExperimentResult) -> dict:
         "config": config_doc,
         "er_old": result.er_old,
         "old_param_count": result.old_param_count,
-        "runs": [{
-            "repetition": run.repetition,
-            "seed": run.seed,
-            "param_count": run.param_count,
-            "epochs": [_epoch_to_dict(row) for row in run.epochs],
-            "final": run.final.to_dict(),
-        } for run in result.runs],
+        "runs": [asdict(run) for run in result.runs],
     }
 
 
 def result_from_document(doc: dict) -> ExperimentResult:
     runs = [RunArtifacts(int(r["repetition"]), int(r["seed"]),
                          int(r["param_count"]),
-                         [_epoch_from_dict(e) for e in r["epochs"]],
+                         [EpochMetrics(**e) for e in r["epochs"]],
                          FlipReport.from_dict(r["final"]))
             for r in doc["runs"]]
     return ExperimentResult(experiment_from_document(doc["config"]),
@@ -85,14 +65,7 @@ def load_result(path: str) -> ExperimentResult:
 
 
 def summary_csv(result: ExperimentResult) -> str:
-    s = result.summary()
-    rel = s["rel_nfr"]["median"]
-    cells = [s["method"], repr(float(s["er_old"])),
-             repr(float(s["er_new"]["median"])), repr(float(s["nfr"]["median"])),
-             "" if rel is None else repr(float(rel)),
-             str(s["new_param_count"])]
-    return ("method,er_old,er_new,nfr,rel_nfr,n_params\n"
-            + ",".join(cells) + "\n")
+    return csv_text(MethodRow.COLUMNS, [astuple(MethodRow.of(result))])
 
 
 def write_experiment(result: ExperimentResult, out_dir: str,
@@ -109,57 +82,41 @@ def write_experiment(result: ExperimentResult, out_dir: str,
                             run.final.to_json()))
     if fmt == "json":
         files.append(_write(os.path.join(out_dir, "summary.json"),
-                            _json_dumps(result.summary())))
+                            json_text(result.summary())))
     else:
         files.append(_write(os.path.join(out_dir, "summary.csv"),
                             summary_csv(result)))
     files.append(_write(os.path.join(out_dir, "artifacts.json"),
-                        _json_dumps(result_to_document(result))))
+                        json_text(result_to_document(result))))
     return files
 
 
-def _table_rows_to_json(header: List[str], rows: List[List]) -> str:
-    return _json_dumps({"rows": [dict(zip(header, row)) for row in rows]})
+def _write_table(table, columns: Sequence[str], out_dir: str, name: str,
+                 fmt: str) -> List[str]:
+    """``name``.csv, plus ``name``.json when ``fmt`` is json: the rows of
+    ``table`` under ``columns``."""
+    _check_format(fmt)
+    os.makedirs(out_dir, exist_ok=True)
+    files = [_write(os.path.join(out_dir, f"{name}.csv"), table.to_csv())]
+    if fmt == "json":
+        rows = [dict(zip(columns, astuple(r))) for r in table.rows]
+        files.append(_write(os.path.join(out_dir, f"{name}.json"),
+                            json_text({"rows": rows})))
+    return files
 
 
 def write_comparison(table: ComparisonTable, out_dir: str,
                      fmt: str = "csv") -> List[str]:
-    _check_format(fmt)
-    os.makedirs(out_dir, exist_ok=True)
-    files = [_write(os.path.join(out_dir, "comparison.csv"), table.to_csv())]
-    if fmt == "json":
-        header = ["method", "er_old", "er_new", "nfr", "rel_nfr", "n_params"]
-        rows = [[r.method, r.er_old, r.er_new, r.nfr, r.rel_nfr, r.param_count]
-                for r in table.rows]
-        files.append(_write(os.path.join(out_dir, "comparison.json"),
-                            _table_rows_to_json(header, rows)))
-    return files
+    return _write_table(table, MethodRow.COLUMNS, out_dir, "comparison", fmt)
 
 
 def write_focal_sweep(table: FocalSweepTable, out_dir: str,
                       fmt: str = "csv") -> List[str]:
-    _check_format(fmt)
-    os.makedirs(out_dir, exist_ok=True)
-    files = [_write(os.path.join(out_dir, "focal_sweep.csv"), table.to_csv())]
-    if fmt == "json":
-        header = ["alpha", "beta", "er_new", "nfr", "rel_nfr"]
-        rows = [[r.alpha, r.beta, r.er_new, r.nfr, r.rel_nfr]
-                for r in table.rows]
-        files.append(_write(os.path.join(out_dir, "focal_sweep.json"),
-                            _table_rows_to_json(header, rows)))
-    return files
+    return _write_table(table, FocalSweepRow.COLUMNS, out_dir, "focal_sweep",
+                        fmt)
 
 
 def write_ensemble_sweep(result: SweepResult, out_dir: str,
                          fmt: str = "csv") -> List[str]:
-    _check_format(fmt)
-    os.makedirs(out_dir, exist_ok=True)
-    files = [_write(os.path.join(out_dir, "ensemble_sweep.csv"),
-                    result.to_csv())]
-    if fmt == "json":
-        header = ["L", "er_old", "er_new", "nfr", "rel_nfr"]
-        rows = [[r.size, r.er_old, r.er_new, r.nfr, r.rel_nfr]
-                for r in result.rows]
-        files.append(_write(os.path.join(out_dir, "ensemble_sweep.json"),
-                            _table_rows_to_json(header, rows)))
-    return files
+    return _write_table(result, SweepRow.COLUMNS, out_dir, "ensemble_sweep",
+                        fmt)

@@ -30,7 +30,12 @@ class ScenarioKind(str, Enum):
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Hidden-layer widths; input and output sizes come from the data."""
+    """Hidden-layer widths; input and output sizes come from the data.
+
+    Every hidden layer is relu, the only activation ``nn`` trains; the
+    ``activation`` field is kept so that config documents and
+    ``artifacts.json`` keep their ``activation`` key.
+    """
 
     hidden_dims: Tuple[int, ...] = (32,)
     activation: str = "relu"
@@ -39,6 +44,8 @@ class ModelSpec:
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
         if any(d < 1 for d in self.hidden_dims):
             raise ValueError("hidden dims must be >= 1")
+        if self.activation != "relu":
+            raise ValueError(f"activation must be 'relu', got {self.activation!r}")
 
     def dims(self, input_dim: int, num_classes: int) -> List[int]:
         return [input_dim, *self.hidden_dims, num_classes]

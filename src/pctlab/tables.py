@@ -1,0 +1,35 @@
+"""The text format of every result file.
+
+CSV: a header row, then one line per row, ``"\\n"`` line ends. A float cell
+is ``repr(float(v))``, so numpy scalars print like Python floats; ``None``
+is an empty cell; any other value is written as ``str``. JSON: sorted keys,
+two-space indent and a trailing newline. Identical inputs therefore give
+byte-identical files.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import json
+from typing import Iterable, Sequence
+
+
+def _cell(value):
+    if value is None:
+        return ""
+    if isinstance(value, float):
+        return repr(float(value))
+    return value
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
+def json_text(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"

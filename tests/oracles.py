@@ -14,13 +14,13 @@ import io
 import json
 from collections import Counter
 from dataclasses import dataclass
+from enum import Enum
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from pctlab.datasets import SPLIT_NAMES, Dataset
-from pctlab.flips import (FlipQuadrant, FlipReport, PredictionRecord,
-                          classify_flip, report_from_counts)
+from pctlab.flips import FlipReport, report_from_counts
 from pctlab.losses import (DistanceSpec, FilterSpec, OldModelOracle,
                            PCLossConfig, distance_kl)
 from pctlab.nn import DimensionError, MLPModel, ce_rows, predict_batch
@@ -187,6 +187,33 @@ def per_step_objective(labels: np.ndarray, oracle: OldModelOracle,
 
 # ---------------------------------------------------------------------------
 # flips: record-at-a-time bookkeeping
+
+
+class FlipQuadrant(Enum):
+    BOTH_CORRECT = "both_correct"
+    NEGATIVE_FLIP = "negative_flip"
+    POSITIVE_FLIP = "positive_flip"
+    BOTH_WRONG = "both_wrong"
+
+
+@dataclass(frozen=True)
+class PredictionRecord:
+    sample_id: int
+    true_label: int
+    old_pred: int
+    new_pred: int
+
+
+def classify_flip(record: PredictionRecord) -> FlipQuadrant:
+    old_ok = record.old_pred == record.true_label
+    new_ok = record.new_pred == record.true_label
+    if old_ok and new_ok:
+        return FlipQuadrant.BOTH_CORRECT
+    if old_ok:
+        return FlipQuadrant.NEGATIVE_FLIP
+    if new_ok:
+        return FlipQuadrant.POSITIVE_FLIP
+    return FlipQuadrant.BOTH_WRONG
 
 
 def records_from_arrays(true_labels: Sequence[int], old_preds: Sequence[int],

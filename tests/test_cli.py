@@ -151,6 +151,13 @@ def test_errors_exit_nonzero_with_one_line_diagnostic(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.yaml")]) == 1
     assert capsys.readouterr().err.startswith("error:")
 
+    bad.write_text("scenario: {kind: arch_change, old_model: {activation: tanh}}\n",
+                   encoding="utf-8")
+    assert main(["run", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "activation" in err
+    assert len(err.strip().splitlines()) == 1
+
 
 def test_unknown_subcommand_is_rejected():
     with pytest.raises(SystemExit):

@@ -114,6 +114,17 @@ def test_invalid_values_surface_as_config_errors():
         loads_config("repetitions: 99001")
 
 
+def test_activation_other_than_relu_is_rejected():
+    # every hidden layer trains as relu, so another name would be ignored
+    assert ModelSpec(activation="relu").activation == "relu"
+    for act in ("identity", "tanh"):
+        with pytest.raises(ValueError, match="activation"):
+            ModelSpec(activation=act)
+        with pytest.raises(ConfigError, match="activation"):
+            loads_config("scenario: {kind: arch_change, "
+                         f"new_model: {{activation: {act}}}}}")
+
+
 def test_sweep_lists_defaults():
     assert focal_grid_from_document({}) == [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0),
                                             (1.0, 2.0), (1.0, 5.0),

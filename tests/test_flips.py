@@ -1,7 +1,5 @@
-"""Flip bookkeeping: quadrants, rates, the exact count identities, and the
-uncertainty-binned view."""
+"""Flip bookkeeping: quadrants, rates and the exact count identities."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -9,14 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (compute_nfr, flip_report, flip_report_from_json,
+from oracles import (FlipQuadrant, PredictionRecord, classify_flip,
+                     compute_nfr, flip_report, flip_report_from_json,
                      records_from_arrays)
-from pctlab.flips import (FlipQuadrant, PredictionRecord, UncertaintyRecord,
-                          UndefinedMetricError, classify_flip,
-                          compute_relative_nfr, default_entropy_bins,
-                          nfr_by_uncertainty_bin, predictive_entropy,
-                          records_to_csv, report_from_arrays,
-                          report_from_counts)
+from pctlab.flips import (UndefinedMetricError, compute_relative_nfr,
+                          report_from_arrays, report_from_counts)
 
 
 def _rec(y, old, new, sid=0):
@@ -108,68 +103,3 @@ def test_report_json_round_trip():
     report = report_from_counts(bc=7, nf=2, pf=1, bw=3)
     assert flip_report_from_json(report.to_json()) == report
     assert report.to_json().endswith("\n")
-
-
-def test_records_csv_layout():
-    text = records_to_csv([_rec(2, 2, 1, sid=9)])
-    lines = text.splitlines()
-    assert lines[0] == "sample_id,true_label,old_pred,new_pred,quadrant"
-    assert lines[1] == "9,2,2,1,negative_flip"
-
-
-# ---------------------------------------------------------------------------
-# uncertainty view
-
-
-def test_predictive_entropy_bounds():
-    k = 5
-    assert predictive_entropy(np.full((3, k), 1 / k)) == pytest.approx(math.log(k))
-    one_hot = np.zeros((1, k))
-    one_hot[0, 2] = 1.0
-    assert predictive_entropy(one_hot) == 0.0
-    # disagreeing one-hot members: the mean is uncertain even though each
-    # member is confident
-    two = np.zeros((2, k))
-    two[0, 0] = two[1, 1] = 1.0
-    assert predictive_entropy(two) == pytest.approx(math.log(2))
-
-
-def test_predictive_entropy_rejects_non_simplex_rows():
-    with pytest.raises(ValueError):
-        predictive_entropy(np.array([[0.5, 0.2]]))
-    with pytest.raises(ValueError):
-        predictive_entropy(np.array([[1.5, -0.5]]))
-
-
-def test_default_entropy_bins_span_feasible_range():
-    edges = default_entropy_bins(10, n_bins=4)
-    assert edges[0] == 0.0
-    assert edges[-1] == pytest.approx(math.log(10))
-    assert np.all(np.diff(edges) > 0) and edges.size == 5
-
-
-def test_nfr_by_uncertainty_bin_partitions_records():
-    records = [_rec(0, 0, 0, sid=0), _rec(0, 0, 1, sid=1),
-               _rec(1, 0, 0, sid=2), _rec(1, 1, 0, sid=3)]
-    ent = {0: 0.1, 1: 0.1, 2: 1.2, 3: 99.0}  # 99 clips into the last bin
-    edges = np.array([0.0, 1.0, 2.0])
-    flips, others = nfr_by_uncertainty_bin(records, ent, edges)
-    np.testing.assert_array_equal(flips, [1, 1])   # ids 1 and 3
-    np.testing.assert_array_equal(others, [1, 1])  # ids 0 and 2
-    assert flips.sum() + others.sum() == len(records)
-
-
-def test_nfr_by_uncertainty_bin_accepts_record_sequence():
-    records = [_rec(0, 0, 0, sid=4)]
-    out = nfr_by_uncertainty_bin(records, [UncertaintyRecord(4, 0.5)],
-                                 np.array([0.0, 1.0]))
-    np.testing.assert_array_equal(out[0], [0])
-    np.testing.assert_array_equal(out[1], [1])
-
-
-def test_nfr_by_uncertainty_bin_validates_inputs():
-    records = [_rec(0, 0, 0, sid=0)]
-    with pytest.raises(ValueError, match="ids"):
-        nfr_by_uncertainty_bin(records, {7: 0.5}, np.array([0.0, 1.0]))
-    with pytest.raises(ValueError, match="increasing"):
-        nfr_by_uncertainty_bin(records, {0: 0.5}, np.array([1.0, 0.0]))

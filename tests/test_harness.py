@@ -481,6 +481,19 @@ def test_sweep_ensemble_row_shape(small_config):
         assert 0.0 <= row.nfr <= row.er_new <= 1.0
 
 
+def test_sweep_ensemble_rejects_sizes_outside_the_seed_layout(small_config,
+                                                             monkeypatch):
+    sizes_trained = []
+    monkeypatch.setattr(harness, "sweep_ensemble_size",
+                        lambda *args: sizes_trained.append(args[4]))
+    for sizes in ([ENSEMBLE_REP_STRIDE], [1, 2, 100_000]):
+        with pytest.raises(ValueError, match=f"below {ENSEMBLE_REP_STRIDE}"):
+            sweep_ensemble(small_config, sizes)
+    assert sizes_trained == []
+    sweep_ensemble(small_config, [ENSEMBLE_REP_STRIDE - 1])
+    assert sizes_trained == [[ENSEMBLE_REP_STRIDE - 1]]
+
+
 def test_fine_tune_with_zero_epochs_scores_the_old_model():
     spec = SyntheticSpec(num_classes=4, input_dim=6, samples_per_class=40,
                          cluster_spread=1.0, seed=2)

@@ -17,7 +17,7 @@ through it; the ``ensemble`` method's new side trains in
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from typing import ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -27,7 +27,7 @@ from .flips import report_from_arrays
 from .losses import make_ce_objective
 from .nn import (MLPModel, TrainConfig, Workspace, batch_logits, forward_into,
                  init_model, stack_models, train, with_seed)
-from .tables import csv_text
+from .tables import as_record, csv_text
 
 
 @dataclass
@@ -114,7 +114,8 @@ class SweepResult:
     rows: List[SweepRow]
 
     def to_csv(self) -> str:
-        return csv_text(SweepRow.COLUMNS, map(astuple, self.rows))
+        return csv_text(SweepRow.COLUMNS,
+                        (as_record(r).values() for r in self.rows))
 
 
 def sweep_ensemble_size(old_dims: Sequence[int], new_dims: Sequence[int],

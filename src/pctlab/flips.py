@@ -15,12 +15,12 @@ of ``tables``.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .tables import json_text
+from .tables import as_record, json_text
 
 
 class UndefinedMetricError(ValueError):
@@ -48,7 +48,7 @@ class FlipReport:
     rel_nfr: Optional[float]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return as_record(self)
 
     def to_json(self) -> str:
         return json_text(self.to_dict())

@@ -53,7 +53,7 @@ initialisation or shuffle stream.
 from __future__ import annotations
 
 import statistics
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -70,7 +70,7 @@ from .nn import (MLPModel, TrainConfig, Workspace, batch_logits, init_model,
                  predict_batch, stack_models, train, with_seed)
 from .scenarios import (EvalPlan, ScenarioKind, ScenarioPlan, UpdateScenario,
                         build_scenario, reference_scenario)
-from .tables import csv_text
+from .tables import as_record, csv_text
 
 METHODS = ("no_treatment", "naive", "fd_kl", "fd_lm", "ensemble")
 
@@ -412,7 +412,8 @@ class ComparisonTable:
     results: Dict[str, ExperimentResult] = field(default_factory=dict, repr=False)
 
     def to_csv(self) -> str:
-        return csv_text(MethodRow.COLUMNS, map(astuple, self.rows))
+        return csv_text(MethodRow.COLUMNS,
+                        (as_record(r).values() for r in self.rows))
 
 
 def compare_methods(config: ExperimentConfig,
@@ -459,7 +460,8 @@ class FocalSweepTable:
         default_factory=dict, repr=False)
 
     def to_csv(self) -> str:
-        return csv_text(FocalSweepRow.COLUMNS, map(astuple, self.rows))
+        return csv_text(FocalSweepRow.COLUMNS,
+                        (as_record(r).values() for r in self.rows))
 
 
 def sweep_focal(config: ExperimentConfig,
@@ -510,4 +512,5 @@ def sweep_ensemble(config: ExperimentConfig, sizes: Sequence[int],
 
 def epoch_series_csv(run: RunArtifacts) -> str:
     """Per-epoch metric series, one row per epoch."""
-    return csv_text(EpochMetrics.COLUMNS, map(astuple, run.epochs))
+    return csv_text(EpochMetrics.COLUMNS,
+                    (as_record(e).values() for e in run.epochs))

@@ -41,7 +41,8 @@ from typing import Optional
 
 import numpy as np
 
-from .nn import DimensionError, MLPModel, batch_logits, ce_rows, row_max
+from .nn import (DimensionError, MLPModel, batch_logits, ce_rows,
+                 label_positions, row_max)
 
 DISTANCE_KINDS = ("kl", "logit_match")
 PC_MODES = ("none", "naive", "focal")
@@ -177,11 +178,13 @@ def make_ce_objective(labels: np.ndarray):
 
     def objective(logits, idx):
         y = labels[idx].ravel()
-        losses, probs = ce_rows(logits.reshape(-1, logits.shape[-1]), y)
-        dlogits = probs
-        dlogits[np.arange(y.shape[0]), y] -= 1.0
+        n, k = y.shape[0], logits.shape[-1]
+        at = label_positions(y, k)
+        losses, dlogits = ce_rows(logits.reshape(n, k), y, at=at)
+        dlogits.reshape(-1)[at] -= 1.0
         dlogits /= logits.shape[-2]
-        return float(losses.mean()), dlogits.reshape(logits.shape)
+        # sum() / n is how np.mean divides
+        return float(losses.sum() / n), dlogits.reshape(logits.shape)
 
     return objective
 
@@ -209,11 +212,13 @@ def make_objective(labels: np.ndarray, oracle: Optional[OldModelOracle],
         def objective(logits, idx):
             idx = idx.ravel()
             y = labels[idx]
-            losses, probs = ce_rows(logits.reshape(-1, logits.shape[-1]), y)
+            n, k = y.shape[0], logits.shape[-1]
+            at = label_positions(y, k)
+            losses, dlogits = ce_rows(logits.reshape(n, k), y, at=at)
             w = weight[idx]
-            loss = float(np.mean(w * losses))
-            dlogits = probs
-            dlogits[np.arange(y.shape[0]), y] -= 1.0
+            losses *= w
+            loss = float(losses.sum() / n)
+            dlogits.reshape(-1)[at] -= 1.0
             dlogits *= (w / logits.shape[-2])[:, None]
             return loss, dlogits.reshape(logits.shape)
 
@@ -231,9 +236,10 @@ def make_objective(labels: np.ndarray, oracle: Optional[OldModelOracle],
         idx = idx.ravel()
         y = labels[idx]
         n = y.shape[0]
-        rows = logits.reshape(-1, logits.shape[-1])
+        rows = logits.reshape(n, logits.shape[-1])
+        at = label_positions(y, rows.shape[1])
         m = row_max(rows)[:, None]
-        losses, probs = ce_rows(rows, y, m)
+        losses, dlogits = ce_rows(rows, y, m, at)
         b = logits.shape[-2]
         full = identity and rows.shape[1] == logit_index.size
         cols = slice(None) if full else logit_index
@@ -254,8 +260,7 @@ def make_objective(labels: np.ndarray, oracle: Optional[OldModelOracle],
         f = weight[idx]
         # sum() / n is how np.mean divides
         loss = float(losses.sum() / n + lam * ((f * d).sum() / n))
-        dlogits = probs
-        dlogits[np.arange(n), y] -= 1.0
+        dlogits.reshape(-1)[at] -= 1.0
         dlogits /= b
         sub_grad *= (lam / b) * f[:, None]
         dlogits[:, cols] += sub_grad

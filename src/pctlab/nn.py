@@ -17,6 +17,14 @@ its batches are ``(M, n, dim)``. ``forward_batch``, ``backward_batch`` and
 member j ends bit for bit where training it alone would leave it. A single
 model is the 2-D case of the same code.
 
+``train`` keeps the parameters of the model or stack it trains in one flat
+buffer, with each layer's ``weights`` and ``bias`` as views of it, and the
+gradients and the velocity in two more buffers of that layout, so a step
+allocates no gradient and updates everything in three in-place ops. Bias
+gradients are an einsum that adds the rows in the order of
+``dz.sum(axis=-2)``; a layer of fan_out 1 keeps ``sum``, which adds its
+contiguous rows pairwise (see ``_train_epoch``).
+
 Evaluation runs one model at a time through ``forward_into``, which writes
 each layer's output into a ``Workspace`` buffer that is reused from call to
 call, with relu applied in place. Per-epoch evaluation of a few thousand
@@ -328,59 +336,109 @@ def row_max(x: np.ndarray) -> np.ndarray:
 
 
 def ce_rows(logits: np.ndarray, labels: np.ndarray,
-            m: Optional[np.ndarray] = None) -> tuple:
+            m: Optional[np.ndarray] = None,
+            at: Optional[np.ndarray] = None) -> tuple:
     """Per-row cross-entropy and softmax probabilities of ``(n, K)`` logits.
 
     Returns (losses, probs); callers reuse probs to assemble the gradient
     softmax(logits) - onehot(label). ``m`` is the logits' row max as a
-    column, computed when not given.
+    column and ``at`` the labels' flat positions ``label_positions(labels,
+    K)``, each computed when not given. Labels must lie in [0, K): the flat
+    gather does not check them.
     """
     if m is None:
         m = row_max(logits)[:, None]
-    e = np.exp(logits - m)
+    if at is None:
+        at = label_positions(labels, logits.shape[1])
+    e = np.subtract(logits, m)
+    np.exp(e, out=e)
     s = e.sum(axis=1, keepdims=True)
-    losses = m[:, 0] + np.log(s[:, 0]) - logits[np.arange(logits.shape[0]), labels]
-    return losses, e / s
+    losses = m[:, 0] + np.log(s[:, 0])
+    losses -= logits.take(at)
+    e /= s
+    return losses, e
 
 
-def backward_batch(model: MLPModel, cache: BatchCache,
-                   dlogits: np.ndarray) -> List[tuple]:
+def label_positions(labels: np.ndarray, k: int) -> np.ndarray:
+    """Flat positions ``arange(n) * k + labels`` of each row's label in
+    ``(n, k)`` rows: one 1-D index, cheaper than ``[arange(n), labels]``."""
+    at = np.arange(labels.shape[0]) * k
+    at += labels
+    return at
+
+
+def backward_batch(model: MLPModel, cache: BatchCache, dlogits: np.ndarray,
+                   out: Optional[List[tuple]] = None) -> List[tuple]:
     """Exact gradients of the scalar loss whose logit gradient is given.
 
-    Returns one ``(dW, db)`` pair per layer, shapes matching the parameters.
+    Returns one ``(dW, db)`` pair per layer, shapes matching the parameters,
+    written into ``out``'s arrays when given (``train`` passes views of its
+    flat gradient buffer) and into fresh arrays otherwise.
     """
     dlogits = np.ascontiguousarray(dlogits, dtype=np.float64)
     if dlogits.shape != cache.logits.shape:
         raise DimensionError(
             f"dlogits shape {dlogits.shape} != logits shape {cache.logits.shape}")
-    grads: List[tuple] = [None] * len(model.layers)
+    if out is None:
+        out = [(np.empty_like(l.weights), np.empty_like(l.bias))
+               for l in model.layers]
     dz = dlogits
     for i in range(len(model.layers) - 1, -1, -1):
         a_prev = cache.x if i == 0 else cache.activations[i - 1]
-        grads[i] = (a_prev.swapaxes(-1, -2) @ dz, dz.sum(axis=-2))
+        dw, db = out[i]
+        np.matmul(a_prev.swapaxes(-1, -2), dz, out=dw)
+        _bias_grad(dz, db)
         if i > 0:
             dz = dz @ model.layers[i].weights.swapaxes(-1, -2)
             if model.layers[i - 1].activation == "relu":
                 dz *= cache.pre_activations[i - 1] > 0.0
-    return grads
+    return out
 
 
-def zero_velocity(model: MLPModel) -> List[tuple]:
-    return [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.layers]
+def _bias_grad(dz: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``dz.sum(axis=-2)`` into ``out``, bit for bit (see ``_train_epoch``)."""
+    if dz.shape[-1] == 1:
+        return dz.sum(axis=-2, out=out)
+    return np.einsum("...bf->...f", dz, out=out)
 
 
-def sgd_step(model: MLPModel, grads: List[tuple], velocity: List[tuple],
+def sgd_step(params: np.ndarray, grads: np.ndarray, velocity: np.ndarray,
              config: TrainConfig, epoch: int) -> None:
-    """In-place momentum update: v <- mu*v - lr_t*g; w <- w + v."""
-    lr = config.lr_at(epoch)
-    mu = config.momentum
-    for layer, (dw, db), (vw, vb) in zip(model.layers, grads, velocity):
-        if dw.shape != layer.weights.shape or db.shape != layer.bias.shape:
-            raise DimensionError("gradient shapes do not match model parameters")
-        for param, vel, grad in ((layer.weights, vw, dw), (layer.bias, vb, db)):
-            vel *= mu
-            vel -= lr * grad
-            param += vel
+    """In-place momentum update over flat arrays of one layout:
+    v <- mu*v - lr_t*g; p <- p + v. ``grads`` is scaled by lr_t in place,
+    so the step allocates no temporary."""
+    if grads.shape != params.shape or velocity.shape != params.shape:
+        raise DimensionError("gradient shapes do not match model parameters")
+    velocity *= config.momentum
+    grads *= config.lr_at(epoch)
+    velocity -= grads
+    params += velocity
+
+
+def _views(flat: np.ndarray, model: MLPModel) -> List[tuple]:
+    """One ``(weights, bias)`` pair of views of ``flat`` per layer, shaped
+    like ``model``'s, laid out layer by layer."""
+    views, at = [], 0
+    for layer in model.layers:
+        pair = []
+        for shape in (layer.weights.shape, layer.bias.shape):
+            size = math.prod(shape)
+            pair.append(flat[at:at + size].reshape(shape))
+            at += size
+        views.append(tuple(pair))
+    return views
+
+
+def _flat_copy(model: MLPModel) -> tuple:
+    """A copy of ``model`` whose parameters are views of one flat buffer,
+    returned with it."""
+    flat = np.empty(model.parameter_count())
+    layers = []
+    for layer, (w, b) in zip(model.layers, _views(flat, model)):
+        w[...] = layer.weights
+        b[...] = layer.bias
+        layers.append(Layer(w, b, layer.activation))
+    return MLPModel(layers), flat
 
 
 def train(model: MLPModel, features: np.ndarray, labels: np.ndarray,
@@ -410,19 +468,36 @@ def train(model: MLPModel, features: np.ndarray, labels: np.ndarray,
     if labels.min() < 0 or labels.max() >= model.num_classes:
         raise ValueError("labels out of range for the model's class count")
 
-    model = model.copy()
-    velocity = zero_velocity(model)
+    model, params = _flat_copy(model)
+    grads, velocity = np.empty_like(params), np.zeros_like(params)
     for epoch in range(config.epochs):
-        _train_epoch(model, features, objective, velocity, config, epoch)
+        _train_epoch(model, features, objective, params, grads, velocity,
+                     config, epoch)
         if on_epoch_end is not None:
             on_epoch_end(epoch, model)
     return TrainResult(model)
 
 
 def _train_epoch(model: MLPModel, features: np.ndarray, objective: Objective,
-                 velocity: List[tuple], config: TrainConfig, epoch: int) -> None:
+                 params: np.ndarray, grads: np.ndarray, velocity: np.ndarray,
+                 config: TrainConfig, epoch: int) -> None:
     """One epoch of steps; the stacked shuffle and the last batch's arrays
-    die on return, before ``on_epoch_end`` runs."""
+    die on return, before ``on_epoch_end`` runs.
+
+    ``params`` is the flat buffer that the model's layers view, and
+    ``grads`` and ``velocity`` are flat buffers of the same layout.
+    ``backward_batch`` writes each step's gradients into views of
+    ``grads``, so no step allocates them, and ``sgd_step`` runs its three
+    in-place ops over the whole buffers: per element the same arithmetic
+    as one update per array.
+
+    Bias gradients are the einsum ``"...bf->...f"``. For fan_out F >= 2,
+    ``dz.sum(axis=-2)`` adds the rows one after another, and so does the
+    einsum, bit for bit, in about a third of the time at 64 rows. At F = 1
+    the rows are contiguous, so ``sum`` adds them in pairwise order, which
+    the einsum does not follow; that case keeps ``sum``.
+    """
+    grad_views = _views(grads, model)
     n = features.shape[0]
     size = model.stack_size
     if size is None:
@@ -435,8 +510,8 @@ def _train_epoch(model: MLPModel, features: np.ndarray, objective: Objective,
         idx = order[..., start:start + bs]
         cache = forward_batch(model, features.take(idx, axis=0))
         _, dlogits = objective(cache.logits, idx)
-        grads = backward_batch(model, cache, dlogits)
-        sgd_step(model, grads, velocity, config, epoch)
+        backward_batch(model, cache, dlogits, out=grad_views)
+        sgd_step(params, grads, velocity, config, epoch)
 
 
 def with_seed(config: TrainConfig, seed: int) -> TrainConfig:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import asdict, astuple
 from typing import List, Sequence
 
 from .config import document_from_experiment, experiment_from_document
@@ -21,7 +20,7 @@ from .flips import FlipReport
 from .harness import (ComparisonTable, EpochMetrics, ExperimentResult,
                       FocalSweepRow, FocalSweepTable, MethodRow, RunArtifacts,
                       epoch_series_csv)
-from .tables import csv_text, json_text
+from .tables import as_record, csv_text, json_text
 
 FORMATS = ("csv", "json")
 
@@ -44,7 +43,7 @@ def result_to_document(result: ExperimentResult) -> dict:
         "config": config_doc,
         "er_old": result.er_old,
         "old_param_count": result.old_param_count,
-        "runs": [asdict(run) for run in result.runs],
+        "runs": [as_record(run) for run in result.runs],
     }
 
 
@@ -65,7 +64,8 @@ def load_result(path: str) -> ExperimentResult:
 
 
 def summary_csv(result: ExperimentResult) -> str:
-    return csv_text(MethodRow.COLUMNS, [astuple(MethodRow.of(result))])
+    return csv_text(MethodRow.COLUMNS,
+                    [as_record(MethodRow.of(result)).values()])
 
 
 def write_experiment(result: ExperimentResult, out_dir: str,
@@ -99,7 +99,7 @@ def _write_table(table, columns: Sequence[str], out_dir: str, name: str,
     os.makedirs(out_dir, exist_ok=True)
     files = [_write(os.path.join(out_dir, f"{name}.csv"), table.to_csv())]
     if fmt == "json":
-        rows = [dict(zip(columns, astuple(r))) for r in table.rows]
+        rows = [dict(zip(columns, as_record(r).values())) for r in table.rows]
         files.append(_write(os.path.join(out_dir, f"{name}.json"),
                             json_text({"rows": rows})))
     return files

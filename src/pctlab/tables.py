@@ -12,7 +12,26 @@ from __future__ import annotations
 import csv
 import io
 import json
+from dataclasses import fields, is_dataclass
 from typing import Iterable, Sequence
+
+
+def as_record(obj) -> dict:
+    """The fields of dataclass instance ``obj`` by name, in field order,
+    recursing only into nested dataclasses and lists.
+
+    Unlike ``dataclasses.asdict`` it copies no value: the files it feeds
+    read each value once, so a deep copy would only cost time.
+    """
+    return {f.name: _record_value(getattr(obj, f.name)) for f in fields(obj)}
+
+
+def _record_value(value):
+    if isinstance(value, (float, int, str)) or value is None:
+        return value
+    if isinstance(value, list):
+        return [_record_value(v) for v in value]
+    return as_record(value) if is_dataclass(value) else value
 
 
 def _cell(value):

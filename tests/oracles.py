@@ -3,8 +3,10 @@
 ``pctlab`` computes on whole batches: objectives through
 ``losses.make_objective``, flip counts through ``flips.report_from_arrays``.
 The functions here are the slow, obvious per-sample and per-record forms
-that the tests check those batch paths against, plus the CSV reader that
-checks ``Dataset.to_csv`` round-trips. Nothing under ``src/`` calls them.
+that the tests check those batch paths against, the training step in its
+per-array form (fresh gradient arrays, row sums, one update per array)
+that ``nn.train`` must match bit for bit, plus the CSV reader that checks
+``Dataset.to_csv`` round-trips. Nothing under ``src/`` calls them.
 """
 
 from __future__ import annotations
@@ -23,7 +25,9 @@ from pctlab.datasets import SPLIT_NAMES, Dataset
 from pctlab.flips import FlipReport, report_from_counts
 from pctlab.losses import (DistanceSpec, FilterSpec, OldModelOracle,
                            PCLossConfig, distance_kl)
-from pctlab.nn import DimensionError, MLPModel, ce_rows, predict_batch
+from pctlab.nn import (DimensionError, MLPModel, TrainConfig, ce_rows,
+                       forward_batch, predict_batch)
+from pctlab.rng import STREAM_SHUFFLE, stream_rng
 
 # ---------------------------------------------------------------------------
 # nn
@@ -45,6 +49,66 @@ def cross_entropy(logits: np.ndarray, label: int) -> float:
 
 def error_rate(model: MLPModel, x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(predict_batch(model, x) != np.asarray(y)))
+
+
+def ce_rows_2d(logits: np.ndarray, labels: np.ndarray) -> tuple:
+    """``nn.ce_rows`` with every op a fresh array and a 2-D label gather."""
+    m = logits.max(axis=1, keepdims=True)
+    e = np.exp(logits - m)
+    s = e.sum(axis=1, keepdims=True)
+    rows = np.arange(logits.shape[0])
+    return m[:, 0] + np.log(s[:, 0]) - logits[rows, labels], e / s
+
+
+def backward_per_array(model: MLPModel, cache, dlogits: np.ndarray) -> list:
+    """``nn.backward_batch`` into fresh arrays, bias gradients as row sums."""
+    grads = [None] * len(model.layers)
+    dz = dlogits
+    for i in range(len(model.layers) - 1, -1, -1):
+        a_prev = cache.x if i == 0 else cache.activations[i - 1]
+        grads[i] = (a_prev.swapaxes(-1, -2) @ dz, dz.sum(axis=-2))
+        if i > 0:
+            dz = dz @ model.layers[i].weights.swapaxes(-1, -2)
+            if model.layers[i - 1].activation == "relu":
+                dz *= cache.pre_activations[i - 1] > 0.0
+    return grads
+
+
+def zero_velocity(model: MLPModel) -> list:
+    return [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.layers]
+
+
+def sgd_step_per_array(model: MLPModel, grads: list, velocity: list,
+                       config: TrainConfig, epoch: int) -> None:
+    """``nn.sgd_step`` as one momentum update per weight and bias array."""
+    lr, mu = config.lr_at(epoch), config.momentum
+    for layer, (dw, db), (vw, vb) in zip(model.layers, grads, velocity):
+        for param, vel, grad in ((layer.weights, vw, dw), (layer.bias, vb, db)):
+            vel *= mu
+            vel -= lr * grad
+            param += vel
+
+
+def train_per_array(model: MLPModel, features: np.ndarray, objective,
+                    config: TrainConfig) -> MLPModel:
+    """``nn.train``'s shuffle and steps, with the per-array backward and
+    update above; returns the trained copy of ``model``."""
+    model = model.copy()
+    velocity = zero_velocity(model)
+    n, size, bs = features.shape[0], model.stack_size, config.batch_size
+    for epoch in range(config.epochs):
+        if size is None:
+            order = stream_rng(config.seed, STREAM_SHUFFLE, epoch).permutation(n)
+        else:
+            order = np.stack([stream_rng(config.seed + j, STREAM_SHUFFLE, epoch)
+                              .permutation(n) for j in range(size)])
+        for start in range(0, n, bs):
+            idx = order[..., start:start + bs]
+            cache = forward_batch(model, features.take(idx, axis=0))
+            _, dlogits = objective(cache.logits, idx)
+            sgd_step_per_array(model, backward_per_array(model, cache, dlogits),
+                               velocity, config, epoch)
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -142,21 +206,35 @@ def log_softmax_rows(x: np.ndarray) -> np.ndarray:
     return x - m - np.log(np.exp(x - m).sum(axis=1, keepdims=True))
 
 
+def ce_objective(labels: np.ndarray):
+    """``make_ce_objective`` through ``ce_rows_2d``, a 2-D scatter and
+    ``np.mean``."""
+    def objective(logits, idx):
+        y = labels[idx].ravel()
+        losses, probs = ce_rows_2d(logits.reshape(-1, logits.shape[-1]), y)
+        dlogits = probs
+        dlogits[np.arange(y.shape[0]), y] -= 1.0
+        dlogits /= logits.shape[-2]
+        return float(losses.mean()), dlogits.reshape(logits.shape)
+
+    return objective
+
+
 def per_step_objective(labels: np.ndarray, oracle: OldModelOracle,
                        config: PCLossConfig):
     """``make_objective``'s naive and focal batch objectives in their
     per-step form: every old-side quantity is computed from the gathered
     rows on each call, the focal term always gathers the new logits by
     ``logit_index`` and scatter-adds its gradient back, the KL term takes
-    its own row maxima, every operation makes a fresh array and the loss
-    uses ``np.mean``."""
+    its own row maxima, every operation makes a fresh array, the CE part
+    runs ``ce_rows_2d`` and the loss uses ``np.mean``."""
     lam, filt, dist = config.lam, config.filter, config.distance
 
     def objective(logits, idx):
         idx = idx.ravel()
         y = labels[idx]
         rows = logits.reshape(-1, logits.shape[-1])
-        losses, probs = ce_rows(rows, y)
+        losses, probs = ce_rows_2d(rows, y)
         b = logits.shape[-2]
         dlogits = probs
         dlogits[np.arange(y.shape[0]), y] -= 1.0

@@ -118,20 +118,24 @@ def test_ce_rows_matches_logsumexp_oracle():
 
 
 def test_sgd_update_matches_formula_exactly():
+    """The update runs over flat buffers: here one (4, 3) layer's weights
+    and bias, laid out as ``train`` lays them out."""
     rng = _rng(5)
     layer = nn.Layer(rng.standard_normal((4, 3)), rng.standard_normal(3), "identity")
-    params = [layer.weights, layer.bias]
-    before = [p.copy() for p in params]
-    velocity = [rng.standard_normal(p.shape) for p in params]
-    v_before = [v.copy() for v in velocity]
-    grads = [rng.standard_normal(p.shape) for p in params]
+    params = np.concatenate([layer.weights.ravel(), layer.bias])
+    before = params.copy()
+    velocity = np.concatenate([rng.standard_normal(12), rng.standard_normal(3)])
+    v_before = velocity.copy()
+    grads = np.concatenate([rng.standard_normal(12), rng.standard_normal(3)])
+    g_before = grads.copy()
     lr, mu = 0.05, 0.9
-    nn.sgd_step(nn.MLPModel([layer]), [tuple(grads)], [tuple(velocity)],
+    nn.sgd_step(params, grads, velocity,
                 nn.TrainConfig(learning_rate=lr, momentum=mu), epoch=0)
-    for p, p0, v, v0, g in zip(params, before, velocity, v_before, grads):
-        v_expect = mu * v0 - lr * g
-        np.testing.assert_array_equal(v, v_expect)
-        np.testing.assert_array_equal(p, p0 + v_expect)
+    v_expect = mu * v_before - lr * g_before
+    np.testing.assert_array_equal(velocity, v_expect)
+    np.testing.assert_array_equal(params, before + v_expect)
+    with pytest.raises(nn.DimensionError):
+        nn.sgd_step(params, grads[:-1], velocity, nn.TrainConfig(), epoch=0)
 
 
 def test_argmax_rows_ties_resolve_to_lowest_index():

@@ -11,9 +11,9 @@ import zlib
 import numpy as np
 import pytest
 
-from oracles import (OracleEntry, ce_value_grad, cross_entropy, distance_lm,
-                     filter_weight, oracle_entry, pc_loss_focal, pc_loss_naive,
-                     per_step_objective, total_objective)
+from oracles import (OracleEntry, ce_objective, ce_value_grad, cross_entropy,
+                     distance_lm, filter_weight, oracle_entry, pc_loss_focal,
+                     pc_loss_naive, per_step_objective, total_objective)
 from pctlab import nn
 from pctlab.losses import (DistanceSpec, FilterSpec, OldModelOracle,
                            PCLossConfig, distance_kl, make_ce_objective,
@@ -317,6 +317,24 @@ def test_hoisted_objective_equals_per_step_form_bit_for_bit(name, cfg, index):
         assert loss == want_loss
         np.testing.assert_array_equal(dlogits.view(np.uint64),
                                       want.view(np.uint64))
+
+
+def test_ce_objective_equals_per_array_form_bit_for_bit():
+    """The in-place ``ce_rows``, the flat label index and the loss as
+    ``sum() / n`` leave every bit of the CE loss and gradient unchanged."""
+    rng = np.random.default_rng(9)
+    y = rng.integers(0, 7, size=40).astype(np.int64)
+    trimmed, reference = make_ce_objective(y), ce_objective(y)
+    for m, b in ((5, 16), (1, 7), (3, 1)):
+        stack = rng.standard_normal((m, b, 7)) * 3
+        rows = np.stack([rng.permutation(40)[:b] for _ in range(m)])
+        for logits, idx in ((stack, rows), (stack[0], rows[0])):
+            loss, dlogits = trimmed(logits.copy(), idx)
+            want_loss, want = reference(logits.copy(), idx)
+            assert np.float64(loss).view(np.uint64) == \
+                np.float64(want_loss).view(np.uint64)
+            np.testing.assert_array_equal(dlogits.view(np.uint64),
+                                          want.view(np.uint64))
 
 
 @pytest.mark.parametrize("tau", [0.5, 1.0, 100.0])

@@ -10,9 +10,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import cross_entropy, error_rate, softmax
+from oracles import (ce_objective, cross_entropy, error_rate,
+                     per_step_objective, softmax, train_per_array)
 from pctlab import nn
-from pctlab.losses import make_ce_objective
+from pctlab.losses import (DistanceSpec, OldModelOracle, PCLossConfig,
+                           make_ce_objective, make_objective)
 from pctlab.rng import STREAM_SHUFFLE, stream_rng
 
 
@@ -195,6 +197,101 @@ def test_backward_matches_central_differences():
                 flat[i] = keep
                 fd = (up - down) / (2 * h)
                 assert abs(fd - gflat[i]) <= 1e-6 + 1e-5 * abs(fd)
+
+
+def _bits(x: np.ndarray) -> np.ndarray:
+    """The bits of ``x``, with every NaN as the one positive quiet NaN."""
+    return np.where(np.isnan(x), np.nan, x).view(np.uint64)
+
+
+@pytest.mark.parametrize("lead", [(), (1,), (3,), (16,)])
+def test_bias_gradient_equals_row_sum_bit_for_bit(lead):
+    """``backward_batch``'s bias gradient equals ``dz.sum(axis=-2)`` in
+    every bit, sign of zero included, with +-inf, NaN, -0.0 and values near
+    1e+-300 among the rows. At F = 1 the einsum adds the rows in another
+    order than ``sum``'s pairwise one (checked on plain rows below), so the
+    match there shows that F = 1 goes through ``sum``. A numpy upgrade that
+    changes either order fails here.
+
+    A NaN compares as NaN, whatever its sign bit: inf - inf makes a NaN
+    with the sign bit set, and when it meets a NaN without it, the sum's
+    SIMD add and the einsum keep different operands. No result reads the
+    sign of a NaN."""
+    rng = np.random.default_rng(31)
+    specials = np.array([np.inf, -np.inf, np.nan, -0.0,
+                         1e300, -1e300, 1e-300, -1e-300])
+    einsum_differs_at_f1 = False
+    for b in (1, 2, 7, 8, 9, 64, 512):
+        for f in (1, 2, 3, 10, 32, 256):
+            model = nn.MLPModel([nn.Layer(np.zeros(lead + (1, f)),
+                                          np.zeros(lead + (f,)), "identity")])
+            cache = nn.forward_batch(model, np.zeros(lead + (b, 1)))
+            plain = rng.standard_normal(lead + (b, f))
+            dz = plain * 10.0 ** rng.integers(-300, 300, size=plain.shape)
+            hit = rng.random(dz.shape) < 0.05
+            dz[hit] = rng.choice(specials, size=hit.sum())
+            dz[..., 0] = -0.0
+            for rows in (plain, dz):
+                with np.errstate(all="ignore"):
+                    (_, got), = nn.backward_batch(model, cache, rows)
+                    want = rows.sum(axis=-2)
+                np.testing.assert_array_equal(_bits(got), _bits(want))
+            if f == 1:
+                einsum_differs_at_f1 |= not np.array_equal(
+                    np.einsum("...bf->...f", plain), plain.sum(axis=-2))
+    assert einsum_differs_at_f1
+
+
+def _step_case(method: str, class_map):
+    """Labels, objective and its per-array oracle for one method, on 50
+    rows (three batches of 16 and a ragged one of 2) and 5 new classes.
+    ``class_map`` sends the old model's 4 classes to new labels, as a
+    class-increment update does, or is None for 5 shared classes."""
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((50, 4))
+    y = rng.integers(0, 5, size=50).astype(np.int64)
+    if method == "ce":
+        return x, y, make_ce_objective(y), ce_objective(y)
+    old = nn.init_model([4, 6, 5 if class_map is None else 4], seed=3)
+    oracle = OldModelOracle.from_model(old, x, y, class_map=class_map)
+    cfg = {"naive": PCLossConfig(mode="naive", lam=0.7),
+           "fd_kl": PCLossConfig(mode="focal", lam=1.0,
+                                 distance=DistanceSpec("kl", 2.0)),
+           "fd_lm": PCLossConfig(mode="focal", lam=1.0,
+                                 distance=DistanceSpec("logit_match"))}[method]
+    return x, y, make_objective(y, oracle, cfg), per_step_objective(y, oracle, cfg)
+
+
+@pytest.mark.parametrize("members", [None, 1, 5])
+@pytest.mark.parametrize("method,class_map,dims", [
+    ("ce", None, [4, 8, 5]),
+    ("ce", None, [4, 6, 1, 5]),
+    ("naive", None, [4, 8, 5]),
+    ("fd_kl", None, [4, 8, 5]),
+    ("fd_kl", [4, 0, 2, 1], [4, 8, 5]),
+    ("fd_lm", None, [4, 8, 5]),
+    ("fd_lm", [4, 0, 2, 1], [4, 8, 5]),
+])
+def test_train_equals_the_per_array_step_bit_for_bit(members, method,
+                                                     class_map, dims):
+    """Flat parameter, gradient and velocity buffers, einsum bias gradients
+    and the trimmed objectives end every weight where the per-array step of
+    ``tests/oracles.py`` ends it, bit for bit: for one model and stacks of
+    1 and 5, under CE, naive, fd_kl and fd_lm, through a class-increment
+    ``logit_index``, a 1-wide hidden layer and a ragged last batch, across a
+    learning-rate step."""
+    x, y, objective, oracle = _step_case(method, class_map)
+    models = [nn.init_model(dims, seed=s) for s in range(members or 1)]
+    model = models[0] if members is None else nn.stack_models(models)
+    cfg = nn.TrainConfig(learning_rate=0.05, epochs=3, batch_size=16,
+                         lr_decay_every=2, seed=7)
+    got = nn.train(model, x, y, objective, cfg).model
+    want = train_per_array(model, x, oracle, cfg)
+    for g, w in zip(got.layers, want.layers):
+        np.testing.assert_array_equal(g.weights.view(np.uint64),
+                                      w.weights.view(np.uint64))
+        np.testing.assert_array_equal(g.bias.view(np.uint64),
+                                      w.bias.view(np.uint64))
 
 
 def test_backward_rejects_mismatched_dlogits():

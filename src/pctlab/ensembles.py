@@ -3,8 +3,9 @@
 An ensemble predicts the argmax of its member logits summed in member
 order. The sum skips the 1/L of the mean, so one exact rule scores every
 ensemble: the old side, the new side of every run (a single model is an
-ensemble of one) and every size of the sweep; ``Ensemble.predict_batch``
-evaluates it in the reusable buffers of an ``nn.Workspace``.
+ensemble of one) and every size of the sweep; ``Ensemble.logit_sums``
+keeps that sum for L = 1, 2, ... in the reusable buffers of an
+``nn.Workspace``.
 ``train_ensemble`` trains CE members: member j from seed base_seed + j
 (its init and its shuffle), all members in lockstep as one
 ``(M, fan_in, fan_out)`` weight stack through a single ``nn.train`` call.
@@ -56,20 +57,25 @@ class Ensemble:
         stacked = np.stack([batch_logits(m, x) for m in self.members])
         return stacked.mean(axis=0)
 
+    def logit_sums(self, x: np.ndarray, workspace: Workspace, key="sum"):
+        """Yield the member-order logit sum of the first L members, for
+        L = 1, 2, ..., size, updated in place in ``workspace``'s buffer
+        ``key``: its own buffer, because each member's ``forward_into``
+        overwrites the last one's logits."""
+        total = workspace.get(key, (len(x), self.num_classes))
+        total[...] = forward_into(self.members[0], x, workspace)
+        yield total
+        for m in self.members[1:]:
+            total += forward_into(m, x, workspace)
+            yield total
+
     def predict_batch(self, x: np.ndarray,
                       workspace: Optional[Workspace] = None) -> np.ndarray:
         """Argmax of the member logits summed in member order; ties resolve
-        to the lowest index.
-
-        The members' forwards and their sum use ``workspace``'s buffers, a
-        fresh workspace when none is given. The sum has its own buffer,
-        because each forward overwrites the last one's logits.
-        """
-        workspace = Workspace() if workspace is None else workspace
-        total = workspace.get("sum", (len(x), self.num_classes))
-        total[...] = forward_into(self.members[0], x, workspace)
-        for m in self.members[1:]:
-            total += forward_into(m, x, workspace)
+        to the lowest index. The sum runs in ``workspace``'s buffers, a
+        fresh workspace when none is given."""
+        *_, total = self.logit_sums(x, Workspace() if workspace is None
+                                    else workspace)
         return np.argmax(total, axis=1)
 
     def parameter_count(self) -> int:
@@ -146,14 +152,16 @@ def sweep_ensemble_size(old_dims: Sequence[int], new_dims: Sequence[int],
                              old_base_seed)
     new_ens = train_ensemble(new_dims, train_x, train_y, config, top,
                              new_base_seed)
-    old_logits = np.cumsum([batch_logits(m, test_x) for m in old_ens.members], axis=0)
-    new_logits = np.cumsum([batch_logits(m, test_x) for m in new_ens.members], axis=0)
-
-    rows = []
+    workspace = Workspace()
+    old_sums = old_ens.logit_sums(test_x, workspace, "old")
+    new_sums = new_ens.logit_sums(test_x, workspace, "new")
+    rows, summed = [], 0
     for size in sizes:
-        old_preds = np.argmax(old_logits[size - 1], axis=1)
-        new_preds = np.argmax(new_logits[size - 1], axis=1)
-        report = report_from_arrays(test_y, old_preds, new_preds)
+        for _ in range(size - summed):
+            old_total, new_total = next(old_sums), next(new_sums)
+        summed = size
+        report = report_from_arrays(test_y, np.argmax(old_total, axis=1),
+                                    np.argmax(new_total, axis=1))
         rows.append(SweepRow(size, report.er_old, report.er_new, report.nfr,
                              report.rel_nfr))
     return SweepResult(rows)

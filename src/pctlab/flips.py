@@ -15,7 +15,7 @@ of ``tables``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -47,15 +47,8 @@ class FlipReport:
     pfr: float
     rel_nfr: Optional[float]
 
-    def to_dict(self) -> dict:
-        return as_record(self)
-
     def to_json(self) -> str:
-        return json_text(self.to_dict())
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FlipReport":
-        return cls(**{f.name: d[f.name] for f in fields(cls)})
+        return json_text(as_record(self))
 
 
 def _quadrant_counts(true_labels: np.ndarray, old_preds: np.ndarray,

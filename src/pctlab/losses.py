@@ -41,8 +41,10 @@ from typing import Optional
 
 import numpy as np
 
-from .nn import (DimensionError, MLPModel, batch_logits, ce_rows,
-                 label_positions, row_max)
+# batch_logits is not called here; it stays importable from this module
+# because pctbench/tracing.py wraps it by name
+from .nn import (DimensionError, MLPModel, Workspace, batch_logits, ce_rows,
+                 forward_into, label_positions, row_max)
 
 DISTANCE_KINDS = ("kl", "logit_match")
 PC_MODES = ("none", "naive", "focal")
@@ -121,7 +123,7 @@ class OldModelOracle:
         reference model's class j denotes; identity when omitted.
         """
         labels = np.asarray(labels, dtype=np.int64)
-        logits = batch_logits(model, features)
+        logits = forward_into(model, features, Workspace())
         preds = np.argmax(logits, axis=1)
         if class_map is not None:
             class_map = np.asarray(class_map, dtype=np.int64)

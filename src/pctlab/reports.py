@@ -14,12 +14,10 @@ import json
 import os
 from typing import List, Sequence
 
-from .config import document_from_experiment, experiment_from_document
+from .config import experiment_from_document, from_document, to_document
 from .ensembles import SweepResult, SweepRow
-from .flips import FlipReport
-from .harness import (ComparisonTable, EpochMetrics, ExperimentResult,
-                      FocalSweepRow, FocalSweepTable, MethodRow, RunArtifacts,
-                      epoch_series_csv)
+from .harness import (ComparisonTable, ExperimentResult, FocalSweepRow,
+                      FocalSweepTable, MethodRow, epoch_series_csv)
 from .tables import as_record, csv_text, json_text
 
 FORMATS = ("csv", "json")
@@ -37,7 +35,7 @@ def _write(path: str, text: str) -> str:
 
 
 def result_to_document(result: ExperimentResult) -> dict:
-    config_doc = document_from_experiment(result.config)
+    config_doc = to_document(result.config)
     config_doc["output_dir"] = None  # destination is not part of the experiment
     return {
         "config": config_doc,
@@ -48,14 +46,8 @@ def result_to_document(result: ExperimentResult) -> dict:
 
 
 def result_from_document(doc: dict) -> ExperimentResult:
-    runs = [RunArtifacts(int(r["repetition"]), int(r["seed"]),
-                         int(r["param_count"]),
-                         [EpochMetrics(**e) for e in r["epochs"]],
-                         FlipReport.from_dict(r["final"]))
-            for r in doc["runs"]]
-    return ExperimentResult(experiment_from_document(doc["config"]),
-                            float(doc["er_old"]), int(doc["old_param_count"]),
-                            runs)
+    return from_document(ExperimentResult, doc, "artifacts",
+                         config=experiment_from_document(doc["config"]))
 
 
 def load_result(path: str) -> ExperimentResult:

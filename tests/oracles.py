@@ -21,6 +21,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from pctlab.config import from_document
 from pctlab.datasets import SPLIT_NAMES, Dataset
 from pctlab.flips import FlipReport, report_from_counts
 from pctlab.losses import (DistanceSpec, FilterSpec, OldModelOracle,
@@ -325,7 +326,7 @@ def flip_report(records: Sequence[PredictionRecord]) -> FlipReport:
 
 
 def flip_report_from_json(text: str) -> FlipReport:
-    return FlipReport.from_dict(json.loads(text))
+    return from_document(FlipReport, json.loads(text), "report")
 
 
 # ---------------------------------------------------------------------------

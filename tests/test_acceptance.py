@@ -81,9 +81,10 @@ def naive_result(reference_config, reference_state):
 @pytest.fixture(scope="module")
 def focal_table(reference_config, reference_state):
     cfg = replace(reference_config, method="fd_lm")
-    # the oversized-beta grid point is expected to blow its loss values up;
-    # the run still completes and is scored on predictions, not on the loss
-    with np.errstate(over="ignore"):
+    # the oversized-beta grid point is expected to blow its loss values up
+    # (overflow, then NaN); the run still completes and is scored on
+    # predictions, not on the loss
+    with np.errstate(over="ignore", invalid="ignore"):
         return sweep_focal(cfg, FOCAL_GRID, reference_state)
 
 

@@ -140,6 +140,18 @@ def test_report_reemits_identical_files(config_path, tmp_path):
     assert mismatch == [] and errors == []
 
 
+def test_report_reemits_stored_artifacts(tmp_path):
+    """``data/artifacts.json`` is a tiny two-repetition run written before
+    the config codec was derived from the dataclasses: it still loads, and
+    ``report`` writes it back byte for byte in either format."""
+    stored = os.path.join(os.path.dirname(__file__), "data", "artifacts.json")
+    for fmt in reports.FORMATS:
+        out_dir = tmp_path / fmt
+        assert main(["report", "--artifacts", stored, "--out", str(out_dir),
+                     "--format", fmt]) == 0
+        assert _read(str(out_dir / "artifacts.json")) == _read(stored)
+
+
 def test_errors_exit_nonzero_with_one_line_diagnostic(tmp_path, capsys):
     bad = tmp_path / "bad.yaml"
     bad.write_text("method: bogus\n", encoding="utf-8")

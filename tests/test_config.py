@@ -1,20 +1,22 @@
 """YAML config parsing: round trips, defaults, and strict key checking."""
 
 import os
+import re
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
+from typing import get_type_hints
 
 import pytest
 
 import pctlab
-from pctlab.config import (ConfigError, apply_overrides, document_from_experiment,
-                           dump_config, ensemble_sizes_from_document,
+from pctlab.config import (ConfigError, apply_overrides, dump_config,
+                           ensemble_sizes_from_document,
                            experiment_from_document, focal_grid_from_document,
                            load_config, load_document, loads_config,
-                           methods_from_document)
-from pctlab.datasets import SyntheticSpec
+                           methods_from_document, to_document)
+from pctlab.datasets import DegenerateSpecError, SyntheticSpec
 from pctlab.harness import ExperimentConfig
 from pctlab.losses import DistanceSpec, FilterSpec, PCLossConfig
 from pctlab.nn import TrainConfig
@@ -54,7 +56,7 @@ def _sample_configs():
 
 @pytest.mark.parametrize("config", _sample_configs())
 def test_document_round_trip_is_identity(config):
-    doc = document_from_experiment(config)
+    doc = to_document(config)
     assert experiment_from_document(doc) == config
     # and through YAML text as well
     assert loads_config(dump_config(config)) == config
@@ -103,6 +105,118 @@ def test_unknown_keys_fail_loudly():
         loads_config("scenario: {init_from_old: true}")
 
 
+_ALLOWED = {
+    "config": "['dataset', 'ensemble_size', 'ensemble_sizes', 'focal_grid', "
+              "'method', 'methods', 'output_dir', 'pc', 'repetitions', "
+              "'scenario', 'train']",
+    "dataset": "['class_center_scale', 'cluster_spread', 'input_dim', 'k', "
+               "'label_noise', 'samples_per_class', 'seed']",
+    "scenario": "['init_from_old', 'kind', 'new_data', 'new_model', "
+                "'old_data', 'old_model']",
+    "scenario.old_model": "['activation', 'hidden_dims']",
+    "scenario.new_data": "['class_subset', 'sample_fraction', 'subset_seed']",
+    "train": "['batch_size', 'epochs', 'learning_rate', 'lr_decay_every', "
+             "'lr_decay_factor', 'momentum', 'seed', 'weight_init']",
+    "pc": "['alpha', 'beta', 'distance', 'lambda', 'tau']",
+}
+
+
+@pytest.mark.parametrize("where,text", [
+    ("config", "colour: blue"),
+    ("dataset", "dataset: {colour: blue}"),
+    ("scenario", "scenario: {kind: arch_change, colour: blue}"),
+    ("scenario.old_model",
+     "scenario: {kind: arch_change, old_model: {colour: blue}}"),
+    ("scenario.new_data",
+     "scenario: {kind: arch_change, new_data: {colour: blue}}"),
+    ("train", "train: {colour: blue}"),
+    ("pc", "pc: {colour: blue}"),
+])
+def test_unknown_key_message_names_its_block(where, text):
+    with pytest.raises(ConfigError) as exc:
+        loads_config(text)
+    assert str(exc.value) == (f"unknown key(s) ['colour'] in {where}; "
+                              f"allowed: {_ALLOWED[where]}")
+
+
+def test_pc_mode_is_not_a_key():
+    # the method sets the mode; a document cannot
+    with pytest.raises(ConfigError, match=re.escape("['mode'] in pc")):
+        loads_config("pc: {mode: focal}")
+    assert "mode" not in to_document(ExperimentConfig())["pc"]
+
+
+def _field_paths(cls, prefix=""):
+    for f in fields(cls):
+        tp = get_type_hints(cls)[f.name]
+        if is_dataclass(tp):
+            yield from _field_paths(tp, f"{prefix}{f.name}.")
+        else:
+            yield prefix + f.name
+
+
+def _key_paths(doc, prefix=""):
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            yield from _key_paths(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def test_document_has_a_key_for_every_field():
+    """Every field reachable from ExperimentConfig is written, in field
+    order, under its own name except for the three documented spellings;
+    only pc.mode has no key."""
+    spelled = {"dataset.num_classes": "dataset.k", "pc.lam": "pc.lambda",
+               "pc.filter.alpha": "pc.alpha", "pc.filter.beta": "pc.beta",
+               "pc.distance.kind": "pc.distance", "pc.distance.tau": "pc.tau"}
+    expected = [spelled.get(p, p) for p in _field_paths(ExperimentConfig)
+                if p != "pc.mode"]
+    doc = to_document(ExperimentConfig())
+    assert list(_key_paths(doc)) == expected
+
+
+def test_values_are_coerced_by_field_type():
+    cfg = loads_config(textwrap.dedent("""
+        dataset: {cluster_spread: 2}
+        train: {learning_rate: 1, epochs: 2.0}
+        pc: {lambda: 1, tau: 3}
+        scenario: {kind: class_growth, old_data: {class_subset: [0, 1.0]}}
+        output_dir: 5
+    """))
+    assert cfg.dataset.cluster_spread == 2.0
+    assert isinstance(cfg.dataset.cluster_spread, float)
+    assert isinstance(cfg.train.epochs, int)
+    assert cfg.scenario.old_data.class_subset == (0, 1)
+    assert cfg.scenario.kind is ScenarioKind.CLASS_GROWTH
+    assert cfg.output_dir == 5  # passed through as it is
+    text = dump_config(cfg)
+    for line in ("cluster_spread: 2.0", "learning_rate: 1.0", "lambda: 1.0",
+                 "tau: 3.0", "epochs: 2\n"):
+        assert line in text
+
+
+def test_dataset_errors_are_not_wrapped():
+    # a bad dataset block raises its own error, not ConfigError
+    with pytest.raises(DegenerateSpecError):
+        loads_config("dataset: {k: 1}")
+    with pytest.raises(ValueError) as exc:
+        loads_config("dataset: {k: abc}")
+    assert type(exc.value) is ValueError
+    with pytest.raises(ConfigError, match="scenario.old_data must be a mapping"):
+        loads_config("scenario: {kind: arch_change, old_data: 3}")
+
+
+def test_readme_yaml_blocks_parse():
+    """Every yaml block of the README is a valid config document."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, "r", encoding="utf-8") as fh:
+        blocks = re.findall(r"```yaml\n(.*?)```", fh.read(), re.S)
+    assert blocks
+    for block in blocks:
+        loads_config(block)
+
+
 def test_invalid_values_surface_as_config_errors():
     with pytest.raises(ConfigError, match="unknown method"):
         loads_config("method: bct")
@@ -130,8 +244,9 @@ def test_sweep_lists_defaults():
                                             (1.0, 2.0), (1.0, 5.0),
                                             (1.0, 10.0), (1.0, 20.0)]
     assert ensemble_sizes_from_document({}) == [1, 2, 4, 8, 16]
-    assert methods_from_document({}) == ["no_treatment", "naive", "fd_kl",
-                                         "fd_lm", "ensemble"]
+    assert methods_from_document({}) == list(pctlab.METHODS)
+    assert pctlab.METHODS == ("no_treatment", "naive", "fd_kl", "fd_lm",
+                              "ensemble")
 
 
 def test_sweep_lists_parse_and_validate():

@@ -267,13 +267,22 @@ def _batch_setup(k: int = 5, n: int = 16, seed: int = 20, index=None):
     return logits, y, oracle
 
 
-@pytest.mark.parametrize("name,cfg", _configs())
-@pytest.mark.parametrize("index", [None, [0, 2, 3], [0, 1, 2]])
+def _objective_cases():
+    """Every config without a logit index, and each focal config with each
+    subset index: the index only affects the focal term. The ids are those
+    of two stacked parametrize marks, ``index-name-cfg``."""
+    indices = [None, [0, 2, 3], [0, 1, 2]]
+    return [pytest.param(name, cfg, index, id="-".join(
+                ("None" if index is None else f"index{i}", name, f"cfg{j}")))
+            for i, index in enumerate(indices)
+            for j, (name, cfg) in enumerate(_configs())
+            if index is None or cfg.mode == "focal"]
+
+
+@pytest.mark.parametrize("name,cfg,index", _objective_cases())
 def test_batch_objective_equals_mean_of_per_sample(name, cfg, index):
     """Also covers a prefix map into more new classes (K = 5), which must
     take the gather path although its entries are 0, 1, 2."""
-    if index is not None and cfg.mode != "focal":
-        pytest.skip("subset indexing only affects the focal term")
     logits, y, oracle = _batch_setup(index=index)
     n = logits.shape[0]
     objective = make_objective(y, oracle, cfg)

@@ -130,6 +130,9 @@ def experiment_from_document(doc: Optional[dict]) -> ExperimentConfig:
     ``kind`` selects the reference pairing for the dataset's class count."""
     doc = {} if doc is None else doc
     _check_keys(doc, [*_keys(ExperimentConfig), *_SWEEP_KEYS], "config")
+    output_dir = doc.get("output_dir")
+    if output_dir is not None and not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
     dataset = _coerce(SyntheticSpec, doc.get("dataset", {}), "dataset")
     scenario = doc.get("scenario", {"kind": "same_arch_retrain"})
     try:
@@ -140,7 +143,7 @@ def experiment_from_document(doc: Optional[dict]) -> ExperimentConfig:
             scenario = _coerce(UpdateScenario, scenario, "scenario")
         return _decode(ExperimentConfig, doc, "",
                        dict(dataset=dataset, scenario=scenario,
-                            output_dir=doc.get("output_dir")))
+                            output_dir=output_dir))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -187,7 +190,11 @@ def ensemble_sizes_from_document(doc: dict) -> List[int]:
     sizes = doc.get("ensemble_sizes")
     if sizes is None:
         return [1, 2, 4, 8, 16]
-    return [int(s) for s in sizes]
+    if not isinstance(sizes, list) or any(
+            not isinstance(s, int) or isinstance(s, bool) for s in sizes):
+        raise ConfigError(f"ensemble_sizes must be a list of integers, "
+                          f"got {sizes!r}")
+    return list(sizes)
 
 
 def methods_from_document(doc: dict) -> List[str]:

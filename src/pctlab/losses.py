@@ -8,15 +8,15 @@ congruence) term penalizes drifting away from a frozen reference model:
 * ``focal``  - a distillation distance (temperature-scaled KL or half squared
   logit distance) weighted per sample by ``alpha + beta * [reference correct]``.
 
-Objectives are computed on whole batches: the factories
-``make_ce_objective`` and ``make_objective`` fold in the batch mean and are
-what ``nn.train`` consumes. The one per-sample form kept here,
-``distance_kl``, returns the value and the gradient w.r.t. the new logits
-for one sample; the other per-sample oracles the batch code is tested
-against (CE, the filter weight, the naive and focal PC terms, the logit
-distance and their sum) live in ``tests/oracles.py``.
+There is one batch objective, the closure ``make_objective`` returns for
+any mode (``make_ce_objective`` is its ``mode="none"`` call). It folds in
+the batch mean and is what ``nn.train`` consumes. The one per-sample form
+kept here, ``distance_kl``, returns the value and the gradient w.r.t. the
+new logits for one sample; the other per-sample oracles the batch
+objective is tested against (CE, the filter weight, the naive and focal PC
+terms, the logit distance and their sum) live in ``tests/oracles.py``.
 
-Every batch objective takes ``(B, K)`` logits with ``(B,)`` indices, or a
+The objective takes ``(B, K)`` logits with ``(B,)`` indices, or a
 stack's ``(M, B, K)`` logits with ``(M, B)`` indices, which it flattens to
 ``M * B`` rows through the same per-row ops, so member m's gradient equals
 that of its own 2-D call bit for bit.
@@ -27,11 +27,11 @@ quantities once per factory call, over every training row: the naive weight
 and, for the KL distance, the old side's tau-softened log-softmax and its
 exp. A step only gathers them by index. Each is computed row by row, so
 the gathered rows equal what the step used to compute from the gathered
-inputs, bit for bit. The focal objective selects the new logits' reference
-columns once per step, through a full slice when the reference classes are
-exactly the new model's classes in order (a view, no copy) and through
-``logit_index`` otherwise, and adds its gradient back through the same
-selector.
+inputs, bit for bit. In focal mode the objective selects the new logits'
+reference columns once per step, through a full slice when the reference
+classes are exactly the new model's classes in order (a view, no copy)
+and through ``logit_index`` otherwise, and adds its gradient back through
+the same selector.
 """
 
 from __future__ import annotations
@@ -166,106 +166,82 @@ def distance_kl(new_logits: np.ndarray, old_logits: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# batch objective factories (vectorized; consumed by nn.train)
+# the batch objective (vectorized; consumed by nn.train)
 
 
 def make_ce_objective(labels: np.ndarray):
-    """Plain mean cross-entropy over the batch.
-
-    Also takes a stack's ``(M, B, K)`` logits with ``(M, B)`` indices: each
-    member's gradient is its own batch mean, and the loss is the mean over
-    all M * B rows.
-    """
-    labels = np.ascontiguousarray(labels, dtype=np.int64)
-
-    def objective(logits, idx):
-        y = labels[idx].ravel()
-        n, k = y.shape[0], logits.shape[-1]
-        at = label_positions(y, k)
-        losses, dlogits = ce_rows(logits.reshape(n, k), y, at=at)
-        dlogits.reshape(-1)[at] -= 1.0
-        dlogits /= logits.shape[-2]
-        # sum() / n is how np.mean divides
-        return float(losses.sum() / n), dlogits.reshape(logits.shape)
-
-    return objective
+    """Plain mean cross-entropy over the batch: ``make_objective`` with no PC
+    term."""
+    return make_objective(labels, None, PCLossConfig())
 
 
 def make_objective(labels: np.ndarray, oracle: Optional[OldModelOracle],
                    config: PCLossConfig):
-    """Batch-mean of the per-sample total objective.
+    """Batch-mean of the per-sample total objective ``CE_i + lambda * PC_i``.
 
-    Equals ``mean_i [CE_i + lambda * PC_i]``; with ``mode="none"`` this is
-    exactly the plain CE objective. Like ``make_ce_objective`` it also takes
-    a stack's ``(M, B, K)`` logits with ``(M, B)`` indices: each member's
-    gradient is its own batch mean, and the loss is the mean over all
-    M * B rows.
+    One closure serves every mode: the CE rows and their gradient, then the
+    batch mean (``naive`` folds its weight ``1 + lambda * old_correct`` into
+    it), then, for ``focal`` only, the weighted distance term. With
+    ``mode="none"`` the oracle is not needed and this is plain CE. Each
+    member of a stack's ``(M, B, K)`` logits with ``(M, B)`` indices gets
+    its own batch mean as gradient; the loss is the mean over all M * B
+    rows.
     """
-    if config.mode == "none":
-        return make_ce_objective(labels)
-    if oracle is None:
-        raise ValueError(f"PC mode {config.mode!r} needs a reference-model oracle")
+    mode, lam = config.mode, config.lam
+    if mode != "none" and oracle is None:
+        raise ValueError(f"PC mode {mode!r} needs a reference-model oracle")
     labels = np.ascontiguousarray(labels, dtype=np.int64)
-    lam = config.lam
-
-    if config.mode == "naive":
+    if mode == "naive":
         weight = 1.0 + lam * oracle.old_correct
-
-        def objective(logits, idx):
-            idx = idx.ravel()
-            y = labels[idx]
-            n, k = y.shape[0], logits.shape[-1]
-            at = label_positions(y, k)
-            losses, dlogits = ce_rows(logits.reshape(n, k), y, at=at)
-            w = weight[idx]
-            losses *= w
-            loss = float(losses.sum() / n)
-            dlogits.reshape(-1)[at] -= 1.0
-            dlogits *= (w / logits.shape[-2])[:, None]
-            return loss, dlogits.reshape(logits.shape)
-
-        return objective
-
-    filt, dist = config.filter, config.distance
-    weight = filt.alpha + filt.beta * oracle.old_correct
-    logit_index = oracle.logit_index
-    identity = np.array_equal(logit_index, np.arange(logit_index.size))
-    if dist.kind == "kl":
-        ls_old_all = _log_softmax_rows(oracle.logits / dist.tau)
-        p_old_all = np.exp(ls_old_all)
+    elif mode == "focal":
+        filt, dist = config.filter, config.distance
+        weight = filt.alpha + filt.beta * oracle.old_correct
+        logit_index = oracle.logit_index
+        identity = np.array_equal(logit_index, np.arange(logit_index.size))
+        kl = dist.kind == "kl"
+        if kl:
+            ls_old_all = _log_softmax_rows(oracle.logits / dist.tau)
+            p_old_all = np.exp(ls_old_all)
 
     def objective(logits, idx):
         idx = idx.ravel()
         y = labels[idx]
-        n = y.shape[0]
-        rows = logits.reshape(n, logits.shape[-1])
-        at = label_positions(y, rows.shape[1])
+        n, k, b = y.shape[0], logits.shape[-1], logits.shape[-2]
+        rows = logits.reshape(n, k)
+        at = label_positions(y, k)
         m = row_max(rows)[:, None]
         losses, dlogits = ce_rows(rows, y, m, at)
-        b = logits.shape[-2]
-        full = identity and rows.shape[1] == logit_index.size
-        cols = slice(None) if full else logit_index
-        sub = np.ascontiguousarray(rows[:, cols])
-        if dist.kind == "kl":
-            # x -> x / tau is monotone for tau > 0, so over all columns the
-            # row max of sub / tau is the CE row max over tau, bit for bit
-            ls_new = _log_softmax_rows(sub / dist.tau,
-                                       m / dist.tau if full else None)
-            ls_old, p_old = ls_old_all[idx], p_old_all[idx]
-            d = np.maximum((p_old * (ls_old - ls_new)).sum(axis=1), 0.0)
-            sub_grad = np.exp(ls_new, out=ls_new)
-            sub_grad -= p_old
-            sub_grad /= dist.tau
-        else:
-            sub_grad = sub - oracle.logits[idx]
-            d = 0.5 * (sub_grad * sub_grad).sum(axis=1)
-        f = weight[idx]
-        # sum() / n is how np.mean divides
-        loss = float(losses.sum() / n + lam * ((f * d).sum() / n))
         dlogits.reshape(-1)[at] -= 1.0
-        dlogits /= b
-        sub_grad *= (lam / b) * f[:, None]
-        dlogits[:, cols] += sub_grad
-        return loss, dlogits.reshape(logits.shape)
+        if mode == "naive":
+            w = weight[idx]
+            losses *= w
+            dlogits *= (w / b)[:, None]
+        else:
+            dlogits /= b
+        # sum() / n is how np.mean divides
+        loss = losses.sum() / n
+        if mode == "focal":
+            full = identity and k == logit_index.size
+            cols = slice(None) if full else logit_index
+            sub = np.ascontiguousarray(rows[:, cols])
+            if kl:
+                # x -> x / tau is monotone for tau > 0, so over all columns
+                # the row max of sub / tau is the CE row max over tau, bit
+                # for bit
+                ls_new = _log_softmax_rows(sub / dist.tau,
+                                           m / dist.tau if full else None)
+                ls_old, p_old = ls_old_all[idx], p_old_all[idx]
+                d = np.maximum((p_old * (ls_old - ls_new)).sum(axis=1), 0.0)
+                sub_grad = np.exp(ls_new, out=ls_new)
+                sub_grad -= p_old
+                sub_grad /= dist.tau
+            else:
+                sub_grad = sub - oracle.logits[idx]
+                d = 0.5 * (sub_grad * sub_grad).sum(axis=1)
+            f = weight[idx]
+            loss = loss + lam * ((f * d).sum() / n)
+            sub_grad *= (lam / b) * f[:, None]
+            dlogits[:, cols] += sub_grad
+        return float(loss), dlogits.reshape(logits.shape)
 
     return objective

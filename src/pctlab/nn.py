@@ -216,8 +216,9 @@ class TrainResult:
 # Objective protocol: (batch_logits (B, K), batch_indices (B,)) -> (loss, dlogits).
 # dlogits is the gradient of the scalar batch loss w.r.t. the logits, so any
 # batch averaging must already be folded in. Training a stack passes
-# (M, B, K) logits with (M, B) indices; every objective in ``losses`` takes
-# them, and member m's gradient must equal that of its own 2-D call.
+# (M, B, K) logits with (M, B) indices; the one objective ``losses`` builds,
+# whatever its PC mode, takes them, and member m's gradient must equal that
+# of its own 2-D call.
 Objective = Callable[[np.ndarray, np.ndarray], tuple]
 
 

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from pctlab import reports
+from pctlab import cli, reports
 from pctlab.cli import main
 from pctlab.config import dump_config, loads_config
 
@@ -152,7 +152,12 @@ def test_report_reemits_stored_artifacts(tmp_path):
         assert _read(str(out_dir / "artifacts.json")) == _read(stored)
 
 
-def test_errors_exit_nonzero_with_one_line_diagnostic(tmp_path, capsys):
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("trained despite a rejected config")
+
+
+def test_errors_exit_nonzero_with_one_line_diagnostic(tmp_path, capsys,
+                                                      monkeypatch):
     bad = tmp_path / "bad.yaml"
     bad.write_text("method: bogus\n", encoding="utf-8")
     assert main(["run", "--config", str(bad)]) == 1
@@ -169,6 +174,22 @@ def test_errors_exit_nonzero_with_one_line_diagnostic(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "activation" in err
     assert len(err.strip().splitlines()) == 1
+
+    # rejected when the document is read, before anything trains
+    bad.write_text("output_dir: 5\n", encoding="utf-8")
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "run_experiment", _must_not_run)
+        assert main(["run", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "output_dir" in err
+    assert len(err.strip().splitlines()) == 1
+
+    bad.write_text("ensemble_sizes: [1, 2.9]\n", encoding="utf-8")
+    with monkeypatch.context() as mp:
+        mp.setattr(cli, "sweep_ensemble", _must_not_run)
+        assert main(["sweep-ensemble", "--config", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "ensemble_sizes" in err
 
 
 def test_unknown_subcommand_is_rejected():

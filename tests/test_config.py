@@ -182,14 +182,17 @@ def test_values_are_coerced_by_field_type():
         train: {learning_rate: 1, epochs: 2.0}
         pc: {lambda: 1, tau: 3}
         scenario: {kind: class_growth, old_data: {class_subset: [0, 1.0]}}
-        output_dir: 5
+        output_dir: out
     """))
     assert cfg.dataset.cluster_spread == 2.0
     assert isinstance(cfg.dataset.cluster_spread, float)
     assert isinstance(cfg.train.epochs, int)
     assert cfg.scenario.old_data.class_subset == (0, 1)
     assert cfg.scenario.kind is ScenarioKind.CLASS_GROWTH
-    assert cfg.output_dir == 5  # passed through as it is
+    assert cfg.output_dir == "out"
+    for bad in ("5", "[a]", "{a: 1}", "true"):
+        with pytest.raises(ConfigError, match="output_dir must be a string"):
+            loads_config(f"output_dir: {bad}")
     text = dump_config(cfg)
     for line in ("cluster_spread: 2.0", "learning_rate: 1.0", "lambda: 1.0",
                  "tau: 3.0", "epochs: 2\n"):
@@ -257,6 +260,9 @@ def test_sweep_lists_parse_and_validate():
     assert methods_from_document(doc) == ["naive"]
     with pytest.raises(ConfigError, match="pairs"):
         focal_grid_from_document({"focal_grid": [[1, 2, 3]]})
+    for sizes in ([1, 2.9, True], [1, 2.9], [True], [2.0], ["3"], 5):
+        with pytest.raises(ConfigError, match="ensemble_sizes"):
+            ensemble_sizes_from_document({"ensemble_sizes": sizes})
 
 
 def test_apply_overrides():

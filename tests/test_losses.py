@@ -15,9 +15,9 @@ from oracles import (OracleEntry, ce_objective, ce_value_grad, cross_entropy,
                      distance_lm, filter_weight, oracle_entry, pc_loss_focal,
                      pc_loss_naive, per_step_objective, total_objective)
 from pctlab import nn
-from pctlab.losses import (DistanceSpec, FilterSpec, OldModelOracle,
-                           PCLossConfig, distance_kl, make_ce_objective,
-                           make_objective)
+from pctlab.losses import (DISTANCE_KINDS, DistanceSpec, FilterSpec,
+                           OldModelOracle, PCLossConfig, distance_kl,
+                           make_ce_objective, make_objective)
 
 
 def _entry(k: int, seed: int, correct: bool = True,
@@ -330,34 +330,53 @@ def test_hoisted_objective_equals_per_step_form_bit_for_bit(name, cfg, index):
 
 def test_ce_objective_equals_per_array_form_bit_for_bit():
     """The in-place ``ce_rows``, the flat label index and the loss as
-    ``sum() / n`` leave every bit of the CE loss and gradient unchanged."""
+    ``sum() / n`` leave every bit of the CE loss and gradient unchanged,
+    whichever of the three ways plain CE is asked for."""
     rng = np.random.default_rng(9)
     y = rng.integers(0, 7, size=40).astype(np.int64)
-    trimmed, reference = make_ce_objective(y), ce_objective(y)
+    _, _, oracle = _batch_setup(k=7, n=40)
+    reference = ce_objective(y)
+    trimmed = (make_ce_objective(y), make_objective(y, None, PCLossConfig()),
+               make_objective(y, oracle, PCLossConfig(mode="none")))
     for m, b in ((5, 16), (1, 7), (3, 1)):
         stack = rng.standard_normal((m, b, 7)) * 3
         rows = np.stack([rng.permutation(40)[:b] for _ in range(m)])
         for logits, idx in ((stack, rows), (stack[0], rows[0])):
-            loss, dlogits = trimmed(logits.copy(), idx)
             want_loss, want = reference(logits.copy(), idx)
-            assert np.float64(loss).view(np.uint64) == \
-                np.float64(want_loss).view(np.uint64)
-            np.testing.assert_array_equal(dlogits.view(np.uint64),
-                                          want.view(np.uint64))
+            for objective in trimmed:
+                loss, dlogits = objective(logits.copy(), idx)
+                assert np.float64(loss).view(np.uint64) == \
+                    np.float64(want_loss).view(np.uint64)
+                np.testing.assert_array_equal(dlogits.view(np.uint64),
+                                              want.view(np.uint64))
 
 
-@pytest.mark.parametrize("tau", [0.5, 1.0, 100.0])
-def test_kl_focal_objective_equals_per_step_form_bit_for_bit(tau):
+# special-row cases: a KL focal config per tau, keyed by the tau as the
+# test ids print it, and the CE, naive and focal logit-match objectives
+_SPECIAL_ROW_CASES = {
+    **{str(tau): PCLossConfig(mode="focal", lam=0.7,
+                              filter=FilterSpec(0.5, 2.0),
+                              distance=DistanceSpec("kl", tau))
+       for tau in (0.5, 1.0, 100.0)},
+    "ce": PCLossConfig(),
+    "naive": PCLossConfig(mode="naive", lam=0.7),
+    "logit_match": PCLossConfig(mode="focal", lam=0.7,
+                                filter=FilterSpec(0.5, 2.0)),
+}
+
+
+@pytest.mark.parametrize("case", list(_SPECIAL_ROW_CASES))
+def test_kl_focal_objective_equals_per_step_form_bit_for_bit(case):
     """The KL focal term's trims (one ``x - m``, the CE row max over tau as
     the KL row max, ``exp``, divide and gradient scale in place, means as
     ``sum() / n``) leave every bit of the loss and of a stack's gradient
     unchanged, for K = 2..128, on finite rows and on rows holding +inf,
     -inf and NaN, through the full slice and through a gather into one more
-    new class."""
+    new class. CE (against ``ce_objective``), naive and focal logit-match
+    objectives go through the same rows."""
     rng = np.random.default_rng(12)
     specials = np.array([np.inf, -np.inf, np.nan])
-    cfg = PCLossConfig(mode="focal", lam=0.7, filter=FilterSpec(0.5, 2.0),
-                       distance=DistanceSpec("kl", tau))
+    cfg = _SPECIAL_ROW_CASES[case]
     n, m, b = 24, 2, 8
     for k in range(2, 129):
         for extra in (0, 1):
@@ -374,16 +393,39 @@ def test_kl_focal_objective_equals_per_step_form_bit_for_bit(tau):
             stack[1, 3, 0] = np.nan
             rows = np.stack([rng.permutation(n)[:b] for _ in range(m)])
             finite = np.where(np.isfinite(stack), stack, 0.0)
+            if cfg.mode == "none":
+                objective, reference = make_ce_objective(y), ce_objective(y)
+            else:
+                objective = make_objective(y, oracle, cfg)
+                reference = per_step_objective(y, oracle, cfg)
             for logits in (stack, finite):
                 with np.errstate(all="ignore"):
-                    loss, dlogits = make_objective(y, oracle, cfg)(
-                        logits.copy(), rows)
-                    want_loss, want = per_step_objective(y, oracle, cfg)(
-                        logits.copy(), rows)
+                    loss, dlogits = objective(logits.copy(), rows)
+                    want_loss, want = reference(logits.copy(), rows)
                 assert np.float64(loss).view(np.uint64) == \
                     np.float64(want_loss).view(np.uint64), (k, extra)
                 np.testing.assert_array_equal(dlogits.view(np.uint64),
                                               want.view(np.uint64))
+
+
+def test_focal_loss_divides_each_mean_before_scaling_by_lambda():
+    """The focal loss is ``CE mean + lambda * (weighted distance mean)``, in
+    that order of operations: with 15 rows and lambda 0.7 the other order,
+    ``lambda * sum / n``, differs in the last bits."""
+    _, y, oracle = _batch_setup(k=5, n=40, index=[0, 2, 3])
+    rng = np.random.default_rng(13)
+    for kind in DISTANCE_KINDS:
+        cfg = PCLossConfig(mode="focal", lam=0.7,
+                           distance=DistanceSpec(kind, 2.0))
+        objective = make_objective(y, oracle, cfg)
+        reference = per_step_objective(y, oracle, cfg)
+        for _ in range(20):
+            stack = rng.standard_normal((3, 5, 5)) * 3
+            rows = np.stack([rng.permutation(40)[:5] for _ in range(3)])
+            loss, _ = objective(stack.copy(), rows)
+            want_loss, _ = reference(stack.copy(), rows)
+            assert np.float64(loss).view(np.uint64) == \
+                np.float64(want_loss).view(np.uint64)
 
 
 def test_lambda_zero_naive_collapses_to_plain_ce():

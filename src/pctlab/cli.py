@@ -37,6 +37,14 @@ def _note(files) -> None:
     print(f"wrote {len(files)} file(s): " + ", ".join(files), file=sys.stderr)
 
 
+def _emit(table, write, cfg, fmt: str) -> int:
+    """Write ``table``'s files with ``write`` and print it as CSV."""
+    files = write(table, _out_dir(cfg), fmt)
+    sys.stdout.write(table.to_csv())
+    _note(files)
+    return 0
+
+
 def _cmd_generate(args) -> int:
     _, cfg = _load(args)
     spec = cfg.dataset
@@ -64,10 +72,7 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     doc, cfg = _load(args)
     table = compare_methods(cfg, cfgmod.methods_from_document(doc))
-    files = reports.write_comparison(table, _out_dir(cfg), args.format)
-    sys.stdout.write(table.to_csv())
-    _note(files)
-    return 0
+    return _emit(table, reports.write_comparison, cfg, args.format)
 
 
 def _cmd_sweep_focal(args) -> int:
@@ -77,19 +82,13 @@ def _cmd_sweep_focal(args) -> int:
         print("note: method is not focal distillation; using fd_lm",
               file=sys.stderr)
     table = sweep_focal(cfg, cfgmod.focal_grid_from_document(doc))
-    files = reports.write_focal_sweep(table, _out_dir(cfg), args.format)
-    sys.stdout.write(table.to_csv())
-    _note(files)
-    return 0
+    return _emit(table, reports.write_focal_sweep, cfg, args.format)
 
 
 def _cmd_sweep_ensemble(args) -> int:
     doc, cfg = _load(args)
-    result = sweep_ensemble(cfg, cfgmod.ensemble_sizes_from_document(doc))
-    files = reports.write_ensemble_sweep(result, _out_dir(cfg), args.format)
-    sys.stdout.write(result.to_csv())
-    _note(files)
-    return 0
+    table = sweep_ensemble(cfg, cfgmod.ensemble_sizes_from_document(doc))
+    return _emit(table, reports.write_ensemble_sweep, cfg, args.format)
 
 
 def _cmd_report(args) -> int:

@@ -173,35 +173,38 @@ def dump_config(config: ExperimentConfig) -> str:
     return yaml.safe_dump(to_document(config), sort_keys=False)
 
 
+def _number(value, kinds=(int, float)) -> bool:
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+def _sweep_list(doc: dict, key: str, default: Sequence, is_item, what: str) -> list:
+    """The list under ``key``, ``default`` when absent; ConfigError unless
+    it is a list whose every item passes ``is_item``."""
+    value = doc.get(key)
+    if value is None:
+        return list(default)
+    if not isinstance(value, list) or not all(map(is_item, value)):
+        raise ConfigError(f"{key} must be a list of {what}, got {value!r}")
+    return list(value)
+
+
 def focal_grid_from_document(doc: dict) -> List[Tuple[float, float]]:
-    grid = doc.get("focal_grid")
-    if grid is None:
-        return [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (1.0, 2.0), (1.0, 5.0),
-                (1.0, 10.0), (1.0, 20.0)]
-    out = []
-    for pair in grid:
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ConfigError("focal_grid entries must be [alpha, beta] pairs")
-        out.append((float(pair[0]), float(pair[1])))
-    return out
+    grid = _sweep_list(
+        doc, "focal_grid", [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (1.0, 2.0),
+                            (1.0, 5.0), (1.0, 10.0), (1.0, 20.0)],
+        lambda p: isinstance(p, (list, tuple)) and len(p) == 2
+        and all(map(_number, p)), "[alpha, beta] pairs of numbers")
+    return [(float(a), float(b)) for a, b in grid]
 
 
 def ensemble_sizes_from_document(doc: dict) -> List[int]:
-    sizes = doc.get("ensemble_sizes")
-    if sizes is None:
-        return [1, 2, 4, 8, 16]
-    if not isinstance(sizes, list) or any(
-            not isinstance(s, int) or isinstance(s, bool) for s in sizes):
-        raise ConfigError(f"ensemble_sizes must be a list of integers, "
-                          f"got {sizes!r}")
-    return list(sizes)
+    return _sweep_list(doc, "ensemble_sizes", [1, 2, 4, 8, 16],
+                       lambda s: _number(s, int), "integers")
 
 
 def methods_from_document(doc: dict) -> List[str]:
-    methods = doc.get("methods")
-    if methods is None:
-        return list(METHODS)
-    return [str(m) for m in methods]
+    return _sweep_list(doc, "methods", METHODS,
+                       lambda m: isinstance(m, str), "strings")
 
 
 def apply_overrides(config: ExperimentConfig, seed: Optional[int] = None,

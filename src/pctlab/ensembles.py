@@ -28,7 +28,7 @@ from .flips import report_from_arrays
 from .losses import make_ce_objective
 from .nn import (MLPModel, TrainConfig, Workspace, batch_logits, forward_into,
                  init_model, stack_models, train, with_seed)
-from .tables import as_record, csv_text
+from .tables import Table
 
 
 @dataclass
@@ -115,20 +115,11 @@ class SweepRow:
     rel_nfr: Optional[float]
 
 
-@dataclass
-class SweepResult:
-    rows: List[SweepRow]
-
-    def to_csv(self) -> str:
-        return csv_text(SweepRow.COLUMNS,
-                        (as_record(r).values() for r in self.rows))
-
-
 def sweep_ensemble_size(old_dims: Sequence[int], new_dims: Sequence[int],
                         dataset: Dataset, config: TrainConfig,
                         sizes: Sequence[int], old_base_seed: int,
-                        new_base_seed: int) -> SweepResult:
-    """Flip metrics between old and new ensembles for each requested size.
+                        new_base_seed: int) -> Table:
+    """One ``SweepRow`` of old/new ensemble flip metrics per requested size.
 
     Trains max(sizes) members per side once and evaluates every size L on
     the first L members, which is exactly the ensemble train_ensemble would
@@ -164,4 +155,4 @@ def sweep_ensemble_size(old_dims: Sequence[int], new_dims: Sequence[int],
                                     np.argmax(new_total, axis=1))
         rows.append(SweepRow(size, report.er_old, report.er_new, report.nfr,
                              report.rel_nfr))
-    return SweepResult(rows)
+    return Table(rows)

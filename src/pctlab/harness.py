@@ -30,8 +30,8 @@ and every epoch's scoring in every ``run_experiment`` on that state run
 their forwards in its buffers, so per-epoch evaluation reuses the same
 memory instead of allocating (and page-faulting) it anew on every call.
 
-``EpochMetrics``, ``MethodRow`` and ``FocalSweepRow`` name their CSV
-columns in ``COLUMNS``; ``tables.csv_text`` writes their rows.
+``EpochMetrics``, ``MethodRow`` and ``FocalSweepRow`` are the row classes
+of the epoch series, comparison and focal-sweep ``tables.Table``s.
 
 Update methods
   no_treatment  plain cross-entropy
@@ -60,7 +60,7 @@ import numpy as np
 
 from . import ensembles
 from .datasets import SPLIT_TRAIN, Dataset, SyntheticSpec, generate
-from .ensembles import Ensemble, SweepResult, sweep_ensemble_size
+from .ensembles import Ensemble, sweep_ensemble_size
 from .flips import FlipReport, report_from_arrays
 # make_ce_objective, batch_logits and predict_batch are not called here; they
 # stay importable from this module because pctbench/tracing.py wraps them by name
@@ -70,7 +70,7 @@ from .nn import (MLPModel, TrainConfig, Workspace, batch_logits, init_model,
                  predict_batch, stack_models, train, with_seed)
 from .scenarios import (EvalPlan, ScenarioKind, ScenarioPlan, UpdateScenario,
                         build_scenario, reference_scenario)
-from .tables import as_record, csv_text
+from .tables import Table
 
 METHODS = ("no_treatment", "naive", "fd_kl", "fd_lm", "ensemble")
 
@@ -406,23 +406,13 @@ class MethodRow:
                    s["new_param_count"])
 
 
-@dataclass
-class ComparisonTable:
-    rows: List[MethodRow]
-    results: Dict[str, ExperimentResult] = field(default_factory=dict, repr=False)
-
-    def to_csv(self) -> str:
-        return csv_text(MethodRow.COLUMNS,
-                        (as_record(r).values() for r in self.rows))
-
-
 def compare_methods(config: ExperimentConfig,
                     methods: Sequence[str] = METHODS,
-                    state: Optional[ScenarioState] = None) -> ComparisonTable:
+                    state: Optional[ScenarioState] = None) -> Table:
     """Run each method on the same scenario against the same old model.
 
-    Medians across repetitions land in the table; full results stay in
-    ``results`` keyed by method name.
+    Medians across repetitions land in the table as ``MethodRow``s; full
+    results stay in ``results`` keyed by method name.
     """
     methods = list(methods)
     if not methods or len(set(methods)) != len(methods):
@@ -433,12 +423,9 @@ def compare_methods(config: ExperimentConfig,
     if state is None:
         state = prepare_scenario(config)
 
-    rows, results = [], {}
-    for m in methods:
-        res = run_experiment(replace(config, method=m), state)
-        rows.append(MethodRow.of(res))
-        results[m] = res
-    return ComparisonTable(rows, results)
+    results = {m: run_experiment(replace(config, method=m), state)
+               for m in methods}
+    return Table([MethodRow.of(r) for r in results.values()], results)
 
 
 @dataclass(frozen=True)
@@ -453,21 +440,11 @@ class FocalSweepRow:
     rel_nfr: Optional[float]
 
 
-@dataclass
-class FocalSweepTable:
-    rows: List[FocalSweepRow]
-    results: Dict[Tuple[float, float], ExperimentResult] = field(
-        default_factory=dict, repr=False)
-
-    def to_csv(self) -> str:
-        return csv_text(FocalSweepRow.COLUMNS,
-                        (as_record(r).values() for r in self.rows))
-
-
 def sweep_focal(config: ExperimentConfig,
                 grid: Sequence[Tuple[float, float]],
-                state: Optional[ScenarioState] = None) -> FocalSweepTable:
-    """Re-run a focal-distillation experiment for each (alpha, beta) pair."""
+                state: Optional[ScenarioState] = None) -> Table:
+    """Re-run a focal-distillation experiment for each (alpha, beta) pair:
+    one ``FocalSweepRow`` each, full results keyed by the pair."""
     if config.pc.mode != "focal":
         raise ValueError("focal sweep needs method fd_kl or fd_lm")
     grid = [(float(a), float(b)) for a, b in grid]
@@ -479,16 +456,15 @@ def sweep_focal(config: ExperimentConfig,
     rows, results = [], {}
     for a, b in grid:
         pc = replace(config.pc, filter=FilterSpec(a, b))
-        res = run_experiment(replace(config, pc=pc), state)
+        res = results[(a, b)] = run_experiment(replace(config, pc=pc), state)
         s = res.summary()
         rows.append(FocalSweepRow(a, b, s["er_new"]["median"],
                                   s["nfr"]["median"], s["rel_nfr"]["median"]))
-        results[(a, b)] = res
-    return FocalSweepTable(rows, results)
+    return Table(rows, results)
 
 
 def sweep_ensemble(config: ExperimentConfig, sizes: Sequence[int],
-                   max_workers: int = 1) -> SweepResult:
+                   max_workers: int = 1) -> Table:
     """Flip metrics versus ensemble size, on the full training split.
 
     Both sides use the scenario's architectures and the full data so that
@@ -512,5 +488,4 @@ def sweep_ensemble(config: ExperimentConfig, sizes: Sequence[int],
 
 def epoch_series_csv(run: RunArtifacts) -> str:
     """Per-epoch metric series, one row per epoch."""
-    return csv_text(EpochMetrics.COLUMNS,
-                    (as_record(e).values() for e in run.epochs))
+    return Table(run.epochs).to_csv()

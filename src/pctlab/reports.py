@@ -5,20 +5,18 @@ yield byte-identical files. A run directory contains one epoch-series CSV
 and one final flip-report JSON per repetition, a summary in the requested
 format, and ``artifacts.json``, a complete machine-readable record that the
 ``report`` subcommand can re-emit from without recomputing anything. The
-comparison and sweep tables are written as CSV, plus JSON on request.
+comparison and sweep ``tables.Table``s are written as CSV, plus JSON on request.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import List, Sequence
+from typing import List
 
 from .config import experiment_from_document, from_document, to_document
-from .ensembles import SweepResult, SweepRow
-from .harness import (ComparisonTable, ExperimentResult, FocalSweepRow,
-                      FocalSweepTable, MethodRow, epoch_series_csv)
-from .tables import as_record, csv_text, json_text
+from .harness import ExperimentResult, MethodRow, epoch_series_csv
+from .tables import Table, as_record, json_text
 
 FORMATS = ("csv", "json")
 
@@ -56,8 +54,7 @@ def load_result(path: str) -> ExperimentResult:
 
 
 def summary_csv(result: ExperimentResult) -> str:
-    return csv_text(MethodRow.COLUMNS,
-                    [as_record(MethodRow.of(result)).values()])
+    return Table([MethodRow.of(result)]).to_csv()
 
 
 def write_experiment(result: ExperimentResult, out_dir: str,
@@ -83,32 +80,24 @@ def write_experiment(result: ExperimentResult, out_dir: str,
     return files
 
 
-def _write_table(table, columns: Sequence[str], out_dir: str, name: str,
-                 fmt: str) -> List[str]:
-    """``name``.csv, plus ``name``.json when ``fmt`` is json: the rows of
-    ``table`` under ``columns``."""
+def _write_table(table: Table, out_dir: str, name: str, fmt: str) -> List[str]:
+    """``name``.csv, plus ``name``.json when ``fmt`` is json."""
     _check_format(fmt)
     os.makedirs(out_dir, exist_ok=True)
     files = [_write(os.path.join(out_dir, f"{name}.csv"), table.to_csv())]
     if fmt == "json":
-        rows = [dict(zip(columns, as_record(r).values())) for r in table.rows]
         files.append(_write(os.path.join(out_dir, f"{name}.json"),
-                            json_text({"rows": rows})))
+                            json_text({"rows": table.records()})))
     return files
 
 
-def write_comparison(table: ComparisonTable, out_dir: str,
-                     fmt: str = "csv") -> List[str]:
-    return _write_table(table, MethodRow.COLUMNS, out_dir, "comparison", fmt)
+def write_comparison(table: Table, out_dir: str, fmt: str = "csv") -> List[str]:
+    return _write_table(table, out_dir, "comparison", fmt)
 
 
-def write_focal_sweep(table: FocalSweepTable, out_dir: str,
-                      fmt: str = "csv") -> List[str]:
-    return _write_table(table, FocalSweepRow.COLUMNS, out_dir, "focal_sweep",
-                        fmt)
+def write_focal_sweep(table: Table, out_dir: str, fmt: str = "csv") -> List[str]:
+    return _write_table(table, out_dir, "focal_sweep", fmt)
 
 
-def write_ensemble_sweep(result: SweepResult, out_dir: str,
-                         fmt: str = "csv") -> List[str]:
-    return _write_table(result, SweepRow.COLUMNS, out_dir, "ensemble_sweep",
-                        fmt)
+def write_ensemble_sweep(table: Table, out_dir: str, fmt: str = "csv") -> List[str]:
+    return _write_table(table, out_dir, "ensemble_sweep", fmt)

@@ -258,8 +258,13 @@ def test_sweep_lists_parse_and_validate():
     assert focal_grid_from_document(doc) == [(1.0, 5.0), (0.0, 0.0)]
     assert ensemble_sizes_from_document(doc) == [1, 3]
     assert methods_from_document(doc) == ["naive"]
-    with pytest.raises(ConfigError, match="pairs"):
-        focal_grid_from_document({"focal_grid": [[1, 2, 3]]})
+    for grid in ([[1, 2, 3]], [[True, "2"]], [["abc", 1]], [[1, None]], [1, 2],
+                 "abc", 5):
+        with pytest.raises(ConfigError, match="focal_grid"):
+            focal_grid_from_document({"focal_grid": grid})
+    for methods in ("naive", [1, None], ["naive", 2], {"naive": 1}):
+        with pytest.raises(ConfigError, match="methods"):
+            methods_from_document({"methods": methods})
     for sizes in ([1, 2.9, True], [1, 2.9], [True], [2.0], ["3"], 5):
         with pytest.raises(ConfigError, match="ensemble_sizes"):
             ensemble_sizes_from_document({"ensemble_sizes": sizes})

@@ -1,14 +1,16 @@
 """The one text format of every result file, pinned byte for byte: the cell
-rules of ``tables.csv_text`` and both formats of the three table writers."""
+rules of ``tables.csv_text`` and both formats of ``tables.Table``, as the
+comparison, focal-sweep and ensemble-sweep writers emit them."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from pctlab import reports
-from pctlab.ensembles import SweepResult, SweepRow
-from pctlab.harness import (ComparisonTable, FocalSweepRow, FocalSweepTable,
-                            MethodRow)
-from pctlab.tables import csv_text
+from pctlab.ensembles import SweepRow
+from pctlab.harness import EpochMetrics, FocalSweepRow, MethodRow
+from pctlab.tables import Table, csv_text
 
 
 def test_csv_text_cell_format():
@@ -20,9 +22,8 @@ def test_csv_text_cell_format():
 TABLES = {
     "comparison": (
         reports.write_comparison,
-        ComparisonTable([MethodRow("no_treatment", 0.25, np.float64(0.3),
-                                   0.05, 0.2, 330),
-                         MethodRow("naive", 0.25, 0.5, 0.125, None, 330)]),
+        Table([MethodRow("no_treatment", 0.25, np.float64(0.3), 0.05, 0.2, 330),
+               MethodRow("naive", 0.25, 0.5, 0.125, None, 330)]),
         "method,er_old,er_new,nfr,rel_nfr,n_params\n"
         "no_treatment,0.25,0.3,0.05,0.2,330\n"
         "naive,0.25,0.5,0.125,,330\n",
@@ -35,8 +36,8 @@ TABLES = {
         '      "nfr": 0.125,\n      "rel_nfr": null\n    }\n  ]\n}\n'),
     "focal_sweep": (
         reports.write_focal_sweep,
-        FocalSweepTable([FocalSweepRow(0.0, 1.0, 0.3, np.float64(0.05), 0.2),
-                         FocalSweepRow(1.0, 5.0, 0.0, 0.0, None)]),
+        Table([FocalSweepRow(0.0, 1.0, 0.3, np.float64(0.05), 0.2),
+               FocalSweepRow(1.0, 5.0, 0.0, 0.0, None)]),
         "alpha,beta,er_new,nfr,rel_nfr\n"
         "0.0,1.0,0.3,0.05,0.2\n"
         "1.0,5.0,0.0,0.0,\n",
@@ -47,8 +48,8 @@ TABLES = {
         '      "nfr": 0.0,\n      "rel_nfr": null\n    }\n  ]\n}\n'),
     "ensemble_sweep": (
         reports.write_ensemble_sweep,
-        SweepResult([SweepRow(1, 0.3, 0.25, 0.1, np.float64(0.5)),
-                     SweepRow(16, 0.2, 0.0, 0.0, None)]),
+        Table([SweepRow(1, 0.3, 0.25, 0.1, np.float64(0.5)),
+               SweepRow(16, 0.2, 0.0, 0.0, None)]),
         "L,er_old,er_new,nfr,rel_nfr\n"
         "1,0.3,0.25,0.1,0.5\n"
         "16,0.2,0.0,0.0,\n",
@@ -70,3 +71,17 @@ def test_table_writers_write_pinned_bytes(name, tmp_path):
     assert write(table, str(tmp_path), "json") == [str(csv_path), str(json_path)]
     assert csv_path.read_bytes() == csv_expected.encode()
     assert json_path.read_bytes() == json_expected.encode()
+
+
+@pytest.mark.parametrize("row_class",
+                         [EpochMetrics, MethodRow, FocalSweepRow, SweepRow])
+def test_row_classes_name_one_column_per_field(row_class):
+    # Table pairs COLUMNS with fields by position, so a field without a
+    # column would silently drop out of the JSON rows
+    assert len(row_class.COLUMNS) == len(fields(row_class))
+    assert len(set(row_class.COLUMNS)) == len(row_class.COLUMNS)
+
+
+def test_table_needs_a_row():
+    with pytest.raises(ValueError, match="at least one row"):
+        Table([])

@@ -26,6 +26,8 @@ import numpy as np
 from .datasets import SPLIT_TEST, SPLIT_TRAIN, Dataset
 from .flips import report_from_arrays
 from .losses import make_ce_objective
+# batch_logits is not called here; it stays importable from this module
+# because pctbench/tracing.py wraps it by name
 from .nn import (MLPModel, TrainConfig, Workspace, batch_logits, forward_into,
                  init_model, stack_models, train, with_seed)
 from .tables import Table
@@ -51,11 +53,6 @@ class Ensemble:
     @property
     def num_classes(self) -> int:
         return self.members[0].num_classes
-
-    def logits_batch(self, x: np.ndarray) -> np.ndarray:
-        """Mean member logits; ``predict_batch`` does not divide by L."""
-        stacked = np.stack([batch_logits(m, x) for m in self.members])
-        return stacked.mean(axis=0)
 
     def logit_sums(self, x: np.ndarray, workspace: Workspace, key="sum"):
         """Yield the member-order logit sum of the first L members, for
@@ -128,8 +125,8 @@ def sweep_ensemble_size(old_dims: Sequence[int], new_dims: Sequence[int],
     not overlap.
     """
     sizes = [int(s) for s in sizes]
-    if not sizes or sizes != sorted(sizes) or sizes[0] < 1:
-        raise ValueError("sizes must be ascending and >= 1")
+    if not sizes or sizes[0] < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("sizes must be strictly ascending and >= 1")
     top = sizes[-1]
     if abs(old_base_seed - new_base_seed) < top:
         raise ValueError("old and new seed ranges overlap")

@@ -29,6 +29,9 @@ The state also owns one ``nn.Workspace``. The old side's evaluation
 and every epoch's scoring in every ``run_experiment`` on that state run
 their forwards in its buffers, so per-epoch evaluation reuses the same
 memory instead of allocating (and page-faulting) it anew on every call.
+``nn.forward_into`` runs in row blocks, so the hidden layers' buffers hold
+one block, a few MB whatever the row count; only the logits and the
+ensemble sums span every scored row.
 
 ``EpochMetrics``, ``MethodRow`` and ``FocalSweepRow`` are the row classes
 of the epoch series, comparison and focal-sweep ``tables.Table``s.
@@ -448,8 +451,8 @@ def sweep_focal(config: ExperimentConfig,
     if config.pc.mode != "focal":
         raise ValueError("focal sweep needs method fd_kl or fd_lm")
     grid = [(float(a), float(b)) for a, b in grid]
-    if not grid:
-        raise ValueError("grid must be non-empty")
+    if not grid or len(set(grid)) != len(grid):
+        raise ValueError("grid must be non-empty and unique")
     if state is None:
         state = prepare_scenario(config)
 

@@ -27,10 +27,14 @@ contiguous rows pairwise (see ``_train_epoch``).
 
 Evaluation runs one model at a time through ``forward_into``, which writes
 each layer's output into a ``Workspace`` buffer that is reused from call to
-call, with relu applied in place. Per-epoch evaluation of a few thousand
-rows then allocates, and page-faults, nothing after its first call. Its
-logits equal ``batch_logits`` bit for bit: the same gemm over all the rows,
-never split into chunks, because chunking changes the gemm's rounding.
+call, with relu applied in place, so per-epoch evaluation allocates, and
+page-faults, nothing after its first call. It runs in row blocks of about
+2 MB of the widest layer (one core's L2 on the Xeon this was measured on),
+and only the logits span all the rows. Its logits are ``batch_logits`` of
+each block, bit for bit. That equals ``batch_logits`` of all the rows
+wherever OpenBLAS rounds a row the same at any row count, as the tests
+check for hidden widths 32, 64 and 256; at some other widths, 478 for one,
+a logit can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ from .rng import STREAM_INIT, STREAM_SHUFFLE, stream_rng
 
 ACTIVATIONS = ("relu", "identity")
 WEIGHT_INITS = ("glorot_uniform", "zeros")
+# float64 elements of the widest layer's output in one evaluation block
+BLOCK_ELEMENTS = 2 ** 18
 
 
 class DimensionError(ValueError):
@@ -290,6 +296,8 @@ class Workspace:
     buffer per key, which grows to the largest request and never shrinks,
     so repeated requests of the same or a smaller size allocate nothing.
     A view stays valid until the next request under its key.
+    ``forward_into`` keys its buffers by layer index: the hidden layers'
+    hold one row block, the logits' all the rows.
     """
 
     def __init__(self):
@@ -306,24 +314,36 @@ class Workspace:
 def forward_into(model: MLPModel, x: np.ndarray, workspace: Workspace) -> np.ndarray:
     """Logits of one (unstacked) model over ``(n, input_dim)`` rows.
 
-    Layer i writes into ``workspace``'s buffer ``i``, relu in place, so the
-    logits are a view that the workspace's next forward overwrites. Bit for
-    bit ``batch_logits(model, x)``.
+    The rows run through all the layers in blocks of R = max(1,
+    ``BLOCK_ELEMENTS`` // widest fan_out), the last block taking the
+    remainder, so input under 2R rows is one block. Hidden layer i writes
+    into ``workspace``'s buffer ``i``, one block long, relu in place; the
+    logits go into the last layer's buffer, all n rows, and are a view that
+    the workspace's next forward overwrites. Each block's logits are bit
+    for bit ``batch_logits`` of that block's rows.
     """
-    a = np.ascontiguousarray(x, dtype=np.float64)
-    if model.stack_size is not None or a.ndim != 2 \
-            or a.shape[1] != model.input_dim:
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if model.stack_size is not None or x.ndim != 2 \
+            or x.shape[1] != model.input_dim:
         raise DimensionError(
             f"expected one model and rows of shape (n, {model.input_dim}), "
-            f"got {a.shape}")
-    for i, layer in enumerate(model.layers):
-        out = workspace.get(i, (a.shape[0], layer.fan_out))
-        np.matmul(a, layer.weights, out=out)
-        out += layer.bias
-        if layer.activation == "relu":
-            np.maximum(out, 0.0, out=out)
-        a = out
-    return a
+            f"got {x.shape}")
+    n, last = x.shape[0], len(model.layers) - 1
+    rows = max(1, BLOCK_ELEMENTS // max(l.fan_out for l in model.layers))
+    cuts = [rows * b for b in range(max(1, n // rows))] + [n]
+    hidden = [workspace.get(i, (n - cuts[-2], layer.fan_out))
+              for i, layer in enumerate(model.layers[:last])]
+    logits = workspace.get(last, (n, model.num_classes))
+    for start, stop in zip(cuts, cuts[1:]):
+        a = x[start:stop]
+        for i, layer in enumerate(model.layers):
+            out = logits[start:stop] if i == last else hidden[i][:stop - start]
+            np.matmul(a, layer.weights, out=out)
+            out += layer.bias
+            if layer.activation == "relu":
+                np.maximum(out, 0.0, out=out)
+            a = out
+    return logits
 
 
 def row_max(x: np.ndarray) -> np.ndarray:

@@ -5,8 +5,9 @@
 The functions here are the slow, obvious per-sample and per-record forms
 that the tests check those batch paths against, the training step in its
 per-array form (fresh gradient arrays, row sums, one update per array)
-that ``nn.train`` must match bit for bit, plus the CSV reader that checks
-``Dataset.to_csv`` round-trips. Nothing under ``src/`` calls them.
+that ``nn.train`` must match bit for bit, an ensemble's mean member
+logits, plus the CSV reader that checks ``Dataset.to_csv`` round-trips.
+Nothing under ``src/`` calls them.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from pctlab.datasets import SPLIT_NAMES, Dataset
 from pctlab.flips import FlipReport, report_from_counts
 from pctlab.losses import (DistanceSpec, FilterSpec, OldModelOracle,
                            PCLossConfig, distance_kl)
-from pctlab.nn import (DimensionError, MLPModel, TrainConfig, ce_rows,
-                       forward_batch, predict_batch)
+from pctlab.nn import (DimensionError, MLPModel, TrainConfig, batch_logits,
+                       ce_rows, forward_batch, predict_batch)
 from pctlab.rng import STREAM_SHUFFLE, stream_rng
 
 # ---------------------------------------------------------------------------
@@ -110,6 +111,15 @@ def train_per_array(model: MLPModel, features: np.ndarray, objective,
             sgd_step_per_array(model, backward_per_array(model, cache, dlogits),
                                velocity, config, epoch)
     return model
+
+
+# ---------------------------------------------------------------------------
+# ensembles
+
+
+def mean_logits(ensemble, x: np.ndarray) -> np.ndarray:
+    """Mean member logits; ``Ensemble.predict_batch`` does not divide by L."""
+    return np.stack([batch_logits(m, x) for m in ensemble.members]).mean(axis=0)
 
 
 # ---------------------------------------------------------------------------

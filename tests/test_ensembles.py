@@ -10,6 +10,8 @@ from pctlab.ensembles import Ensemble, sweep_ensemble_size, train_ensemble
 from pctlab.flips import report_from_arrays
 from pctlab.losses import make_ce_objective
 
+from oracles import mean_logits
+
 SPEC = SyntheticSpec(num_classes=4, input_dim=5, samples_per_class=50,
                      cluster_spread=1.1, seed=21)
 CFG = nn.TrainConfig(epochs=3, batch_size=32, seed=2)
@@ -38,12 +40,12 @@ def test_ensemble_requires_homogeneous_members():
         Ensemble(mixed)
 
 
-def test_logits_batch_is_member_mean():
+def test_mean_logits_is_member_mean():
     members = _models(3)
     ens = Ensemble(members)
     x = np.random.default_rng(0).standard_normal((7, 5))
     per = [nn.batch_logits(m, x) for m in members]
-    np.testing.assert_allclose(ens.logits_batch(x),
+    np.testing.assert_allclose(mean_logits(ens, x),
                                (per[0] + per[1] + per[2]) / 3,
                                rtol=1e-13, atol=1e-15)
     assert ens.size == 3 and ens.num_classes == 4
@@ -54,7 +56,7 @@ def test_single_member_ensemble_equals_member_exactly():
     member = _models(1)[0]
     ens = Ensemble([member])
     x = np.random.default_rng(1).standard_normal((6, 5))
-    np.testing.assert_array_equal(ens.logits_batch(x),
+    np.testing.assert_array_equal(mean_logits(ens, x),
                                   nn.batch_logits(member, x))
     np.testing.assert_array_equal(ens.predict_batch(x),
                                   nn.predict_batch(member, x))
@@ -73,7 +75,7 @@ def test_predict_batch_takes_argmax_of_member_sum():
                for b in biases]
     ens = Ensemble(members)
     x = np.random.default_rng(3).standard_normal((4, 5))
-    mean = ens.logits_batch(x)
+    mean = mean_logits(ens, x)
     assert mean[0, 0] == mean[0, 1] == 1.179062162902959
     np.testing.assert_array_equal(ens.predict_batch(x), 1)
 
@@ -81,8 +83,8 @@ def test_predict_batch_takes_argmax_of_member_sum():
 def test_prediction_is_permutation_invariant():
     members = _models(4)
     x = np.random.default_rng(2).standard_normal((10, 5))
-    a = Ensemble(members).logits_batch(x)
-    b = Ensemble(members[::-1]).logits_batch(x)
+    a = mean_logits(Ensemble(members), x)
+    b = mean_logits(Ensemble(members[::-1]), x)
     np.testing.assert_allclose(a, b, rtol=1e-13, atol=1e-15)
 
 
@@ -143,6 +145,8 @@ def test_sweep_validates_sizes_and_seed_ranges(data):
         sweep_ensemble_size([5, 4], [5, 4], data, CFG, [2, 1], 0, 100)
     with pytest.raises(ValueError, match="ascending"):
         sweep_ensemble_size([5, 4], [5, 4], data, CFG, [], 0, 100)
+    with pytest.raises(ValueError, match="strictly ascending"):
+        sweep_ensemble_size([5, 4], [5, 4], data, CFG, [1, 1, 2], 0, 100)
     with pytest.raises(ValueError, match="overlap"):
         sweep_ensemble_size([5, 4], [5, 4], data, CFG, [1, 4], 0, 2)
 

@@ -466,12 +466,17 @@ def test_focal_zero_filter_equals_no_treatment(small_config, small_state):
     assert table.rows[0].alpha == 0.0 and table.rows[0].beta == 0.0
 
 
-def test_sweep_focal_requires_focal_method(small_config, small_state):
+def test_sweep_focal_requires_focal_method(small_config, small_state,
+                                           monkeypatch):
     with pytest.raises(ValueError, match="focal"):
         sweep_focal(replace(small_config, method="naive"), [(1, 5)],
                     small_state)
     with pytest.raises(ValueError, match="non-empty"):
         sweep_focal(small_config, [], small_state)
+    calls = _count_old_trainings(monkeypatch)
+    with pytest.raises(ValueError, match="unique"):
+        sweep_focal(small_config, [(1, 5), (0, 0), (1.0, 5.0)])
+    assert calls == []
 
 
 def test_sweep_ensemble_row_shape(small_config):

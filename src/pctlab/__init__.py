@@ -6,7 +6,7 @@ friends), and compare update methods: plain retraining, naive reweighting,
 focal distillation, and logit-averaged ensembles.
 """
 
-from .datasets import Dataset, DatasetView, SyntheticSpec, generate
+from .datasets import Dataset, SyntheticSpec, generate
 from .ensembles import Ensemble, sweep_ensemble_size, train_ensemble
 from .flips import FlipReport, compute_relative_nfr, report_from_arrays
 from .harness import (METHODS, ExperimentConfig, ExperimentResult, RunArtifacts,
@@ -22,7 +22,7 @@ from .scenarios import (DataFilter, ModelSpec, ScenarioKind, UpdateScenario,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Dataset", "DatasetView", "SyntheticSpec", "generate",
+    "Dataset", "SyntheticSpec", "generate",
     "Ensemble", "sweep_ensemble_size", "train_ensemble",
     "FlipReport", "compute_relative_nfr", "report_from_arrays",
     "METHODS", "ExperimentConfig", "ExperimentResult", "RunArtifacts",

@@ -6,8 +6,10 @@ hyperparameters. Its keys are the dataclass field names, except the
 spellings in ``_KEYS``: ``k``, ``lambda`` and the flat ``pc`` block.
 Unknown keys are rejected so typos fail loudly instead of silently using
 defaults. ``from_document`` and ``to_document`` walk ``dataclasses.fields``
-and coerce each value by its field's type; ``reports`` reads
-``artifacts.json`` back through them.
+and coerce each value by its field's type: an int field takes an integral
+number, a float field any number, a bool field only true or false, and no
+bool is read as a number (strings still go through ``int`` and ``float``).
+``reports`` reads ``artifacts.json`` back through them.
 
 Three optional top-level lists parameterize the sweep subcommands:
 ``methods`` (compare), ``focal_grid`` (sweep-focal, pairs of alpha/beta),
@@ -78,7 +80,16 @@ def _coerce(tp, value, where: str):
         return None if value is None else _coerce(get_args(tp)[0], value, where)
     if get_origin(tp) in (tuple, list):
         return get_origin(tp)(_coerce(get_args(tp)[0], v, where) for v in value)
-    return tp(str(value)) if issubclass(tp, str) else tp(value)
+    if issubclass(tp, str):
+        return tp(str(value))
+    if tp is int and isinstance(value, float) and value.is_integer():
+        value = int(value)
+    # bool is an int subclass, so int(True) and float(True) would pass, and
+    # int(3.7) and bool("no") would misread the value silently
+    if (isinstance(value, bool) != (tp is bool)
+            or (tp is int and isinstance(value, float))):
+        raise ConfigError(f"{where} must be {tp.__name__}, got {value!r}")
+    return tp(value)
 
 
 def _decode(cls, doc: dict, where: str, given: dict):

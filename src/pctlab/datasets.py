@@ -1,20 +1,19 @@
-"""Synthetic Gaussian-cluster classification data and immutable views.
+"""Synthetic Gaussian-cluster classification data.
 
 One isotropic Gaussian cluster per class, stratified 70/10/20
 train/validation/test split, optional uniform resampling of a fraction of
-the train labels. Views narrow the visible rows (per-class subsampling of
-the train split, or a class subset with contiguous relabeling) without ever
-mutating the underlying arrays.
+the train labels. Which rows each side of an update trains on, and in
+which label space, is resolved by ``scenarios.build_scenario`` as row
+indices into these arrays, which are never mutated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .rng import STREAM_DATA, STREAM_NOISE, STREAM_SUBSET, stream_rng
+from .rng import STREAM_DATA, STREAM_NOISE, stream_rng
 from .tables import csv_text
 
 SPLIT_TRAIN = 0
@@ -130,108 +129,3 @@ def generate(spec: SyntheticSpec) -> Dataset:
     if np.unique(train_labels).size < k:
         raise DegenerateSpecError("a class has no training samples after noise")
     return dataset
-
-
-@dataclass(frozen=True)
-class DatasetView:
-    """A read-only row/label window onto a dataset.
-
-    ``class_subset`` (sorted original labels) defines the view's contiguous
-    label space: view label j means original label class_subset[j]. Sample
-    ids are always base row indices, so views taken from the same dataset
-    can be compared sample-by-sample.
-    """
-
-    base: Dataset
-    rows: np.ndarray
-    class_subset: Optional[np.ndarray] = None
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.int64)
-        object.__setattr__(self, "rows", rows)
-        rows.setflags(write=False)
-        if self.class_subset is not None:
-            subset = np.asarray(self.class_subset, dtype=np.int64)
-            object.__setattr__(self, "class_subset", subset)
-            subset.setflags(write=False)
-
-    @property
-    def num_classes(self) -> int:
-        if self.class_subset is None:
-            return self.base.num_classes
-        return int(self.class_subset.size)
-
-    def label_map(self) -> np.ndarray:
-        """view label -> original label (identity when no subset)."""
-        if self.class_subset is None:
-            return np.arange(self.base.num_classes, dtype=np.int64)
-        return self.class_subset
-
-    def split_rows(self, code: int) -> np.ndarray:
-        return self.rows[self.base.split[self.rows] == code]
-
-    def features(self, code: int) -> np.ndarray:
-        return self.base.features[self.split_rows(code)]
-
-    def labels(self, code: int) -> np.ndarray:
-        raw = self.base.labels[self.split_rows(code)]
-        if self.class_subset is None:
-            return raw
-        inverse = np.full(self.base.num_classes, -1, dtype=np.int64)
-        inverse[self.class_subset] = np.arange(self.class_subset.size)
-        return inverse[raw]
-
-    def sample_ids(self, code: int) -> np.ndarray:
-        return self.split_rows(code)
-
-
-def full_view(dataset: Dataset) -> DatasetView:
-    return DatasetView(dataset, np.arange(dataset.n, dtype=np.int64))
-
-
-def _as_view(data: Union[Dataset, DatasetView]) -> DatasetView:
-    return data if isinstance(data, DatasetView) else full_view(data)
-
-
-def half_samples_view(data: Union[Dataset, DatasetView], fraction: float,
-                      seed: int) -> DatasetView:
-    """Keep a per-class stratified fraction of the train split.
-
-    Validation and test rows pass through untouched, so old/new jobs built
-    from different fractions still share the evaluation splits exactly.
-    """
-    view = _as_view(data)
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError("fraction must be in (0, 1]")
-    if fraction == 1.0:
-        return view
-    rng = stream_rng(seed, STREAM_SUBSET)
-    train_rows = view.split_rows(SPLIT_TRAIN)
-    train_labels = view.base.labels[train_rows]
-    kept = []
-    for c in np.unique(train_labels):
-        rows_c = train_rows[train_labels == c]
-        n_keep = int(fraction * rows_c.size)
-        if n_keep < 1:
-            raise ValueError(f"fraction {fraction} leaves class {int(c)} empty")
-        kept.append(np.sort(rng.permutation(rows_c)[:n_keep]))
-    other = view.rows[view.base.split[view.rows] != SPLIT_TRAIN]
-    rows = np.sort(np.concatenate(kept + [other]))
-    return DatasetView(view.base, rows, view.class_subset)
-
-
-def half_classes_view(data: Union[Dataset, DatasetView],
-                      class_subset) -> DatasetView:
-    """Restrict to the given classes with contiguous, order-preserving relabeling."""
-    view = _as_view(data)
-    if view.class_subset is not None:
-        raise ValueError("view already restricted to a class subset")
-    subset = np.unique(np.asarray(class_subset, dtype=np.int64))
-    if subset.size == 0:
-        raise ValueError("class subset must be nonempty")
-    if subset.min() < 0 or subset.max() >= view.base.num_classes:
-        raise ValueError("class subset out of range")
-    keep = view.rows[np.isin(view.base.labels[view.rows], subset)]
-    if subset.size == view.base.num_classes:
-        return DatasetView(view.base, keep, None)
-    return DatasetView(view.base, keep, subset)

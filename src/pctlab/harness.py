@@ -17,8 +17,11 @@ members for ``ensemble``) is the only side trained by
 
 A ``ScenarioState`` holds the dataset, the plan and the old sides, one per
 member count L, each trained on first use under the state's
-``TrainConfig``. L = 1 is the single old model; the ``ensemble`` method at
-size 1 reuses it, since an ensemble of one is that model.
+``TrainConfig``. The plan's jobs hold row indices, so each side's training
+features are gathered from the dataset where they are needed, and every
+prediction is scored in the new model's label space. L = 1 is the single
+old model; the ``ensemble`` method at size 1 reuses it, since an ensemble
+of one is that model.
 ``prepare_scenario`` trains L = 1 only for the four single-model methods,
 so an ``ensemble`` run trains no old side it does not score against. A
 state serves only configs with its dataset, scenario and training
@@ -62,7 +65,7 @@ from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import ensembles
-from .datasets import SPLIT_TRAIN, Dataset, SyntheticSpec, generate
+from .datasets import Dataset, SyntheticSpec, generate
 from .ensembles import Ensemble, sweep_ensemble_size
 from .flips import FlipReport, report_from_arrays
 # make_ce_objective, batch_logits and predict_batch are not called here; they
@@ -224,7 +227,7 @@ class ScenarioState:
         old = self.old_sides.get(members)
         if old is None:
             old = self.old_sides[members] = _build_old_reference(
-                self.plan, self.train, self.workspace, members)
+                self.dataset, self.plan, self.train, self.workspace, members)
         return old
 
     def check(self, config: ExperimentConfig) -> None:
@@ -238,43 +241,30 @@ class ScenarioState:
                                  "scenario state was prepared with")
 
 
-def _combined_class_map(plan: ScenarioPlan) -> np.ndarray:
-    """Map old-model class j to the new model's label for the same class."""
-    old_map = np.asarray(plan.eval_plan.old_label_map, dtype=np.int64)
-    new_map = np.asarray(plan.eval_plan.new_label_map, dtype=np.int64)
-    orig_to_new = {int(orig): i for i, orig in enumerate(new_map)}
-    try:
-        return np.array([orig_to_new[int(o)] for o in old_map], dtype=np.int64)
-    except KeyError:
-        raise ValueError("every old class must be present in the new data view")
+def _build_old_reference(dataset: Dataset, plan: ScenarioPlan,
+                         train_cfg: TrainConfig, workspace: Workspace,
+                         members: int) -> OldReference:
+    """Train the old side (`members` CE-trained models) on the old job's rows
+    and cache its predictions, mapped by ``plan.old_to_new`` into the new
+    model's label space, on the new job's rows and the eval set, evaluated
+    in ``workspace``. A single model also gets the oracle the PC objectives
+    read; its predictions on the new job's rows are the oracle's."""
+    old_job, new_job = plan.old_job, plan.new_job
+    old = ensembles.train_ensemble(
+        old_job.dims, dataset.features[old_job.rows], old_job.labels,
+        train_cfg, members, model_seed(train_cfg.seed, "old"))
 
-
-def _build_old_reference(plan: ScenarioPlan, train_cfg: TrainConfig,
-                         workspace: Workspace, members: int) -> OldReference:
-    """Train the old side (`members` CE-trained models) and cache its
-    predictions on the new training view and the eval set, evaluated in
-    ``workspace``. A single model also gets the oracle the PC objectives
-    read; its training-view predictions are the oracle's."""
-    view = plan.old_job.view
-    x, y = view.features(SPLIT_TRAIN), view.labels(SPLIT_TRAIN)
-    old = ensembles.train_ensemble(plan.old_job.dims(), x, y, train_cfg,
-                                   members, model_seed(train_cfg.seed, "old"))
-
-    combined = _combined_class_map(plan)
-    new_view = plan.new_job.view
-    xt = new_view.features(SPLIT_TRAIN)
-    yt = new_view.labels(SPLIT_TRAIN)
+    xt = dataset.features[new_job.rows]
     if members == 1:
-        oracle = OldModelOracle.from_model(old.members[0], xt, yt,
-                                           class_map=combined)
+        oracle = OldModelOracle.from_model(old.members[0], xt, new_job.labels,
+                                           class_map=plan.old_to_new)
         train_preds = oracle.old_pred
     else:
         oracle = None
-        train_preds = combined[old.predict_batch(xt, workspace)]
+        train_preds = plan.old_to_new[old.predict_batch(xt, workspace)]
 
     ep = plan.eval_plan
-    old_map = np.asarray(ep.old_label_map, dtype=np.int64)
-    eval_preds = old_map[old.predict_batch(ep.features, workspace)]
+    eval_preds = plan.old_to_new[old.predict_batch(ep.features, workspace)]
     er_old = float(np.mean(eval_preds != ep.labels))
     return OldReference(old.members, eval_preds, er_old, train_preds, oracle,
                         old.parameter_count())
@@ -305,7 +295,6 @@ class _EpochCollector:
         self.eval_x = plan.features
         self.eval_y = plan.labels
         self.old_eval_preds = old_eval_preds
-        self.new_label_map = np.asarray(plan.new_label_map, dtype=np.int64)
         self.workspace = workspace
         self.rows: List[EpochMetrics] = []
         self.final: Optional[FlipReport] = None
@@ -316,8 +305,7 @@ class _EpochCollector:
         er_train = float(np.mean(train_preds != self.train_y))
         nfr_train = report_from_arrays(self.train_y, self.old_train_preds,
                                        train_preds).nfr
-        eval_preds = self.new_label_map[new.predict_batch(self.eval_x,
-                                                          self.workspace)]
+        eval_preds = new.predict_batch(self.eval_x, self.workspace)
         report = report_from_arrays(self.eval_y, self.old_eval_preds, eval_preds)
         self.rows.append(EpochMetrics(epoch + 1, er_train, report.er_new,
                                       report.nfr, report.rel_nfr, nfr_train))
@@ -346,8 +334,7 @@ def run_experiment(config: ExperimentConfig,
     else:
         size, per_stack, role = 1, REPETITION_STACK, "new"
     old = state.old_side(size)
-    new_view = plan.new_job.view
-    x, y = new_view.features(SPLIT_TRAIN), new_view.labels(SPLIT_TRAIN)
+    x, y = state.dataset.features[plan.new_job.rows], plan.new_job.labels
     objective = make_objective(y, old.oracle, config.pc)
 
     runs = []
@@ -355,10 +342,10 @@ def run_experiment(config: ExperimentConfig,
         reps = range(r0, min(r0 + per_stack, config.repetitions))
         seeds = [model_seed(config.train.seed, role, r, j)
                  for r in reps for j in range(size)]
-        if plan.new_job.init_from_old:
+        if plan.init_from_old:
             models = old.models * len(reps)
         else:
-            models = [init_model(plan.new_job.dims(), seed,
+            models = [init_model(plan.new_job.dims, seed,
                                  weight_init=config.train.weight_init)
                       for seed in seeds]
         collectors = [_EpochCollector(x, y, old.train_preds, plan.eval_plan,

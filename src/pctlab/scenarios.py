@@ -2,9 +2,14 @@
 
 A scenario names the kind of update (retrain, capacity change, data growth,
 class growth, combined changes, or fine-tuning), the model shapes, and the
-data filters for each side. ``build_scenario`` resolves it against a
-concrete dataset into two training jobs plus a pinned evaluation plan, so
-every method run of the same scenario sees identical data.
+data filters for each side. ``build_scenario`` resolves it once against a
+concrete dataset, so every method run of the same scenario sees identical
+data. Each side becomes a ``TrainingJob``: the training rows it sees (row
+indices, not a feature copy), labelled in its label space, which is its
+sorted class subset relabelled 0..k-1 (all classes when it has none). The
+evaluation set is the test rows of the old side's classes, labelled in the
+new model's label space, and ``old_to_new`` maps each old-model class into
+that space too.
 """
 
 from __future__ import annotations
@@ -15,8 +20,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .datasets import (SPLIT_TEST, SPLIT_TRAIN, Dataset, DatasetView,
-                       full_view, half_classes_view, half_samples_view)
+from .datasets import SPLIT_TEST, SPLIT_TRAIN, Dataset
+from .rng import STREAM_SUBSET, stream_rng
 
 
 class ScenarioKind(str, Enum):
@@ -66,13 +71,33 @@ class DataFilter:
             object.__setattr__(self, "class_subset",
                                tuple(int(c) for c in self.class_subset))
 
-    def apply(self, dataset: Dataset) -> DatasetView:
-        view = full_view(dataset)
+    def select(self, dataset: Dataset) -> Tuple[np.ndarray, np.ndarray]:
+        """The training rows this side sees, ascending, and its classes: the
+        sorted original labels, ``classes[j]`` being class j of the side's
+        label space. Classes are filtered first; then each class keeps
+        ``int(sample_fraction * n)`` of its n rows, drawn from the
+        ``subset_seed`` stream."""
+        rows = dataset.rows_of_split(SPLIT_TRAIN)
+        classes = np.arange(dataset.num_classes)
         if self.class_subset is not None:
-            view = half_classes_view(view, self.class_subset)
+            classes = np.unique(np.asarray(self.class_subset, dtype=np.int64))
+            if classes.size == 0:
+                raise ValueError("class subset must be nonempty")
+            if classes.min() < 0 or classes.max() >= dataset.num_classes:
+                raise ValueError("class subset out of range")
+            rows = rows[np.isin(dataset.labels[rows], classes)]
         if self.sample_fraction < 1.0:
-            view = half_samples_view(view, self.sample_fraction, self.subset_seed)
-        return view
+            rng = stream_rng(self.subset_seed, STREAM_SUBSET)
+            labels, kept = dataset.labels[rows], []
+            for c in np.unique(labels):
+                rows_c = rows[labels == c]
+                n_keep = int(self.sample_fraction * rows_c.size)
+                if n_keep < 1:
+                    raise ValueError(f"fraction {self.sample_fraction} "
+                                     f"leaves class {int(c)} empty")
+                kept.append(rng.permutation(rows_c)[:n_keep])
+            rows = np.sort(np.concatenate(kept))
+        return rows, classes
 
 
 @dataclass(frozen=True)
@@ -100,61 +125,57 @@ class UpdateScenario:
 
 @dataclass
 class TrainingJob:
-    view: DatasetView
-    model: ModelSpec
-    init_from_old: bool = False
+    """One side's training data: ``rows`` of the dataset, their ``labels``
+    in the side's label space, and the side's layer ``dims``."""
 
-    def dims(self) -> List[int]:
-        return self.model.dims(self.view.base.input_dim, self.view.num_classes)
+    rows: np.ndarray
+    labels: np.ndarray
+    dims: List[int]
 
 
 @dataclass
 class EvalPlan:
-    """The pinned held-out evaluation set, in the original label space.
-
-    When the old model was trained on a class subset, evaluation is
-    restricted to test samples of those classes, and ``old_label_map`` /
-    ``new_label_map`` translate each model's predictions back to original
-    labels.
-    """
+    """The pinned held-out evaluation set: the test rows of the old side's
+    classes, with labels in the new model's label space."""
 
     features: np.ndarray
     labels: np.ndarray
-    sample_ids: np.ndarray
-    old_label_map: np.ndarray
-    new_label_map: np.ndarray
 
 
 @dataclass
 class ScenarioPlan:
-    scenario: UpdateScenario
+    """A scenario resolved against a dataset (module docstring)."""
+
     old_job: TrainingJob
     new_job: TrainingJob
     eval_plan: EvalPlan
+    old_to_new: np.ndarray
+    init_from_old: bool
+
+
+def _job(data: DataFilter, model: ModelSpec,
+         dataset: Dataset) -> Tuple[TrainingJob, np.ndarray]:
+    rows, classes = data.select(dataset)
+    labels = np.searchsorted(classes, dataset.labels[rows])
+    dims = model.dims(dataset.input_dim, classes.size)
+    return TrainingJob(rows, labels, dims), classes
 
 
 def build_scenario(scenario: UpdateScenario, dataset: Dataset) -> ScenarioPlan:
-    """Resolve a scenario against a dataset into jobs and an eval plan."""
-    old_view = scenario.old_data.apply(dataset)
-    new_view = scenario.new_data.apply(dataset)
-
+    """Resolve a scenario against a dataset into jobs and an eval plan.
+    Raises ValueError, before anything trains, when the new side lacks a
+    class the old side has."""
+    old_job, old_classes = _job(scenario.old_data, scenario.old_model, dataset)
+    new_job, new_classes = _job(scenario.new_data, scenario.new_model, dataset)
+    if not np.isin(old_classes, new_classes).all():
+        raise ValueError("every old class must be present in the new data view")
     test_rows = dataset.rows_of_split(SPLIT_TEST)
-    if scenario.old_data.class_subset is not None:
-        subset = old_view.label_map()
-        test_rows = test_rows[np.isin(dataset.labels[test_rows], subset)]
-    plan = EvalPlan(
-        features=dataset.features[test_rows],
-        labels=dataset.labels[test_rows],
-        sample_ids=test_rows,
-        old_label_map=old_view.label_map(),
-        new_label_map=new_view.label_map(),
-    )
-    return ScenarioPlan(
-        scenario,
-        TrainingJob(old_view, scenario.old_model),
-        TrainingJob(new_view, scenario.new_model, scenario.init_from_old),
-        plan,
-    )
+    test_rows = test_rows[np.isin(dataset.labels[test_rows], old_classes)]
+    eval_plan = EvalPlan(dataset.features[test_rows],
+                         np.searchsorted(new_classes, dataset.labels[test_rows]))
+    return ScenarioPlan(old_job, new_job, eval_plan,
+                        np.searchsorted(new_classes, old_classes),
+                        scenario.init_from_old)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from pctlab import cli, reports
+from pctlab import cli, harness, reports
 from pctlab.cli import main
 from pctlab.config import dump_config, loads_config
 
@@ -190,6 +190,21 @@ def test_errors_exit_nonzero_with_one_line_diagnostic(tmp_path, capsys,
         assert main(["sweep-ensemble", "--config", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "ensemble_sizes" in err
+
+
+def test_a_new_side_without_an_old_class_exits_1_before_training(
+        tmp_path, capsys, monkeypatch):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(CONFIG_TEXT.replace(
+        "scenario: {kind: same_arch_retrain}",
+        "scenario: {kind: same_arch_retrain, new_data: {class_subset: [0, 1]}}"),
+        encoding="utf-8")
+    monkeypatch.setattr(harness.ensembles, "train_ensemble", _must_not_run)
+    for command in ("run", "compare", "sweep-focal"):
+        assert main([command, "--config", str(bad),
+                     "--out", str(tmp_path / command)]) == 1
+        assert capsys.readouterr().err == (
+            "error: every old class must be present in the new data view\n")
 
 
 def test_unknown_subcommand_is_rejected():

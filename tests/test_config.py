@@ -199,6 +199,25 @@ def test_values_are_coerced_by_field_type():
         assert line in text
 
 
+@pytest.mark.parametrize("text, key", [
+    ("train: {epochs: 3.7}", "train.epochs"),
+    ("train: {batch_size: true}", "train.batch_size"),
+    ("repetitions: 2.5", "repetitions"),
+    ("dataset: {k: 6.9}", "dataset.k"),
+    ("scenario: {kind: same_arch_retrain, init_from_old: 'no'}",
+     "scenario.init_from_old"),
+    ("scenario: {kind: same_arch_retrain, init_from_old: 1}",
+     "scenario.init_from_old"),
+    ("dataset: {cluster_spread: true}", "dataset.cluster_spread"),
+    ("scenario: {kind: class_growth, old_data: {class_subset: [0, 1.5]}}",
+     "scenario.old_data.class_subset"),
+])
+def test_values_that_would_be_truncated_or_misread_are_rejected(text, key):
+    # int(3.7) is 3, int(True) is 1 and bool("no") is True
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be "):
+        loads_config(text)
+
+
 def test_dataset_errors_are_not_wrapped():
     # a bad dataset block raises its own error, not ConfigError
     with pytest.raises(DegenerateSpecError):

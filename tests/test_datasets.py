@@ -1,4 +1,5 @@
-"""Synthetic task generation, splits, CSV round trips, and data views."""
+"""Synthetic task generation, splits, CSV round trips, and the training rows
+and classes each side of an update sees."""
 
 import numpy as np
 import pytest
@@ -7,9 +8,10 @@ from oracles import dataset_from_csv, error_rate
 from pctlab import nn
 from pctlab.datasets import (SPLIT_TEST, SPLIT_TRAIN, SPLIT_VALIDATION,
                              Dataset, DegenerateSpecError, SyntheticSpec,
-                             full_view, generate, half_classes_view,
-                             half_samples_view)
+                             generate)
 from pctlab.losses import make_ce_objective
+from pctlab.scenarios import (DataFilter, ScenarioKind, UpdateScenario,
+                              build_scenario)
 
 SPEC = SyntheticSpec(num_classes=4, input_dim=6, samples_per_class=60,
                      cluster_spread=1.0, seed=5)
@@ -111,77 +113,74 @@ def test_tiny_spread_task_is_linearly_separable():
 
 
 # ---------------------------------------------------------------------------
-# views
+# views: the training rows each side of an update sees, and its classes, as
+# ``scenarios.DataFilter.select`` resolves them
 
 
 def test_full_view_is_identity(data):
-    view = full_view(data)
-    assert view.num_classes == data.num_classes
-    np.testing.assert_array_equal(view.label_map(), np.arange(4))
-    np.testing.assert_array_equal(view.features(SPLIT_TRAIN),
-                                  data.features[data.rows_of_split(SPLIT_TRAIN)])
-    np.testing.assert_array_equal(view.sample_ids(SPLIT_TEST),
-                                  data.rows_of_split(SPLIT_TEST))
+    rows, classes = DataFilter().select(data)
+    np.testing.assert_array_equal(rows, data.rows_of_split(SPLIT_TRAIN))
+    np.testing.assert_array_equal(classes, np.arange(4))
 
 
 def test_half_samples_view_keeps_stratified_fraction(data):
-    view = half_samples_view(data, 0.5, seed=1)
-    kept = data.labels[view.split_rows(SPLIT_TRAIN)]
+    rows, _ = DataFilter(sample_fraction=0.5, subset_seed=1).select(data)
+    kept = data.labels[rows]
     full = data.labels[data.rows_of_split(SPLIT_TRAIN)]
     for c in range(SPEC.num_classes):
         # label noise skews the per-class counts, so stratify on the actual ones
         assert int(np.sum(kept == c)) == int(0.5 * np.sum(full == c))
-    # held-out splits pass through untouched
-    np.testing.assert_array_equal(view.split_rows(SPLIT_TEST),
-                                  data.rows_of_split(SPLIT_TEST))
-    np.testing.assert_array_equal(view.split_rows(SPLIT_VALIDATION),
-                                  data.rows_of_split(SPLIT_VALIDATION))
+    # ascending training rows only
+    assert np.all(data.split[rows] == SPLIT_TRAIN)
+    assert np.all(np.diff(rows) > 0)
 
 
 def test_half_samples_view_deterministic_and_seeded(data):
-    v1 = half_samples_view(data, 0.5, seed=1)
-    v2 = half_samples_view(data, 0.5, seed=1)
-    v3 = half_samples_view(data, 0.5, seed=2)
-    np.testing.assert_array_equal(v1.rows, v2.rows)
-    assert not np.array_equal(v1.rows, v3.rows)
+    def rows(seed):
+        return DataFilter(sample_fraction=0.5, subset_seed=seed).select(data)[0]
+
+    np.testing.assert_array_equal(rows(1), rows(1))
+    assert not np.array_equal(rows(1), rows(2))
 
 
 def test_half_samples_view_edge_cases(data):
-    assert half_samples_view(data, 1.0, seed=0).rows.size == data.n
+    rows, _ = DataFilter(sample_fraction=1.0, subset_seed=3).select(data)
+    np.testing.assert_array_equal(rows, data.rows_of_split(SPLIT_TRAIN))
     with pytest.raises(ValueError):
-        half_samples_view(data, 0.0, seed=0)
+        DataFilter(sample_fraction=0.0)
     with pytest.raises(ValueError, match="empty"):
-        half_samples_view(data, 0.001, seed=0)
+        DataFilter(sample_fraction=0.001).select(data)
 
 
 def test_half_classes_view_relabels_contiguously(data):
-    view = half_classes_view(data, [2, 0])
-    assert view.num_classes == 2
-    np.testing.assert_array_equal(view.label_map(), [0, 2])  # sorted
-    raw = data.labels[view.split_rows(SPLIT_TRAIN)]
-    remapped = view.labels(SPLIT_TRAIN)
-    assert set(np.unique(remapped)) <= {0, 1}
-    np.testing.assert_array_equal(view.label_map()[remapped], raw)
+    subset = DataFilter(class_subset=(2, 0))
+    rows, classes = subset.select(data)
+    np.testing.assert_array_equal(classes, [0, 2])  # sorted
+    job = build_scenario(UpdateScenario(ScenarioKind.CLASS_GROWTH,
+                                        old_data=subset), data).old_job
+    np.testing.assert_array_equal(job.rows, rows)
+    assert set(np.unique(job.labels)) == {0, 1}
+    np.testing.assert_array_equal(classes[job.labels], data.labels[rows])
+    assert job.dims[-1] == 2
 
 
 def test_half_classes_view_validation(data):
-    with pytest.raises(ValueError, match="range"):
-        half_classes_view(data, [0, 9])
+    for subset in ((0, 9), (-1, 0)):
+        with pytest.raises(ValueError, match="range"):
+            DataFilter(class_subset=subset).select(data)
     with pytest.raises(ValueError, match="nonempty"):
-        half_classes_view(data, [])
-    restricted = half_classes_view(data, [0, 1])
-    with pytest.raises(ValueError, match="already restricted"):
-        half_classes_view(restricted, [0])
+        DataFilter(class_subset=()).select(data)
     # the full subset keeps the identity label space
-    assert half_classes_view(data, [0, 1, 2, 3]).class_subset is None
+    rows, classes = DataFilter(class_subset=(3, 1, 2, 0)).select(data)
+    np.testing.assert_array_equal(classes, np.arange(4))
+    np.testing.assert_array_equal(rows, data.rows_of_split(SPLIT_TRAIN))
 
 
 def test_views_compose_classes_then_samples(data):
-    classes = half_classes_view(data, [0, 1])
-    both = half_samples_view(classes, 0.5, seed=3)
-    assert both.num_classes == 2
-    labels = data.labels[both.split_rows(SPLIT_TRAIN)]
-    assert set(np.unique(labels)) <= {0, 1}
-    full = data.labels[classes.split_rows(SPLIT_TRAIN)]
+    rows, classes = DataFilter(sample_fraction=0.5, class_subset=(0, 1),
+                               subset_seed=3).select(data)
+    np.testing.assert_array_equal(classes, [0, 1])
+    assert set(np.unique(data.labels[rows])) <= {0, 1}
+    full = data.labels[DataFilter(class_subset=(0, 1)).select(data)[0]]
     expected = sum(int(0.5 * np.sum(full == c)) for c in (0, 1))
-    assert both.split_rows(SPLIT_TRAIN).size == expected
+    assert rows.size == expected

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pctlab import harness, nn
-from pctlab.datasets import SPLIT_TRAIN, SyntheticSpec, generate
+from pctlab.datasets import SyntheticSpec, generate
 from pctlab.flips import report_from_arrays
 from pctlab.harness import (ENSEMBLE_REP_STRIDE, ENSEMBLE_SEED_OFFSET,
                             MAX_REPETITIONS, METHODS, NEW_MODEL_SEED_OFFSET,
@@ -22,7 +22,8 @@ from pctlab.harness import (ENSEMBLE_REP_STRIDE, ENSEMBLE_SEED_OFFSET,
 from pctlab.losses import (DistanceSpec, PCLossConfig, make_ce_objective,
                            make_objective)
 from pctlab.nn import TrainConfig, init_model, with_seed
-from pctlab.scenarios import ScenarioKind, build_scenario, reference_scenario
+from pctlab.scenarios import (DataFilter, ScenarioKind, UpdateScenario,
+                              build_scenario, reference_scenario)
 
 
 def test_pc_config_for_method_mapping():
@@ -119,16 +120,15 @@ def _solo_runs(config, state):
     """Each repetition trained alone as a 2-D model, with its own collector:
     the oracle for the repetition stack."""
     plan, old = state.plan, state.old_side(1)
-    view = plan.new_job.view
-    x, y = view.features(SPLIT_TRAIN), view.labels(SPLIT_TRAIN)
+    x, y = state.dataset.features[plan.new_job.rows], plan.new_job.labels
     objective = make_objective(y, old.oracle, config.pc)
     runs = []
     for rep in range(config.repetitions):
         seed = model_seed(config.train.seed, "new", rep)
-        if plan.new_job.init_from_old:
+        if plan.init_from_old:
             start = old.models[0]
         else:
-            start = init_model(plan.new_job.dims(), seed,
+            start = init_model(plan.new_job.dims, seed,
                                weight_init=config.train.weight_init)
         collector = _EpochCollector(x, y, old.train_preds, plan.eval_plan,
                                     old.eval_preds, nn.Workspace())
@@ -177,15 +177,14 @@ def _ensemble_runs(config, state):
     the oracle for the ensemble method's stack."""
     plan, size = state.plan, config.ensemble_size
     old = state.old_side(size)
-    view = plan.new_job.view
-    x, y = view.features(SPLIT_TRAIN), view.labels(SPLIT_TRAIN)
+    x, y = state.dataset.features[plan.new_job.rows], plan.new_job.labels
     runs = []
     for rep in range(config.repetitions):
         base = model_seed(config.train.seed, "new_member", rep)
-        if plan.new_job.init_from_old:
+        if plan.init_from_old:
             init = old.models
         else:
-            init = [init_model(plan.new_job.dims(), base + j,
+            init = [init_model(plan.new_job.dims, base + j,
                                weight_init=config.train.weight_init)
                     for j in range(size)]
         collector = _EpochCollector(x, y, old.train_preds, plan.eval_plan,
@@ -240,9 +239,9 @@ def _reference_task_collector_inputs():
     """The reference task's 3,500 training and 1,000 held-out rows, with
     fixed old-side predictions; no model is trained."""
     config = ExperimentConfig()
-    plan = build_scenario(config.scenario, generate(config.dataset))
-    view = plan.new_job.view
-    x, y = view.features(SPLIT_TRAIN), view.labels(SPLIT_TRAIN)
+    dataset = generate(config.dataset)
+    plan = build_scenario(config.scenario, dataset)
+    x, y = dataset.features[plan.new_job.rows], plan.new_job.labels
     assert (len(x), len(plan.eval_plan.labels)) == (3500, 1000)
     old_eval = np.roll(plan.eval_plan.labels, 1)
     return x, y, np.roll(y, 1), plan, old_eval
@@ -254,7 +253,7 @@ def _unbuffered_metrics(epoch, x, y, old_train, plan, old_eval, members):
         return np.argmax(sum(nn.batch_logits(m, rows) for m in members), axis=1)
 
     train_preds = preds(x)
-    eval_preds = plan.eval_plan.new_label_map[preds(plan.eval_plan.features)]
+    eval_preds = preds(plan.eval_plan.features)
     report = report_from_arrays(plan.eval_plan.labels, old_eval, eval_preds)
     return EpochMetrics(epoch + 1, float(np.mean(train_preds != y)),
                         report.er_new, report.nfr, report.rel_nfr,
@@ -268,7 +267,7 @@ def test_collectors_sharing_a_workspace_equal_unbuffered_scoring(size):
     so neither the member sum nor one collector's forward clobbers another;
     after the first epoch no buffer is reallocated."""
     x, y, old_train, plan, old_eval = _reference_task_collector_inputs()
-    dims = plan.new_job.dims()
+    dims = plan.new_job.dims
     ws = nn.Workspace()
     collectors = [_EpochCollector(x, y, old_train, plan.eval_plan, old_eval, ws)
                   for _ in range(2)]
@@ -295,7 +294,7 @@ def test_epoch_collector_takes_no_page_faults_after_warm_up():
     x, y, old_train, plan, old_eval = _reference_task_collector_inputs()
     collector = _EpochCollector(x, y, old_train, plan.eval_plan, old_eval,
                                 nn.Workspace())
-    model = init_model(plan.new_job.dims(), 3)
+    model = init_model(plan.new_job.dims, 3)
     collector(0, model)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     collector(1, model)
@@ -403,24 +402,43 @@ def test_prepare_trains_the_single_old_model_for_single_model_methods(
     assert calls == [1, 1, 1, 1]
 
 
+def _must_not_train(*args, **kwargs):
+    raise AssertionError("an old side trained for a rejected scenario")
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_a_new_side_without_an_old_class_is_rejected_before_training(
+        small_config, method, monkeypatch):
+    """The class check runs when the scenario resolves, so no method, not
+    even ``ensemble`` with its whole old ensemble, trains an old side that
+    could not be scored."""
+    monkeypatch.setattr(harness.ensembles, "train_ensemble", _must_not_train)
+    scenario = UpdateScenario(ScenarioKind.SAME_ARCH_RETRAIN,
+                              new_data=DataFilter(class_subset=(0, 1, 2)))
+    cfg = replace(small_config, scenario=scenario, method=method,
+                  ensemble_size=3)
+    for call in (prepare_scenario, run_experiment, compare_methods):
+        with pytest.raises(ValueError, match="^every old class must be "
+                                             "present in the new data view$"):
+            call(cfg)
+
+
 def test_single_old_model_equals_an_ensemble_of_one(small_config, small_state):
     """The cached L = 1 entry, oracle predictions included, is what a
     separately trained ensemble of one predicts, bit for bit."""
     plan, cfg = small_state.plan, small_config
+    features = small_state.dataset.features
     single = small_state.old_side(1)
-    view, new_view = plan.old_job.view, plan.new_job.view
     solo = harness.ensembles.train_ensemble(
-        plan.old_job.dims(), view.features(SPLIT_TRAIN),
-        view.labels(SPLIT_TRAIN), cfg.train, 1, model_seed(cfg.train.seed, "old"))
+        plan.old_job.dims, features[plan.old_job.rows], plan.old_job.labels,
+        cfg.train, 1, model_seed(cfg.train.seed, "old"))
     for got, want in zip(single.models[0].layers, solo.members[0].layers):
         np.testing.assert_array_equal(got.weights, want.weights)
         np.testing.assert_array_equal(got.bias, want.bias)
-    combined = harness._combined_class_map(plan)
     np.testing.assert_array_equal(
         single.train_preds,
-        combined[solo.predict_batch(new_view.features(SPLIT_TRAIN))])
-    old_map = np.asarray(plan.eval_plan.old_label_map)
-    eval_preds = old_map[solo.predict_batch(plan.eval_plan.features)]
+        plan.old_to_new[solo.predict_batch(features[plan.new_job.rows])])
+    eval_preds = plan.old_to_new[solo.predict_batch(plan.eval_plan.features)]
     np.testing.assert_array_equal(single.eval_preds, eval_preds)
     assert single.er_old == float(np.mean(eval_preds != plan.eval_plan.labels))
     assert single.param_count == solo.parameter_count()

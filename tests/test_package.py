@@ -1,11 +1,13 @@
 """The package namespace: every exported name resolves, and the per-sample
 and per-record oracles that moved to ``tests/oracles.py``, and the
-record-level flip API that was deleted, stay out of it."""
+record-level flip API and the dataset views that were deleted, stay out of
+it."""
 
 import inspect
+from dataclasses import fields
 
 import pctlab
-from pctlab import datasets, ensembles, flips, losses, nn
+from pctlab import datasets, ensembles, flips, harness, losses, nn, scenarios
 
 
 def test_every_exported_name_resolves():
@@ -20,7 +22,9 @@ def test_oracles_live_only_in_the_tests():
         losses: ["total_objective", "pc_loss_naive", "pc_loss_focal",
                  "OracleEntry", "_ce_value_grad", "distance_lm",
                  "filter_weight"],
-        datasets: ["SPLIT_CODES"],
+        datasets: ["SPLIT_CODES", "DatasetView", "full_view", "_as_view",
+                   "half_samples_view", "half_classes_view"],
+        harness: ["_combined_class_map"],
         flips: ["records_from_arrays", "compute_nfr", "flip_report",
                 "FlipQuadrant", "PredictionRecord", "classify_flip",
                 "records_to_csv", "UncertaintyRecord", "predictive_entropy",
@@ -35,3 +39,14 @@ def test_oracles_live_only_in_the_tests():
     assert not hasattr(datasets.Dataset, "from_csv")
     assert "on_epoch_end" not in inspect.signature(
         ensembles.train_ensemble).parameters
+    # a plan holds rows and labels in the new model's label space, and one
+    # old-to-new class map instead of a label map per side
+    gone = {scenarios.EvalPlan: {"old_label_map", "new_label_map", "sample_ids"},
+            scenarios.TrainingJob: {"view", "init_from_old"},
+            scenarios.ScenarioPlan: {"scenario"}}
+    for cls, names in gone.items():
+        assert names.isdisjoint(f.name for f in fields(cls)), cls.__name__
+    assert not hasattr(scenarios.DataFilter, "apply")
+    collector = harness._EpochCollector(None, None, None,
+                                        scenarios.EvalPlan(None, None), None, None)
+    assert not hasattr(collector, "new_label_map")

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from pctlab.datasets import SPLIT_TEST, SPLIT_TRAIN, SyntheticSpec, generate
+from pctlab.rng import STREAM_SUBSET, stream_rng
 from pctlab.scenarios import (REFERENCE_LARGE, REFERENCE_SMALL, DataFilter,
                               ModelSpec, ScenarioKind, UpdateScenario,
                               build_scenario, reference_scenario)
@@ -26,15 +27,18 @@ def test_model_spec_dims():
 
 
 def test_data_filter_applies_classes_then_samples(data):
-    filt = DataFilter(sample_fraction=0.5, class_subset=(0, 1, 2), subset_seed=4)
-    view = filt.apply(data)
-    assert view.num_classes == 3
-    labels = data.labels[view.split_rows(SPLIT_TRAIN)]
-    assert set(np.unique(labels)) <= {0, 1, 2}
-    full = data.labels[DataFilter(class_subset=(0, 1, 2)).apply(data)
-                       .split_rows(SPLIT_TRAIN)]
-    expected = sum(int(0.5 * np.sum(full == c)) for c in (0, 1, 2))
-    assert view.split_rows(SPLIT_TRAIN).size == expected
+    filt = DataFilter(sample_fraction=0.5, class_subset=(5, 3, 4), subset_seed=4)
+    rows, classes = filt.select(data)
+    np.testing.assert_array_equal(classes, [3, 4, 5])
+    # one permutation per kept class, in class order, over that class's
+    # training rows: the first draw goes to class 3, not to class 0
+    rng = stream_rng(4, STREAM_SUBSET)
+    train = data.rows_of_split(SPLIT_TRAIN)
+    expected = []
+    for c in classes:
+        rows_c = train[data.labels[train] == c]
+        expected.append(rng.permutation(rows_c)[:int(0.5 * rows_c.size)])
+    np.testing.assert_array_equal(rows, np.sort(np.concatenate(expected)))
 
 
 def test_data_filter_validation():
@@ -99,13 +103,17 @@ def test_scenario_accepts_kind_as_string():
 def test_build_scenario_same_arch_shares_full_eval(data):
     plan = build_scenario(reference_scenario(ScenarioKind.SAME_ARCH_RETRAIN,
                                              SPEC.num_classes), data)
-    np.testing.assert_array_equal(plan.eval_plan.sample_ids,
-                                  data.rows_of_split(SPLIT_TEST))
-    np.testing.assert_array_equal(plan.eval_plan.old_label_map, np.arange(6))
-    np.testing.assert_array_equal(plan.eval_plan.new_label_map, np.arange(6))
-    assert plan.old_job.dims() == [5, 32, 6]
-    assert plan.new_job.dims() == [5, 32, 6]
-    assert not plan.new_job.init_from_old
+    test_rows = data.rows_of_split(SPLIT_TEST)
+    np.testing.assert_array_equal(plan.eval_plan.features,
+                                  data.features[test_rows])
+    np.testing.assert_array_equal(plan.eval_plan.labels, data.labels[test_rows])
+    np.testing.assert_array_equal(plan.old_to_new, np.arange(6))
+    train = data.rows_of_split(SPLIT_TRAIN)
+    for job in (plan.old_job, plan.new_job):
+        np.testing.assert_array_equal(job.rows, train)
+        np.testing.assert_array_equal(job.labels, data.labels[train])
+        assert job.dims == [5, 32, 6]
+    assert not plan.init_from_old
 
 
 def test_build_scenario_class_growth_restricts_eval(data):
@@ -113,28 +121,55 @@ def test_build_scenario_class_growth_restricts_eval(data):
                                              SPEC.num_classes), data)
     # evaluation sticks to classes the old model knows about
     assert set(np.unique(plan.eval_plan.labels)) <= {0, 1, 2}
-    assert plan.old_job.dims() == [5, 32, 3]
-    assert plan.new_job.dims() == [5, 32, 6]
-    np.testing.assert_array_equal(plan.eval_plan.old_label_map, [0, 1, 2])
-    np.testing.assert_array_equal(plan.eval_plan.new_label_map, np.arange(6))
+    assert plan.old_job.dims == [5, 32, 3]
+    assert plan.new_job.dims == [5, 32, 6]
+    np.testing.assert_array_equal(plan.old_to_new, [0, 1, 2])
     test_rows = data.rows_of_split(SPLIT_TEST)
     keep = test_rows[np.isin(data.labels[test_rows], [0, 1, 2])]
-    np.testing.assert_array_equal(plan.eval_plan.sample_ids, keep)
+    np.testing.assert_array_equal(plan.eval_plan.features, data.features[keep])
+    np.testing.assert_array_equal(plan.eval_plan.labels, data.labels[keep])
 
 
 def test_build_scenario_sample_growth_shares_eval_rows(data):
     plan = build_scenario(reference_scenario(ScenarioKind.SAMPLE_GROWTH,
                                              SPEC.num_classes), data)
-    old_train = plan.old_job.view.split_rows(SPLIT_TRAIN)
-    new_train = plan.new_job.view.split_rows(SPLIT_TRAIN)
+    old_train, new_train = plan.old_job.rows, plan.new_job.rows
     assert old_train.size < new_train.size
     assert set(old_train) <= set(new_train)
-    np.testing.assert_array_equal(plan.eval_plan.sample_ids,
-                                  data.rows_of_split(SPLIT_TEST))
+    np.testing.assert_array_equal(plan.eval_plan.features,
+                                  data.features[data.rows_of_split(SPLIT_TEST)])
 
 
 def test_build_scenario_fine_tune_marks_init(data):
     plan = build_scenario(reference_scenario(ScenarioKind.FINE_TUNE,
                                              SPEC.num_classes), data)
-    assert plan.new_job.init_from_old
-    assert plan.old_job.dims() == plan.new_job.dims()
+    assert plan.init_from_old
+    assert plan.old_job.dims == plan.new_job.dims
+
+
+def test_build_scenario_labels_everything_in_the_new_label_space(data):
+    scenario = UpdateScenario(
+        ScenarioKind.CLASS_GROWTH,
+        old_data=DataFilter(class_subset=(1, 3)),
+        new_data=DataFilter(class_subset=(1, 2, 3, 5)))
+    plan = build_scenario(scenario, data)
+    # old class j is new class old_to_new[j]: 1 -> 0 and 3 -> 2
+    np.testing.assert_array_equal(plan.old_to_new, [0, 2])
+    test_rows = data.rows_of_split(SPLIT_TEST)
+    keep = test_rows[np.isin(data.labels[test_rows], [1, 3])]
+    np.testing.assert_array_equal(plan.eval_plan.features, data.features[keep])
+    np.testing.assert_array_equal(plan.eval_plan.labels,
+                                  np.searchsorted([1, 2, 3, 5], data.labels[keep]))
+    np.testing.assert_array_equal(
+        np.array([1, 2, 3, 5])[plan.new_job.labels],
+        data.labels[plan.new_job.rows])
+    assert plan.new_job.dims == [5, 32, 4]
+
+
+def test_build_scenario_rejects_a_new_side_without_an_old_class(data):
+    for old, new in (((1, 3), (1, 2)), (None, (0, 1, 2, 3, 4))):
+        scenario = UpdateScenario(ScenarioKind.SAME_ARCH_RETRAIN,
+                                  old_data=DataFilter(class_subset=old),
+                                  new_data=DataFilter(class_subset=new))
+        with pytest.raises(ValueError, match="every old class must be present"):
+            build_scenario(scenario, data)

@@ -7,8 +7,10 @@ spellings in ``_KEYS``: ``k``, ``lambda`` and the flat ``pc`` block.
 Unknown keys are rejected so typos fail loudly instead of silently using
 defaults. ``from_document`` and ``to_document`` walk ``dataclasses.fields``
 and coerce each value by its field's type: an int field takes an integral
-number, a float field any number, a bool field only true or false, and no
-bool is read as a number (strings still go through ``int`` and ``float``).
+number, a float field any finite number, a bool field only true or false,
+and no bool is read as a number. A string in a number field is parsed as
+that type, since PyYAML reads ``1e-3`` as a string, and one that does not
+parse, or parses to inf or nan, is an error that names its key.
 ``reports`` reads ``artifacts.json`` back through them.
 
 Three optional top-level lists parameterize the sweep subcommands:
@@ -22,6 +24,7 @@ importing this module, as every report writer does, does not load it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, fields, is_dataclass, replace
 from enum import Enum
 from typing import (List, Optional, Sequence, Tuple, Union, get_args,
@@ -82,6 +85,13 @@ def _coerce(tp, value, where: str):
         return get_origin(tp)(_coerce(get_args(tp)[0], v, where) for v in value)
     if issubclass(tp, str):
         return tp(str(value))
+    if isinstance(value, str) and tp in (int, float):
+        # PyYAML reads 1e-3 (no dot in the mantissa) and nan as strings
+        try:
+            value = tp(value)
+        except ValueError:
+            raise ConfigError(
+                f"{where} must be {tp.__name__}, got {value!r}") from None
     if tp is int and isinstance(value, float) and value.is_integer():
         value = int(value)
     # bool is an int subclass, so int(True) and float(True) would pass, and
@@ -89,7 +99,10 @@ def _coerce(tp, value, where: str):
     if (isinstance(value, bool) != (tp is bool)
             or (tp is int and isinstance(value, float))):
         raise ConfigError(f"{where} must be {tp.__name__}, got {value!r}")
-    return tp(value)
+    value = tp(value)
+    if tp is float and not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
+    return value
 
 
 def _decode(cls, doc: dict, where: str, given: dict):
@@ -173,10 +186,6 @@ def load_document(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path} must contain a mapping at the top level")
     return doc
-
-
-def load_config(path: str) -> ExperimentConfig:
-    return experiment_from_document(load_document(path))
 
 
 def dump_config(config: ExperimentConfig) -> str:

@@ -3,9 +3,11 @@
 An ensemble predicts the argmax of its member logits summed in member
 order. The sum skips the 1/L of the mean, so one exact rule scores every
 ensemble: the old side, the new side of every run (a single model is an
-ensemble of one) and every size of the sweep; ``Ensemble.logit_sums``
-keeps that sum for L = 1, 2, ... in the reusable buffers of an
-``nn.Workspace``.
+ensemble of one) and every size of the sweep. ``Ensemble.predictions``
+scores the first L members for each requested L in one pass over the rows,
+in the row blocks of ``nn.block_cuts``: each block runs through the members
+in order, their running sum is one block long, and only the integer
+predictions span all the rows.
 ``train_ensemble`` trains CE members: member j from seed base_seed + j
 (its init and its shuffle), all members in lockstep as one
 ``(M, fan_in, fan_out)`` weight stack through a single ``nn.train`` call.
@@ -28,8 +30,8 @@ from .flips import report_from_arrays
 from .losses import make_ce_objective
 # batch_logits is not called here; it stays importable from this module
 # because pctbench/tracing.py wraps it by name
-from .nn import (MLPModel, TrainConfig, Workspace, batch_logits, forward_into,
-                 init_model, stack_models, train, with_seed)
+from .nn import (MLPModel, TrainConfig, Workspace, batch_logits, block_cuts,
+                 forward_into, init_model, stack_models, train, with_seed)
 from .tables import Table
 
 
@@ -54,26 +56,45 @@ class Ensemble:
     def num_classes(self) -> int:
         return self.members[0].num_classes
 
-    def logit_sums(self, x: np.ndarray, workspace: Workspace, key="sum"):
-        """Yield the member-order logit sum of the first L members, for
-        L = 1, 2, ..., size, updated in place in ``workspace``'s buffer
-        ``key``: its own buffer, because each member's ``forward_into``
-        overwrites the last one's logits."""
-        total = workspace.get(key, (len(x), self.num_classes))
-        total[...] = forward_into(self.members[0], x, workspace)
-        yield total
-        for m in self.members[1:]:
-            total += forward_into(m, x, workspace)
-            yield total
+    def predictions(self, x: np.ndarray, sizes: Sequence[int],
+                    workspace: Workspace) -> np.ndarray:
+        """``(len(sizes), n)`` row argmaxes of the member-order logit sum of
+        the first L members, for each L of the ascending ``sizes``; ties
+        resolve to the lowest index.
+
+        The rows run in the blocks of ``nn.block_cuts`` for the widest layer
+        of any member. Each member's ``forward_into`` on a block is then one
+        block of its own, and the running sum lives in ``workspace``'s
+        buffer ``"sum"``, one block long, because each forward overwrites the
+        last one's logits.
+        """
+        if not sizes or sizes[0] < 1 or sizes[-1] > self.size \
+                or any(a >= b for a, b in zip(sizes, sizes[1:])):
+            raise ValueError(f"sizes must ascend strictly within [1, {self.size}]")
+        widest = max(l.fan_out for m in self.members for l in m.layers)
+        cuts = block_cuts(len(x), widest)
+        preds = np.empty((len(sizes), len(x)), dtype=np.intp)
+        for start, stop in zip(cuts, cuts[1:]):
+            total = workspace.get("sum", (stop - start, self.num_classes))
+            slot = 0
+            for j, member in enumerate(self.members[:sizes[-1]]):
+                logits = forward_into(member, x[start:stop], workspace)
+                if j == 0:
+                    total[...] = logits
+                else:
+                    total += logits
+                if j + 1 == sizes[slot]:
+                    np.argmax(total, axis=1, out=preds[slot, start:stop])
+                    slot += 1
+        return preds
 
     def predict_batch(self, x: np.ndarray,
                       workspace: Optional[Workspace] = None) -> np.ndarray:
         """Argmax of the member logits summed in member order; ties resolve
         to the lowest index. The sum runs in ``workspace``'s buffers, a
         fresh workspace when none is given."""
-        *_, total = self.logit_sums(x, Workspace() if workspace is None
-                                    else workspace)
-        return np.argmax(total, axis=1)
+        return self.predictions(x, [self.size], Workspace() if workspace is None
+                                else workspace)[0]
 
     def parameter_count(self) -> int:
         return sum(m.parameter_count() for m in self.members)
@@ -118,11 +139,11 @@ def sweep_ensemble_size(old_dims: Sequence[int], new_dims: Sequence[int],
                         new_base_seed: int) -> Table:
     """One ``SweepRow`` of old/new ensemble flip metrics per requested size.
 
-    Trains max(sizes) members per side once and evaluates every size L on
-    the first L members, which is exactly the ensemble train_ensemble would
-    produce for that L: the running member-order sum of their logits is the
-    sum ``Ensemble.predict_batch`` takes. Seed ranges for the two sides must
-    not overlap.
+    Trains max(sizes) members per side once and scores every size L on the
+    first L members, one side at a time, which is exactly the ensemble
+    train_ensemble would produce for that L: ``Ensemble.predictions`` takes
+    the argmax of the same member-order sum as ``Ensemble.predict_batch``.
+    Seed ranges for the two sides must not overlap.
     """
     sizes = [int(s) for s in sizes]
     if not sizes or sizes[0] < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
@@ -141,15 +162,11 @@ def sweep_ensemble_size(old_dims: Sequence[int], new_dims: Sequence[int],
     new_ens = train_ensemble(new_dims, train_x, train_y, config, top,
                              new_base_seed)
     workspace = Workspace()
-    old_sums = old_ens.logit_sums(test_x, workspace, "old")
-    new_sums = new_ens.logit_sums(test_x, workspace, "new")
-    rows, summed = [], 0
-    for size in sizes:
-        for _ in range(size - summed):
-            old_total, new_total = next(old_sums), next(new_sums)
-        summed = size
-        report = report_from_arrays(test_y, np.argmax(old_total, axis=1),
-                                    np.argmax(new_total, axis=1))
+    old_preds = old_ens.predictions(test_x, sizes, workspace)
+    new_preds = new_ens.predictions(test_x, sizes, workspace)
+    rows = []
+    for size, old_row, new_row in zip(sizes, old_preds, new_preds):
+        report = report_from_arrays(test_y, old_row, new_row)
         rows.append(SweepRow(size, report.er_old, report.er_new, report.nfr,
                              report.rel_nfr))
     return Table(rows)

@@ -79,8 +79,10 @@ def report_from_counts(bc: int, nf: int, pf: int, bw: int) -> FlipReport:
     er_new = (nf + bw) / n
     nfr = nf / n
     pfr = pf / n
-    denom = (1.0 - er_old) * er_new
-    rel_nfr = nfr / denom if denom > 0.0 else None
+    try:
+        rel_nfr = compute_relative_nfr(nfr, er_old, er_new)
+    except UndefinedMetricError:
+        rel_nfr = None
     return FlipReport(n, bc, nf, pf, bw, er_old, er_new, nfr, pfr, rel_nfr)
 
 

@@ -32,9 +32,10 @@ The state also owns one ``nn.Workspace``. The old side's evaluation
 and every epoch's scoring in every ``run_experiment`` on that state run
 their forwards in its buffers, so per-epoch evaluation reuses the same
 memory instead of allocating (and page-faulting) it anew on every call.
-``nn.forward_into`` runs in row blocks, so the hidden layers' buffers hold
-one block, a few MB whatever the row count; only the logits and the
-ensemble sums span every scored row.
+``Ensemble.predict_batch`` scores in even row blocks, each block through
+every member in turn, so the hidden layers', the logits' and the member
+sum's buffers all hold one block, a few MB whatever the row count; only
+the integer predictions span every scored row.
 
 ``EpochMetrics``, ``MethodRow`` and ``FocalSweepRow`` are the row classes
 of the epoch series, comparison and focal-sweep ``tables.Table``s.

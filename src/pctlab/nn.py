@@ -28,13 +28,14 @@ contiguous rows pairwise (see ``_train_epoch``).
 Evaluation runs one model at a time through ``forward_into``, which writes
 each layer's output into a ``Workspace`` buffer that is reused from call to
 call, with relu applied in place, so per-epoch evaluation allocates, and
-page-faults, nothing after its first call. It runs in row blocks of about
-2 MB of the widest layer (one core's L2 on the Xeon this was measured on),
-and only the logits span all the rows. Its logits are ``batch_logits`` of
-each block, bit for bit. That equals ``batch_logits`` of all the rows
-wherever OpenBLAS rounds a row the same at any row count, as the tests
-check for hidden widths 32, 64 and 256; at some other widths, 478 for one,
-a logit can differ in the last bit.
+page-faults, nothing after its first call. It runs in the even row blocks
+of ``block_cuts``, each of about 2 MB of the widest layer (one core's L2 on
+the Xeon this was measured on), and only the logits span all the rows it
+is given; ``ensembles.Ensemble`` gives it one block at a time. Its logits
+are ``batch_logits`` of each block, bit for bit. That equals
+``batch_logits`` of all the rows wherever OpenBLAS rounds a row the same at
+any row count, as the tests check for hidden widths 32, 64 and 256; at some
+other widths, 478 for one, a logit can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -89,9 +90,6 @@ class Layer:
     def fan_out(self) -> int:
         return self.weights.shape[-1]
 
-    def copy(self) -> "Layer":
-        return Layer(self.weights.copy(), self.bias.copy(), self.activation)
-
 
 @dataclass
 class MLPModel:
@@ -124,9 +122,6 @@ class MLPModel:
         """M for a stack of M models, None for a single model."""
         weights = self.layers[0].weights
         return weights.shape[0] if weights.ndim == 3 else None
-
-    def copy(self) -> "MLPModel":
-        return MLPModel([layer.copy() for layer in self.layers])
 
     def member(self, j: int) -> "MLPModel":
         """Model j of a stack, as live views of the stacked parameters.
@@ -297,7 +292,7 @@ class Workspace:
     so repeated requests of the same or a smaller size allocate nothing.
     A view stays valid until the next request under its key.
     ``forward_into`` keys its buffers by layer index: the hidden layers'
-    hold one row block, the logits' all the rows.
+    hold one row block, the logits' all the rows it is given.
     """
 
     def __init__(self):
@@ -311,16 +306,26 @@ class Workspace:
         return buf[:size].reshape(shape)
 
 
+def block_cuts(n: int, widest: int) -> List[int]:
+    """Cuts ``[c_0, ..., c_q]`` of n rows into q = max(1, n // R) blocks,
+    R = max(1, ``BLOCK_ELEMENTS`` // ``widest``), with c_b = n * b // q.
+
+    Block sizes differ by at most one row, so no block holds more than
+    ceil(n / q) rows, and when n >= R every block holds R to 2R - 1 rows.
+    """
+    blocks = max(1, n // max(1, BLOCK_ELEMENTS // widest))
+    return [n * b // blocks for b in range(blocks + 1)]
+
+
 def forward_into(model: MLPModel, x: np.ndarray, workspace: Workspace) -> np.ndarray:
     """Logits of one (unstacked) model over ``(n, input_dim)`` rows.
 
-    The rows run through all the layers in blocks of R = max(1,
-    ``BLOCK_ELEMENTS`` // widest fan_out), the last block taking the
-    remainder, so input under 2R rows is one block. Hidden layer i writes
-    into ``workspace``'s buffer ``i``, one block long, relu in place; the
-    logits go into the last layer's buffer, all n rows, and are a view that
-    the workspace's next forward overwrites. Each block's logits are bit
-    for bit ``batch_logits`` of that block's rows.
+    The rows run through all the layers in the blocks of ``block_cuts(n,
+    widest fan_out)``, so input under 2R rows is one block. Hidden layer i
+    writes into ``workspace``'s buffer ``i``, one block (ceil(n / q) rows)
+    long, relu in place; the logits go into the last layer's buffer, all n
+    rows, and are a view that the workspace's next forward overwrites. Each
+    block's logits are bit for bit ``batch_logits`` of that block's rows.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     if model.stack_size is not None or x.ndim != 2 \
@@ -329,9 +334,9 @@ def forward_into(model: MLPModel, x: np.ndarray, workspace: Workspace) -> np.nda
             f"expected one model and rows of shape (n, {model.input_dim}), "
             f"got {x.shape}")
     n, last = x.shape[0], len(model.layers) - 1
-    rows = max(1, BLOCK_ELEMENTS // max(l.fan_out for l in model.layers))
-    cuts = [rows * b for b in range(max(1, n // rows))] + [n]
-    hidden = [workspace.get(i, (n - cuts[-2], layer.fan_out))
+    cuts = block_cuts(n, max(l.fan_out for l in model.layers))
+    rows = cuts[-1] - cuts[-2]  # the last block is one of the longest
+    hidden = [workspace.get(i, (rows, layer.fan_out))
               for i, layer in enumerate(model.layers[:last])]
     logits = workspace.get(last, (n, model.num_classes))
     for start, stop in zip(cuts, cuts[1:]):

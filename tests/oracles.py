@@ -27,8 +27,8 @@ from pctlab.datasets import SPLIT_NAMES, Dataset
 from pctlab.flips import FlipReport, report_from_counts
 from pctlab.losses import (DistanceSpec, FilterSpec, OldModelOracle,
                            PCLossConfig, distance_kl)
-from pctlab.nn import (DimensionError, MLPModel, TrainConfig, batch_logits,
-                       ce_rows, forward_batch, predict_batch)
+from pctlab.nn import (DimensionError, Layer, MLPModel, TrainConfig,
+                       batch_logits, ce_rows, forward_batch, predict_batch)
 from pctlab.rng import STREAM_SHUFFLE, stream_rng
 
 # ---------------------------------------------------------------------------
@@ -76,6 +76,12 @@ def backward_per_array(model: MLPModel, cache, dlogits: np.ndarray) -> list:
     return grads
 
 
+def copy_model(model: MLPModel) -> MLPModel:
+    """A deep copy of ``model``: fresh weight and bias arrays per layer."""
+    return MLPModel([Layer(l.weights.copy(), l.bias.copy(), l.activation)
+                     for l in model.layers])
+
+
 def zero_velocity(model: MLPModel) -> list:
     return [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.layers]
 
@@ -95,7 +101,7 @@ def train_per_array(model: MLPModel, features: np.ndarray, objective,
                     config: TrainConfig) -> MLPModel:
     """``nn.train``'s shuffle and steps, with the per-array backward and
     update above; returns the trained copy of ``model``."""
-    model = model.copy()
+    model = copy_model(model)
     velocity = zero_velocity(model)
     n, size, bs = features.shape[0], model.stack_size, config.batch_size
     for epoch in range(config.epochs):

@@ -14,7 +14,7 @@ import pctlab
 from pctlab.config import (ConfigError, apply_overrides, dump_config,
                            ensemble_sizes_from_document,
                            experiment_from_document, focal_grid_from_document,
-                           load_config, load_document, loads_config,
+                           load_document, loads_config,
                            methods_from_document, to_document)
 from pctlab.datasets import DegenerateSpecError, SyntheticSpec
 from pctlab.harness import ExperimentConfig
@@ -218,13 +218,35 @@ def test_values_that_would_be_truncated_or_misread_are_rejected(text, key):
         loads_config(text)
 
 
+@pytest.mark.parametrize("text, key", [
+    ("train: {learning_rate: .inf}", "train.learning_rate"),
+    ("train: {learning_rate: nan}", "train.learning_rate"),
+    ("pc: {alpha: .nan}", "pc.alpha"),
+    ("dataset: {cluster_spread: -.inf}", "dataset.cluster_spread"),
+    ("dataset: {k: abc}", "dataset.k"),
+    ("train: {epochs: 1e3}", "train.epochs"),
+    ("pc: {beta: twenty}", "pc.beta"),
+])
+def test_non_finite_and_unparsable_numbers_are_rejected(text, key):
+    # each of these used to load and train toward a diverged model, or
+    # raise a bare ValueError that did not name the key
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be "):
+        loads_config(text)
+
+
+def test_numbers_that_yaml_reads_as_strings_still_load():
+    # YAML 1.1 floats need a dot in the mantissa, so 1e-3 is a string
+    assert loads_config("train: {learning_rate: 1e-3}").train.learning_rate == 1e-3
+    assert loads_config("train: {epochs: '3'}").train.epochs == 3
+
+
 def test_dataset_errors_are_not_wrapped():
-    # a bad dataset block raises its own error, not ConfigError
+    # a bad dataset block raises its own error, not ConfigError; a value
+    # that is not a number is the codec's error and names its key
     with pytest.raises(DegenerateSpecError):
         loads_config("dataset: {k: 1}")
-    with pytest.raises(ValueError) as exc:
+    with pytest.raises(ConfigError, match="^dataset.k must be int, got 'abc'"):
         loads_config("dataset: {k: abc}")
-    assert type(exc.value) is ValueError
     with pytest.raises(ConfigError, match="scenario.old_data must be a mapping"):
         loads_config("scenario: {kind: arch_change, old_data: 3}")
 
@@ -301,7 +323,7 @@ def test_load_document_and_config_from_file(tmp_path):
     path.write_text("method: naive\nrepetitions: 2\n", encoding="utf-8")
     doc = load_document(str(path))
     assert doc == {"method": "naive", "repetitions": 2}
-    cfg = load_config(str(path))
+    cfg = experiment_from_document(load_document(str(path)))
     assert cfg.method == "naive" and cfg.repetitions == 2
 
     empty = tmp_path / "empty.yaml"

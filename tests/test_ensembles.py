@@ -80,6 +80,43 @@ def test_predict_batch_takes_argmax_of_member_sum():
     np.testing.assert_array_equal(ens.predict_batch(x), 1)
 
 
+@pytest.mark.parametrize("blocks", [2.5, 3.5])
+def test_blockwise_scoring_equals_whole_row_member_sums(blocks):
+    """On the ``wide`` shape, at 2.5R and 3.5R rows (R the block rows of a
+    256-wide layer), ``predict_batch`` and the sweep's per-size predictions
+    of L = 1 and 3 equal the argmax of the member-order sum of whole-row
+    ``batch_logits``, bit for bit. Only the predictions span all the rows:
+    afterwards no workspace buffer holds more than one block."""
+    dims = [20, 256, 256, 10]
+    rng = np.random.default_rng(5)
+    members = [nn.init_model(dims, seed=s) for s in (3, 4, 5)]
+    for member in members:
+        for layer in member.layers:
+            layer.bias += rng.standard_normal(layer.bias.shape)
+    block = nn.BLOCK_ELEMENTS // 256
+    x = rng.standard_normal((int(blocks * block), dims[0]))
+    logits = [nn.batch_logits(m, x) for m in members]
+    want = [np.argmax(logits[0], axis=1),
+            np.argmax(logits[0] + logits[1] + logits[2], axis=1)]
+    assert not np.array_equal(want[0], want[1])
+
+    ws = nn.Workspace()
+    np.testing.assert_array_equal(
+        Ensemble(members).predictions(x, [1, 3], ws), want)
+    np.testing.assert_array_equal(Ensemble(members[:1]).predict_batch(x, ws),
+                                  want[0])
+    np.testing.assert_array_equal(Ensemble(members).predict_batch(x, ws),
+                                  want[1])
+    longest = -(-len(x) // (len(x) // block))
+    widths = {0: 256, 1: 256, 2: 10, "sum": 10}
+    assert sorted(map(str, ws.buffers)) == sorted(map(str, widths))
+    for key, buf in ws.buffers.items():
+        assert buf.size <= longest * widths[key] < len(x) * widths[key]
+    for sizes in ([], [0], [2, 1], [4]):
+        with pytest.raises(ValueError, match="ascend"):
+            Ensemble(members).predictions(x, sizes, ws)
+
+
 def test_prediction_is_permutation_invariant():
     members = _models(4)
     x = np.random.default_rng(2).standard_normal((10, 5))

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import (ce_objective, cross_entropy, error_rate,
+from oracles import (ce_objective, copy_model, cross_entropy, error_rate,
                      per_step_objective, softmax, train_per_array)
 from pctlab import nn
 from pctlab.losses import (DistanceSpec, OldModelOracle, PCLossConfig,
@@ -73,8 +73,10 @@ def test_model_rejects_non_chaining_layers():
 
 
 def test_model_copy_is_deep():
+    """The oracle's copy, which ``train_per_array`` trains, shares no
+    array with its input."""
     model = nn.init_model([3, 4, 2], seed=1)
-    clone = model.copy()
+    clone = copy_model(model)
     clone.layers[0].weights[0, 0] += 1.0
     assert model.layers[0].weights[0, 0] != clone.layers[0].weights[0, 0]
 
@@ -126,8 +128,10 @@ ROW_BLOCKS = ((5, 1), (3.5, 0), (2, 37), (2, 0), (2, -1))
 def test_forward_into_equals_batch_logits_in_reused_buffers(dims, sizes, whole):
     """Workspace logits are the cached forward of each row block bit for
     bit and, for the shapes the package and its benchmark build, of all the
-    rows at once. Hidden buffers hold under two blocks, and a second round
-    of forwards reuses every buffer."""
+    rows at once. n rows run as q = max(1, n // R) blocks whose sizes
+    differ by at most one row, each hidden buffer holds exactly the longest
+    block of any input, ceil(n / q) rows, and a second round of forwards
+    reuses every buffer."""
     rng = np.random.default_rng(4)
     model = nn.stack_models([nn.init_model(dims, seed=s) for s in (1, 2)]).member(1)
     for layer in model.layers:
@@ -139,7 +143,9 @@ def test_forward_into_equals_batch_logits_in_reused_buffers(dims, sizes, whole):
         for x in xs:
             n = len(x)
             got = nn.forward_into(model, x, ws)
-            cuts = [block * b for b in range(max(1, n // block))] + [n]
+            q = max(1, n // block)
+            cuts = [n * b // q for b in range(q + 1)]
+            assert cuts == nn.block_cuts(n, max(dims[1:]))
             want = np.concatenate([nn.batch_logits(model, x[a:b])
                                    for a, b in zip(cuts, cuts[1:])])
             assert got.shape == want.shape
@@ -151,8 +157,9 @@ def test_forward_into_equals_batch_logits_in_reused_buffers(dims, sizes, whole):
             first = {k: b.ctypes.data for k, b in ws.buffers.items()}
     assert {k: b.ctypes.data for k, b in ws.buffers.items()} == first
     assert sorted(first) == list(range(len(dims) - 1))
+    longest = max(-(-len(x) // max(1, len(x) // block)) for x in xs)
     for i, fan_out in enumerate(dims[1:-1]):
-        assert ws.buffers[i].size < 2 * block * fan_out
+        assert ws.buffers[i].size == longest * fan_out
     assert ws.buffers[len(dims) - 2].size == max(map(len, xs)) * dims[-1]
     with pytest.raises(nn.DimensionError):
         nn.forward_into(model, np.zeros((2, dims[0] + 1)), ws)

@@ -7,7 +7,8 @@ import inspect
 from dataclasses import fields
 
 import pctlab
-from pctlab import datasets, ensembles, flips, harness, losses, nn, scenarios
+from pctlab import (config, datasets, ensembles, flips, harness, losses, nn,
+                    scenarios)
 
 
 def test_every_exported_name_resolves():
@@ -35,6 +36,13 @@ def test_oracles_live_only_in_the_tests():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
             assert not hasattr(pctlab, name), name
     assert not hasattr(losses.OldModelOracle, "entry")
+    # test-only: the deep copy is the oracles' copy_model, and configs load
+    # through experiment_from_document(load_document(path))
+    assert not hasattr(nn.MLPModel, "copy")
+    assert not hasattr(nn.Layer, "copy")
+    assert not hasattr(config, "load_config")
+    # scoring runs block by block; no sum spans all the rows
+    assert not hasattr(ensembles.Ensemble, "logit_sums")
     assert not hasattr(flips.FlipReport, "from_json")
     assert not hasattr(datasets.Dataset, "from_csv")
     assert "on_epoch_end" not in inspect.signature(

@@ -8,9 +8,11 @@ Unknown keys are rejected so typos fail loudly instead of silently using
 defaults. ``from_document`` and ``to_document`` walk ``dataclasses.fields``
 and coerce each value by its field's type: an int field takes an integral
 number, a float field any finite number, a bool field only true or false,
-and no bool is read as a number. A string in a number field is parsed as
-that type, since PyYAML reads ``1e-3`` as a string, and one that does not
-parse, or parses to inf or nan, is an error that names its key.
+a tuple field only a list, and no bool is read as a number. A string in a
+number field is parsed as that type, since PyYAML reads ``1e-3`` as a
+string, and one that does not parse, or parses to inf or nan, is an error
+that names its key. The method picks the distance of fd_kl and fd_lm, so
+their ``pc.distance`` may name only that one.
 ``reports`` reads ``artifacts.json`` back through them.
 
 Three optional top-level lists parameterize the sweep subcommands:
@@ -82,6 +84,9 @@ def _coerce(tp, value, where: str):
     if get_origin(tp) is Union:  # Optional[T]
         return None if value is None else _coerce(get_args(tp)[0], value, where)
     if get_origin(tp) in (tuple, list):
+        # a string or a number is not a list: "64" would load as (6, 4)
+        if not isinstance(value, list):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
         return get_origin(tp)(_coerce(get_args(tp)[0], v, where) for v in value)
     if issubclass(tp, str):
         return tp(str(value))
@@ -165,11 +170,17 @@ def experiment_from_document(doc: Optional[dict]) -> ExperimentConfig:
             scenario = reference_scenario(kind, dataset.num_classes)
         else:
             scenario = _coerce(UpdateScenario, scenario, "scenario")
-        return _decode(ExperimentConfig, doc, "",
-                       dict(dataset=dataset, scenario=scenario,
-                            output_dir=output_dir))
+        config = _decode(ExperimentConfig, doc, "",
+                         dict(dataset=dataset, scenario=scenario,
+                              output_dir=output_dir))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # a focal method picks its distance, so a document may not name another
+    distance = doc.get("pc", {}).get("distance")
+    if config.pc.mode == "focal" and distance not in (None, config.pc.distance.kind):
+        raise ConfigError(f"pc.distance must be {config.pc.distance.kind!r} for "
+                          f"method {config.method}, got {distance!r}")
+    return config
 
 
 def loads_config(text: str) -> ExperimentConfig:

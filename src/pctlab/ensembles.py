@@ -8,20 +8,20 @@ scores the first L members for each requested L in one pass over the rows,
 in the row blocks of ``nn.block_cuts``: each block runs through the members
 in order, their running sum is one block long, and only the integer
 predictions span all the rows.
-``train_ensemble`` trains CE members: member j from seed base_seed + j
-(its init and its shuffle), all members in lockstep as one
-``(M, fan_in, fan_out)`` weight stack through a single ``nn.train`` call.
-Ensembles are therefore reproducible, member j equals a solo run under its
-seed bit for bit, and two ensembles built from disjoint seed ranges are
-independent. The old side of every update and the size sweep train
-through it; the ``ensemble`` method's new side trains in
-``harness.run_experiment``, by the same seeds and the same stack.
+``train_ensemble`` builds and trains every weight stack in the package:
+member j from seed base_seed + j (its init and its shuffle), all members in
+lockstep as one ``(M, fan_in, fan_out)`` weight stack through a single
+``nn.train`` call, under plain CE or the objective it is given. Stacks are
+therefore reproducible, member j equals a solo run under its seed bit for
+bit, and two stacks built from disjoint seed ranges are independent. The
+old side of every update, the size sweep and every repetition stack of
+``harness.run_experiment`` train through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, List, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,8 +30,9 @@ from .flips import report_from_arrays
 from .losses import make_ce_objective
 # batch_logits is not called here; it stays importable from this module
 # because pctbench/tracing.py wraps it by name
-from .nn import (MLPModel, TrainConfig, Workspace, batch_logits, block_cuts,
-                 forward_into, init_model, stack_models, train, with_seed)
+from .nn import (MLPModel, Objective, TrainConfig, Workspace, batch_logits,
+                 block_cuts, forward_into, init_model, stack_models, train,
+                 with_seed)
 from .tables import Table
 
 
@@ -102,12 +103,17 @@ class Ensemble:
 
 def train_ensemble(dims: Sequence[int], features: np.ndarray, labels: np.ndarray,
                    config: TrainConfig, size: int, base_seed: int,
-                   init: Optional[Sequence[MLPModel]] = None) -> Ensemble:
-    """Train ``size`` members under plain CE; member j uses seed base_seed + j.
+                   init: Optional[Sequence[MLPModel]] = None,
+                   objective: Optional[Objective] = None,
+                   on_epoch_end: Optional[Callable[[int, MLPModel], None]] = None,
+                   ) -> Ensemble:
+    """Train ``size`` members as one stack; member j uses seed base_seed + j.
 
     Member j starts from ``init[j]`` when given (fine-tuning), else from a
     fresh init under its seed; the seed also drives its shuffle stream. All
-    members train in lockstep as one stack in a single ``train`` call. The
+    members train in lockstep under ``objective`` (plain CE on ``labels``
+    when None) in a single ``train`` call, which calls
+    ``on_epoch_end(epoch, stack)`` once per epoch with the live stack. The
     members returned are views of the trained stack.
     """
     if size < 1:
@@ -117,8 +123,9 @@ def train_ensemble(dims: Sequence[int], features: np.ndarray, labels: np.ndarray
     if init is None:
         init = [init_model(dims, base_seed + j, weight_init=config.weight_init)
                 for j in range(size)]
-    stack = train(stack_models(init), features, labels, make_ce_objective(labels),
-                  with_seed(config, base_seed)).model
+    stack = train(stack_models(init), features, labels,
+                  make_ce_objective(labels) if objective is None else objective,
+                  with_seed(config, base_seed), on_epoch_end=on_epoch_end).model
     return Ensemble([stack.member(j) for j in range(size)])
 
 

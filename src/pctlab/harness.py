@@ -10,10 +10,9 @@ repetition is a group of L members, L = ``ensemble_size`` for ``ensemble``
 and 1 for every other method, scored every epoch as ``Ensemble(members)``:
 the argmax of its member logits summed in member order. A weight stack
 holds one ensemble repetition, or up to ``REPETITION_STACK`` repetitions of
-a single-model method; its member seeds are consecutive, so one ``train``
-call trains the whole stack in lockstep. The old side (one model, or L
-members for ``ensemble``) is the only side trained by
-``ensembles.train_ensemble``.
+a single-model method. Its member seeds are consecutive, so
+``ensembles.train_ensemble``, the trainer of every weight stack, old sides
+included, trains it in lockstep from its first seed.
 
 A ``ScenarioState`` holds the dataset, the plan and the old sides, one per
 member count L, each trained on first use under the state's
@@ -69,12 +68,12 @@ from . import ensembles
 from .datasets import Dataset, SyntheticSpec, generate
 from .ensembles import Ensemble, sweep_ensemble_size
 from .flips import FlipReport, report_from_arrays
-# make_ce_objective, batch_logits and predict_batch are not called here; they
-# stay importable from this module because pctbench/tracing.py wraps them by name
+# make_ce_objective, batch_logits, predict_batch and train are not called here;
+# they stay importable because pctbench/tracing.py wraps them by name
 from .losses import (FilterSpec, OldModelOracle, PCLossConfig, make_ce_objective,
                      make_objective)
-from .nn import (MLPModel, TrainConfig, Workspace, batch_logits, init_model,
-                 predict_batch, stack_models, train, with_seed)
+from .nn import (MLPModel, TrainConfig, Workspace, batch_logits, predict_batch,
+                 train)
 from .scenarios import (EvalPlan, ScenarioKind, ScenarioPlan, UpdateScenario,
                         build_scenario, reference_scenario)
 from .tables import Table
@@ -322,9 +321,9 @@ def run_experiment(config: ExperimentConfig,
     Repetition r is a group of L members (module docstring) with
     consecutive seeds: ``model_seed(base, "new", r)`` when L = 1, else
     ``model_seed(base, "new_member", r, j)`` for member j. A stack trains
-    under the seed of its first member, and ``train`` shuffles stack member
-    i with that seed + i, so every member keeps its own seed and ends bit for
-    bit where training it alone would leave it.
+    through ``ensembles.train_ensemble`` from its first member's seed, which
+    gives stack member i that seed + i for its init and its shuffle, so every
+    member ends bit for bit where training it alone would leave it.
     """
     if state is None:
         state = prepare_scenario(config)
@@ -341,33 +340,26 @@ def run_experiment(config: ExperimentConfig,
     runs = []
     for r0 in range(0, config.repetitions, per_stack):
         reps = range(r0, min(r0 + per_stack, config.repetitions))
-        seeds = [model_seed(config.train.seed, role, r, j)
-                 for r in reps for j in range(size)]
-        if plan.init_from_old:
-            models = old.models * len(reps)
-        else:
-            models = [init_model(plan.new_job.dims, seed,
-                                 weight_init=config.train.weight_init)
-                      for seed in seeds]
         collectors = [_EpochCollector(x, y, old.train_preds, plan.eval_plan,
                                       old.eval_preds, state.workspace)
                       for _ in reps]
 
-        def groups(stack):
-            return [[stack.member(j) for j in range(g * size, (g + 1) * size)]
-                    for g in range(len(reps))]
-
         def hook(e, stack):
-            for collector, members in zip(collectors, groups(stack)):
-                collector(e, *members)
+            for g, collector in enumerate(collectors):
+                collector(e, *(stack.member(j)
+                               for j in range(g * size, (g + 1) * size)))
 
-        result = train(stack_models(models), x, y, objective,
-                       with_seed(config.train, seeds[0]), on_epoch_end=hook)
-        for rep, seed, collector, members in zip(reps, seeds[::size], collectors,
-                                                 groups(result.model)):
+        members = ensembles.train_ensemble(
+            plan.new_job.dims, x, y, config.train, size * len(reps),
+            model_seed(config.train.seed, role, r0), objective=objective,
+            init=old.models * len(reps) if plan.init_from_old else None,
+            on_epoch_end=hook).members
+        for g, (rep, collector) in enumerate(zip(reps, collectors)):
+            group = members[g * size:(g + 1) * size]
             if collector.final is None:  # zero-epoch schedule: score the init
-                collector(-1, *members)
-            runs.append(RunArtifacts(rep, seed, Ensemble(members).parameter_count(),
+                collector(-1, *group)
+            runs.append(RunArtifacts(rep, model_seed(config.train.seed, role, rep),
+                                     Ensemble(group).parameter_count(),
                                      collector.rows, collector.final))
     return ExperimentResult(config, old.er_old, old.param_count, runs)
 

@@ -240,6 +240,43 @@ def test_numbers_that_yaml_reads_as_strings_still_load():
     assert loads_config("train: {epochs: '3'}").train.epochs == 3
 
 
+@pytest.mark.parametrize("text, key", [
+    ("scenario: {kind: arch_change, new_model: {hidden_dims: '64'}}",
+     "scenario.new_model.hidden_dims"),
+    ("scenario: {kind: class_growth, old_data: {class_subset: '01'}}",
+     "scenario.old_data.class_subset"),
+    ("scenario: {kind: arch_change, new_model: {hidden_dims: 64}}",
+     "scenario.new_model.hidden_dims"),
+    ("scenario: {kind: class_growth, old_data: {class_subset: 3}}",
+     "scenario.old_data.class_subset"),
+])
+def test_list_fields_take_only_lists(text, key):
+    # '64' used to load as (6, 4), '01' as (0, 1), and 64 or 3 raised a
+    # bare TypeError that named no key
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)} must be a list, got "):
+        loads_config(text)
+
+
+@pytest.mark.parametrize("method, other", [("fd_lm", "kl"),
+                                           ("fd_kl", "logit_match")])
+def test_focal_methods_reject_another_distance(method, other):
+    # the method picks the distance; naming the other one used to be
+    # overridden silently
+    with pytest.raises(ConfigError, match="^pc.distance must be "):
+        loads_config(f"method: {method}\npc: {{distance: {other}}}")
+    own = "kl" if other == "logit_match" else "logit_match"
+    cfg = loads_config(f"method: {method}\npc: {{distance: {own}, tau: 5}}")
+    assert (cfg.pc.distance.kind, cfg.pc.distance.tau) == (own, 5.0)
+
+
+@pytest.mark.parametrize("method", ["no_treatment", "naive", "ensemble"])
+def test_non_focal_methods_keep_any_distance(method):
+    # their artifacts.json carries the key, so every written file loads
+    for kind in ("kl", "logit_match"):
+        cfg = loads_config(f"method: {method}\npc: {{distance: {kind}}}")
+        assert cfg.pc.distance.kind == kind
+
+
 def test_dataset_errors_are_not_wrapped():
     # a bad dataset block raises its own error, not ConfigError; a value
     # that is not a number is the codec's error and names its key

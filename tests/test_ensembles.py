@@ -8,7 +8,8 @@ from pctlab import nn
 from pctlab.datasets import SPLIT_TEST, SPLIT_TRAIN, SyntheticSpec, generate
 from pctlab.ensembles import Ensemble, sweep_ensemble_size, train_ensemble
 from pctlab.flips import report_from_arrays
-from pctlab.losses import make_ce_objective
+from pctlab.losses import (DistanceSpec, OldModelOracle, PCLossConfig,
+                           make_ce_objective, make_objective)
 
 from oracles import mean_logits
 
@@ -162,6 +163,52 @@ def test_train_ensemble_member_j_matches_individual_run(train_xy):
             # its last view is the returned ensemble, not a stale copy
             np.testing.assert_array_equal(
                 last["logits"], sum(nn.batch_logits(m, xs) for m in ens.members))
+
+
+def test_train_ensemble_with_an_objective_and_a_hook_equals_nn_train(train_xy):
+    """Under a focal objective, from given start models and with a per-epoch
+    hook, ``train_ensemble`` is ``nn.train`` on the stacked start models
+    under the first seed, bit for bit in every member's weights; the hook
+    fires once per epoch with the live stack, whose views are returned."""
+    x, y = train_xy
+    dims = [5, 8, 4]
+    old = nn.train(nn.init_model(dims, seed=7), x, y, make_ce_objective(y),
+                   nn.with_seed(CFG, 7)).model
+    objective = make_objective(
+        y, OldModelOracle.from_model(old, x, y),
+        PCLossConfig(mode="focal", distance=DistanceSpec("logit_match")))
+    init = [nn.init_model(dims, seed=60 + j) for j in range(3)]
+
+    def recorder(log):
+        def hook(epoch, stack):
+            log.append((epoch, stack, [(l.weights.copy(), l.bias.copy())
+                                       for l in stack.layers]))
+        return hook
+
+    got, want = [], []
+    ens = train_ensemble(dims, x, y, CFG, size=3, base_seed=40, init=init,
+                         objective=objective, on_epoch_end=recorder(got))
+    ref = nn.train(nn.stack_models(init), x, y, objective, nn.with_seed(CFG, 40),
+                   on_epoch_end=recorder(want)).model
+    for j, member in enumerate(ens.members):
+        for la, lb in zip(member.layers, ref.member(j).layers):
+            np.testing.assert_array_equal(la.weights, lb.weights)
+            np.testing.assert_array_equal(la.bias, lb.bias)
+    epochs = list(range(CFG.epochs))
+    assert [e for e, _, _ in got] == [e for e, _, _ in want] == epochs
+    for (_, _, a), (_, _, b) in zip(got, want):
+        for (wa, ba), (wb, bb) in zip(a, b):
+            np.testing.assert_array_equal(wa, wb)
+            np.testing.assert_array_equal(ba, bb)
+    live = got[0][1]
+    assert live.stack_size == 3 and all(stack is live for _, stack, _ in got)
+    for j, member in enumerate(ens.members):
+        for la, lb in zip(member.layers, live.member(j).layers):
+            assert np.shares_memory(la.weights, lb.weights)
+    # the objective is used: plain CE from the same start ends elsewhere
+    plain = train_ensemble(dims, x, y, CFG, size=3, base_seed=40, init=init)
+    assert not np.array_equal(plain.members[0].layers[0].weights,
+                              ens.members[0].layers[0].weights)
 
 
 def test_train_ensemble_rejects_bad_size(train_xy):

@@ -222,14 +222,14 @@ def test_repetition_stacks_carry_seeds_across_a_boundary(
     cfg = replace(small_config, method="fd_kl", repetitions=3)
     default = run_experiment(cfg, small_state)
     calls = []
-    train = harness.train
+    train_ensemble = harness.ensembles.train_ensemble
 
-    def counting_train(model, *args, **kwargs):
-        calls.append(model.stack_size)
-        return train(model, *args, **kwargs)
+    def counting(*args, **kwargs):
+        calls.append(args[4])
+        return train_ensemble(*args, **kwargs)
 
     monkeypatch.setattr(harness, "REPETITION_STACK", 2)
-    monkeypatch.setattr(harness, "train", counting_train)
+    monkeypatch.setattr(harness.ensembles, "train_ensemble", counting)
     chunked = run_experiment(cfg, small_state)
     assert calls == [2, 1]
     assert _run_keys(chunked) == _run_keys(default)
@@ -366,12 +366,15 @@ def test_ensemble_method_caches_old_side(small_config, small_state):
 
 
 def _count_old_trainings(monkeypatch):
-    """Count ``ensembles.train_ensemble`` calls, the old sides' trainer."""
+    """Count the ``ensembles.train_ensemble`` calls made without an
+    objective: the old sides, which train under plain CE. Every new side
+    passes its method's objective."""
     calls = []
     train_ensemble = harness.ensembles.train_ensemble
 
     def counting(*args, **kwargs):
-        calls.append(args[4])
+        if kwargs.get("objective") is None:
+            calls.append(args[4])
         return train_ensemble(*args, **kwargs)
 
     monkeypatch.setattr(harness.ensembles, "train_ensemble", counting)

@@ -3,7 +3,6 @@ and per-record oracles that moved to ``tests/oracles.py``, and the
 record-level flip API and the dataset views that were deleted, stay out of
 it."""
 
-import inspect
 from dataclasses import fields
 
 import pctlab
@@ -45,8 +44,9 @@ def test_oracles_live_only_in_the_tests():
     assert not hasattr(ensembles.Ensemble, "logit_sums")
     assert not hasattr(flips.FlipReport, "from_json")
     assert not hasattr(datasets.Dataset, "from_csv")
-    assert "on_epoch_end" not in inspect.signature(
-        ensembles.train_ensemble).parameters
+    # every weight stack is built and trained by ensembles.train_ensemble
+    for name in ("init_model", "stack_models", "with_seed"):
+        assert not hasattr(harness, name), name
     # a plan holds rows and labels in the new model's label space, and one
     # old-to-new class map instead of a label map per side
     gone = {scenarios.EvalPlan: {"old_label_map", "new_label_map", "sample_ids"},

@@ -21,8 +21,12 @@ from .datasets import generate as generate_dataset
 from .harness import compare_methods, run_experiment, sweep_ensemble, sweep_focal
 
 
+def _document(args) -> dict:
+    return cfgmod.load_document(args.config) if args.config else {}
+
+
 def _load(args) -> tuple:
-    doc = cfgmod.load_document(args.config) if args.config else {}
+    doc = _document(args)
     cfg = cfgmod.experiment_from_document(doc)
     cfg = cfgmod.apply_overrides(cfg, seed=args.seed,
                                  output_dir=getattr(args, "out", None))
@@ -46,8 +50,7 @@ def _emit(table, write, cfg, fmt: str) -> int:
 
 
 def _cmd_generate(args) -> int:
-    _, cfg = _load(args)
-    spec = cfg.dataset
+    spec = cfgmod.experiment_from_document(_document(args)).dataset
     if args.seed is not None:  # for generate, the seed drives the data
         spec = replace(spec, seed=args.seed)
     text = generate_dataset(spec).to_csv()
@@ -78,8 +81,9 @@ def _cmd_compare(args) -> int:
 def _cmd_sweep_focal(args) -> int:
     doc, cfg = _load(args)
     if cfg.pc.mode != "focal":  # the sweep only makes sense for fd_*
-        cfg = replace(cfg, method="fd_lm")
-        print("note: method is not focal distillation; using fd_lm",
+        method = "fd_kl" if cfg.pc.distance.kind == "kl" else "fd_lm"
+        cfg = replace(cfg, method=method)
+        print(f"note: method is not focal distillation; using {method}",
               file=sys.stderr)
     table = sweep_focal(cfg, cfgmod.focal_grid_from_document(doc))
     return _emit(table, reports.write_focal_sweep, cfg, args.format)

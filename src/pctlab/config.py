@@ -19,9 +19,9 @@ Three optional top-level lists parameterize the sweep subcommands:
 ``methods`` (compare), ``focal_grid`` (sweep-focal, pairs of alpha/beta),
 and ``ensemble_sizes`` (sweep-ensemble).
 
-PyYAML is imported only inside the three functions that parse or dump
-YAML (``loads_config``, ``load_document`` and ``dump_config``), so
-importing this module, as every report writer does, does not load it.
+PyYAML is imported only inside ``load_document``, the one function that
+parses YAML, so importing this module, as every report writer does, does
+not load it.
 """
 
 from __future__ import annotations
@@ -183,11 +183,6 @@ def experiment_from_document(doc: Optional[dict]) -> ExperimentConfig:
     return config
 
 
-def loads_config(text: str) -> ExperimentConfig:
-    import yaml
-    return experiment_from_document(yaml.safe_load(text))
-
-
 def load_document(path: str) -> dict:
     import yaml
     with open(path, "r", encoding="utf-8") as fh:
@@ -197,11 +192,6 @@ def load_document(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path} must contain a mapping at the top level")
     return doc
-
-
-def dump_config(config: ExperimentConfig) -> str:
-    import yaml
-    return yaml.safe_dump(to_document(config), sort_keys=False)
 
 
 def _number(value, kinds=(int, float)) -> bool:

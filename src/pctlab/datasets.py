@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rng import STREAM_DATA, STREAM_NOISE, stream_rng
+from .rng import SEED_LIMIT, STREAM_DATA, STREAM_NOISE, stream_rng
 from .tables import csv_text
 
 SPLIT_TRAIN = 0
@@ -52,8 +52,9 @@ class SyntheticSpec:
             raise DegenerateSpecError("spread and center scale must be positive")
         if not 0.0 <= self.label_noise < 1.0:
             raise DegenerateSpecError("label_noise must be in [0, 1)")
-        if self.seed < 0:
-            raise DegenerateSpecError("seed must be non-negative")
+        if not 0 <= self.seed < SEED_LIMIT:
+            raise DegenerateSpecError(
+                f"dataset.seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass
@@ -74,10 +75,6 @@ class Dataset:
             raise ValueError("unknown split codes present")
         if self.labels.min(initial=0) < 0 or self.labels.max(initial=0) >= self.num_classes:
             raise ValueError("labels out of range")
-
-    @property
-    def n(self) -> int:
-        return self.features.shape[0]
 
     @property
     def input_dim(self) -> int:

@@ -20,7 +20,7 @@ old side of every update, the size sweep and every repetition stack of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,8 +31,7 @@ from .losses import make_ce_objective
 # batch_logits is not called here; it stays importable from this module
 # because pctbench/tracing.py wraps it by name
 from .nn import (MLPModel, Objective, TrainConfig, Workspace, batch_logits,
-                 block_cuts, forward_into, init_model, stack_models, train,
-                 with_seed)
+                 block_cuts, forward_into, init_model, stack_models, train)
 from .tables import Table
 
 
@@ -89,13 +88,10 @@ class Ensemble:
                     slot += 1
         return preds
 
-    def predict_batch(self, x: np.ndarray,
-                      workspace: Optional[Workspace] = None) -> np.ndarray:
+    def predict_batch(self, x: np.ndarray, workspace: Workspace) -> np.ndarray:
         """Argmax of the member logits summed in member order; ties resolve
-        to the lowest index. The sum runs in ``workspace``'s buffers, a
-        fresh workspace when none is given."""
-        return self.predictions(x, [self.size], Workspace() if workspace is None
-                                else workspace)[0]
+        to the lowest index. The sum runs in ``workspace``'s buffers."""
+        return self.predictions(x, [self.size], workspace)[0]
 
     def parameter_count(self) -> int:
         return sum(m.parameter_count() for m in self.members)
@@ -125,7 +121,7 @@ def train_ensemble(dims: Sequence[int], features: np.ndarray, labels: np.ndarray
                 for j in range(size)]
     stack = train(stack_models(init), features, labels,
                   make_ce_objective(labels) if objective is None else objective,
-                  with_seed(config, base_seed), on_epoch_end=on_epoch_end).model
+                  replace(config, seed=base_seed), on_epoch_end=on_epoch_end).model
     return Ensemble([stack.member(j) for j in range(size)])
 
 

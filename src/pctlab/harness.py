@@ -53,7 +53,9 @@ Seed layout (relative to the configured base seed), all from ``model_seed``
 The ranges stay disjoint because ExperimentConfig bounds ensemble sizes
 below 1000 and repetitions to at most 99000, and ``sweep_ensemble`` bounds
 its sizes below 1000 too, so old and new models never share an
-initialisation or shuffle stream.
+initialisation or shuffle stream. The largest seed of the layout is
+base + 99,099,999, so ExperimentConfig bounds the base seed to keep it
+below 2**64, the range of a Philox key word.
 """
 
 from __future__ import annotations
@@ -74,6 +76,7 @@ from .losses import (FilterSpec, OldModelOracle, PCLossConfig, make_ce_objective
                      make_objective)
 from .nn import (MLPModel, TrainConfig, Workspace, batch_logits, predict_batch,
                  train)
+from .rng import SEED_LIMIT
 from .scenarios import (EvalPlan, ScenarioKind, ScenarioPlan, UpdateScenario,
                         build_scenario, reference_scenario)
 from .tables import Table
@@ -136,6 +139,12 @@ class ExperimentConfig:
             raise ValueError(f"repetitions must be in [1, {MAX_REPETITIONS}]")
         if not 1 <= self.ensemble_size < ENSEMBLE_REP_STRIDE:
             raise ValueError(f"ensemble_size must be in [1, {ENSEMBLE_REP_STRIDE})")
+        # the last member of the last repetition has the layout's largest seed
+        top = model_seed(0, "new_member", MAX_REPETITIONS - 1,
+                         ENSEMBLE_REP_STRIDE - 1)
+        if self.train.seed >= SEED_LIMIT - top:
+            raise ValueError(f"train.seed must be below 2**64 - {top}, the "
+                             f"largest seed offset, got {self.train.seed}")
         # the method determines the PC mode; hyperparameters come from `pc`
         object.__setattr__(self, "pc", pc_config_for_method(self.method, self.pc))
 
@@ -467,8 +476,3 @@ def sweep_ensemble(config: ExperimentConfig, sizes: Sequence[int],
     return sweep_ensemble_size(old_dims, new_dims, dataset, config.train, sizes,
                                model_seed(base, "old"),
                                model_seed(base, "new_member"))
-
-
-def epoch_series_csv(run: RunArtifacts) -> str:
-    """Per-epoch metric series, one row per epoch."""
-    return Table(run.epochs).to_csv()

@@ -132,9 +132,6 @@ class OldModelOracle:
             pred_labels = preds
         return cls(logits, pred_labels == labels, pred_labels, class_map)
 
-    def __len__(self) -> int:
-        return self.logits.shape[0]
-
 
 def _log_softmax_rows(x: np.ndarray, m: Optional[np.ndarray] = None) -> np.ndarray:
     """Row-wise log-softmax of 2-D ``x``; ``m`` is its row max as a column,
@@ -210,7 +207,7 @@ def make_objective(labels: np.ndarray, oracle: Optional[OldModelOracle],
         rows = logits.reshape(n, k)
         at = label_positions(y, k)
         m = row_max(rows)[:, None]
-        losses, dlogits = ce_rows(rows, y, m, at)
+        losses, dlogits = ce_rows(rows, m, at)
         dlogits.reshape(-1)[at] -= 1.0
         if mode == "naive":
             w = weight[idx]

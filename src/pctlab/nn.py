@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -361,21 +361,14 @@ def row_max(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.T).max(axis=0)
 
 
-def ce_rows(logits: np.ndarray, labels: np.ndarray,
-            m: Optional[np.ndarray] = None,
-            at: Optional[np.ndarray] = None) -> tuple:
+def ce_rows(logits: np.ndarray, m: np.ndarray, at: np.ndarray) -> tuple:
     """Per-row cross-entropy and softmax probabilities of ``(n, K)`` logits.
 
     Returns (losses, probs); callers reuse probs to assemble the gradient
     softmax(logits) - onehot(label). ``m`` is the logits' row max as a
     column and ``at`` the labels' flat positions ``label_positions(labels,
-    K)``, each computed when not given. Labels must lie in [0, K): the flat
-    gather does not check them.
+    K)``. Labels must lie in [0, K): the flat gather does not check them.
     """
-    if m is None:
-        m = row_max(logits)[:, None]
-    if at is None:
-        at = label_positions(labels, logits.shape[1])
     e = np.subtract(logits, m)
     np.exp(e, out=e)
     s = e.sum(axis=1, keepdims=True)
@@ -394,20 +387,17 @@ def label_positions(labels: np.ndarray, k: int) -> np.ndarray:
 
 
 def backward_batch(model: MLPModel, cache: BatchCache, dlogits: np.ndarray,
-                   out: Optional[List[tuple]] = None) -> List[tuple]:
+                   out: List[tuple]) -> List[tuple]:
     """Exact gradients of the scalar loss whose logit gradient is given.
 
-    Returns one ``(dW, db)`` pair per layer, shapes matching the parameters,
-    written into ``out``'s arrays when given (``train`` passes views of its
-    flat gradient buffer) and into fresh arrays otherwise.
+    Writes one ``(dW, db)`` pair per layer, shapes matching the parameters,
+    into ``out``'s arrays (``train`` passes views of its flat gradient
+    buffer) and returns ``out``.
     """
     dlogits = np.ascontiguousarray(dlogits, dtype=np.float64)
     if dlogits.shape != cache.logits.shape:
         raise DimensionError(
             f"dlogits shape {dlogits.shape} != logits shape {cache.logits.shape}")
-    if out is None:
-        out = [(np.empty_like(l.weights), np.empty_like(l.bias))
-               for l in model.layers]
     dz = dlogits
     for i in range(len(model.layers) - 1, -1, -1):
         a_prev = cache.x if i == 0 else cache.activations[i - 1]
@@ -538,7 +528,3 @@ def _train_epoch(model: MLPModel, features: np.ndarray, objective: Objective,
         _, dlogits = objective(cache.logits, idx)
         backward_batch(model, cache, dlogits, out=grad_views)
         sgd_step(params, grads, velocity, config, epoch)
-
-
-def with_seed(config: TrainConfig, seed: int) -> TrainConfig:
-    return replace(config, seed=seed)

@@ -14,8 +14,9 @@ import json
 import os
 from typing import List
 
-from .config import experiment_from_document, from_document, to_document
-from .harness import ExperimentResult, MethodRow, epoch_series_csv
+from .config import (ConfigError, experiment_from_document, from_document,
+                     to_document)
+from .harness import ExperimentResult, MethodRow
 from .tables import Table, as_record, json_text
 
 FORMATS = ("csv", "json")
@@ -44,6 +45,11 @@ def result_to_document(result: ExperimentResult) -> dict:
 
 
 def result_from_document(doc: dict) -> ExperimentResult:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"artifacts must be a mapping, got {type(doc).__name__}")
+    for key in ("config", "runs"):
+        if not doc.get(key):
+            raise ConfigError(f"artifacts needs a non-empty {key!r}")
     return from_document(ExperimentResult, doc, "artifacts",
                          config=experiment_from_document(doc["config"]))
 
@@ -66,7 +72,7 @@ def write_experiment(result: ExperimentResult, out_dir: str,
     for run in result.runs:
         tag = f"rep{run.repetition:02d}"
         files.append(_write(os.path.join(out_dir, f"epochs_{tag}.csv"),
-                            epoch_series_csv(run)))
+                            Table(run.epochs).to_csv()))
         files.append(_write(os.path.join(out_dir, f"report_{tag}.json"),
                             run.final.to_json()))
     if fmt == "json":

@@ -16,6 +16,10 @@ STREAM_DATA = 3
 STREAM_NOISE = 4
 STREAM_SUBSET = 5
 
+# a seed is one uint64 word of the Philox key, so every seed, and every seed
+# derived from one, must lie in [0, SEED_LIMIT)
+SEED_LIMIT = 2 ** 64
+
 
 def stream_rng(seed: int, stream: int, index: int = 0) -> np.random.Generator:
     """Return a Generator for the (seed, stream, index) triple.

@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .datasets import SPLIT_TEST, SPLIT_TRAIN, Dataset
-from .rng import STREAM_SUBSET, stream_rng
+from .rng import SEED_LIMIT, STREAM_SUBSET, stream_rng
 
 
 class ScenarioKind(str, Enum):
@@ -67,6 +67,9 @@ class DataFilter:
     def __post_init__(self):
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ValueError("sample_fraction must be in (0, 1]")
+        if not 0 <= self.subset_seed < SEED_LIMIT:
+            raise ValueError(
+                f"subset_seed must be in [0, 2**64), got {self.subset_seed}")
         if self.class_subset is not None:
             object.__setattr__(self, "class_subset",
                                tuple(int(c) for c in self.class_subset))

@@ -6,8 +6,8 @@ The functions here are the slow, obvious per-sample and per-record forms
 that the tests check those batch paths against, the training step in its
 per-array form (fresh gradient arrays, row sums, one update per array)
 that ``nn.train`` must match bit for bit, an ensemble's mean member
-logits, plus the CSV reader that checks ``Dataset.to_csv`` round-trips.
-Nothing under ``src/`` calls them.
+logits, the CSV reader that checks ``Dataset.to_csv`` round-trips, and
+the YAML text loader of the config tests. Nothing under ``src/`` calls them.
 """
 
 from __future__ import annotations
@@ -21,14 +21,16 @@ from enum import Enum
 from typing import List, Optional, Sequence
 
 import numpy as np
+import yaml
 
-from pctlab.config import from_document
+from pctlab.config import experiment_from_document, from_document
 from pctlab.datasets import SPLIT_NAMES, Dataset
 from pctlab.flips import FlipReport, report_from_counts
+from pctlab.harness import ExperimentConfig
 from pctlab.losses import (DistanceSpec, FilterSpec, OldModelOracle,
                            PCLossConfig, distance_kl)
 from pctlab.nn import (DimensionError, Layer, MLPModel, TrainConfig,
-                       batch_logits, ce_rows, forward_batch, predict_batch)
+                       batch_logits, forward_batch, predict_batch)
 from pctlab.rng import STREAM_SHUFFLE, stream_rng
 
 # ---------------------------------------------------------------------------
@@ -82,7 +84,9 @@ def copy_model(model: MLPModel) -> MLPModel:
                      for l in model.layers])
 
 
-def zero_velocity(model: MLPModel) -> list:
+def zeros_like_params(model: MLPModel) -> list:
+    """One zero ``(dW, db)`` pair per layer: a velocity, or the ``out``
+    arrays of ``nn.backward_batch``."""
     return [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in model.layers]
 
 
@@ -102,7 +106,7 @@ def train_per_array(model: MLPModel, features: np.ndarray, objective,
     """``nn.train``'s shuffle and steps, with the per-array backward and
     update above; returns the trained copy of ``model``."""
     model = copy_model(model)
-    velocity = zero_velocity(model)
+    velocity = zeros_like_params(model)
     n, size, bs = features.shape[0], model.stack_size, config.batch_size
     for epoch in range(config.epochs):
         if size is None:
@@ -143,7 +147,7 @@ class OracleEntry:
 
 
 def oracle_entry(oracle: OldModelOracle, i: int) -> OracleEntry:
-    if not 0 <= i < len(oracle):
+    if not 0 <= i < oracle.logits.shape[0]:
         raise IndexError(f"no oracle entry for sample {i}")
     return OracleEntry(oracle.logits[i], bool(oracle.old_correct[i]),
                        oracle.logit_index)
@@ -171,7 +175,7 @@ def ce_value_grad(logits: np.ndarray, label: int) -> tuple:
         raise DimensionError("expected a 1-D logit vector")
     if not 0 <= label < logits.shape[0]:
         raise IndexError(f"label {label} out of range")
-    losses, probs = ce_rows(logits[None, :], np.array([label], dtype=np.int64))
+    losses, probs = ce_rows_2d(logits[None, :], np.array([label], dtype=np.int64))
     grad = probs[0]
     grad[label] -= 1.0
     return float(losses[0]), grad
@@ -365,3 +369,13 @@ def dataset_from_csv(text: str, num_classes: Optional[int] = None) -> Dataset:
         num_classes = int(labels.max()) + 1
     return Dataset(np.array(feats), labels, np.array(split, dtype=np.uint8),
                    num_classes)
+
+
+# ---------------------------------------------------------------------------
+# config
+
+
+def loads_config(text: str) -> ExperimentConfig:
+    """The experiment of a YAML document given as text; the CLI reads a file
+    through ``config.load_document`` and ``experiment_from_document``."""
+    return experiment_from_document(yaml.safe_load(text))

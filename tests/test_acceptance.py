@@ -26,16 +26,15 @@ from pctlab import nn
 from pctlab.cli import main as cli_main
 from pctlab.ensembles import train_ensemble
 from pctlab.flips import compute_relative_nfr, report_from_arrays
-from pctlab.harness import (ExperimentConfig, epoch_series_csv,
-                            prepare_scenario, run_experiment, sweep_ensemble,
-                            sweep_focal)
+from pctlab.harness import (ExperimentConfig, prepare_scenario, run_experiment,
+                            sweep_ensemble, sweep_focal)
 from pctlab.losses import (DistanceSpec, FilterSpec, OldModelOracle,
                            PCLossConfig, distance_kl, make_ce_objective,
                            make_objective)
-from pctlab.nn import (TrainConfig, backward_batch, forward_batch, init_model,
-                       with_seed)
+from pctlab.nn import TrainConfig, backward_batch, forward_batch, init_model
+from pctlab.tables import Table
 
-from oracles import mean_logits
+from oracles import mean_logits, zeros_like_params
 
 
 @contextmanager
@@ -100,7 +99,7 @@ def ensemble_sweeps(reference_config):
     sweeps = []
     for rep in range(5):
         cfg = replace(reference_config,
-                      train=with_seed(reference_config.train, 100 * rep))
+                      train=replace(reference_config.train, seed=100 * rep))
         sweeps.append(sweep_ensemble(cfg, ENSEMBLE_SIZES))
     return sweeps
 
@@ -214,7 +213,7 @@ def _numeric_gradient(model, x, idx, objective, h=1e-5):
 def _analytic_gradient(model, x, idx, objective):
     cache = forward_batch(model, x)
     _, dlogits = objective(cache.logits, idx)
-    grads = backward_batch(model, cache, dlogits)
+    grads = backward_batch(model, cache, dlogits, zeros_like_params(model))
     return np.concatenate([np.concatenate([dw.ravel(), db.ravel()])
                            for dw, db in grads])
 
@@ -314,11 +313,11 @@ def test_c04_reduction_identities_exact(capsys):
         cfg = TrainConfig(learning_rate=0.05, epochs=2, batch_size=8, seed=5)
         ens = train_ensemble(dims, xs, ys, cfg, size=1, base_seed=17)
         solo = nn.train(init_model(dims, seed=17), xs, ys,
-                        make_ce_objective(ys), with_seed(cfg, 17)).model
+                        make_ce_objective(ys), replace(cfg, seed=17)).model
         queries = rng.standard_normal((10, 6))
         np.testing.assert_array_equal(mean_logits(ens, queries),
                                       nn.batch_logits(solo, queries))
-        np.testing.assert_array_equal(ens.predict_batch(queries),
+        np.testing.assert_array_equal(ens.predict_batch(queries, nn.Workspace()),
                                       nn.predict_batch(solo, queries))
 
 
@@ -429,7 +428,7 @@ def test_c10_epoch_series_separate_early(capsys, request):
             for run in result.runs:
                 assert [row.epoch for row in run.epochs] == list(range(1, epochs + 1))
                 assert all(row.rel_nfr_val is not None for row in run.epochs)
-            header = epoch_series_csv(result.runs[0]).splitlines()[0]
+            header = Table(result.runs[0].epochs).to_csv().splitlines()[0]
             assert header == "epoch,er_train,er_val,nfr_val,rel_nfr_val,nfr_train"
 
         nt_rel = _median_series(nt, "rel_nfr_val")

@@ -2,13 +2,16 @@
 and error reporting."""
 
 import filecmp
+import json
 import os
 
 import pytest
+import yaml
 
+from oracles import loads_config
 from pctlab import cli, harness, reports
 from pctlab.cli import main
-from pctlab.config import dump_config, loads_config
+from pctlab.config import experiment_from_document, load_document, to_document
 
 CONFIG_TEXT = """\
 dataset: {k: 5, input_dim: 8, samples_per_class: 80, cluster_spread: 1.2, seed: 11}
@@ -118,6 +121,24 @@ def test_sweep_focal_auto_switches_to_focal_method(tmp_path, capsys):
     assert (out_dir / "focal_sweep.csv").exists()
 
 
+def test_sweep_focal_keeps_a_named_kl_distance(tmp_path, capsys):
+    # a non-focal method with pc.distance kl sweeps fd_kl, not logit match
+    text = CONFIG_TEXT.replace("method: fd_lm", "method: naive\n"
+                               "pc: {distance: kl, tau: 2.0}")
+    tables = []
+    for method in ("naive", "fd_kl"):
+        path = tmp_path / f"{method}.yaml"
+        path.write_text(text.replace("method: naive", f"method: {method}"),
+                        encoding="utf-8")
+        assert main(["sweep-focal", "--config", str(path),
+                     "--out", str(tmp_path / method)]) == 0
+        captured = capsys.readouterr()
+        tables.append(captured.out)
+        if method == "naive":
+            assert "using fd_kl" in captured.err
+    assert tables[0] == tables[1]
+
+
 def test_sweep_ensemble_writes_size_rows(config_path, tmp_path, capsys):
     out_dir = tmp_path / "ens"
     assert main(["sweep-ensemble", "--config", config_path,
@@ -207,13 +228,68 @@ def test_a_new_side_without_an_old_class_exits_1_before_training(
             "error: every old class must be present in the new data view\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"er_old": 0.1}', "artifacts needs a non-empty 'config'"),
+    ("[1, 2]", "artifacts must be a mapping, got list"),
+    (None, "artifacts needs a non-empty 'runs'"),
+], ids=["no-config", "list", "no-runs"])
+def test_report_names_the_fault_of_malformed_artifacts(tmp_path, capsys, text,
+                                                      message):
+    if text is None:  # the stored run with its runs removed
+        stored = os.path.join(os.path.dirname(__file__), "data", "artifacts.json")
+        with open(stored, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        text = json.dumps(dict(doc, runs=[]))
+    path = tmp_path / "artifacts.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["report", "--artifacts", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, extra, message", [
+    ("dataset: {seed: 18446744073709551616}\n", [],
+     "dataset.seed must be in [0, 2**64)"),
+    # below 2**64, but the seed layout adds up to 99,099,999 to it
+    ("train: {seed: 18446744073709551000}\n", [],
+     "train.seed must be below 2**64 - 99099999"),
+    ("method: naive\n", ["--seed", "18446744073709551000"],
+     "train.seed must be below 2**64 - 99099999"),
+    ("scenario: {kind: same_arch_retrain, "
+     "old_data: {sample_fraction: 0.5, subset_seed: 18446744073709551616}}\n",
+     [], "subset_seed must be in [0, 2**64)"),
+], ids=["dataset", "train", "override", "subset"])
+def test_seeds_past_2_64_exit_1_before_training(tmp_path, capsys, monkeypatch,
+                                               text, extra, message):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
+                 *extra]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_generate_seed_drives_only_the_data(config_path, tmp_path, capsys):
+    # the largest dataset seed generates; one past it is rejected
+    out = tmp_path / "data.csv"
+    assert main(["generate", "--config", config_path, "--out", str(out),
+                 "--seed", str(2**64 - 1)]) == 0
+    capsys.readouterr()
+    assert main(["generate", "--config", config_path, "--out", str(out),
+                 "--seed", str(2**64)]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: dataset.seed must be in [0, 2**64), got ")
+
+
 def test_unknown_subcommand_is_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
 
 
 def test_config_module_round_trips_cli_document(config_path):
-    # the config the CLI parses is exactly what dump/loads round-trips
-    with open(config_path, "r", encoding="utf-8") as fh:
-        cfg = loads_config(fh.read())
-    assert loads_config(dump_config(cfg)) == cfg
+    # the config the CLI parses survives a YAML round trip of its document
+    cfg = experiment_from_document(load_document(config_path))
+    assert loads_config(yaml.safe_dump(to_document(cfg))) == cfg

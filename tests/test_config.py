@@ -5,17 +5,18 @@ import re
 import subprocess
 import sys
 import textwrap
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, is_dataclass
 from typing import get_type_hints
 
 import pytest
+import yaml
 
 import pctlab
-from pctlab.config import (ConfigError, apply_overrides, dump_config,
+from oracles import loads_config
+from pctlab.config import (ConfigError, apply_overrides,
                            ensemble_sizes_from_document,
                            experiment_from_document, focal_grid_from_document,
-                           load_document, loads_config,
-                           methods_from_document, to_document)
+                           load_document, methods_from_document, to_document)
 from pctlab.datasets import DegenerateSpecError, SyntheticSpec
 from pctlab.harness import ExperimentConfig
 from pctlab.losses import DistanceSpec, FilterSpec, PCLossConfig
@@ -59,7 +60,7 @@ def test_document_round_trip_is_identity(config):
     doc = to_document(config)
     assert experiment_from_document(doc) == config
     # and through YAML text as well
-    assert loads_config(dump_config(config)) == config
+    assert loads_config(yaml.safe_dump(to_document(config))) == config
 
 
 def test_yaml_aliases_k_and_lambda():
@@ -193,7 +194,7 @@ def test_values_are_coerced_by_field_type():
     for bad in ("5", "[a]", "{a: 1}", "true"):
         with pytest.raises(ConfigError, match="output_dir must be a string"):
             loads_config(f"output_dir: {bad}")
-    text = dump_config(cfg)
+    text = yaml.safe_dump(to_document(cfg))
     for line in ("cluster_spread: 2.0", "learning_rate: 1.0", "lambda: 1.0",
                  "tau: 3.0", "epochs: 2\n"):
         assert line in text
@@ -373,23 +374,19 @@ def test_load_document_and_config_from_file(tmp_path):
         load_document(str(scalar))
 
 
-def test_dump_config_is_stable():
-    cfg = _sample_configs()[1]
-    assert dump_config(cfg) == dump_config(replace(cfg))
-
-
-def test_yaml_loads_only_to_parse_or_dump_yaml():
+def test_yaml_loads_only_to_parse_or_dump_yaml(tmp_path):
     """Importing the package, its report writers and its CLI leaves PyYAML
-    unloaded; dumping and parsing the reference config loads it and still
-    round-trips."""
-    script = textwrap.dedent("""
+    unloaded; reading a config document loads it. PyYAML dumps nothing:
+    ``artifacts.json`` is the only config ``pctlab`` writes."""
+    path = tmp_path / "exp.yaml"
+    path.write_text("method: naive\n", encoding="utf-8")
+    script = textwrap.dedent(f"""
         import sys
         import pctlab, pctlab.reports, pctlab.cli
         assert "yaml" not in sys.modules, "yaml imported"
-        from pctlab.config import dump_config, loads_config
-        from pctlab.harness import ExperimentConfig
-        config = ExperimentConfig()
-        assert loads_config(dump_config(config)) == config
+        from pctlab.config import experiment_from_document, load_document
+        config = experiment_from_document(load_document({str(path)!r}))
+        assert config.method == "naive"
         assert "yaml" in sys.modules
     """)
     src = os.path.dirname(os.path.dirname(os.path.abspath(pctlab.__file__)))

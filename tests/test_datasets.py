@@ -43,7 +43,7 @@ def test_split_is_stratified_70_10_20(data):
         assert int(np.sum(block == SPLIT_TEST)) == spc - n_train - n_val
     codes = (data.rows_of_split(SPLIT_TRAIN), data.rows_of_split(SPLIT_VALIDATION),
              data.rows_of_split(SPLIT_TEST))
-    assert sum(len(r) for r in codes) == data.n
+    assert sum(len(r) for r in codes) == len(data.features)
 
 
 def test_label_noise_only_relabels_train_rows():

@@ -1,6 +1,8 @@
 """Logit-averaged ensembles: member math, training reproducibility, and the
 size sweep's prefix-reuse trick."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -59,7 +61,7 @@ def test_single_member_ensemble_equals_member_exactly():
     x = np.random.default_rng(1).standard_normal((6, 5))
     np.testing.assert_array_equal(mean_logits(ens, x),
                                   nn.batch_logits(member, x))
-    np.testing.assert_array_equal(ens.predict_batch(x),
+    np.testing.assert_array_equal(ens.predict_batch(x, nn.Workspace()),
                                   nn.predict_batch(member, x))
 
 
@@ -78,7 +80,7 @@ def test_predict_batch_takes_argmax_of_member_sum():
     x = np.random.default_rng(3).standard_normal((4, 5))
     mean = mean_logits(ens, x)
     assert mean[0, 0] == mean[0, 1] == 1.179062162902959
-    np.testing.assert_array_equal(ens.predict_batch(x), 1)
+    np.testing.assert_array_equal(ens.predict_batch(x, nn.Workspace()), 1)
 
 
 @pytest.mark.parametrize("blocks", [2.5, 3.5])
@@ -149,12 +151,12 @@ def test_train_ensemble_member_j_matches_individual_run(train_xy):
                                  init=init)
             fresh = [nn.init_model(dims, seed=40 + j) for j in range(3)]
             nn.train(nn.stack_models(fresh if init is None else init), xs, ys,
-                     make_ce_objective(ys), nn.with_seed(CFG, 40),
+                     make_ce_objective(ys), replace(CFG, seed=40),
                      on_epoch_end=hook)
             for j, member in enumerate(ens.members):
                 start = fresh[j] if init is None else init[j]
                 solo = nn.train(start, xs, ys, make_ce_objective(ys),
-                                nn.with_seed(CFG, 40 + j)).model
+                                replace(CFG, seed=40 + j)).model
                 for la, lb in zip(member.layers, solo.layers):
                     np.testing.assert_array_equal(la.weights, lb.weights)
                     np.testing.assert_array_equal(la.bias, lb.bias)
@@ -173,7 +175,7 @@ def test_train_ensemble_with_an_objective_and_a_hook_equals_nn_train(train_xy):
     x, y = train_xy
     dims = [5, 8, 4]
     old = nn.train(nn.init_model(dims, seed=7), x, y, make_ce_objective(y),
-                   nn.with_seed(CFG, 7)).model
+                   replace(CFG, seed=7)).model
     objective = make_objective(
         y, OldModelOracle.from_model(old, x, y),
         PCLossConfig(mode="focal", distance=DistanceSpec("logit_match")))
@@ -188,7 +190,7 @@ def test_train_ensemble_with_an_objective_and_a_hook_equals_nn_train(train_xy):
     got, want = [], []
     ens = train_ensemble(dims, x, y, CFG, size=3, base_seed=40, init=init,
                          objective=objective, on_epoch_end=recorder(got))
-    ref = nn.train(nn.stack_models(init), x, y, objective, nn.with_seed(CFG, 40),
+    ref = nn.train(nn.stack_models(init), x, y, objective, replace(CFG, seed=40),
                    on_epoch_end=recorder(want)).model
     for j, member in enumerate(ens.members):
         for la, lb in zip(member.layers, ref.member(j).layers):
@@ -246,8 +248,8 @@ def test_sweep_prefix_rows_match_direct_ensembles(data, train_xy):
     for size, row in zip((1, 2), result.rows):
         old = train_ensemble([5, 8, 4], x, y, CFG, size, base_seed=0)
         new = train_ensemble([5, 8, 4], x, y, CFG, size, base_seed=50)
-        report = report_from_arrays(yt, old.predict_batch(xt),
-                                    new.predict_batch(xt))
+        report = report_from_arrays(yt, old.predict_batch(xt, nn.Workspace()),
+                                    new.predict_batch(xt, nn.Workspace()))
         assert (row.er_old, row.er_new, row.nfr) == (
             report.er_old, report.er_new, report.nfr)
 

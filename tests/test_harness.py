@@ -10,18 +10,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pctlab import harness, nn
+from pctlab import harness, nn, reports
 from pctlab.datasets import SyntheticSpec, generate
 from pctlab.flips import report_from_arrays
 from pctlab.harness import (ENSEMBLE_REP_STRIDE, ENSEMBLE_SEED_OFFSET,
                             MAX_REPETITIONS, METHODS, NEW_MODEL_SEED_OFFSET,
                             EpochMetrics, ExperimentConfig, _EpochCollector,
-                            compare_methods, epoch_series_csv, model_seed,
+                            compare_methods, model_seed,
                             pc_config_for_method, prepare_scenario,
                             run_experiment, sweep_ensemble, sweep_focal)
 from pctlab.losses import (DistanceSpec, PCLossConfig, make_ce_objective,
                            make_objective)
-from pctlab.nn import TrainConfig, init_model, with_seed
+from pctlab.nn import TrainConfig, init_model
+from pctlab.rng import STREAM_SHUFFLE, stream_rng
 from pctlab.scenarios import (DataFilter, ScenarioKind, UpdateScenario,
                               build_scenario, reference_scenario)
 
@@ -91,6 +92,18 @@ def test_seed_ranges_are_pairwise_disjoint(size, reps, base, data):
         model_seed(base, "newest")
 
 
+def test_train_seed_bound_keeps_every_derived_seed_below_2_64():
+    # the largest base seed gives the layout's last seed 2**64 - 1, which
+    # still keys a stream; one more is rejected
+    last = (MAX_REPETITIONS - 1, ENSEMBLE_REP_STRIDE - 1)
+    base = 2**64 - 1 - model_seed(0, "new_member", *last)
+    config = ExperimentConfig(train=TrainConfig(seed=base))
+    assert model_seed(config.train.seed, "new_member", *last) == 2**64 - 1
+    stream_rng(2**64 - 1, STREAM_SHUFFLE).permutation(3)
+    with pytest.raises(ValueError, match=r"^train\.seed must be below"):
+        ExperimentConfig(train=TrainConfig(seed=base + 1))
+
+
 def test_run_experiment_is_deterministic(small_config, small_state):
     r1 = run_experiment(small_config, small_state)
     r2 = run_experiment(small_config, small_state)
@@ -132,7 +145,7 @@ def _solo_runs(config, state):
                                weight_init=config.train.weight_init)
         collector = _EpochCollector(x, y, old.train_preds, plan.eval_plan,
                                     old.eval_preds, nn.Workspace())
-        nn.train(start, x, y, objective, with_seed(config.train, seed),
+        nn.train(start, x, y, objective, replace(config.train, seed=seed),
                  on_epoch_end=collector)
         runs.append((rep, seed, collector.rows, collector.final))
     return runs
@@ -194,7 +207,7 @@ def _ensemble_runs(config, state):
             collector(e, *(stack.member(j) for j in range(size)))
 
         new = nn.train(nn.stack_models(init), x, y, make_ce_objective(y),
-                       with_seed(config.train, base), on_epoch_end=hook).model
+                       replace(config.train, seed=base), on_epoch_end=hook).model
         runs.append((rep, base, new.parameter_count(), collector.rows,
                      collector.final))
     return runs
@@ -312,9 +325,10 @@ def test_summary_medians_match_statistics(small_config, small_state):
     assert s["er_old"] == result.er_old
 
 
-def test_epoch_series_csv_layout(small_config, small_state):
-    run = run_experiment(small_config, small_state).runs[0]
-    lines = epoch_series_csv(run).splitlines()
+def test_epoch_series_csv_layout(small_config, small_state, tmp_path):
+    result = run_experiment(small_config, small_state)
+    reports.write_experiment(result, str(tmp_path))
+    lines = (tmp_path / "epochs_rep00.csv").read_text(encoding="utf-8").splitlines()
     assert lines[0] == "epoch,er_train,er_val,nfr_val,rel_nfr_val,nfr_train"
     assert len(lines) == 1 + small_config.train.epochs
     assert lines[1].startswith("1,")
@@ -440,8 +454,10 @@ def test_single_old_model_equals_an_ensemble_of_one(small_config, small_state):
         np.testing.assert_array_equal(got.bias, want.bias)
     np.testing.assert_array_equal(
         single.train_preds,
-        plan.old_to_new[solo.predict_batch(features[plan.new_job.rows])])
-    eval_preds = plan.old_to_new[solo.predict_batch(plan.eval_plan.features)]
+        plan.old_to_new[solo.predict_batch(features[plan.new_job.rows],
+                                           nn.Workspace())])
+    eval_preds = plan.old_to_new[solo.predict_batch(plan.eval_plan.features,
+                                                    nn.Workspace())]
     np.testing.assert_array_equal(single.eval_preds, eval_preds)
     assert single.er_old == float(np.mean(eval_preds != plan.eval_plan.labels))
     assert single.param_count == solo.parameter_count()

@@ -12,7 +12,7 @@ too, because other tests lean on them.
 import numpy as np
 import pytest
 
-from oracles import cross_entropy, softmax
+from oracles import cross_entropy, softmax, zeros_like_params
 from pctlab import nn
 
 
@@ -58,7 +58,8 @@ def test_relu_and_backward():
     np.testing.assert_array_equal(cache.pre_activations[0], z)
     np.testing.assert_array_equal(cache.activations[0], np.where(z > 0, z, 0.0))
     dlogits = np.array([[1.0, -2.0], [0.5, 0.25]])
-    (dw1, db1), _ = nn.backward_batch(model, cache, dlogits)
+    (dw1, db1), _ = nn.backward_batch(model, cache, dlogits,
+                                      zeros_like_params(model))
     # gradient passes only where the pre-activation was strictly positive
     dz1 = (dlogits @ w2.T) * (z > 0)
     np.testing.assert_array_equal(db1, dz1.sum(axis=0))
@@ -74,7 +75,8 @@ def test_affine_backward_matches_loop_oracle():
     model = nn.MLPModel([nn.Layer(w1, np.zeros(3), "identity"),
                          nn.Layer(w2, np.zeros(2), "identity")])
     cache = nn.forward_batch(model, x)
-    (dw1, db1), (dw2, db2) = nn.backward_batch(model, cache, dlogits)
+    (dw1, db1), (dw2, db2) = nn.backward_batch(model, cache, dlogits,
+                                                zeros_like_params(model))
     np.testing.assert_allclose(dw2, cache.activations[0].T @ dlogits,
                                rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(db2, dlogits.sum(axis=0), rtol=1e-12, atol=1e-12)
@@ -107,7 +109,8 @@ def test_ce_rows_matches_logsumexp_oracle():
     logits = rng.standard_normal((7, 4)) * 2
     labels = rng.integers(0, 4, size=7).astype(np.int64)
     expect = np.logaddexp.reduce(logits, axis=1) - logits[np.arange(7), labels]
-    losses, probs = nn.ce_rows(logits, labels)
+    losses, probs = nn.ce_rows(logits, nn.row_max(logits)[:, None],
+                               nn.label_positions(labels, 4))
     np.testing.assert_allclose(losses, expect, rtol=1e-12, atol=1e-12)
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     np.testing.assert_allclose(probs, e / e.sum(axis=1, keepdims=True),

@@ -216,13 +216,13 @@ def test_oracle_from_model_matches_predictions():
     np.testing.assert_allclose(oracle.logits, nn.batch_logits(model, x),
                                rtol=1e-13, atol=1e-15)
     np.testing.assert_array_equal(oracle.logit_index, np.arange(4))
-    assert len(oracle) == 12
+    assert oracle.logits.shape == (12, 4)
 
 
 def test_oracle_entry_bounds_and_readonly():
     _, _, _, oracle = _toy_oracle()
     with pytest.raises(IndexError):
-        oracle_entry(oracle, len(oracle))
+        oracle_entry(oracle, 12)
     with pytest.raises(ValueError):
         oracle.logits[0, 0] = 1.0
     entry = oracle_entry(oracle, 0)

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from oracles import (ce_objective, copy_model, cross_entropy, error_rate,
-                     per_step_objective, softmax, train_per_array)
+                     per_step_objective, softmax, train_per_array,
+                     zeros_like_params)
 from pctlab import nn
 from pctlab.losses import (DistanceSpec, OldModelOracle, PCLossConfig,
                            make_ce_objective, make_objective)
@@ -223,7 +224,7 @@ def test_backward_matches_central_differences():
 
     cache = nn.forward_batch(model, x)
     _, dlogits = objective(cache.logits, idx)
-    grads = nn.backward_batch(model, cache, dlogits)
+    grads = nn.backward_batch(model, cache, dlogits, zeros_like_params(model))
 
     h = 1e-6
     for layer, (dw, db) in zip(model.layers, grads):
@@ -274,7 +275,8 @@ def test_bias_gradient_equals_row_sum_bit_for_bit(lead):
             dz[..., 0] = -0.0
             for rows in (plain, dz):
                 with np.errstate(all="ignore"):
-                    (_, got), = nn.backward_batch(model, cache, rows)
+                    (_, got), = nn.backward_batch(model, cache, rows,
+                                                 zeros_like_params(model))
                     want = rows.sum(axis=-2)
                 np.testing.assert_array_equal(_bits(got), _bits(want))
             if f == 1:
@@ -339,7 +341,8 @@ def test_backward_rejects_mismatched_dlogits():
     model = nn.init_model([3, 2], seed=0)
     cache = nn.forward_batch(model, np.zeros((2, 3)))
     with pytest.raises(nn.DimensionError):
-        nn.backward_batch(model, cache, np.zeros((2, 5)))
+        nn.backward_batch(model, cache, np.zeros((2, 5)),
+                          zeros_like_params(model))
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +387,6 @@ def test_train_config_validation():
         nn.TrainConfig(epochs=-1)
     with pytest.raises(ValueError):
         nn.TrainConfig(weight_init="ones")
-    assert nn.with_seed(nn.TrainConfig(), 42).seed == 42
 
 
 def test_train_is_deterministic_and_leaves_input_untouched():
@@ -434,7 +436,7 @@ def test_one_full_batch_step_matches_manual_recomputation():
     order = stream_rng(cfg.seed, STREAM_SHUFFLE, 0).permutation(n)
     cache = nn.forward_batch(model, x[order])
     _, dlogits = objective(cache.logits, order)
-    grads = nn.backward_batch(model, cache, dlogits)
+    grads = nn.backward_batch(model, cache, dlogits, zeros_like_params(model))
     for layer, got, (dw, db) in zip(model.layers, trained.layers, grads):
         np.testing.assert_array_equal(got.weights, layer.weights - 0.2 * dw)
         np.testing.assert_array_equal(got.bias, layer.bias - 0.2 * db)

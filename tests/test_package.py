@@ -1,8 +1,9 @@
 """The package namespace: every exported name resolves, and the per-sample
-and per-record oracles that moved to ``tests/oracles.py``, and the
-record-level flip API and the dataset views that were deleted, stay out of
-it."""
+and per-record oracles that moved to ``tests/oracles.py``, the record-level
+flip API, the dataset views and the names that only tests reached, all
+deleted, stay out of it."""
 
+import inspect
 from dataclasses import fields
 
 import pctlab
@@ -58,3 +59,21 @@ def test_oracles_live_only_in_the_tests():
     collector = harness._EpochCollector(None, None, None,
                                         scenarios.EvalPlan(None, None), None, None)
     assert not hasattr(collector, "new_label_map")
+
+
+def test_names_only_tests_reached_stay_gone():
+    # YAML text is parsed by tests/oracles.py's loads_config; no config is
+    # dumped as YAML
+    for name in ("loads_config", "dump_config"):
+        assert not hasattr(config, name), name
+    assert not hasattr(datasets.Dataset, "n")
+    assert not hasattr(losses.OldModelOracle, "__len__")
+    assert not hasattr(nn, "with_seed")
+    assert not hasattr(harness, "epoch_series_csv")
+    # every caller passes these, so none has a fallback
+    required = {nn.ce_rows: ("m", "at"), nn.backward_batch: ("out",),
+                ensembles.Ensemble.predict_batch: ("workspace",)}
+    for fn, names in required.items():
+        params = inspect.signature(fn).parameters
+        for name in names:
+            assert params[name].default is inspect.Parameter.empty, name

@@ -204,13 +204,12 @@ def _stats(values: Sequence[Optional[float]]) -> dict:
 
 @dataclass
 class OldReference:
-    """Frozen old side of an update: models plus cached predictions."""
-    models: List[MLPModel]
+    """Frozen old side of an update: its ensemble plus cached predictions."""
+    ensemble: Ensemble
     eval_preds: np.ndarray
     er_old: float
     train_preds: np.ndarray
     oracle: Optional[OldModelOracle]
-    param_count: int
 
 
 @dataclass
@@ -275,8 +274,7 @@ def _build_old_reference(dataset: Dataset, plan: ScenarioPlan,
     ep = plan.eval_plan
     eval_preds = plan.old_to_new[old.predict_batch(ep.features, workspace)]
     er_old = float(np.mean(eval_preds != ep.labels))
-    return OldReference(old.members, eval_preds, er_old, train_preds, oracle,
-                        old.parameter_count())
+    return OldReference(old, eval_preds, er_old, train_preds, oracle)
 
 
 def prepare_scenario(config: ExperimentConfig) -> ScenarioState:
@@ -361,7 +359,7 @@ def run_experiment(config: ExperimentConfig,
         members = ensembles.train_ensemble(
             plan.new_job.dims, x, y, config.train, size * len(reps),
             model_seed(config.train.seed, role, r0), objective=objective,
-            init=old.models * len(reps) if plan.init_from_old else None,
+            init=old.ensemble.members * len(reps) if plan.init_from_old else None,
             on_epoch_end=hook).members
         for g, (rep, collector) in enumerate(zip(reps, collectors)):
             group = members[g * size:(g + 1) * size]
@@ -370,7 +368,8 @@ def run_experiment(config: ExperimentConfig,
             runs.append(RunArtifacts(rep, model_seed(config.train.seed, role, rep),
                                      Ensemble(group).parameter_count(),
                                      collector.rows, collector.final))
-    return ExperimentResult(config, old.er_old, old.param_count, runs)
+    return ExperimentResult(config, old.er_old, old.ensemble.parameter_count(),
+                            runs)
 
 
 # ---------------------------------------------------------------------------

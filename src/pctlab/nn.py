@@ -1,10 +1,10 @@
 """Minimal deterministic feed-forward classifier engine.
 
-Dense layers with relu hidden activations and raw-logit output, exact
-analytic gradients, and SGD with momentum under a stepped learning-rate
-schedule. Everything is driven by counter-based RNG streams so that a
-(seed, config, dataset) triple always reproduces the same trained weights,
-bit for bit.
+Dense layers with relu after every layer but the last, which emits raw
+logits, exact analytic gradients, and SGD with momentum under a stepped
+learning-rate schedule. Everything is driven by counter-based RNG streams
+so that a (seed, config, dataset) triple always reproduces the same
+trained weights, bit for bit.
 
 Batches are row-major ``(n, dim)`` float64 arrays, weights are
 ``(fan_in, fan_out)``, biases ``(fan_out,)`` and labels int64.
@@ -32,10 +32,11 @@ page-faults, nothing after its first call. It runs in the even row blocks
 of ``block_cuts``, each of about 2 MB of the widest layer (one core's L2 on
 the Xeon this was measured on), and only the logits span all the rows it
 is given; ``ensembles.Ensemble`` gives it one block at a time. Its logits
-are ``batch_logits`` of each block, bit for bit. That equals
-``batch_logits`` of all the rows wherever OpenBLAS rounds a row the same at
-any row count, as the tests check for hidden widths 32, 64 and 256; at some
-other widths, 478 for one, a logit can differ in the last bit.
+are ``forward_batch(...).logits`` of each block, bit for bit. That equals
+``forward_batch(...).logits`` of all the rows wherever OpenBLAS rounds a
+row the same at any row count, as the tests check for hidden widths 32, 64
+and 256; at some other widths, 478 for one, a logit can differ in the last
+bit.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ import numpy as np
 
 from .rng import STREAM_INIT, STREAM_SHUFFLE, stream_rng
 
-ACTIVATIONS = ("relu", "identity")
 WEIGHT_INITS = ("glorot_uniform", "zeros")
 # float64 elements of the widest layer's output in one evaluation block
 BLOCK_ELEMENTS = 2 ** 18
@@ -61,12 +61,12 @@ class DimensionError(ValueError):
 
 @dataclass
 class Layer:
-    """One dense layer: ``out = act(x @ weights + bias)``, or a stack of M
-    such layers with a leading member axis."""
+    """One dense layer, ``x @ weights + bias``, or a stack of M such layers
+    with a leading member axis. Its model applies relu to the output unless
+    the layer is the model's last."""
 
     weights: np.ndarray  # (fan_in, fan_out), stacked (M, fan_in, fan_out)
     bias: np.ndarray     # (fan_out,), stacked (M, fan_out)
-    activation: str
 
     def __post_init__(self):
         self.weights = np.ascontiguousarray(self.weights, dtype=np.float64)
@@ -77,8 +77,6 @@ class Layer:
             raise DimensionError(
                 f"bias shape {self.bias.shape} does not match weights "
                 f"{self.weights.shape}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
         if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
             raise ValueError("layer parameters must be finite")
 
@@ -93,7 +91,7 @@ class Layer:
 
 @dataclass
 class MLPModel:
-    """Ordered dense layers; the final layer emits raw logits."""
+    """Ordered dense layers: relu after each but the last, raw logits."""
 
     layers: List[Layer]
 
@@ -106,8 +104,6 @@ class MLPModel:
                     f"layer dims do not chain: {prev.fan_out} -> {nxt.fan_in}")
             if prev.weights.shape[:-2] != nxt.weights.shape[:-2]:
                 raise DimensionError("stacked layers disagree on the member count")
-        if self.layers[-1].activation != "identity":
-            raise ValueError("final layer must have identity activation")
 
     @property
     def input_dim(self) -> int:
@@ -142,15 +138,13 @@ class MLPModel:
 
 def stack_models(models: Sequence[MLPModel]) -> MLPModel:
     """One stack of same-shape models; member j holds a copy of ``models[j]``."""
-    first = models[0]
+    shapes = [l.weights.shape for l in models[0].layers]
     for m in models[1:]:
-        if [(l.weights.shape, l.activation) for l in m.layers] != \
-                [(l.weights.shape, l.activation) for l in first.layers]:
+        if [l.weights.shape for l in m.layers] != shapes:
             raise DimensionError("stacked models must share layer shapes")
-    return MLPModel([
-        Layer(np.stack([m.layers[i].weights for m in models]),
-              np.stack([m.layers[i].bias for m in models]), layer.activation)
-        for i, layer in enumerate(first.layers)])
+    return MLPModel([Layer(np.stack([l.weights for l in layers]),
+                           np.stack([l.bias for l in layers]))
+                     for layers in zip(*(m.layers for m in models))])
 
 
 @dataclass(frozen=True)
@@ -241,16 +235,13 @@ def init_model(dims: Sequence[int], seed: int,
         raise ValueError(f"unknown weight_init {weight_init!r}")
     rng = stream_rng(seed, STREAM_INIT)
     layers = []
-    n_layers = len(dims) - 1
-    for i in range(n_layers):
-        fan_in, fan_out = dims[i], dims[i + 1]
+    for fan_in, fan_out in zip(dims, dims[1:]):
         if weight_init == "zeros":
             w = np.zeros((fan_in, fan_out))
         else:
             limit = np.sqrt(6.0 / (fan_in + fan_out))
             w = rng.uniform(-limit, limit, size=(fan_in, fan_out))
-        act = "identity" if i == n_layers - 1 else "relu"
-        layers.append(Layer(w, np.zeros(fan_out), act))
+        layers.append(Layer(w, np.zeros(fan_out)))
     return MLPModel(layers)
 
 
@@ -265,12 +256,12 @@ def forward_batch(model: MLPModel, x: np.ndarray) -> BatchCache:
             f"expected batch of shape {lead + ('n', model.input_dim)}, "
             f"got {x.shape}")
     pre, acts = [], []
-    a = x
-    for layer in model.layers:
+    a, last = x, len(model.layers) - 1
+    for i, layer in enumerate(model.layers):
         z = a @ layer.weights
         z += layer.bias[..., None, :]
         pre.append(z)
-        a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        a = np.maximum(z, 0.0) if i < last else z
         acts.append(a)
     return BatchCache(x, pre, acts)
 
@@ -325,7 +316,8 @@ def forward_into(model: MLPModel, x: np.ndarray, workspace: Workspace) -> np.nda
     writes into ``workspace``'s buffer ``i``, one block (ceil(n / q) rows)
     long, relu in place; the logits go into the last layer's buffer, all n
     rows, and are a view that the workspace's next forward overwrites. Each
-    block's logits are bit for bit ``batch_logits`` of that block's rows.
+    block's logits are bit for bit ``forward_batch(...).logits`` of that
+    block's rows.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     if model.stack_size is not None or x.ndim != 2 \
@@ -345,7 +337,7 @@ def forward_into(model: MLPModel, x: np.ndarray, workspace: Workspace) -> np.nda
             out = logits[start:stop] if i == last else hidden[i][:stop - start]
             np.matmul(a, layer.weights, out=out)
             out += layer.bias
-            if layer.activation == "relu":
+            if i < last:
                 np.maximum(out, 0.0, out=out)
             a = out
     return logits
@@ -392,7 +384,8 @@ def backward_batch(model: MLPModel, cache: BatchCache, dlogits: np.ndarray,
 
     Writes one ``(dW, db)`` pair per layer, shapes matching the parameters,
     into ``out``'s arrays (``train`` passes views of its flat gradient
-    buffer) and returns ``out``.
+    buffer) and returns ``out``. Every layer below the last is relu, so the
+    gradient reaching it passes where its pre-activation was positive.
     """
     dlogits = np.ascontiguousarray(dlogits, dtype=np.float64)
     if dlogits.shape != cache.logits.shape:
@@ -406,8 +399,7 @@ def backward_batch(model: MLPModel, cache: BatchCache, dlogits: np.ndarray,
         _bias_grad(dz, db)
         if i > 0:
             dz = dz @ model.layers[i].weights.swapaxes(-1, -2)
-            if model.layers[i - 1].activation == "relu":
-                dz *= cache.pre_activations[i - 1] > 0.0
+            dz *= cache.pre_activations[i - 1] > 0.0
     return out
 
 
@@ -453,7 +445,7 @@ def _flat_copy(model: MLPModel) -> tuple:
     for layer, (w, b) in zip(model.layers, _views(flat, model)):
         w[...] = layer.weights
         b[...] = layer.bias
-        layers.append(Layer(w, b, layer.activation))
+        layers.append(Layer(w, b))
     return MLPModel(layers), flat
 
 

@@ -56,7 +56,11 @@ def result_from_document(doc: dict) -> ExperimentResult:
 
 def load_result(path: str) -> ExperimentResult:
     with open(path, "r", encoding="utf-8") as fh:
-        return result_from_document(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path} is not UTF-8 JSON: {exc}") from None
+    return result_from_document(doc)
 
 
 def summary_csv(result: ExperimentResult) -> str:

@@ -25,10 +25,10 @@ def stream_rng(seed: int, stream: int, index: int = 0) -> np.random.Generator:
     """Return a Generator for the (seed, stream, index) triple.
 
     `index` varies the stream within a tag, e.g. the epoch number for
-    per-epoch shuffles.
+    per-epoch shuffles. A seed outside [0, SEED_LIMIT) raises ValueError.
     """
-    if seed < 0:
-        raise ValueError(f"seed must be non-negative, got {seed}")
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     if index < 0:
         raise ValueError(f"stream index must be non-negative, got {index}")
     key = np.array([np.uint64(seed), np.uint64((stream << 48) + index)],

@@ -37,9 +37,10 @@ class ScenarioKind(str, Enum):
 class ModelSpec:
     """Hidden-layer widths; input and output sizes come from the data.
 
-    Every hidden layer is relu, the only activation ``nn`` trains; the
-    ``activation`` field is kept so that config documents and
-    ``artifacts.json`` keep their ``activation`` key.
+    ``nn`` applies relu after every layer but a model's last, which emits
+    raw logits, so ``activation`` can only be ``relu``. The field is kept
+    so that config documents and ``artifacts.json`` keep their
+    ``activation`` key.
     """
 
     hidden_dims: Tuple[int, ...] = (32,)
@@ -58,7 +59,8 @@ class ModelSpec:
 
 @dataclass(frozen=True)
 class DataFilter:
-    """What part of the dataset a training job sees."""
+    """What part of the dataset a training job sees. A class subset names
+    at least 2 distinct classes, the fewest a classifier can have."""
 
     sample_fraction: float = 1.0
     class_subset: Optional[Tuple[int, ...]] = None
@@ -73,6 +75,11 @@ class DataFilter:
         if self.class_subset is not None:
             object.__setattr__(self, "class_subset",
                                tuple(int(c) for c in self.class_subset))
+            if not self.class_subset:
+                raise ValueError("class subset must be nonempty")
+            if len(set(self.class_subset)) < 2:
+                raise ValueError("class_subset must name at least 2 classes, "
+                                 f"got {list(self.class_subset)}")
 
     def select(self, dataset: Dataset) -> Tuple[np.ndarray, np.ndarray]:
         """The training rows this side sees, ascending, and its classes: the
@@ -84,8 +91,6 @@ class DataFilter:
         classes = np.arange(dataset.num_classes)
         if self.class_subset is not None:
             classes = np.unique(np.asarray(self.class_subset, dtype=np.int64))
-            if classes.size == 0:
-                raise ValueError("class subset must be nonempty")
             if classes.min() < 0 or classes.max() >= dataset.num_classes:
                 raise ValueError("class subset out of range")
             rows = rows[np.isin(dataset.labels[rows], classes)]
@@ -204,6 +209,10 @@ def reference_scenario(kind: ScenarioKind, num_classes: int = 10) -> UpdateScena
     if kind is ScenarioKind.SAMPLE_GROWTH:
         return UpdateScenario(kind, small, small, old_data=half)
     if kind is ScenarioKind.CLASS_GROWTH:
+        if num_classes < 4:
+            raise ValueError("the class_growth reference pairing trains its old "
+                             "side on the first k // 2 classes, so it needs "
+                             f"k >= 4, got k = {num_classes}")
         subset = tuple(range(num_classes // 2))
         return UpdateScenario(kind, small, small,
                               old_data=DataFilter(class_subset=subset))

@@ -73,14 +73,13 @@ def backward_per_array(model: MLPModel, cache, dlogits: np.ndarray) -> list:
         grads[i] = (a_prev.swapaxes(-1, -2) @ dz, dz.sum(axis=-2))
         if i > 0:
             dz = dz @ model.layers[i].weights.swapaxes(-1, -2)
-            if model.layers[i - 1].activation == "relu":
-                dz *= cache.pre_activations[i - 1] > 0.0
+            dz *= cache.pre_activations[i - 1] > 0.0
     return grads
 
 
 def copy_model(model: MLPModel) -> MLPModel:
     """A deep copy of ``model``: fresh weight and bias arrays per layer."""
-    return MLPModel([Layer(l.weights.copy(), l.bias.copy(), l.activation)
+    return MLPModel([Layer(l.weights.copy(), l.bias.copy())
                      for l in model.layers])
 
 

@@ -229,10 +229,36 @@ def test_a_new_side_without_an_old_class_exits_1_before_training(
 
 
 @pytest.mark.parametrize("text, message", [
+    ("dataset: {k: 3}\nscenario: {kind: class_growth}\n",
+     "the class_growth reference pairing trains its old side on the first "
+     "k // 2 classes, so it needs k >= 4, got k = 3"),
+    ("scenario: {kind: class_growth, old_data: {class_subset: [2]}}\n",
+     "class_subset must name at least 2 classes, got [2]"),
+    ("method: ensemble\n"
+     "scenario: {kind: class_growth, old_data: {class_subset: [2]}}\n",
+     "class_subset must name at least 2 classes, got [2]"),
+    ("scenario: {kind: same_arch_retrain, new_data: {class_subset: [1, 1]}}\n",
+     "class_subset must name at least 2 classes, got [1, 1]"),
+], ids=["reference-k3", "old-subset", "ensemble", "repeated-class"])
+def test_a_side_with_one_class_exits_1_at_load(tmp_path, capsys, monkeypatch,
+                                               text, message):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
     ('{"er_old": 0.1}', "artifacts needs a non-empty 'config'"),
     ("[1, 2]", "artifacts must be a mapping, got list"),
     (None, "artifacts needs a non-empty 'runs'"),
-], ids=["no-config", "list", "no-runs"])
+    ("not json\n", "{path} is not UTF-8 JSON: "
+                   "Expecting value: line 1 column 1 (char 0)"),
+    (b"\xff{}", "{path} is not UTF-8 JSON: 'utf-8' codec can't decode byte "
+               "0xff in position 0: invalid start byte"),
+], ids=["no-config", "list", "no-runs", "text", "not-utf8"])
 def test_report_names_the_fault_of_malformed_artifacts(tmp_path, capsys, text,
                                                       message):
     if text is None:  # the stored run with its runs removed
@@ -241,10 +267,10 @@ def test_report_names_the_fault_of_malformed_artifacts(tmp_path, capsys, text,
             doc = json.load(fh)
         text = json.dumps(dict(doc, runs=[]))
     path = tmp_path / "artifacts.json"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(text.encode("utf-8") if isinstance(text, str) else text)
     assert main(["report", "--artifacts", str(path),
                  "--out", str(tmp_path / "out")]) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -74,7 +74,7 @@ def test_predict_batch_takes_argmax_of_member_sum():
     """
     biases = ([3.5371864887088766, 3.537186488708877, -1.0], [0.0] * 3,
               [0.0] * 3)
-    members = [nn.MLPModel([nn.Layer(np.zeros((5, 3)), np.array(b), "identity")])
+    members = [nn.MLPModel([nn.Layer(np.zeros((5, 3)), np.array(b))])
                for b in biases]
     ens = Ensemble(members)
     x = np.random.default_rng(3).standard_normal((4, 5))
@@ -224,6 +224,18 @@ def test_train_ensemble_rejects_bad_size(train_xy):
         train_ensemble([5, 4], x, y, CFG, size=2, base_seed=0,
                        init=[nn.init_model([5, 4], seed=0),
                              nn.init_model([5, 6, 4], seed=1)])
+
+
+def test_member_seeds_past_2_64_raise_a_named_error():
+    x = np.random.default_rng(0).standard_normal((4, 3))
+    y = np.array([0, 1, 0, 1])
+    top = 2**64 - 1
+    # member 1's init seed, and with init given its shuffle seed, is 2**64
+    for init in (None, [nn.init_model([3, 2], seed=0)] * 2):
+        with pytest.raises(ValueError, match=f"got {2**64}$"):
+            train_ensemble([3, 2], x, y, nn.TrainConfig(epochs=1, seed=top), 2,
+                           top, init=init)
+    train_ensemble([3, 2], x, y, nn.TrainConfig(epochs=1, seed=top), 1, top)
 
 
 def test_sweep_validates_sizes_and_seed_ranges(data):

@@ -139,7 +139,7 @@ def _solo_runs(config, state):
     for rep in range(config.repetitions):
         seed = model_seed(config.train.seed, "new", rep)
         if plan.init_from_old:
-            start = old.models[0]
+            start = old.ensemble.members[0]
         else:
             start = init_model(plan.new_job.dims, seed,
                                weight_init=config.train.weight_init)
@@ -173,7 +173,7 @@ def test_repetition_stack_fine_tune_equals_solo_runs():
         repetitions=2,
     )
     state = prepare_scenario(cfg)
-    old = state.old_side(1).models[0]
+    old = state.old_side(1).ensemble.members[0]
     before = [(l.weights.copy(), l.bias.copy()) for l in old.layers]
     result = run_experiment(cfg, state)
     # every repetition starts from the one old model, which stays untouched
@@ -195,7 +195,7 @@ def _ensemble_runs(config, state):
     for rep in range(config.repetitions):
         base = model_seed(config.train.seed, "new_member", rep)
         if plan.init_from_old:
-            init = old.models
+            init = old.ensemble.members
         else:
             init = [init_model(plan.new_job.dims, base + j,
                                weight_init=config.train.weight_init)
@@ -373,7 +373,8 @@ def test_ensemble_method_caches_old_side(small_config, small_state):
     single = run_experiment(replace(small_config, method="no_treatment"),
                             small_state).runs[0].param_count
     assert r1.runs[0].param_count == 3 * single
-    assert r1.old_param_count == 3 * small_state.old_side(1).param_count
+    assert r1.old_param_count == (
+        3 * small_state.old_side(1).ensemble.parameter_count())
     base = cfg.train.seed + ENSEMBLE_SEED_OFFSET
     assert r1.runs[0].seed == base
     assert len(r1.runs[0].epochs) == cfg.train.epochs
@@ -449,7 +450,8 @@ def test_single_old_model_equals_an_ensemble_of_one(small_config, small_state):
     solo = harness.ensembles.train_ensemble(
         plan.old_job.dims, features[plan.old_job.rows], plan.old_job.labels,
         cfg.train, 1, model_seed(cfg.train.seed, "old"))
-    for got, want in zip(single.models[0].layers, solo.members[0].layers):
+    for got, want in zip(single.ensemble.members[0].layers,
+                         solo.members[0].layers):
         np.testing.assert_array_equal(got.weights, want.weights)
         np.testing.assert_array_equal(got.bias, want.bias)
     np.testing.assert_array_equal(
@@ -460,7 +462,7 @@ def test_single_old_model_equals_an_ensemble_of_one(small_config, small_state):
                                                     nn.Workspace())]
     np.testing.assert_array_equal(single.eval_preds, eval_preds)
     assert single.er_old == float(np.mean(eval_preds != plan.eval_plan.labels))
-    assert single.param_count == solo.parameter_count()
+    assert single.ensemble.parameter_count() == solo.parameter_count()
 
 
 def test_compare_is_independent_of_the_preparing_method(small_config):

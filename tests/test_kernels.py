@@ -28,11 +28,11 @@ def _rng(tag: int) -> np.random.Generator:
 
 
 def _single_layer(w: np.ndarray, b: np.ndarray) -> nn.MLPModel:
-    return nn.MLPModel([nn.Layer(w, b, "identity")])
+    return nn.MLPModel([nn.Layer(w, b)])
 
 
 def _identity_model(k: int) -> nn.MLPModel:
-    """One identity layer with unit weights: the logits are the inputs."""
+    """One layer with unit weights: the logits are the inputs."""
     return _single_layer(np.eye(k), np.zeros(k))
 
 
@@ -51,8 +51,8 @@ def test_affine_matches_loop_oracle():
 
 def test_relu_and_backward():
     w2 = _rng(7).standard_normal((3, 2))
-    model = nn.MLPModel([nn.Layer(np.eye(3), np.zeros(3), "relu"),
-                         nn.Layer(w2, np.zeros(2), "identity")])
+    model = nn.MLPModel([nn.Layer(np.eye(3), np.zeros(3)),
+                         nn.Layer(w2, np.zeros(2))])
     z = np.array([[-1.5, 0.0, 2.0], [3.0, -0.1, 0.5]])
     cache = nn.forward_batch(model, z)
     np.testing.assert_array_equal(cache.pre_activations[0], z)
@@ -72,9 +72,12 @@ def test_affine_backward_matches_loop_oracle():
     w1 = rng.standard_normal((4, 3))
     w2 = rng.standard_normal((3, 2))
     dlogits = rng.standard_normal((6, 2))
-    model = nn.MLPModel([nn.Layer(w1, np.zeros(3), "identity"),
-                         nn.Layer(w2, np.zeros(2), "identity")])
+    # the hidden layer is relu; a bias of 100 keeps every pre-activation
+    # positive, so its mask passes everything
+    model = nn.MLPModel([nn.Layer(w1, np.full(3, 100.0)),
+                         nn.Layer(w2, np.zeros(2))])
     cache = nn.forward_batch(model, x)
+    assert (cache.pre_activations[0] > 0).all()
     (dw1, db1), (dw2, db2) = nn.backward_batch(model, cache, dlogits,
                                                 zeros_like_params(model))
     np.testing.assert_allclose(dw2, cache.activations[0].T @ dlogits,
@@ -124,7 +127,7 @@ def test_sgd_update_matches_formula_exactly():
     """The update runs over flat buffers: here one (4, 3) layer's weights
     and bias, laid out as ``train`` lays them out."""
     rng = _rng(5)
-    layer = nn.Layer(rng.standard_normal((4, 3)), rng.standard_normal(3), "identity")
+    layer = nn.Layer(rng.standard_normal((4, 3)), rng.standard_normal(3))
     params = np.concatenate([layer.weights.ravel(), layer.bias])
     before = params.copy()
     velocity = np.concatenate([rng.standard_normal(12), rng.standard_normal(3)])

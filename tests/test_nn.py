@@ -50,9 +50,21 @@ def test_init_model_glorot_bounds_and_zero_bias():
         limit = math.sqrt(6.0 / (layer.fan_in + layer.fan_out))
         assert np.abs(layer.weights).max() <= limit
         np.testing.assert_array_equal(layer.bias, 0.0)
-    assert model.layers[0].activation == "relu"
-    assert model.layers[-1].activation == "identity"
+    # the hidden layer is relu and the last emits raw logits
+    x = np.random.default_rng(0).standard_normal((50, 6))
+    cache = nn.forward_batch(model, x)
+    assert (cache.pre_activations[0] < 0.0).any()
+    assert (cache.activations[0] >= 0.0).all()
+    assert (cache.logits < 0.0).any()
     assert model.parameter_count() == 6 * 10 + 10 + 10 * 4 + 4
+
+
+def test_stream_rng_takes_seeds_of_one_philox_key_word():
+    stream_rng(2**64 - 1, STREAM_SHUFFLE)
+    for seed in (2**64, -1):
+        with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\*\*64\), "
+                                             rf"got {seed}$"):
+            stream_rng(seed, STREAM_SHUFFLE)
 
 
 def test_init_model_zeros_init():
@@ -70,7 +82,7 @@ def test_model_rejects_non_chaining_layers():
     good = nn.init_model([3, 5, 2], seed=0)
     with pytest.raises(nn.DimensionError):
         nn.MLPModel([good.layers[0],
-                     nn.Layer(np.zeros((4, 2)), np.zeros(2), "identity")])
+                     nn.Layer(np.zeros((4, 2)), np.zeros(2))])
 
 
 def test_model_copy_is_deep():
@@ -84,7 +96,7 @@ def test_model_copy_is_deep():
 
 def test_layer_rejects_nonfinite_parameters():
     with pytest.raises(ValueError, match="finite"):
-        nn.Layer(np.array([[np.nan]]), np.zeros(1), "identity")
+        nn.Layer(np.array([[np.nan]]), np.zeros(1))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +278,7 @@ def test_bias_gradient_equals_row_sum_bit_for_bit(lead):
     for b in (1, 2, 7, 8, 9, 64, 512):
         for f in (1, 2, 3, 10, 32, 256):
             model = nn.MLPModel([nn.Layer(np.zeros(lead + (1, f)),
-                                          np.zeros(lead + (f,)), "identity")])
+                                          np.zeros(lead + (f,)))])
             cache = nn.forward_batch(model, np.zeros(lead + (b, 1)))
             plain = rng.standard_normal(lead + (b, f))
             dz = plain * 10.0 ** rng.integers(-300, 300, size=plain.shape)

@@ -1,10 +1,13 @@
 """The package namespace: every exported name resolves, and the per-sample
 and per-record oracles that moved to ``tests/oracles.py``, the record-level
 flip API, the dataset views and the names that only tests reached, all
-deleted, stay out of it."""
+deleted, stay out of it. No module imports a name it never loads, except
+the ones the benchmark's tracer patches."""
 
+import ast
 import inspect
 from dataclasses import fields
+from pathlib import Path
 
 import pctlab
 from pctlab import (config, datasets, ensembles, flips, harness, losses, nn,
@@ -77,3 +80,57 @@ def test_names_only_tests_reached_stay_gone():
         params = inspect.signature(fn).parameters
         for name in names:
             assert params[name].default is inspect.Parameter.empty, name
+
+
+def test_model_shape_is_structural():
+    # a layer is relu unless it is its model's last, so it stores no
+    # activation, and an old side is the Ensemble it trained as
+    assert not hasattr(nn, "ACTIVATIONS")
+    assert [f.name for f in fields(nn.Layer)] == ["weights", "bias"]
+    assert {"models", "param_count"}.isdisjoint(
+        f.name for f in fields(harness.OldReference))
+
+
+# Imports that their module never loads. Each stays only because
+# pctbench/tracing.py's ``install`` patches the name on that module; the
+# value is the wrapping line there. ROADMAP item 5(b) drops the wrappers,
+# and with them these entries.
+TRACER_ONLY_IMPORTS = {
+    ("harness", "make_ce_objective"):
+        "harness.make_ce_objective = wrap_factory(harness.make_ce_objective)",
+    ("harness", "batch_logits"): '(harness, "batch_logits", "nn.logits")',
+    ("harness", "predict_batch"): '(harness, "predict_batch", "nn.predict")',
+    ("harness", "train"): "harness.train = wrap_train(harness.train)",
+    ("ensembles", "batch_logits"): '(ensembles, "batch_logits", "nn.logits")',
+    ("losses", "batch_logits"): '(losses, "batch_logits", "nn.logits")',
+}
+
+
+def _unloaded_imports(source: str) -> set:
+    """Names a module imports but never reads: no ``Load``-context use, and
+    not in its ``__all__``."""
+    tree = ast.parse(source)
+    imported, loaded = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            loaded.update(ast.literal_eval(node.value))
+    return imported - loaded
+
+
+def test_no_module_imports_a_name_it_never_loads():
+    found = set()
+    for path in sorted(Path(pctlab.__file__).parent.glob("*.py")):
+        found.update((path.stem, name) for name in
+                     _unloaded_imports(path.read_text(encoding="utf-8")))
+    assert found == set(TRACER_ONLY_IMPORTS)
+    tracing = Path(__file__).resolve().parents[1] / "pctbench" / "tracing.py"
+    source = tracing.read_text(encoding="utf-8")
+    for key, wrapper in TRACER_ONLY_IMPORTS.items():
+        assert wrapper in source, key

@@ -26,6 +26,22 @@ def test_model_spec_dims():
         ModelSpec(hidden_dims=(0,))
 
 
+def test_a_side_needs_two_distinct_classes():
+    for subset in ((2,), (3, 3)):
+        with pytest.raises(ValueError, match="class_subset must name at least 2"):
+            DataFilter(class_subset=subset)
+    with pytest.raises(ValueError, match="nonempty"):
+        DataFilter(class_subset=())
+    assert DataFilter(class_subset=(3, 1)).class_subset == (3, 1)
+    # the class_growth pairing's old side has the first k // 2 classes
+    for k in (2, 3):
+        with pytest.raises(ValueError, match=f"needs k >= 4, got k = {k}"):
+            reference_scenario(ScenarioKind.CLASS_GROWTH, k)
+    assert reference_scenario(ScenarioKind.CLASS_GROWTH,
+                              4).old_data.class_subset == (0, 1)
+    reference_scenario(ScenarioKind.SAME_ARCH_RETRAIN, 2)
+
+
 def test_data_filter_applies_classes_then_samples(data):
     filt = DataFilter(sample_fraction=0.5, class_subset=(5, 3, 4), subset_seed=4)
     rows, classes = filt.select(data)

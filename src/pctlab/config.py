@@ -11,8 +11,11 @@ number, a float field any finite number, a bool field only true or false,
 a tuple field only a list, and no bool is read as a number. A string in a
 number field is parsed as that type, since PyYAML reads ``1e-3`` as a
 string, and one that does not parse, or parses to inf or nan, is an error
-that names its key. The method picks the distance of fd_kl and fd_lm, so
-their ``pc.distance`` may name only that one.
+that names its key. A block's own check, run when its dataclass is
+built, raises its own error type with the block's name in front, as in
+``scenario.new_data: class_subset must name at least 2 classes``. The
+method picks the distance of fd_kl and fd_lm, so their ``pc.distance`` may
+name only that one.
 ``reports`` reads ``artifacts.json`` back through them.
 
 Three optional top-level lists parameterize the sweep subcommands:
@@ -125,7 +128,12 @@ def _decode(cls, doc: dict, where: str, given: dict):
                                     f"{where}.{key}".lstrip("."))
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{where} needs a {key!r}")
-    return cls(**given)
+    try:
+        return cls(**given)
+    except ValueError as exc:  # re-raised as its own type, naming the block
+        if where:
+            exc.args = (f"{where}: {exc}",)
+        raise
 
 
 def from_document(cls, doc: dict, where: str, **given):

@@ -54,7 +54,7 @@ class SyntheticSpec:
             raise DegenerateSpecError("label_noise must be in [0, 1)")
         if not 0 <= self.seed < SEED_LIMIT:
             raise DegenerateSpecError(
-                f"dataset.seed must be in [0, 2**64), got {self.seed}")
+                f"seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass

@@ -5,7 +5,8 @@ negative flip (reference right, update wrong), positive flip (reference
 wrong, update right), or both wrong. All rates are kept as integer counts
 and only turned into fractions when a report is assembled, so the set
 identities (quadrants partition N, er_new - er_old = nfr - pfr) hold
-exactly over the counts.
+exactly over the counts. This module is the only place a rate is
+computed: every rate in every result file is a ``FlipReport`` field.
 
 The library counts quadrants over whole prediction arrays
 (``report_from_arrays``); the one-record-at-a-time form it is checked
@@ -95,6 +96,4 @@ def report_from_arrays(true_labels: np.ndarray, old_preds: np.ndarray,
     new_preds = np.asarray(new_preds)
     if not (true_labels.shape == old_preds.shape == new_preds.shape):
         raise ValueError("prediction arrays must have equal shape")
-    if true_labels.size == 0:
-        raise ValueError("cannot build a report over an empty record set")
     return report_from_counts(*_quadrant_counts(true_labels, old_preds, new_preds))

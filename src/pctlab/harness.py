@@ -4,6 +4,10 @@ An experiment fixes a synthetic task, an update scenario, a training
 schedule, and one update method. Running it trains the old side once,
 trains the new side under the method's objective (repeated across seeds),
 and records flip metrics per epoch plus a final flip report per repetition.
+Every rate it records is a ``flips.FlipReport`` field: an epoch's
+``er_train`` and ``nfr_train`` come from the training rows' report, and
+``ExperimentResult.er_old`` is the held-out report's ``er_old``, which
+every run shares because every run scores against one old side.
 
 ``run_experiment`` holds the one run loop for all five methods. Each
 repetition is a group of L members, L = ``ensemble_size`` for ``ensemble``
@@ -207,7 +211,6 @@ class OldReference:
     """Frozen old side of an update: its ensemble plus cached predictions."""
     ensemble: Ensemble
     eval_preds: np.ndarray
-    er_old: float
     train_preds: np.ndarray
     oracle: Optional[OldModelOracle]
 
@@ -273,8 +276,7 @@ def _build_old_reference(dataset: Dataset, plan: ScenarioPlan,
 
     ep = plan.eval_plan
     eval_preds = plan.old_to_new[old.predict_batch(ep.features, workspace)]
-    er_old = float(np.mean(eval_preds != ep.labels))
-    return OldReference(old, eval_preds, er_old, train_preds, oracle)
+    return OldReference(old, eval_preds, train_preds, oracle)
 
 
 def prepare_scenario(config: ExperimentConfig) -> ScenarioState:
@@ -308,14 +310,14 @@ class _EpochCollector:
 
     def __call__(self, epoch: int, *members: MLPModel) -> None:
         new = Ensemble(list(members))
-        train_preds = new.predict_batch(self.train_x, self.workspace)
-        er_train = float(np.mean(train_preds != self.train_y))
-        nfr_train = report_from_arrays(self.train_y, self.old_train_preds,
-                                       train_preds).nfr
-        eval_preds = new.predict_batch(self.eval_x, self.workspace)
-        report = report_from_arrays(self.eval_y, self.old_eval_preds, eval_preds)
-        self.rows.append(EpochMetrics(epoch + 1, er_train, report.er_new,
-                                      report.nfr, report.rel_nfr, nfr_train))
+        on_train = report_from_arrays(
+            self.train_y, self.old_train_preds,
+            new.predict_batch(self.train_x, self.workspace))
+        report = report_from_arrays(
+            self.eval_y, self.old_eval_preds,
+            new.predict_batch(self.eval_x, self.workspace))
+        self.rows.append(EpochMetrics(epoch + 1, on_train.er_new, report.er_new,
+                                      report.nfr, report.rel_nfr, on_train.nfr))
         self.final = report
 
 
@@ -368,8 +370,8 @@ def run_experiment(config: ExperimentConfig,
             runs.append(RunArtifacts(rep, model_seed(config.train.seed, role, rep),
                                      Ensemble(group).parameter_count(),
                                      collector.rows, collector.final))
-    return ExperimentResult(config, old.er_old, old.ensemble.parameter_count(),
-                            runs)
+    return ExperimentResult(config, runs[0].final.er_old,
+                            old.ensemble.parameter_count(), runs)
 
 
 # ---------------------------------------------------------------------------

@@ -233,12 +233,13 @@ def test_a_new_side_without_an_old_class_exits_1_before_training(
      "the class_growth reference pairing trains its old side on the first "
      "k // 2 classes, so it needs k >= 4, got k = 3"),
     ("scenario: {kind: class_growth, old_data: {class_subset: [2]}}\n",
-     "class_subset must name at least 2 classes, got [2]"),
+     "scenario.old_data: class_subset must name at least 2 classes, got [2]"),
     ("method: ensemble\n"
      "scenario: {kind: class_growth, old_data: {class_subset: [2]}}\n",
-     "class_subset must name at least 2 classes, got [2]"),
+     "scenario.old_data: class_subset must name at least 2 classes, got [2]"),
     ("scenario: {kind: same_arch_retrain, new_data: {class_subset: [1, 1]}}\n",
-     "class_subset must name at least 2 classes, got [1, 1]"),
+     "scenario.new_data: class_subset must name at least 2 classes, "
+     "got [1, 1]"),
 ], ids=["reference-k3", "old-subset", "ensemble", "repeated-class"])
 def test_a_side_with_one_class_exits_1_at_load(tmp_path, capsys, monkeypatch,
                                                text, message):
@@ -276,7 +277,7 @@ def test_report_names_the_fault_of_malformed_artifacts(tmp_path, capsys, text,
 
 @pytest.mark.parametrize("text, extra, message", [
     ("dataset: {seed: 18446744073709551616}\n", [],
-     "dataset.seed must be in [0, 2**64)"),
+     "dataset: seed must be in [0, 2**64)"),
     # below 2**64, but the seed layout adds up to 99,099,999 to it
     ("train: {seed: 18446744073709551000}\n", [],
      "train.seed must be below 2**64 - 99099999"),
@@ -284,7 +285,7 @@ def test_report_names_the_fault_of_malformed_artifacts(tmp_path, capsys, text,
      "train.seed must be below 2**64 - 99099999"),
     ("scenario: {kind: same_arch_retrain, "
      "old_data: {sample_fraction: 0.5, subset_seed: 18446744073709551616}}\n",
-     [], "subset_seed must be in [0, 2**64)"),
+     [], "scenario.old_data: subset_seed must be in [0, 2**64)"),
 ], ids=["dataset", "train", "override", "subset"])
 def test_seeds_past_2_64_exit_1_before_training(tmp_path, capsys, monkeypatch,
                                                text, extra, message):
@@ -307,7 +308,7 @@ def test_generate_seed_drives_only_the_data(config_path, tmp_path, capsys):
     assert main(["generate", "--config", config_path, "--out", str(out),
                  "--seed", str(2**64)]) == 1
     assert capsys.readouterr().err.startswith(
-        "error: dataset.seed must be in [0, 2**64), got ")
+        "error: seed must be in [0, 2**64), got ")
 
 
 def test_unknown_subcommand_is_rejected():

@@ -93,7 +93,7 @@ def test_empty_record_sets_are_rejected():
         flip_report([])
     with pytest.raises(ValueError):
         compute_nfr([])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty record set"):
         report_from_arrays(np.array([]), np.array([]), np.array([]))
     with pytest.raises(ValueError):
         records_from_arrays([0, 1], [0], [0, 1])

@@ -325,6 +325,25 @@ def test_summary_medians_match_statistics(small_config, small_state):
     assert s["er_old"] == result.er_old
 
 
+@pytest.mark.parametrize("method", ["fd_lm", "ensemble"])
+@pytest.mark.parametrize("epochs", [None, 0], ids=["trained", "zero-epoch"])
+def test_result_er_old_is_every_runs_held_out_er_old(small_config, small_state,
+                                                     method, epochs):
+    """``ExperimentResult.er_old`` is the held-out report's ``er_old``,
+    the same in every run because every run scores against one old side,
+    and it is that old side's error rate on the held-out rows."""
+    cfg = replace(small_config, method=method, ensemble_size=3, repetitions=3)
+    state = small_state
+    if epochs is not None:
+        cfg = replace(cfg, train=replace(cfg.train, epochs=epochs))
+        state = prepare_scenario(cfg)
+    result = run_experiment(cfg, state)
+    assert [run.final.er_old for run in result.runs] == [result.er_old] * 3
+    old = state.old_side(3 if method == "ensemble" else 1)
+    assert result.er_old == float(
+        np.mean(old.eval_preds != state.plan.eval_plan.labels))
+
+
 def test_epoch_series_csv_layout(small_config, small_state, tmp_path):
     result = run_experiment(small_config, small_state)
     reports.write_experiment(result, str(tmp_path))
@@ -339,7 +358,7 @@ def test_compare_methods_shares_one_old_model(small_config, small_state):
                             ["no_treatment", "naive", "fd_lm", "ensemble"],
                             small_state)
     by_method = {r.method: r for r in table.rows}
-    er_old = small_state.old_side(1).er_old
+    er_old = table.results["no_treatment"].runs[0].final.er_old
     for m in ("no_treatment", "naive", "fd_lm"):
         assert by_method[m].er_old == er_old
     single_params = table.results["no_treatment"].runs[0].param_count
@@ -461,7 +480,8 @@ def test_single_old_model_equals_an_ensemble_of_one(small_config, small_state):
     eval_preds = plan.old_to_new[solo.predict_batch(plan.eval_plan.features,
                                                     nn.Workspace())]
     np.testing.assert_array_equal(single.eval_preds, eval_preds)
-    assert single.er_old == float(np.mean(eval_preds != plan.eval_plan.labels))
+    assert run_experiment(cfg, small_state).runs[0].final.er_old == float(
+        np.mean(eval_preds != plan.eval_plan.labels))
     assert single.ensemble.parameter_count() == solo.parameter_count()
 
 

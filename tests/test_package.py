@@ -84,10 +84,11 @@ def test_names_only_tests_reached_stay_gone():
 
 def test_model_shape_is_structural():
     # a layer is relu unless it is its model's last, so it stores no
-    # activation, and an old side is the Ensemble it trained as
+    # activation; an old side is the Ensemble it trained as, and its error
+    # rate is a field of the flip reports scored against it
     assert not hasattr(nn, "ACTIVATIONS")
     assert [f.name for f in fields(nn.Layer)] == ["weights", "bias"]
-    assert {"models", "param_count"}.isdisjoint(
+    assert {"models", "param_count", "er_old"}.isdisjoint(
         f.name for f in fields(harness.OldReference))
 
 

@@ -117,8 +117,7 @@ def train_ensemble(dims: Sequence[int], features: np.ndarray, labels: np.ndarray
     if init is not None and len(init) != size:
         raise ValueError("init needs one model per member")
     if init is None:
-        init = [init_model(dims, base_seed + j, weight_init=config.weight_init)
-                for j in range(size)]
+        init = [init_model(dims, base_seed + j) for j in range(size)]
     stack = train(stack_models(init), features, labels,
                   make_ce_objective(labels) if objective is None else objective,
                   replace(config, seed=base_seed), on_epoch_end=on_epoch_end).model

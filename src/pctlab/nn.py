@@ -25,18 +25,21 @@ gradients are an einsum that adds the rows in the order of
 ``dz.sum(axis=-2)``; a layer of fan_out 1 keeps ``sum``, which adds its
 contiguous rows pairwise (see ``_train_epoch``).
 
-Evaluation runs one model at a time through ``forward_into``, which writes
-each layer's output into a ``Workspace`` buffer that is reused from call to
-call, with relu applied in place, so per-epoch evaluation allocates, and
-page-faults, nothing after its first call. It runs in the even row blocks
-of ``block_cuts``, each of about 2 MB of the widest layer (one core's L2 on
-the Xeon this was measured on), and only the logits span all the rows it
-is given; ``ensembles.Ensemble`` gives it one block at a time. Its logits
-are ``forward_batch(...).logits`` of each block, bit for bit. That equals
-``forward_batch(...).logits`` of all the rows wherever OpenBLAS rounds a
-row the same at any row count, as the tests check for hidden widths 32, 64
-and 256; at some other widths, 478 for one, a logit can differ in the last
-bit.
+Every forward runs one layer loop, ``_layers_into``: each layer writes
+``a @ weights + bias`` into its own output and, unless it is the last,
+applies relu there in place. ``forward_batch`` gives it fresh arrays that
+a training step keeps for the backward pass, which masks on the relu
+output. ``forward_into`` gives it ``Workspace`` buffers that are reused
+from call to call, so per-epoch evaluation, one model at a time,
+allocates, and page-faults, nothing after its first call. It runs in the
+even row blocks of ``block_cuts``, each of about 2 MB of the widest
+layer (one core's L2 on the Xeon this was measured on), and only the
+logits span all the rows it is given; ``ensembles.Ensemble`` gives it
+one block at a time. Its logits are ``forward_batch(...).logits`` of each
+block, bit for bit. That equals ``forward_batch(...).logits`` of all the
+rows wherever OpenBLAS rounds a row the same at any row count, as the
+tests check for hidden widths 32, 64 and 256; at some other widths, 478
+for one, a logit can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ import numpy as np
 
 from .rng import STREAM_INIT, STREAM_SHUFFLE, stream_rng
 
-WEIGHT_INITS = ("glorot_uniform", "zeros")
 # float64 elements of the widest layer's output in one evaluation block
 BLOCK_ELEMENTS = 2 ** 18
 
@@ -183,8 +185,9 @@ class TrainConfig:
             raise ValueError("lr_decay_every must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        if self.weight_init not in WEIGHT_INITS:
-            raise ValueError(f"unknown weight_init {self.weight_init!r}")
+        if self.weight_init != "glorot_uniform":
+            raise ValueError(f"weight_init must be 'glorot_uniform', "
+                             f"got {self.weight_init!r}")
 
     def lr_at(self, epoch: int) -> float:
         return self.learning_rate * self.lr_decay_factor ** (epoch // self.lr_decay_every)
@@ -192,10 +195,10 @@ class TrainConfig:
 
 @dataclass
 class BatchCache:
-    """Per-layer intermediates for a batch of rows."""
+    """A batch of rows and each layer's output, relu applied (no
+    pre-activations: the backward masks on the relu output)."""
 
     x: np.ndarray
-    pre_activations: List[np.ndarray]
     activations: List[np.ndarray]
 
     @property
@@ -217,11 +220,10 @@ class TrainResult:
 Objective = Callable[[np.ndarray, np.ndarray], tuple]
 
 
-def init_model(dims: Sequence[int], seed: int,
-               weight_init: str = "glorot_uniform") -> MLPModel:
+def init_model(dims: Sequence[int], seed: int) -> MLPModel:
     """Build an MLP with the given layer sizes ``[input, h1, ..., K]``.
 
-    glorot_uniform draws weights from +-sqrt(6 / (fan_in + fan_out));
+    Weights are glorot_uniform, drawn from +-sqrt(6 / (fan_in + fan_out));
     biases start at zero. Deterministic in ``seed``.
     """
     dims = [int(d) for d in dims]
@@ -231,23 +233,33 @@ def init_model(dims: Sequence[int], seed: int,
         raise DimensionError(f"all layer dims must be >= 1, got {dims}")
     if dims[-1] < 2:
         raise ValueError("need at least 2 output classes")
-    if weight_init not in WEIGHT_INITS:
-        raise ValueError(f"unknown weight_init {weight_init!r}")
     rng = stream_rng(seed, STREAM_INIT)
     layers = []
     for fan_in, fan_out in zip(dims, dims[1:]):
-        if weight_init == "zeros":
-            w = np.zeros((fan_in, fan_out))
-        else:
-            limit = np.sqrt(6.0 / (fan_in + fan_out))
-            w = rng.uniform(-limit, limit, size=(fan_in, fan_out))
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        w = rng.uniform(-limit, limit, size=(fan_in, fan_out))
         layers.append(Layer(w, np.zeros(fan_out)))
     return MLPModel(layers)
 
 
+def _layers_into(model: MLPModel, a: np.ndarray,
+                 outs: List[Optional[np.ndarray]]) -> List[np.ndarray]:
+    """Run rows ``a`` through the layers and return ``outs``: layer i
+    writes ``a @ weights + bias`` into ``outs[i]``, a fresh array where
+    that is None, then relu in place unless it is the last, and its output
+    is the next layer's input."""
+    last = len(model.layers) - 1
+    for i, layer in enumerate(model.layers):
+        a = outs[i] = np.matmul(a, layer.weights, out=outs[i])
+        a += layer.bias[..., None, :]
+        if i < last:
+            np.maximum(a, 0.0, out=a)
+    return outs
+
+
 def forward_batch(model: MLPModel, x: np.ndarray) -> BatchCache:
     """Forward pass over a batch ``(n, input_dim)``, or ``(M, n, input_dim)``
-    for a stack of M; caches intermediates."""
+    for a stack of M, by ``_layers_into`` into fresh arrays that it caches."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     lead = model.layers[0].weights.shape[:-2]
     if x.ndim != len(lead) + 2 or x.shape[:-2] != lead \
@@ -255,15 +267,7 @@ def forward_batch(model: MLPModel, x: np.ndarray) -> BatchCache:
         raise DimensionError(
             f"expected batch of shape {lead + ('n', model.input_dim)}, "
             f"got {x.shape}")
-    pre, acts = [], []
-    a, last = x, len(model.layers) - 1
-    for i, layer in enumerate(model.layers):
-        z = a @ layer.weights
-        z += layer.bias[..., None, :]
-        pre.append(z)
-        a = np.maximum(z, 0.0) if i < last else z
-        acts.append(a)
-    return BatchCache(x, pre, acts)
+    return BatchCache(x, _layers_into(model, x, [None] * len(model.layers)))
 
 
 def batch_logits(model: MLPModel, x: np.ndarray) -> np.ndarray:
@@ -311,13 +315,12 @@ def block_cuts(n: int, widest: int) -> List[int]:
 def forward_into(model: MLPModel, x: np.ndarray, workspace: Workspace) -> np.ndarray:
     """Logits of one (unstacked) model over ``(n, input_dim)`` rows.
 
-    The rows run through all the layers in the blocks of ``block_cuts(n,
+    The rows run through ``_layers_into`` in the blocks of ``block_cuts(n,
     widest fan_out)``, so input under 2R rows is one block. Hidden layer i
     writes into ``workspace``'s buffer ``i``, one block (ceil(n / q) rows)
-    long, relu in place; the logits go into the last layer's buffer, all n
-    rows, and are a view that the workspace's next forward overwrites. Each
-    block's logits are bit for bit ``forward_batch(...).logits`` of that
-    block's rows.
+    long; the logits go into the last layer's buffer, all n rows, and are a
+    view that the workspace's next forward overwrites. Each block's logits
+    are bit for bit ``forward_batch(...).logits`` of that block's rows.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     if model.stack_size is not None or x.ndim != 2 \
@@ -332,14 +335,8 @@ def forward_into(model: MLPModel, x: np.ndarray, workspace: Workspace) -> np.nda
               for i, layer in enumerate(model.layers[:last])]
     logits = workspace.get(last, (n, model.num_classes))
     for start, stop in zip(cuts, cuts[1:]):
-        a = x[start:stop]
-        for i, layer in enumerate(model.layers):
-            out = logits[start:stop] if i == last else hidden[i][:stop - start]
-            np.matmul(a, layer.weights, out=out)
-            out += layer.bias
-            if i < last:
-                np.maximum(out, 0.0, out=out)
-            a = out
+        _layers_into(model, x[start:stop],
+                     [h[:stop - start] for h in hidden] + [logits[start:stop]])
     return logits
 
 
@@ -384,8 +381,9 @@ def backward_batch(model: MLPModel, cache: BatchCache, dlogits: np.ndarray,
 
     Writes one ``(dW, db)`` pair per layer, shapes matching the parameters,
     into ``out``'s arrays (``train`` passes views of its flat gradient
-    buffer) and returns ``out``. Every layer below the last is relu, so the
-    gradient reaching it passes where its pre-activation was positive.
+    buffer) and returns ``out``. Every layer below the last is relu; the
+    gradient reaching it passes where its relu output is positive, which is
+    exactly where its input was (NaN and +-0.0 fail both tests).
     """
     dlogits = np.ascontiguousarray(dlogits, dtype=np.float64)
     if dlogits.shape != cache.logits.shape:
@@ -399,7 +397,7 @@ def backward_batch(model: MLPModel, cache: BatchCache, dlogits: np.ndarray,
         _bias_grad(dz, db)
         if i > 0:
             dz = dz @ model.layers[i].weights.swapaxes(-1, -2)
-            dz *= cache.pre_activations[i - 1] > 0.0
+            dz *= cache.activations[i - 1] > 0.0
     return out
 
 

@@ -4,8 +4,9 @@
 ``losses.make_objective``, flip counts through ``flips.report_from_arrays``.
 The functions here are the slow, obvious per-sample and per-record forms
 that the tests check those batch paths against, the training step in its
-per-array form (fresh gradient arrays, row sums, one update per array)
-that ``nn.train`` must match bit for bit, an ensemble's mean member
+per-array form (a forward that keeps each layer's pre-activation, fresh
+gradient arrays, row sums, one update per array) that ``nn.train`` must
+match bit for bit, a zero-weight model, an ensemble's mean member
 logits, the CSV reader that checks ``Dataset.to_csv`` round-trips, and
 the YAML text loader of the config tests. Nothing under ``src/`` calls them.
 """
@@ -29,8 +30,8 @@ from pctlab.flips import FlipReport, report_from_counts
 from pctlab.harness import ExperimentConfig
 from pctlab.losses import (DistanceSpec, FilterSpec, OldModelOracle,
                            PCLossConfig, distance_kl)
-from pctlab.nn import (DimensionError, Layer, MLPModel, TrainConfig,
-                       batch_logits, forward_batch, predict_batch)
+from pctlab.nn import (BatchCache, DimensionError, Layer, MLPModel,
+                       TrainConfig, batch_logits, predict_batch)
 from pctlab.rng import STREAM_SHUFFLE, stream_rng
 
 # ---------------------------------------------------------------------------
@@ -64,8 +65,37 @@ def ce_rows_2d(logits: np.ndarray, labels: np.ndarray) -> tuple:
     return m[:, 0] + np.log(s[:, 0]) - logits[rows, labels], e / s
 
 
-def backward_per_array(model: MLPModel, cache, dlogits: np.ndarray) -> list:
-    """``nn.backward_batch`` into fresh arrays, bias gradients as row sums."""
+@dataclass
+class PerArrayForward(BatchCache):
+    """``nn.BatchCache`` with each layer's pre-activation kept as well."""
+
+    pre_activations: List[np.ndarray]
+
+
+def forward_per_array(model: MLPModel, x: np.ndarray) -> PerArrayForward:
+    """``nn.forward_batch`` with every op a fresh array: each layer's
+    pre-activation ``a @ weights + bias``, then relu of it unless the layer
+    is the last."""
+    pre, acts = [], []
+    a, last = x, len(model.layers) - 1
+    for i, layer in enumerate(model.layers):
+        z = a @ layer.weights + layer.bias[..., None, :]
+        pre.append(z)
+        a = np.maximum(z, 0.0) if i < last else z
+        acts.append(a)
+    return PerArrayForward(x, acts, pre)
+
+
+def zero_model(dims: Sequence[int]) -> MLPModel:
+    """A model of layer sizes ``dims`` whose weights and biases are all 0."""
+    return MLPModel([Layer(np.zeros((fan_in, fan_out)), np.zeros(fan_out))
+                     for fan_in, fan_out in zip(dims, dims[1:])])
+
+
+def backward_per_array(model: MLPModel, cache: PerArrayForward,
+                       dlogits: np.ndarray) -> list:
+    """``nn.backward_batch`` into fresh arrays, bias gradients as row sums,
+    the relu mask taken from the pre-activations."""
     grads = [None] * len(model.layers)
     dz = dlogits
     for i in range(len(model.layers) - 1, -1, -1):
@@ -102,8 +132,8 @@ def sgd_step_per_array(model: MLPModel, grads: list, velocity: list,
 
 def train_per_array(model: MLPModel, features: np.ndarray, objective,
                     config: TrainConfig) -> MLPModel:
-    """``nn.train``'s shuffle and steps, with the per-array backward and
-    update above; returns the trained copy of ``model``."""
+    """``nn.train``'s shuffle and steps, with the per-array forward,
+    backward and update above; returns the trained copy of ``model``."""
     model = copy_model(model)
     velocity = zeros_like_params(model)
     n, size, bs = features.shape[0], model.stack_size, config.batch_size
@@ -115,7 +145,7 @@ def train_per_array(model: MLPModel, features: np.ndarray, objective,
                               .permutation(n) for j in range(size)])
         for start in range(0, n, bs):
             idx = order[..., start:start + bs]
-            cache = forward_batch(model, features.take(idx, axis=0))
+            cache = forward_per_array(model, features.take(idx, axis=0))
             _, dlogits = objective(cache.logits, idx)
             sgd_step_per_array(model, backward_per_array(model, cache, dlogits),
                                velocity, config, epoch)

@@ -2,6 +2,8 @@
 
 Each test prints a single ``acceptance NN (...): PASS|FAIL`` line to the
 terminal so the verdicts are readable straight from the pytest output.
+A last test, outside the criteria, checks the README's ``compare`` table
+against the same trained methods.
 The thresholds and reference numbers below are frozen; relaxing any of
 them is a behaviour change, not a test fix.
 
@@ -13,11 +15,13 @@ each trained once per session.
 
 import filecmp
 import math
+import re
 import statistics
 import time
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,15 +30,16 @@ from pctlab import nn
 from pctlab.cli import main as cli_main
 from pctlab.ensembles import train_ensemble
 from pctlab.flips import compute_relative_nfr, report_from_arrays
-from pctlab.harness import (ExperimentConfig, prepare_scenario, run_experiment,
-                            sweep_ensemble, sweep_focal)
+from pctlab.harness import (ExperimentConfig, MethodRow, prepare_scenario,
+                            run_experiment, sweep_ensemble, sweep_focal)
 from pctlab.losses import (DistanceSpec, FilterSpec, OldModelOracle,
                            PCLossConfig, distance_kl, make_ce_objective,
                            make_objective)
 from pctlab.nn import TrainConfig, backward_batch, forward_batch, init_model
 from pctlab.tables import Table
 
-from oracles import mean_logits, zeros_like_params
+from oracles import (forward_per_array, loads_config, mean_logits,
+                     zeros_like_params)
 
 
 @contextmanager
@@ -77,6 +82,12 @@ def nt_result(reference_config, reference_state):
 def naive_result(reference_config, reference_state):
     cfg = replace(reference_config, method="naive")
     return run_experiment(cfg, reference_state)
+
+
+@pytest.fixture(scope="module")
+def fdkl_result(reference_config, reference_state):
+    return run_experiment(replace(reference_config, method="fd_kl"),
+                          reference_state)
 
 
 @pytest.fixture(scope="module")
@@ -238,7 +249,7 @@ def test_c03_gradients_match_finite_differences(capsys):
             model = None
             for _ in range(50):
                 cand = init_model(dims, seed=int(rng.integers(1 << 20)))
-                pre = forward_batch(cand, x).pre_activations[:-1]
+                pre = forward_per_array(cand, x).pre_activations[:-1]
                 if min(float(np.min(np.abs(z))) for z in pre) > 1e-3:
                     model = cand
                     break
@@ -472,3 +483,27 @@ def test_c11_reruns_are_byte_identical(capsys, tmp_path):
                                                    shallow=False)
         assert sorted(match) == names
         assert not mismatch and not errors
+
+
+# ---------------------------------------------------------------------------
+# the README's compare table
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_compare_table_reproduces(request, reference_config):
+    """The README's ``compare`` output, header and every column of its
+    no_treatment, naive, fd_kl and fd_lm rows, is what those methods give
+    on the README's config, which is the reference config. The ensemble
+    row is left out: its 5 stacks of 16 members would add about 7 s."""
+    text = README.read_text(encoding="utf-8")
+    config = re.search(r"```yaml\n# update\.yaml\n(.*?)```", text, re.S)
+    assert replace(loads_config(config.group(1)),
+                   method=reference_config.method) == reference_config
+    table = re.search(r"`compare` on the config above prints:\n\n```\n(.*?)```",
+                      text, re.S).group(1).splitlines()
+    assert table[-1].startswith("ensemble,")
+    results = [request.getfixturevalue(name) for name in
+               ("nt_result", "naive_result", "fdkl_result", "fdlm_result")]
+    assert Table([MethodRow.of(r) for r in results]).to_csv().splitlines() \
+        == table[:-1]

@@ -251,6 +251,17 @@ def test_a_side_with_one_class_exits_1_at_load(tmp_path, capsys, monkeypatch,
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def test_a_zero_weight_init_exits_1_at_load(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "zeros.yaml"
+    path.write_text("train: {weight_init: zeros}\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: train: weight_init must be 'glorot_uniform', got 'zeros'\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"er_old": 0.1}', "artifacts needs a non-empty 'config'"),
     ("[1, 2]", "artifacts must be a mapping, got list"),

@@ -308,6 +308,10 @@ def test_invalid_values_surface_as_config_errors():
         loads_config("repetitions: 0")
     with pytest.raises(ConfigError, match="repetitions"):
         loads_config("repetitions: 99001")
+    # a zero init trains a constant classifier that scores NFR 0
+    with pytest.raises(ConfigError, match="^train: weight_init must be "
+                                          "'glorot_uniform', got 'zeros'$"):
+        loads_config("train: {weight_init: zeros}")
 
 
 def test_activation_other_than_relu_is_rejected():

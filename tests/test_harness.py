@@ -141,8 +141,7 @@ def _solo_runs(config, state):
         if plan.init_from_old:
             start = old.ensemble.members[0]
         else:
-            start = init_model(plan.new_job.dims, seed,
-                               weight_init=config.train.weight_init)
+            start = init_model(plan.new_job.dims, seed)
         collector = _EpochCollector(x, y, old.train_preds, plan.eval_plan,
                                     old.eval_preds, nn.Workspace())
         nn.train(start, x, y, objective, replace(config.train, seed=seed),
@@ -197,8 +196,7 @@ def _ensemble_runs(config, state):
         if plan.init_from_old:
             init = old.ensemble.members
         else:
-            init = [init_model(plan.new_job.dims, base + j,
-                               weight_init=config.train.weight_init)
+            init = [init_model(plan.new_job.dims, base + j)
                     for j in range(size)]
         collector = _EpochCollector(x, y, old.train_preds, plan.eval_plan,
                                     old.eval_preds, nn.Workspace())

@@ -12,7 +12,8 @@ too, because other tests lean on them.
 import numpy as np
 import pytest
 
-from oracles import cross_entropy, softmax, zeros_like_params
+from oracles import (cross_entropy, forward_per_array, softmax,
+                     zeros_like_params)
 from pctlab import nn
 
 
@@ -55,7 +56,8 @@ def test_relu_and_backward():
                          nn.Layer(w2, np.zeros(2))])
     z = np.array([[-1.5, 0.0, 2.0], [3.0, -0.1, 0.5]])
     cache = nn.forward_batch(model, z)
-    np.testing.assert_array_equal(cache.pre_activations[0], z)
+    pre_activations = forward_per_array(model, z).pre_activations
+    np.testing.assert_array_equal(pre_activations[0], z)
     np.testing.assert_array_equal(cache.activations[0], np.where(z > 0, z, 0.0))
     dlogits = np.array([[1.0, -2.0], [0.5, 0.25]])
     (dw1, db1), _ = nn.backward_batch(model, cache, dlogits,
@@ -77,7 +79,8 @@ def test_affine_backward_matches_loop_oracle():
     model = nn.MLPModel([nn.Layer(w1, np.full(3, 100.0)),
                          nn.Layer(w2, np.zeros(2))])
     cache = nn.forward_batch(model, x)
-    assert (cache.pre_activations[0] > 0).all()
+    pre_activations = forward_per_array(model, x).pre_activations
+    assert (pre_activations[0] > 0).all()
     (dw1, db1), (dw2, db2) = nn.backward_batch(model, cache, dlogits,
                                                 zeros_like_params(model))
     np.testing.assert_allclose(dw2, cache.activations[0].T @ dlogits,

@@ -6,13 +6,14 @@ follows the documented shuffle and update rules.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from oracles import (ce_objective, copy_model, cross_entropy, error_rate,
-                     per_step_objective, softmax, train_per_array,
-                     zeros_like_params)
+                     forward_per_array, per_step_objective, softmax,
+                     train_per_array, zero_model, zeros_like_params)
 from pctlab import nn
 from pctlab.losses import (DistanceSpec, OldModelOracle, PCLossConfig,
                            make_ce_objective, make_objective)
@@ -53,7 +54,8 @@ def test_init_model_glorot_bounds_and_zero_bias():
     # the hidden layer is relu and the last emits raw logits
     x = np.random.default_rng(0).standard_normal((50, 6))
     cache = nn.forward_batch(model, x)
-    assert (cache.pre_activations[0] < 0.0).any()
+    pre_activations = forward_per_array(model, x).pre_activations
+    assert (pre_activations[0] < 0.0).any()
     assert (cache.activations[0] >= 0.0).all()
     assert (cache.logits < 0.0).any()
     assert model.parameter_count() == 6 * 10 + 10 + 10 * 4 + 4
@@ -67,9 +69,20 @@ def test_stream_rng_takes_seeds_of_one_philox_key_word():
             stream_rng(seed, STREAM_SHUFFLE)
 
 
-def test_init_model_zeros_init():
-    model = nn.init_model([3, 2], seed=0, weight_init="zeros")
+def test_a_zero_model_learns_only_its_output_bias():
+    """Why ``weight_init`` takes only glorot_uniform: from all-zero weights
+    every hidden output is 0 and so is every weight above it, so only the
+    output bias gets a gradient, and it stays that way step after step."""
+    model = zero_model([3, 4, 2])
     np.testing.assert_array_equal(model.layers[0].weights, 0.0)
+    x = np.random.default_rng(0).standard_normal((5, 3))
+    cache = nn.forward_batch(model, x)
+    dlogits = np.random.default_rng(1).standard_normal((5, 2))
+    (dw1, db1), (dw2, db2) = nn.backward_batch(model, cache, dlogits,
+                                                zeros_like_params(model))
+    for grad in (dw1, db1, dw2):
+        np.testing.assert_array_equal(grad, 0.0)
+    assert (db2 != 0.0).all()
 
 
 @pytest.mark.parametrize("dims", [[4], [4, 0, 3], [4, 5, 1]])
@@ -114,6 +127,67 @@ def test_forward_rejects_wrong_input_dim():
         nn.forward_batch(stack, np.zeros((2, 5)))
     with pytest.raises(nn.DimensionError):
         nn.forward_batch(stack, np.zeros((3, 2, 5)))
+
+
+# relu inputs at and around the kink: the mask must read the same bits
+RELU_SPECIALS = np.array([-np.inf, -2.5, -1e-300, -0.0, 0.0, 1e-300, 3.0,
+                          np.inf, np.nan, np.copysign(np.nan, -1.0)])
+
+
+def test_relu_output_is_positive_exactly_where_its_input_is():
+    """``backward_batch`` masks on the relu output: ``max(z, 0) > 0``, with
+    the relu in place, is ``z > 0`` element for element, for negatives,
+    -0.0, +0.0, either NaN and +-inf."""
+    z = np.random.default_rng(2).choice(RELU_SPECIALS, size=(7, 40))
+    z[0, :RELU_SPECIALS.size] = RELU_SPECIALS
+    want = z > 0.0
+    np.testing.assert_array_equal(np.maximum(z, 0.0, out=z) > 0.0, want)
+
+
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_forward_batch_equals_the_per_array_forward_bit_for_bit(lead):
+    """Activations with relu in place are the oracle's fresh relu outputs
+    in every bit, and their mask is the oracle's pre-activation mask, on
+    rows whose first-layer pre-activations hold negatives, +0.0, NaN and
+    +-inf. (The -0.0 case is checked on arrays above: OpenBLAS's gemm
+    starts its sums at +0.0, so it writes no -0.0.)"""
+    rng = np.random.default_rng(12)
+    dims = [4, 6, 5, 3]
+    models = [nn.init_model(dims, seed=s) for s in range(math.prod(lead))]
+    model = nn.stack_models(models) if lead else models[0]
+    x = rng.standard_normal(lead + (60, dims[0]))
+    hit = rng.random(x.shape) < 0.05
+    x[hit] = rng.choice(RELU_SPECIALS, size=hit.sum())
+    x[..., 0, :] = 0.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = nn.forward_batch(model, x)
+        want = forward_per_array(model, x)
+    first = want.pre_activations[0]
+    assert np.isnan(first).any() and (first == 0.0).any()
+    assert (first == np.inf).any() and (first == -np.inf).any()
+    assert (first < 0.0).any() and (first > 0.0).any()
+    for a, w, z in zip(got.activations, want.activations, want.pre_activations):
+        np.testing.assert_array_equal(a.view(np.uint64), w.view(np.uint64))
+        np.testing.assert_array_equal(a > 0.0, z > 0.0)
+
+
+def test_forward_batch_holds_one_array_per_layer():
+    """A forward allocates its layers' outputs and no pre-activation:
+    under tracemalloc, one ``forward_batch`` of ``[20, 256, 256, 10]`` at
+    512 rows peaks at most 128 KiB above its activations' bytes, room for
+    one ufunc buffer (``np.getbufsize()`` = 8,192 float64s, 64 KiB) that
+    the bias add uses. A forward that also kept each hidden pre-activation
+    peaked 2 MB above them. tracemalloc counts numpy's data allocations
+    themselves, so the bound does not depend on the allocator."""
+    model = nn.init_model([20, 256, 256, 10], seed=0)
+    x = np.random.default_rng(0).standard_normal((512, 20))
+    tracemalloc.start()
+    try:
+        cache = nn.forward_batch(model, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= sum(a.nbytes for a in cache.activations) + 128 * 1024
 
 
 # Row counts as (multiple of the block rows R, offset): both sides of 2R,
@@ -199,7 +273,7 @@ def test_row_max_equals_max_axis1_bit_for_bit():
 
 
 def test_predict_ties_resolve_to_lowest_index():
-    model = nn.init_model([3, 4], seed=0, weight_init="zeros")
+    model = zero_model([3, 4])
     np.testing.assert_array_equal(nn.predict_batch(model, np.ones((2, 3))), 0)
 
 
@@ -397,8 +471,10 @@ def test_train_config_validation():
         nn.TrainConfig(momentum=1.0)
     with pytest.raises(ValueError):
         nn.TrainConfig(epochs=-1)
-    with pytest.raises(ValueError):
-        nn.TrainConfig(weight_init="ones")
+    for init in ("ones", "zeros"):
+        with pytest.raises(ValueError, match=f"^weight_init must be "
+                                             f"'glorot_uniform', got '{init}'$"):
+            nn.TrainConfig(weight_init=init)
 
 
 def test_train_is_deterministic_and_leaves_input_untouched():

@@ -84,10 +84,14 @@ def test_names_only_tests_reached_stay_gone():
 
 def test_model_shape_is_structural():
     # a layer is relu unless it is its model's last, so it stores no
-    # activation; an old side is the Ensemble it trained as, and its error
-    # rate is a field of the flip reports scored against it
+    # activation, and a forward keeps no pre-activation, since the backward
+    # masks on the relu output; glorot_uniform is the only init; an old side
+    # is the Ensemble it trained as, and its error rate is a field of the
+    # flip reports scored against it
     assert not hasattr(nn, "ACTIVATIONS")
+    assert not hasattr(nn, "WEIGHT_INITS")
     assert [f.name for f in fields(nn.Layer)] == ["weights", "bias"]
+    assert [f.name for f in fields(nn.BatchCache)] == ["x", "activations"]
     assert {"models", "param_count", "er_old"}.isdisjoint(
         f.name for f in fields(harness.OldReference))
 

@@ -26,11 +26,12 @@ def _document(args) -> dict:
 
 
 def _load(args) -> tuple:
+    """The experiment, with the CLI overrides, and the sweep lists."""
     doc = _document(args)
     cfg = cfgmod.experiment_from_document(doc)
     cfg = cfgmod.apply_overrides(cfg, seed=args.seed,
                                  output_dir=getattr(args, "out", None))
-    return doc, cfg
+    return cfg, cfgmod.sweep_lists_from_document(doc)
 
 
 def _out_dir(cfg) -> str:
@@ -64,7 +65,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    _, cfg = _load(args)
+    cfg, _ = _load(args)
     result = run_experiment(cfg)
     files = reports.write_experiment(result, _out_dir(cfg), args.format)
     sys.stdout.write(reports.summary_csv(result))
@@ -73,25 +74,25 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    doc, cfg = _load(args)
-    table = compare_methods(cfg, cfgmod.methods_from_document(doc))
+    cfg, sweeps = _load(args)
+    table = compare_methods(cfg, sweeps.methods)
     return _emit(table, reports.write_comparison, cfg, args.format)
 
 
 def _cmd_sweep_focal(args) -> int:
-    doc, cfg = _load(args)
+    cfg, sweeps = _load(args)
     if cfg.pc.mode != "focal":  # the sweep only makes sense for fd_*
         method = "fd_kl" if cfg.pc.distance.kind == "kl" else "fd_lm"
         cfg = replace(cfg, method=method)
         print(f"note: method is not focal distillation; using {method}",
               file=sys.stderr)
-    table = sweep_focal(cfg, cfgmod.focal_grid_from_document(doc))
+    table = sweep_focal(cfg, sweeps.focal_grid)
     return _emit(table, reports.write_focal_sweep, cfg, args.format)
 
 
 def _cmd_sweep_ensemble(args) -> int:
-    doc, cfg = _load(args)
-    table = sweep_ensemble(cfg, cfgmod.ensemble_sizes_from_document(doc))
+    cfg, sweeps = _load(args)
+    table = sweep_ensemble(cfg, sweeps.ensemble_sizes)
     return _emit(table, reports.write_ensemble_sweep, cfg, args.format)
 
 

@@ -1,26 +1,29 @@
-"""YAML experiment configuration, read and written by one codec.
+"""YAML experiment configuration, read by one codec.
 
 One document describes one experiment: the synthetic task, the update
 scenario, the training schedule, the update method, and its PC-loss
-hyperparameters. Its keys are the dataclass field names, except the
-spellings in ``_KEYS``: ``k``, ``lambda`` and the flat ``pc`` block.
-Unknown keys are rejected so typos fail loudly instead of silently using
-defaults. ``from_document`` and ``to_document`` walk ``dataclasses.fields``
-and coerce each value by its field's type: an int field takes an integral
-number, a float field any finite number, a bool field only true or false,
-a tuple field only a list, and no bool is read as a number. A string in a
-number field is parsed as that type, since PyYAML reads ``1e-3`` as a
+hyperparameters. Its keys are those ``tables.as_record`` writes: field
+names, or the key a field's metadata declares (``k``, ``lambda``, the flat
+``pc`` block, no key for ``pc.mode``). Unknown keys are rejected so typos
+fail loudly instead of silently using defaults.
+``from_document`` walks ``dataclasses.fields`` and coerces each value by
+its field's type: an int field takes an integral number, a float field any
+finite number, a bool field only true or false, a string field only a
+string, an enum field one of its values, a tuple field only a list (of the
+tuple's length when it has one), and no bool is read as a number. A string
+in a number field is parsed as that type, since PyYAML reads ``1e-3`` as a
 string, and one that does not parse, or parses to inf or nan, is an error
 that names its key. A block's own check, run when its dataclass is
 built, raises its own error type with the block's name in front, as in
 ``scenario.new_data: class_subset must name at least 2 classes``. The
 method picks the distance of fd_kl and fd_lm, so their ``pc.distance`` may
-name only that one.
-``reports`` reads ``artifacts.json`` back through them.
+name only that one. ``reports`` reads ``artifacts.json`` back through
+``from_document``.
 
-Three optional top-level lists parameterize the sweep subcommands:
-``methods`` (compare), ``focal_grid`` (sweep-focal, pairs of alpha/beta),
-and ``ensemble_sizes`` (sweep-ensemble).
+Three optional top-level lists parameterize the sweep subcommands, the
+fields of ``SweepLists``: ``methods`` (compare), ``focal_grid``
+(sweep-focal, pairs of alpha/beta), and ``ensemble_sizes``
+(sweep-ensemble). Their entries follow the rules of the block keys.
 
 PyYAML is imported only inside ``load_document``, the one function that
 parses YAML, so importing this module, as every report writer does, does
@@ -30,33 +33,29 @@ not load it.
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from enum import Enum
 from typing import (List, Optional, Sequence, Tuple, Union, get_args,
                     get_origin, get_type_hints)
 
 from .datasets import SyntheticSpec
 from .harness import METHODS, ExperimentConfig
-from .losses import DistanceSpec, PCLossConfig
 from .scenarios import ScenarioKind, UpdateScenario, reference_scenario
+from .tables import field_key
 
 
 class ConfigError(ValueError):
     """Malformed or contradictory configuration document."""
 
 
-_FLAT = "*"
-# Every document key that is not its field's name. None: the field has no
-# key (the method sets ``pc.mode``). _FLAT: the keys of the nested spec sit
-# in its parent's block, as alpha, beta, distance and tau do in ``pc``.
-_KEYS = {(SyntheticSpec, "num_classes"): "k",
-         (PCLossConfig, "mode"): None,
-         (PCLossConfig, "lam"): "lambda",
-         (PCLossConfig, "filter"): _FLAT,
-         (PCLossConfig, "distance"): _FLAT,
-         (DistanceSpec, "kind"): "distance"}
-
-_SWEEP_KEYS = ("methods", "focal_grid", "ensemble_sizes")
+@dataclass(frozen=True)
+class SweepLists:
+    """The lists of the sweep subcommands (module docstring)."""
+    methods: Tuple[str, ...] = METHODS
+    focal_grid: Tuple[Tuple[float, float], ...] = (
+        (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (1.0, 2.0), (1.0, 5.0),
+        (1.0, 10.0), (1.0, 20.0))
+    ensemble_sizes: Tuple[int, ...] = (1, 2, 4, 8, 16)
 
 
 def _check_keys(mapping: dict, allowed: Sequence[str], where: str) -> None:
@@ -72,11 +71,10 @@ def _keys(cls) -> List[str]:
     """The keys of dataclass ``cls``'s document block, in field order."""
     keys = []
     for f in fields(cls):
-        key = _KEYS.get((cls, f.name), f.name)
-        if key == _FLAT:
+        if f.metadata.get("flat"):
             keys += _keys(get_type_hints(cls)[f.name])
-        elif key is not None:
-            keys.append(key)
+        elif field_key(f) is not None:
+            keys.append(field_key(f))
     return keys
 
 
@@ -90,9 +88,21 @@ def _coerce(tp, value, where: str):
         # a string or a number is not a list: "64" would load as (6, 4)
         if not isinstance(value, list):
             raise ConfigError(f"{where} must be a list, got {value!r}")
-        return get_origin(tp)(_coerce(get_args(tp)[0], v, where) for v in value)
+        types = get_args(tp)
+        if get_origin(tp) is list or types[-1] is Ellipsis:
+            types = types[:1] * len(value)
+        elif len(value) != len(types):
+            raise ConfigError(f"{where} must be a list of {len(types)}, "
+                              f"got {value!r}")
+        return get_origin(tp)(_coerce(t, v, where) for t, v in zip(types, value))
     if issubclass(tp, str):
-        return tp(str(value))
+        # str(['kl']) or str(5) would load as a name nobody wrote
+        if not isinstance(value, str):
+            raise ConfigError(f"{where} must be a string, got {value!r}")
+        if issubclass(tp, Enum) and value not in {m.value for m in tp}:
+            raise ConfigError(f"{where} must be one of "
+                              f"{[m.value for m in tp]}, got {value!r}")
+        return tp(value)
     if isinstance(value, str) and tp in (int, float):
         # PyYAML reads 1e-3 (no dot in the mantissa) and nan as strings
         try:
@@ -103,8 +113,10 @@ def _coerce(tp, value, where: str):
     if tp is int and isinstance(value, float) and value.is_integer():
         value = int(value)
     # bool is an int subclass, so int(True) and float(True) would pass, and
-    # int(3.7) and bool("no") would misread the value silently
+    # int(3.7), bool("no") and float(None) would misread the value or fail
+    # without naming its key
     if (isinstance(value, bool) != (tp is bool)
+            or not isinstance(value, (int, float))
             or (tp is int and isinstance(value, float))):
         raise ConfigError(f"{where} must be {tp.__name__}, got {value!r}")
     value = tp(value)
@@ -118,10 +130,10 @@ def _decode(cls, doc: dict, where: str, given: dict):
     ``where`` names the block ("" at the top level)."""
     hints = get_type_hints(cls)
     for f in fields(cls):
-        key = _KEYS.get((cls, f.name), f.name)
+        key = field_key(f)
         if f.name in given or key is None:
             continue
-        if key == _FLAT:
+        if f.metadata.get("flat"):
             given[f.name] = _decode(hints[f.name], doc, where, {})
         elif key in doc:
             given[f.name] = _coerce(hints[f.name], doc[key],
@@ -145,31 +157,11 @@ def from_document(cls, doc: dict, where: str, **given):
     return _decode(cls, doc, where, given)
 
 
-def to_document(obj) -> dict:
-    """The document block of dataclass instance ``obj``, in field order.
-    Values are written as they are, except tuples as lists and enums by
-    value."""
-    doc = {}
-    for f in fields(obj):
-        key = _KEYS.get((type(obj), f.name), f.name)
-        value = getattr(obj, f.name)
-        if key == _FLAT:
-            doc.update(to_document(value))
-        elif key is not None:
-            doc[key] = (to_document(value) if is_dataclass(value)
-                        else value.value if isinstance(value, Enum)
-                        else list(value) if isinstance(value, tuple) else value)
-    return doc
-
-
 def experiment_from_document(doc: Optional[dict]) -> ExperimentConfig:
     """The experiment of a config document. A ``scenario`` with only a
     ``kind`` selects the reference pairing for the dataset's class count."""
     doc = {} if doc is None else doc
-    _check_keys(doc, [*_keys(ExperimentConfig), *_SWEEP_KEYS], "config")
-    output_dir = doc.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        raise ConfigError(f"output_dir must be a string, got {output_dir!r}")
+    _check_keys(doc, [*_keys(ExperimentConfig), *_keys(SweepLists)], "config")
     dataset = _coerce(SyntheticSpec, doc.get("dataset", {}), "dataset")
     scenario = doc.get("scenario", {"kind": "same_arch_retrain"})
     try:
@@ -179,8 +171,7 @@ def experiment_from_document(doc: Optional[dict]) -> ExperimentConfig:
         else:
             scenario = _coerce(UpdateScenario, scenario, "scenario")
         config = _decode(ExperimentConfig, doc, "",
-                         dict(dataset=dataset, scenario=scenario,
-                              output_dir=output_dir))
+                         dict(dataset=dataset, scenario=scenario))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     # a focal method picks its distance, so a document may not name another
@@ -189,6 +180,13 @@ def experiment_from_document(doc: Optional[dict]) -> ExperimentConfig:
         raise ConfigError(f"pc.distance must be {config.pc.distance.kind!r} for "
                           f"method {config.method}, got {distance!r}")
     return config
+
+
+def sweep_lists_from_document(doc: Optional[dict]) -> SweepLists:
+    """The sweep lists of a config document whose keys
+    ``experiment_from_document`` has checked; an absent list takes its
+    default."""
+    return _decode(SweepLists, {} if doc is None else doc, "", {})
 
 
 def load_document(path: str) -> dict:
@@ -200,40 +198,6 @@ def load_document(path: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"{path} must contain a mapping at the top level")
     return doc
-
-
-def _number(value, kinds=(int, float)) -> bool:
-    return isinstance(value, kinds) and not isinstance(value, bool)
-
-
-def _sweep_list(doc: dict, key: str, default: Sequence, is_item, what: str) -> list:
-    """The list under ``key``, ``default`` when absent; ConfigError unless
-    it is a list whose every item passes ``is_item``."""
-    value = doc.get(key)
-    if value is None:
-        return list(default)
-    if not isinstance(value, list) or not all(map(is_item, value)):
-        raise ConfigError(f"{key} must be a list of {what}, got {value!r}")
-    return list(value)
-
-
-def focal_grid_from_document(doc: dict) -> List[Tuple[float, float]]:
-    grid = _sweep_list(
-        doc, "focal_grid", [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (1.0, 2.0),
-                            (1.0, 5.0), (1.0, 10.0), (1.0, 20.0)],
-        lambda p: isinstance(p, (list, tuple)) and len(p) == 2
-        and all(map(_number, p)), "[alpha, beta] pairs of numbers")
-    return [(float(a), float(b)) for a, b in grid]
-
-
-def ensemble_sizes_from_document(doc: dict) -> List[int]:
-    return _sweep_list(doc, "ensemble_sizes", [1, 2, 4, 8, 16],
-                       lambda s: _number(s, int), "integers")
-
-
-def methods_from_document(doc: dict) -> List[str]:
-    return _sweep_list(doc, "methods", METHODS,
-                       lambda m: isinstance(m, str), "strings")
 
 
 def apply_overrides(config: ExperimentConfig, seed: Optional[int] = None,

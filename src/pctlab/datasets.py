@@ -9,7 +9,7 @@ indices into these arrays, which are never mutated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +33,7 @@ class SyntheticSpec:
     was calibrated once so plain CE training of the small reference model
     lands at 15-30% test error (flips need errors to exist)."""
 
-    num_classes: int = 10
+    num_classes: int = field(default=10, metadata={"key": "k"})
     input_dim: int = 20
     samples_per_class: int = 500
     cluster_spread: float = 1.6

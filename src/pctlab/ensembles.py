@@ -20,8 +20,8 @@ old side of every update, the size sweep and every repetition stack of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, ClassVar, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -126,9 +126,7 @@ def train_ensemble(dims: Sequence[int], features: np.ndarray, labels: np.ndarray
 
 @dataclass(frozen=True)
 class SweepRow:
-    COLUMNS: ClassVar[Tuple[str, ...]] = ("L", "er_old", "er_new", "nfr", "rel_nfr")
-
-    size: int
+    size: int = field(metadata={"key": "L"})
     er_old: float
     er_new: float
     nfr: float

@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass, field, replace
-from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -155,9 +155,6 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class EpochMetrics:
-    COLUMNS: ClassVar[Tuple[str, ...]] = (
-        "epoch", "er_train", "er_val", "nfr_val", "rel_nfr_val", "nfr_train")
-
     epoch: int
     er_train: float
     er_val: float
@@ -380,15 +377,12 @@ def run_experiment(config: ExperimentConfig,
 
 @dataclass(frozen=True)
 class MethodRow:
-    COLUMNS: ClassVar[Tuple[str, ...]] = (
-        "method", "er_old", "er_new", "nfr", "rel_nfr", "n_params")
-
     method: str
     er_old: float
     er_new: float
     nfr: float
     rel_nfr: Optional[float]
-    param_count: int
+    param_count: int = field(metadata={"key": "n_params"})
 
     @classmethod
     def of(cls, result: ExperimentResult) -> "MethodRow":
@@ -410,22 +404,17 @@ def compare_methods(config: ExperimentConfig,
     methods = list(methods)
     if not methods or len(set(methods)) != len(methods):
         raise ValueError("methods must be non-empty and unique")
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
+    # an unknown method fails here, before anything trains
+    configs = [replace(config, method=m) for m in methods]
     if state is None:
         state = prepare_scenario(config)
 
-    results = {m: run_experiment(replace(config, method=m), state)
-               for m in methods}
+    results = {c.method: run_experiment(c, state) for c in configs}
     return Table([MethodRow.of(r) for r in results.values()], results)
 
 
 @dataclass(frozen=True)
 class FocalSweepRow:
-    COLUMNS: ClassVar[Tuple[str, ...]] = (
-        "alpha", "beta", "er_new", "nfr", "rel_nfr")
-
     alpha: float
     beta: float
     er_new: float

@@ -65,7 +65,7 @@ class FilterSpec:
 
 @dataclass(frozen=True)
 class DistanceSpec:
-    kind: str = "logit_match"
+    kind: str = field(default="logit_match", metadata={"key": "distance"})
     tau: float = 100.0
 
     def __post_init__(self):
@@ -77,10 +77,12 @@ class DistanceSpec:
 
 @dataclass(frozen=True)
 class PCLossConfig:
-    mode: str = "none"
-    lam: float = 1.0
-    filter: FilterSpec = field(default_factory=FilterSpec)
-    distance: DistanceSpec = field(default_factory=DistanceSpec)
+    mode: str = field(default="none", metadata={"key": None})
+    lam: float = field(default=1.0, metadata={"key": "lambda"})
+    filter: FilterSpec = field(default_factory=FilterSpec,
+                               metadata={"flat": True})
+    distance: DistanceSpec = field(default_factory=DistanceSpec,
+                                   metadata={"flat": True})
 
     def __post_init__(self):
         if self.mode not in PC_MODES:

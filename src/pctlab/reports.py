@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 from typing import List
 
-from .config import (ConfigError, experiment_from_document, from_document,
-                     to_document)
+from .config import ConfigError, experiment_from_document, from_document
 from .harness import ExperimentResult, MethodRow
 from .tables import Table, as_record, json_text
 
@@ -31,17 +31,6 @@ def _write(path: str, text: str) -> str:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
     return path
-
-
-def result_to_document(result: ExperimentResult) -> dict:
-    config_doc = to_document(result.config)
-    config_doc["output_dir"] = None  # destination is not part of the experiment
-    return {
-        "config": config_doc,
-        "er_old": result.er_old,
-        "old_param_count": result.old_param_count,
-        "runs": [as_record(run) for run in result.runs],
-    }
 
 
 def result_from_document(doc: dict) -> ExperimentResult:
@@ -85,8 +74,10 @@ def write_experiment(result: ExperimentResult, out_dir: str,
     else:
         files.append(_write(os.path.join(out_dir, "summary.csv"),
                             summary_csv(result)))
+    # the destination is not part of the experiment
+    artifacts = replace(result, config=replace(result.config, output_dir=None))
     files.append(_write(os.path.join(out_dir, "artifacts.json"),
-                        json_text(result_to_document(result))))
+                        json_text(as_record(artifacts))))
     return files
 
 

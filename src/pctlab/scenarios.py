@@ -92,7 +92,8 @@ class DataFilter:
         if self.class_subset is not None:
             classes = np.unique(np.asarray(self.class_subset, dtype=np.int64))
             if classes.min() < 0 or classes.max() >= dataset.num_classes:
-                raise ValueError("class subset out of range")
+                raise ValueError(f"class_subset {list(self.class_subset)} names "
+                                 f"a class outside [0, {dataset.num_classes})")
             rows = rows[np.isin(dataset.labels[rows], classes)]
         if self.sample_fraction < 1.0:
             rng = stream_rng(self.subset_seed, STREAM_SUBSET)

@@ -5,8 +5,14 @@ is ``repr(float(v))``, so numpy scalars print like Python floats; ``None``
 is an empty cell; any other value is written as ``str``. JSON: sorted keys,
 two-space indent and a trailing newline. Identical inputs therefore give
 byte-identical files.
-Every result table is a ``Table``, the only reader of a row class's
-``COLUMNS``.
+
+A dataclass field's key in every file is its name unless its metadata says
+otherwise: ``field(metadata={"key": "k"})`` renames it, ``{"key": None}``
+gives it no key, and ``{"flat": True}`` puts the keys of the nested
+dataclass in its parent's mapping. ``as_record`` is the one walker from a
+dataclass to the mapping a file holds: the flip reports, the rows of every
+``Table``, and ``artifacts.json`` with its config blocks. ``config`` reads
+the same keys back.
 """
 
 from __future__ import annotations
@@ -14,24 +20,46 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Iterable, List, Sequence
+from functools import lru_cache
+from dataclasses import Field, dataclass, field, fields, is_dataclass
+from enum import Enum
+from typing import Iterable, List, Optional, Sequence
+
+
+def field_key(f: Field) -> Optional[str]:
+    """The key of dataclass field ``f`` (module docstring)."""
+    return f.metadata.get("key", f.name)
 
 
 def as_record(obj) -> dict:
-    """The fields of dataclass instance ``obj`` by name, in field order,
-    recursing only into nested dataclasses and lists.
+    """Dataclass instance ``obj`` as ``{key: value}`` in field order, keyed
+    by ``field_key``, flat fields merged in. Nested dataclasses become
+    mappings, lists and tuples lists, enums their values.
 
-    Unlike ``dataclasses.asdict`` it copies no value: the files it feeds
-    read each value once, so a deep copy would only cost time.
+    Unlike ``dataclasses.asdict`` it copies no other value: the files it
+    feeds read each value once, so a deep copy would only cost time.
     """
-    return {f.name: _record_value(getattr(obj, f.name)) for f in fields(obj)}
+    record = {}
+    for name, key, flat in _layout(type(obj)):
+        value = getattr(obj, name)
+        if flat:
+            record.update(as_record(value))
+        else:
+            record[key] = _record_value(value)
+    return record
+
+
+@lru_cache(maxsize=None)
+def _layout(cls) -> tuple:
+    """``(name, key, flat)`` of each field of ``cls`` that has a key."""
+    return tuple((f.name, field_key(f), f.metadata.get("flat", False))
+                 for f in fields(cls) if field_key(f) is not None)
 
 
 def _record_value(value):
     if isinstance(value, (float, int, str)) or value is None:
-        return value
-    if isinstance(value, list):
+        return value.value if isinstance(value, Enum) else value
+    if isinstance(value, (list, tuple)):
         return [_record_value(v) for v in value]
     return as_record(value) if is_dataclass(value) else value
 
@@ -58,8 +86,8 @@ def json_text(obj) -> str:
 
 @dataclass
 class Table:
-    """Rows of one dataclass, whose ``COLUMNS`` name its fields in field
-    order, and the full results they summarise, keyed by the producer."""
+    """Rows of one dataclass, and the full results they summarise, keyed by
+    the producer. The row fields' keys head its CSV and key its JSON rows."""
     rows: list
     results: dict = field(default_factory=dict, repr=False)
 
@@ -68,10 +96,9 @@ class Table:
             raise ValueError("a table needs at least one row")
 
     def records(self) -> List[dict]:
-        """The rows as ``{column: value}`` dicts: the ``rows`` of its JSON."""
-        columns = self.rows[0].COLUMNS
-        return [dict(zip(columns, as_record(r).values())) for r in self.rows]
+        """The rows as ``as_record`` mappings: the ``rows`` of its JSON."""
+        return [as_record(r) for r in self.rows]
 
     def to_csv(self) -> str:
-        return csv_text(self.rows[0].COLUMNS,
-                        (r.values() for r in self.records()))
+        records = self.records()
+        return csv_text(list(records[0]), (r.values() for r in records))

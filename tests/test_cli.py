@@ -11,7 +11,8 @@ import yaml
 from oracles import loads_config
 from pctlab import cli, harness, reports
 from pctlab.cli import main
-from pctlab.config import experiment_from_document, load_document, to_document
+from pctlab.config import experiment_from_document, load_document
+from pctlab.tables import as_record
 
 CONFIG_TEXT = """\
 dataset: {k: 5, input_dim: 8, samples_per_class: 80, cluster_spread: 1.2, seed: 11}
@@ -262,6 +263,33 @@ def test_a_zero_weight_init_exits_1_at_load(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_value_of_the_wrong_kind_exits_1_naming_its_key(tmp_path, capsys,
+                                                          monkeypatch):
+    # float(None) used to escape as a bare TypeError text naming no key
+    path = tmp_path / "bad.yaml"
+    path.write_text("train: {learning_rate: null}\n", encoding="utf-8")
+    monkeypatch.setattr(cli, "run_experiment", _must_not_run)
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: train.learning_rate must be float, got None\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_class_subset_out_of_range_exits_1_before_training(
+        tmp_path, capsys, monkeypatch):
+    path = tmp_path / "bad.yaml"
+    path.write_text(CONFIG_TEXT.replace(
+        "scenario: {kind: same_arch_retrain}",
+        "scenario: {kind: class_growth, old_data: {class_subset: [0, 9]}}"),
+        encoding="utf-8")
+    monkeypatch.setattr(harness.ensembles, "train_ensemble", _must_not_run)
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: class_subset [0, 9] names a class outside [0, 5)\n")
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"er_old": 0.1}', "artifacts needs a non-empty 'config'"),
     ("[1, 2]", "artifacts must be a mapping, got list"),
@@ -330,4 +358,4 @@ def test_unknown_subcommand_is_rejected():
 def test_config_module_round_trips_cli_document(config_path):
     # the config the CLI parses survives a YAML round trip of its document
     cfg = experiment_from_document(load_document(config_path))
-    assert loads_config(yaml.safe_dump(to_document(cfg))) == cfg
+    assert loads_config(yaml.safe_dump(as_record(cfg))) == cfg

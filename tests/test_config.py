@@ -13,16 +13,16 @@ import yaml
 
 import pctlab
 from oracles import loads_config
-from pctlab.config import (ConfigError, apply_overrides,
-                           ensemble_sizes_from_document,
-                           experiment_from_document, focal_grid_from_document,
-                           load_document, methods_from_document, to_document)
+from pctlab.config import (ConfigError, SweepLists, apply_overrides,
+                           experiment_from_document, load_document,
+                           sweep_lists_from_document)
 from pctlab.datasets import DegenerateSpecError, SyntheticSpec
 from pctlab.harness import ExperimentConfig
 from pctlab.losses import DistanceSpec, FilterSpec, PCLossConfig
 from pctlab.nn import TrainConfig
 from pctlab.scenarios import (DataFilter, ModelSpec, ScenarioKind,
                               UpdateScenario, reference_scenario)
+from pctlab.tables import as_record
 
 
 def test_empty_document_yields_defaults():
@@ -57,10 +57,10 @@ def _sample_configs():
 
 @pytest.mark.parametrize("config", _sample_configs())
 def test_document_round_trip_is_identity(config):
-    doc = to_document(config)
+    doc = as_record(config)
     assert experiment_from_document(doc) == config
     # and through YAML text as well
-    assert loads_config(yaml.safe_dump(to_document(config))) == config
+    assert loads_config(yaml.safe_dump(as_record(config))) == config
 
 
 def test_yaml_aliases_k_and_lambda():
@@ -144,7 +144,7 @@ def test_pc_mode_is_not_a_key():
     # the method sets the mode; a document cannot
     with pytest.raises(ConfigError, match=re.escape("['mode'] in pc")):
         loads_config("pc: {mode: focal}")
-    assert "mode" not in to_document(ExperimentConfig())["pc"]
+    assert "mode" not in as_record(ExperimentConfig())["pc"]
 
 
 def _field_paths(cls, prefix=""):
@@ -173,7 +173,7 @@ def test_document_has_a_key_for_every_field():
                "pc.distance.kind": "pc.distance", "pc.distance.tau": "pc.tau"}
     expected = [spelled.get(p, p) for p in _field_paths(ExperimentConfig)
                 if p != "pc.mode"]
-    doc = to_document(ExperimentConfig())
+    doc = as_record(ExperimentConfig())
     assert list(_key_paths(doc)) == expected
 
 
@@ -194,7 +194,7 @@ def test_values_are_coerced_by_field_type():
     for bad in ("5", "[a]", "{a: 1}", "true"):
         with pytest.raises(ConfigError, match="output_dir must be a string"):
             loads_config(f"output_dir: {bad}")
-    text = yaml.safe_dump(to_document(cfg))
+    text = yaml.safe_dump(as_record(cfg))
     for line in ("cluster_spread: 2.0", "learning_rate: 1.0", "lambda: 1.0",
                  "tau: 3.0", "epochs: 2\n"):
         assert line in text
@@ -326,11 +326,12 @@ def test_activation_other_than_relu_is_rejected():
 
 
 def test_sweep_lists_defaults():
-    assert focal_grid_from_document({}) == [(0.0, 1.0), (1.0, 0.0), (1.0, 1.0),
-                                            (1.0, 2.0), (1.0, 5.0),
-                                            (1.0, 10.0), (1.0, 20.0)]
-    assert ensemble_sizes_from_document({}) == [1, 2, 4, 8, 16]
-    assert methods_from_document({}) == list(pctlab.METHODS)
+    lists = sweep_lists_from_document({})
+    assert lists == sweep_lists_from_document(None) == SweepLists()
+    assert lists.focal_grid == ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (1.0, 2.0),
+                                (1.0, 5.0), (1.0, 10.0), (1.0, 20.0))
+    assert lists.ensemble_sizes == (1, 2, 4, 8, 16)
+    assert lists.methods == pctlab.METHODS
     assert pctlab.METHODS == ("no_treatment", "naive", "fd_kl", "fd_lm",
                               "ensemble")
 
@@ -338,19 +339,83 @@ def test_sweep_lists_defaults():
 def test_sweep_lists_parse_and_validate():
     doc = {"focal_grid": [[1, 5], [0, 0]], "ensemble_sizes": [1, 3],
            "methods": ["naive"]}
-    assert focal_grid_from_document(doc) == [(1.0, 5.0), (0.0, 0.0)]
-    assert ensemble_sizes_from_document(doc) == [1, 3]
-    assert methods_from_document(doc) == ["naive"]
+    lists = sweep_lists_from_document(doc)
+    assert lists.focal_grid == ((1.0, 5.0), (0.0, 0.0))
+    assert all(type(v) is float for pair in lists.focal_grid for v in pair)
+    assert lists.ensemble_sizes == (1, 3)
+    assert lists.methods == ("naive",)
+    # an entry follows the rules of a block key of its type: 2.0 and "3"
+    # are integers, as epochs: 2.0 and epochs: '3' are
+    sizes = sweep_lists_from_document({"ensemble_sizes": [2.0, "3"]})
+    assert [(type(s), s) for s in sizes.ensemble_sizes] == [(int, 2), (int, 3)]
     for grid in ([[1, 2, 3]], [[True, "2"]], [["abc", 1]], [[1, None]], [1, 2],
                  "abc", 5):
-        with pytest.raises(ConfigError, match="focal_grid"):
-            focal_grid_from_document({"focal_grid": grid})
+        with pytest.raises(ConfigError, match="^focal_grid must be "):
+            sweep_lists_from_document({"focal_grid": grid})
     for methods in ("naive", [1, None], ["naive", 2], {"naive": 1}):
-        with pytest.raises(ConfigError, match="methods"):
-            methods_from_document({"methods": methods})
-    for sizes in ([1, 2.9, True], [1, 2.9], [True], [2.0], ["3"], 5):
-        with pytest.raises(ConfigError, match="ensemble_sizes"):
-            ensemble_sizes_from_document({"ensemble_sizes": sizes})
+        with pytest.raises(ConfigError, match="^methods must be "):
+            sweep_lists_from_document({"methods": methods})
+    for sizes in ([1, 2.9, True], [1, 2.9], [True], ["2.5"], 5):
+        with pytest.raises(ConfigError, match="^ensemble_sizes must be "):
+            sweep_lists_from_document({"ensemble_sizes": sizes})
+
+
+_NUMBERS = ["2.0", "'3'", "1e-3", "2.9", "true", "null", "[1]", ".inf"]
+
+
+@pytest.mark.parametrize("value", _NUMBERS)
+@pytest.mark.parametrize("block, read_block, entry, read_entry, loads", [
+    ("train: {{epochs: {}}}", lambda c: c.train.epochs,
+     "ensemble_sizes: [{}]", lambda s: s.ensemble_sizes[0],
+     {"2.0": 2, "'3'": 3}),
+    ("pc: {{alpha: {}}}", lambda c: c.pc.filter.alpha,
+     "focal_grid: [[{}, 5]]", lambda s: s.focal_grid[0][0],
+     {"2.0": 2.0, "'3'": 3.0, "1e-3": 1e-3, "2.9": 2.9}),
+], ids=["int", "float"])
+def test_one_number_rule_for_block_keys_and_sweep_entries(
+        block, read_block, entry, read_entry, loads, value):
+    """A number is read by one rule, whether it is a block key or an entry
+    of a sweep list: the same values load, as the same type and value, and
+    the rest are ConfigErrors."""
+    def outcome(load):
+        try:
+            v = load()
+        except ConfigError:
+            return "rejected"
+        return type(v), v
+
+    in_block = outcome(lambda: read_block(loads_config(block.format(value))))
+    in_list = outcome(lambda: read_entry(sweep_lists_from_document(
+        yaml.safe_load(entry.format(value)))))
+    expected = (type(loads[value]), loads[value]) if value in loads \
+        else "rejected"
+    assert in_block == in_list == expected
+
+
+@pytest.mark.parametrize("text, message", [
+    ("train: {learning_rate: null}",
+     "train.learning_rate must be float, got None"),
+    ("dataset: {k: [3]}", "dataset.k must be int, got [3]"),
+    ("train: {epochs: {a: 1}}", "train.epochs must be int, got {'a': 1}"),
+    ("pc: {distance: [kl]}", "pc.distance must be a string, got ['kl']"),
+    ("method: 5", "method must be a string, got 5"),
+    ("scenario: {kind: bogus}",
+     "scenario.kind must be one of ['same_arch_retrain', 'arch_change', "
+     "'sample_growth', 'class_growth', 'two_changes', 'fine_tune'], "
+     "got 'bogus'"),
+    ("scenario: {kind: bogus, init_from_old: false}",
+     "scenario.kind must be one of ['same_arch_retrain', 'arch_change', "
+     "'sample_growth', 'class_growth', 'two_changes', 'fine_tune'], "
+     "got 'bogus'"),
+], ids=["null-float", "list-int", "mapping-int", "list-string", "int-string",
+        "bare-kind", "kind-in-block"])
+def test_a_value_of_the_wrong_kind_is_a_config_error_naming_its_key(text,
+                                                                    message):
+    # these raised a TypeError, loaded a list or a number as its str, or
+    # named no key
+    with pytest.raises(ConfigError) as exc:
+        loads_config(text)
+    assert str(exc.value) == message
 
 
 def test_apply_overrides():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pctlab
 from pctlab import (config, datasets, ensembles, flips, harness, losses, nn,
-                    scenarios)
+                    reports, scenarios)
 
 
 def test_every_exported_name_resolves():
@@ -69,6 +69,16 @@ def test_names_only_tests_reached_stay_gone():
     # dumped as YAML
     for name in ("loads_config", "dump_config"):
         assert not hasattr(config, name), name
+    # a field names its own key, as_record is the one walker that writes
+    # it, and one dataclass holds the sweep lists
+    for name in ("_KEYS", "_FLAT", "_SWEEP_KEYS", "_number", "_sweep_list",
+                 "to_document", "methods_from_document",
+                 "focal_grid_from_document", "ensemble_sizes_from_document"):
+        assert not hasattr(config, name), name
+    for row_class in (harness.EpochMetrics, harness.MethodRow,
+                      harness.FocalSweepRow, ensembles.SweepRow):
+        assert not hasattr(row_class, "COLUMNS"), row_class.__name__
+    assert not hasattr(reports, "result_to_document")
     assert not hasattr(datasets.Dataset, "n")
     assert not hasattr(losses.OldModelOracle, "__len__")
     assert not hasattr(nn, "with_seed")

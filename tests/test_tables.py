@@ -73,13 +73,18 @@ def test_table_writers_write_pinned_bytes(name, tmp_path):
     assert json_path.read_bytes() == json_expected.encode()
 
 
-@pytest.mark.parametrize("row_class",
-                         [EpochMetrics, MethodRow, FocalSweepRow, SweepRow])
-def test_row_classes_name_one_column_per_field(row_class):
-    # Table pairs COLUMNS with fields by position, so a field without a
-    # column would silently drop out of the JSON rows
-    assert len(row_class.COLUMNS) == len(fields(row_class))
-    assert len(set(row_class.COLUMNS)) == len(row_class.COLUMNS)
+@pytest.mark.parametrize("row_class, header", [
+    (EpochMetrics, "epoch,er_train,er_val,nfr_val,rel_nfr_val,nfr_train"),
+    (MethodRow, "method,er_old,er_new,nfr,rel_nfr,n_params"),
+    (FocalSweepRow, "alpha,beta,er_new,nfr,rel_nfr"),
+    (SweepRow, "L,er_old,er_new,nfr,rel_nfr"),
+], ids=["EpochMetrics", "MethodRow", "FocalSweepRow", "SweepRow"])
+def test_row_class_csv_header_is_its_json_row_keys(row_class, header):
+    # one key per field, in field order, named by the field: the CSV header
+    # and the JSON row keys cannot drift apart
+    table = Table([row_class(*range(len(fields(row_class))))])
+    assert table.to_csv().splitlines()[0] == header
+    assert list(table.records()[0]) == header.split(",")
 
 
 def test_table_needs_a_row():

@@ -124,6 +124,17 @@ def train_ensemble(dims: Sequence[int], features: np.ndarray, labels: np.ndarray
     return Ensemble([stack.member(j) for j in range(size)])
 
 
+def check_old_side(old: Ensemble) -> None:
+    """Raise ValueError, naming the member, if a trained old side diverged:
+    every flip is scored against it, and a model whose weights are not
+    finite predicts class 0 on every row."""
+    for j, member in enumerate(old.members):
+        if not all(np.isfinite(a).all() for layer in member.layers
+                   for a in (layer.weights, layer.bias)):
+            raise ValueError(f"the old side diverged: member {j}'s weights "
+                             "are not finite")
+
+
 @dataclass(frozen=True)
 class SweepRow:
     size: int = field(metadata={"key": "L"})
@@ -159,6 +170,7 @@ def sweep_ensemble_size(old_dims: Sequence[int], new_dims: Sequence[int],
 
     old_ens = train_ensemble(old_dims, train_x, train_y, config, top,
                              old_base_seed)
+    check_old_side(old_ens)
     new_ens = train_ensemble(new_dims, train_x, train_y, config, top,
                              new_base_seed)
     workspace = Workspace()

@@ -3,18 +3,21 @@
 An experiment fixes a synthetic task, an update scenario, a training
 schedule, and one update method. Running it trains the old side once,
 trains the new side under the method's objective (repeated across seeds),
-and records flip metrics per epoch plus a final flip report per repetition.
-Every rate it records is a ``flips.FlipReport`` field: an epoch's
-``er_train`` and ``nfr_train`` come from the training rows' report, and
-``ExperimentResult.er_old`` is the held-out report's ``er_old``, which
-every run shares because every run scores against one old side.
+and scores the new side against the old side after every epoch.
+Every rate is a ``flips.FlipReport`` field, and ``old_side(L).score`` makes
+each comparison: it scores L new members as one ``Ensemble``, the argmax of
+their logits summed in member order, against the old side's cached
+predictions. It returns the epoch's ``EpochMetrics``, whose ``er_train``
+and ``nfr_train`` come from the training rows' report, and the held-out
+report. A run keeps its rows and its last held-out report, whose
+``er_old`` is ``ExperimentResult.er_old``: every run shares one old side.
 
 ``run_experiment`` holds the one run loop for all five methods. Each
 repetition is a group of L members, L = ``ensemble_size`` for ``ensemble``
-and 1 for every other method, scored every epoch as ``Ensemble(members)``:
-the argmax of its member logits summed in member order. A weight stack
-holds one ensemble repetition, or up to ``REPETITION_STACK`` repetitions of
-a single-model method. Its member seeds are consecutive, so
+and 1 for every other method, scored into a plain list after every epoch,
+or once on its init when there are no epochs. A weight stack holds one
+ensemble repetition, or up to ``REPETITION_STACK`` repetitions of a
+single-model method. Its member seeds are consecutive, so
 ``ensembles.train_ensemble``, the trainer of every weight stack, old sides
 included, trains it in lockstep from its first seed.
 
@@ -30,6 +33,9 @@ so an ``ensemble`` run trains no old side it does not score against. A
 state serves only configs with its dataset, scenario and training
 schedule; ``run_experiment`` rejects any other, which would score the new
 side against an old side trained on other data or another schedule.
+An old side whose trained weights are not finite is a ValueError that
+names the member, since every flip would be scored against a model that
+predicts class 0.
 
 The state also owns one ``nn.Workspace``. The old side's evaluation
 and every epoch's scoring in every ``run_experiment`` on that state run
@@ -81,7 +87,7 @@ from .losses import (FilterSpec, OldModelOracle, PCLossConfig, make_ce_objective
 from .nn import (MLPModel, TrainConfig, Workspace, batch_logits, predict_batch,
                  train)
 from .rng import SEED_LIMIT
-from .scenarios import (EvalPlan, ScenarioKind, ScenarioPlan, UpdateScenario,
+from .scenarios import (ScenarioKind, ScenarioPlan, UpdateScenario,
                         build_scenario, reference_scenario)
 from .tables import Table
 
@@ -211,6 +217,21 @@ class OldReference:
     train_preds: np.ndarray
     oracle: Optional[OldModelOracle]
 
+    def score(self, members: Sequence[MLPModel], x: np.ndarray,
+              plan: ScenarioPlan, workspace: Workspace,
+              epoch: int) -> Tuple[EpochMetrics, FlipReport]:
+        """Epoch ``epoch``'s metrics and held-out report of ``members``,
+        scored as one ensemble in ``workspace`` against this old side: on
+        the new job's rows ``x`` and on the plan's eval set."""
+        new = Ensemble(list(members))
+        on_train = report_from_arrays(plan.new_job.labels, self.train_preds,
+                                      new.predict_batch(x, workspace))
+        ep = plan.eval_plan
+        report = report_from_arrays(ep.labels, self.eval_preds,
+                                    new.predict_batch(ep.features, workspace))
+        return EpochMetrics(epoch + 1, on_train.er_new, report.er_new,
+                            report.nfr, report.rel_nfr, on_train.nfr), report
+
 
 @dataclass
 class ScenarioState:
@@ -261,6 +282,7 @@ def _build_old_reference(dataset: Dataset, plan: ScenarioPlan,
     old = ensembles.train_ensemble(
         old_job.dims, dataset.features[old_job.rows], old_job.labels,
         train_cfg, members, model_seed(train_cfg.seed, "old"))
+    ensembles.check_old_side(old)
 
     xt = dataset.features[new_job.rows]
     if members == 1:
@@ -287,35 +309,6 @@ def prepare_scenario(config: ExperimentConfig) -> ScenarioState:
     if config.method != "ensemble":
         state.old_side(1)
     return state
-
-
-class _EpochCollector:
-    """Per-epoch train/held-out flip metrics of one repetition's members,
-    scored as one ensemble in ``workspace``, against a fixed old side."""
-
-    def __init__(self, train_x, train_y, old_train_preds, plan: EvalPlan,
-                 old_eval_preds, workspace: Workspace):
-        self.train_x = train_x
-        self.train_y = train_y
-        self.old_train_preds = old_train_preds
-        self.eval_x = plan.features
-        self.eval_y = plan.labels
-        self.old_eval_preds = old_eval_preds
-        self.workspace = workspace
-        self.rows: List[EpochMetrics] = []
-        self.final: Optional[FlipReport] = None
-
-    def __call__(self, epoch: int, *members: MLPModel) -> None:
-        new = Ensemble(list(members))
-        on_train = report_from_arrays(
-            self.train_y, self.old_train_preds,
-            new.predict_batch(self.train_x, self.workspace))
-        report = report_from_arrays(
-            self.eval_y, self.old_eval_preds,
-            new.predict_batch(self.eval_x, self.workspace))
-        self.rows.append(EpochMetrics(epoch + 1, on_train.er_new, report.er_new,
-                                      report.nfr, report.rel_nfr, on_train.nfr))
-        self.final = report
 
 
 def run_experiment(config: ExperimentConfig,
@@ -346,27 +339,30 @@ def run_experiment(config: ExperimentConfig,
     runs = []
     for r0 in range(0, config.repetitions, per_stack):
         reps = range(r0, min(r0 + per_stack, config.repetitions))
-        collectors = [_EpochCollector(x, y, old.train_preds, plan.eval_plan,
-                                      old.eval_preds, state.workspace)
-                      for _ in reps]
+        series = [[] for _ in reps]
+        finals = [None] * len(reps)
+
+        def score(g, group, epoch):
+            row, finals[g] = old.score(group, x, plan, state.workspace, epoch)
+            series[g].append(row)
 
         def hook(e, stack):
-            for g, collector in enumerate(collectors):
-                collector(e, *(stack.member(j)
-                               for j in range(g * size, (g + 1) * size)))
+            for g in range(len(reps)):
+                score(g, [stack.member(j)
+                          for j in range(g * size, (g + 1) * size)], e)
 
         members = ensembles.train_ensemble(
             plan.new_job.dims, x, y, config.train, size * len(reps),
             model_seed(config.train.seed, role, r0), objective=objective,
             init=old.ensemble.members * len(reps) if plan.init_from_old else None,
             on_epoch_end=hook).members
-        for g, (rep, collector) in enumerate(zip(reps, collectors)):
+        for g, rep in enumerate(reps):
             group = members[g * size:(g + 1) * size]
-            if collector.final is None:  # zero-epoch schedule: score the init
-                collector(-1, *group)
+            if config.train.epochs == 0:  # no epoch ends: score the init
+                score(g, group, -1)
             runs.append(RunArtifacts(rep, model_seed(config.train.seed, role, rep),
                                      Ensemble(group).parameter_count(),
-                                     collector.rows, collector.final))
+                                     series[g], finals[g]))
     return ExperimentResult(config, runs[0].final.er_old,
                             old.ensemble.parameter_count(), runs)
 
@@ -407,7 +403,7 @@ def compare_methods(config: ExperimentConfig,
     # an unknown method fails here, before anything trains
     configs = [replace(config, method=m) for m in methods]
     if state is None:
-        state = prepare_scenario(config)
+        state = prepare_scenario(configs[0])
 
     results = {c.method: run_experiment(c, state) for c in configs}
     return Table([MethodRow.of(r) for r in results.values()], results)
@@ -432,13 +428,15 @@ def sweep_focal(config: ExperimentConfig,
     grid = [(float(a), float(b)) for a, b in grid]
     if not grid or len(set(grid)) != len(grid):
         raise ValueError("grid must be non-empty and unique")
+    # a bad pair fails here, before anything trains
+    configs = [replace(config, pc=replace(config.pc, filter=FilterSpec(a, b)))
+               for a, b in grid]
     if state is None:
         state = prepare_scenario(config)
 
     rows, results = [], {}
-    for a, b in grid:
-        pc = replace(config.pc, filter=FilterSpec(a, b))
-        res = results[(a, b)] = run_experiment(replace(config, pc=pc), state)
+    for (a, b), cfg in zip(grid, configs):
+        res = results[(a, b)] = run_experiment(cfg, state)
         s = res.summary()
         rows.append(FocalSweepRow(a, b, s["er_new"]["median"],
                                   s["nfr"]["median"], s["rel_nfr"]["median"]))

@@ -126,7 +126,10 @@ class UpdateScenario:
                     "fine_tune needs identical model specs and init_from_old")
         if self.init_from_old and self.old_model != self.new_model:
             raise ValueError("init_from_old requires identical model specs")
-        if self.init_from_old and self.old_data.class_subset != self.new_data.class_subset:
+        old_classes, new_classes = (
+            None if f.class_subset is None else set(f.class_subset)
+            for f in (self.old_data, self.new_data))
+        if self.init_from_old and old_classes != new_classes:
             raise ValueError("init_from_old requires matching class subsets")
         if self.kind is ScenarioKind.CLASS_GROWTH and self.old_data.class_subset is None:
             raise ValueError("class_growth needs an old-side class subset")

@@ -5,6 +5,7 @@ import filecmp
 import json
 import os
 
+import numpy as np
 import pytest
 import yaml
 
@@ -288,6 +289,24 @@ def test_a_class_subset_out_of_range_exits_1_before_training(
                  "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == (
         "error: class_subset [0, 9] names a class outside [0, 5)\n")
+
+
+def test_a_diverged_old_side_exits_1_naming_it(tmp_path, capsys):
+    """A learning rate that sends the old model's weights to inf or nan is
+    an error; scored, it would predict class 0 everywhere and report no
+    flips."""
+    path = tmp_path / "diverge.yaml"
+    path.write_text(
+        "dataset: {k: 4, input_dim: 6, samples_per_class: 40, seed: 2}\n"
+        "train: {epochs: 5, batch_size: 16, learning_rate: 1e6}\n"
+        "method: fd_lm\n", encoding="utf-8")
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: the old side diverged: member 0's "
+                            "weights are not finite\n")
+    assert captured.out == "" and not out.exists()
 
 
 @pytest.mark.parametrize("text, message", [

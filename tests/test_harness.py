@@ -15,7 +15,7 @@ from pctlab.datasets import SyntheticSpec, generate
 from pctlab.flips import report_from_arrays
 from pctlab.harness import (ENSEMBLE_REP_STRIDE, ENSEMBLE_SEED_OFFSET,
                             MAX_REPETITIONS, METHODS, NEW_MODEL_SEED_OFFSET,
-                            EpochMetrics, ExperimentConfig, _EpochCollector,
+                            EpochMetrics, ExperimentConfig, OldReference,
                             compare_methods, model_seed,
                             pc_config_for_method, prepare_scenario,
                             run_experiment, sweep_ensemble, sweep_focal)
@@ -130,8 +130,9 @@ def test_run_seed_layout_and_series_shape(small_config, small_state):
 
 
 def _solo_runs(config, state):
-    """Each repetition trained alone as a 2-D model, with its own collector:
-    the oracle for the repetition stack."""
+    """Each repetition trained alone as a 2-D model and scored by
+    ``OldReference.score`` in its own workspace: the oracle for the
+    repetition stack."""
     plan, old = state.plan, state.old_side(1)
     x, y = state.dataset.features[plan.new_job.rows], plan.new_job.labels
     objective = make_objective(y, old.oracle, config.pc)
@@ -142,11 +143,11 @@ def _solo_runs(config, state):
             start = old.ensemble.members[0]
         else:
             start = init_model(plan.new_job.dims, seed)
-        collector = _EpochCollector(x, y, old.train_preds, plan.eval_plan,
-                                    old.eval_preds, nn.Workspace())
+        ws, scored = nn.Workspace(), []
         nn.train(start, x, y, objective, replace(config.train, seed=seed),
-                 on_epoch_end=collector)
-        runs.append((rep, seed, collector.rows, collector.final))
+                 on_epoch_end=lambda e, model: scored.append(
+                     old.score([model], x, plan, ws, e)))
+        runs.append((rep, seed, [row for row, _ in scored], scored[-1][1]))
     return runs
 
 
@@ -198,16 +199,16 @@ def _ensemble_runs(config, state):
         else:
             init = [init_model(plan.new_job.dims, base + j)
                     for j in range(size)]
-        collector = _EpochCollector(x, y, old.train_preds, plan.eval_plan,
-                                    old.eval_preds, nn.Workspace())
+        ws, scored = nn.Workspace(), []
 
         def hook(e, stack):
-            collector(e, *(stack.member(j) for j in range(size)))
+            scored.append(old.score([stack.member(j) for j in range(size)],
+                                    x, plan, ws, e))
 
         new = nn.train(nn.stack_models(init), x, y, make_ce_objective(y),
                        replace(config.train, seed=base), on_epoch_end=hook).model
-        runs.append((rep, base, new.parameter_count(), collector.rows,
-                     collector.final))
+        runs.append((rep, base, new.parameter_count(),
+                     [row for row, _ in scored], scored[-1][1]))
     return runs
 
 
@@ -246,16 +247,17 @@ def test_repetition_stacks_carry_seeds_across_a_boundary(
     assert _run_keys(chunked) == _run_keys(default)
 
 
-def _reference_task_collector_inputs():
-    """The reference task's 3,500 training and 1,000 held-out rows, with
-    fixed old-side predictions; no model is trained."""
+def _reference_task_score_inputs():
+    """The reference task's 3,500 training and 1,000 held-out rows, with an
+    old side of fixed predictions; no model is trained."""
     config = ExperimentConfig()
     dataset = generate(config.dataset)
     plan = build_scenario(config.scenario, dataset)
     x, y = dataset.features[plan.new_job.rows], plan.new_job.labels
     assert (len(x), len(plan.eval_plan.labels)) == (3500, 1000)
     old_eval = np.roll(plan.eval_plan.labels, 1)
-    return x, y, np.roll(y, 1), plan, old_eval
+    old = OldReference(None, old_eval, np.roll(y, 1), None)
+    return x, y, old.train_preds, plan, old_eval, old
 
 
 def _unbuffered_metrics(epoch, x, y, old_train, plan, old_eval, members):
@@ -272,43 +274,41 @@ def _unbuffered_metrics(epoch, x, y, old_train, plan, old_eval, members):
 
 
 @pytest.mark.parametrize("size", [1, 3])
-def test_collectors_sharing_a_workspace_equal_unbuffered_scoring(size):
-    """Two collectors scoring different groups of L members in one
+def test_scores_sharing_a_workspace_equal_unbuffered_scoring(size):
+    """Two groups of L members scored by ``OldReference.score`` in one
     workspace, epoch after epoch, give the metrics of unbuffered scoring,
-    so neither the member sum nor one collector's forward clobbers another;
+    so neither the member sum nor one group's forward clobbers another;
     after the first epoch no buffer is reallocated."""
-    x, y, old_train, plan, old_eval = _reference_task_collector_inputs()
+    x, y, old_train, plan, old_eval, old = _reference_task_score_inputs()
     dims = plan.new_job.dims
     ws = nn.Workspace()
-    collectors = [_EpochCollector(x, y, old_train, plan.eval_plan, old_eval, ws)
-                  for _ in range(2)]
+    rows = [[], []]
     expected = [[], []]
     for epoch in range(3):
-        for c, collector in enumerate(collectors):
+        for c in range(2):
             members = [init_model(dims, 100 * epoch + 10 * c + j)
                        for j in range(size)]
-            collector(epoch, *members)
+            rows[c].append(old.score(members, x, plan, ws, epoch)[0])
             expected[c].append(_unbuffered_metrics(epoch, x, y, old_train, plan,
                                                    old_eval, members))
         buffers = {k: b.ctypes.data for k, b in ws.buffers.items()}
         if epoch == 0:
             first = buffers
         assert buffers == first
-    assert [c.rows for c in collectors] == expected
+    assert rows == expected
     assert len({row.er_train for row in expected[0] + expected[1]}) > 1
 
 
-def test_epoch_collector_takes_no_page_faults_after_warm_up():
-    """A warmed-up collector call on the reference task reuses its
-    workspace: the row-sized forward temporaries once took about 490 minor
-    page faults per call, about 2,450 per 5-repetition hook."""
-    x, y, old_train, plan, old_eval = _reference_task_collector_inputs()
-    collector = _EpochCollector(x, y, old_train, plan.eval_plan, old_eval,
-                                nn.Workspace())
+def test_old_side_score_takes_no_page_faults_after_warm_up():
+    """A warmed-up ``OldReference.score`` call on the reference task reuses
+    its workspace: the row-sized forward temporaries once took about 490
+    minor page faults per call, about 2,450 per 5-repetition hook."""
+    x, y, old_train, plan, old_eval, old = _reference_task_score_inputs()
+    ws = nn.Workspace()
     model = init_model(plan.new_job.dims, 3)
-    collector(0, model)
+    old.score([model], x, plan, ws, 0)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    collector(1, model)
+    old.score([model], x, plan, ws, 1)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50
 
 
@@ -533,7 +533,80 @@ def test_sweep_focal_requires_focal_method(small_config, small_state,
     calls = _count_old_trainings(monkeypatch)
     with pytest.raises(ValueError, match="unique"):
         sweep_focal(small_config, [(1, 5), (0, 0), (1.0, 5.0)])
+    # every pair is checked before the old side or the (1, 5) run trains
+    with pytest.raises(ValueError, match="^filter weights must be non-negative$"):
+        sweep_focal(small_config, [(1, 5), (-1, 0)])
     assert calls == []
+
+
+def test_compare_prepares_the_state_for_its_first_method(small_config,
+                                                          monkeypatch):
+    """A ``no_treatment`` config compared on ``ensemble`` alone trains the
+    old ensemble it scores against, and no single old model."""
+    calls = _count_old_trainings(monkeypatch)
+    cfg = replace(small_config, method="no_treatment", ensemble_size=3,
+                  repetitions=1)
+    compare_methods(cfg, ["ensemble"])
+    assert calls == [3]
+
+
+DIVERGING = ExperimentConfig(
+    dataset=SyntheticSpec(num_classes=4, input_dim=6, samples_per_class=40,
+                          seed=2),
+    train=TrainConfig(epochs=5, batch_size=16, learning_rate=1e6),
+    method="fd_lm")
+
+
+def test_a_diverged_old_side_is_an_error(monkeypatch):
+    """At a learning rate of 1e6 the old weights overflow to inf and nan,
+    and the old side would predict class 0 on every row. Every path that
+    trains an old side raises instead, naming the member, and the size
+    sweep trains no new side."""
+    message = "^the old side diverged: member 0's weights are not finite$"
+    with np.errstate(all="ignore"):
+        with pytest.raises(ValueError, match=message):
+            prepare_scenario(DIVERGING)
+        with pytest.raises(ValueError, match=message):
+            run_experiment(replace(DIVERGING, method="ensemble",
+                                   ensemble_size=3))
+        sides = []
+        train_ensemble = harness.ensembles.train_ensemble
+
+        def counting(*args, **kwargs):
+            sides.append(args[5])
+            return train_ensemble(*args, **kwargs)
+
+        monkeypatch.setattr(harness.ensembles, "train_ensemble", counting)
+        with pytest.raises(ValueError, match=message):
+            sweep_ensemble(DIVERGING, [1, 2])
+    assert sides == [model_seed(DIVERGING.train.seed, "old")]
+
+
+@pytest.mark.parametrize("old_subset, new_subset",
+                         [((0, 1, 2), (2, 1, 0)), ((0, 1, 1), (0, 1))],
+                         ids=["reordered", "repeated"])
+def test_init_from_old_matches_class_subsets_as_sets(old_subset, new_subset):
+    """``DataFilter.select`` resolves both subsets to the same sorted
+    classes, so the fine-tune builds and runs; the scenario keeps each
+    subset as written."""
+    spec = SyntheticSpec(num_classes=4, input_dim=6, samples_per_class=40,
+                         cluster_spread=1.0, seed=2)
+    small = reference_scenario(ScenarioKind.FINE_TUNE, 4).old_model
+    scenario = UpdateScenario(ScenarioKind.FINE_TUNE, small, small,
+                              old_data=DataFilter(class_subset=old_subset),
+                              new_data=DataFilter(class_subset=new_subset),
+                              init_from_old=True)
+    assert (scenario.old_data.class_subset,
+            scenario.new_data.class_subset) == (old_subset, new_subset)
+    cfg = ExperimentConfig(dataset=spec, scenario=scenario,
+                           train=TrainConfig(epochs=2, batch_size=32, seed=1),
+                           method="fd_lm")
+    state = prepare_scenario(cfg)
+    classes = len(set(old_subset))
+    np.testing.assert_array_equal(state.plan.old_to_new, np.arange(classes))
+    assert state.plan.new_job.dims[-1] == classes
+    result = run_experiment(cfg, state)
+    assert [row.epoch for row in result.runs[0].epochs] == [1, 2]
 
 
 def test_sweep_ensemble_row_shape(small_config):

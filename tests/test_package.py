@@ -59,9 +59,6 @@ def test_oracles_live_only_in_the_tests():
     for cls, names in gone.items():
         assert names.isdisjoint(f.name for f in fields(cls)), cls.__name__
     assert not hasattr(scenarios.DataFilter, "apply")
-    collector = harness._EpochCollector(None, None, None,
-                                        scenarios.EvalPlan(None, None), None, None)
-    assert not hasattr(collector, "new_label_map")
 
 
 def test_names_only_tests_reached_stay_gone():
@@ -83,9 +80,12 @@ def test_names_only_tests_reached_stay_gone():
     assert not hasattr(losses.OldModelOracle, "__len__")
     assert not hasattr(nn, "with_seed")
     assert not hasattr(harness, "epoch_series_csv")
+    # the old side scores every new side: no per-run collector object
+    assert not hasattr(harness, "_EpochCollector")
     # every caller passes these, so none has a fallback
     required = {nn.ce_rows: ("m", "at"), nn.backward_batch: ("out",),
-                ensembles.Ensemble.predict_batch: ("workspace",)}
+                ensembles.Ensemble.predict_batch: ("workspace",),
+                harness.OldReference.score: ("workspace",)}
     for fn, names in required.items():
         params = inspect.signature(fn).parameters
         for name in names:

@@ -285,6 +285,8 @@ class Workspace:
     ``get(key, shape)`` returns a view of the leading elements of one flat
     buffer per key, which grows to the largest request and never shrinks,
     so repeated requests of the same or a smaller size allocate nothing.
+    A larger request releases the smaller buffer before it allocates the
+    new one, so the two are never both held by the workspace.
     A view stays valid until the next request under its key.
     ``forward_into`` keys its buffers by layer index: the hidden layers'
     hold one row block, the logits' all the rows it is given.
@@ -297,6 +299,7 @@ class Workspace:
         size = math.prod(shape)
         buf = self.buffers.get(key)
         if buf is None or buf.size < size:
+            self.buffers[key] = buf = None
             buf = self.buffers[key] = np.empty(size)
         return buf[:size].reshape(shape)
 

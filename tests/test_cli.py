@@ -4,6 +4,8 @@ and error reporting."""
 import filecmp
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -291,22 +293,43 @@ def test_a_class_subset_out_of_range_exits_1_before_training(
         "error: class_subset [0, 9] names a class outside [0, 5)\n")
 
 
+DIVERGING_TEXT = """\
+dataset: {k: 4, input_dim: 6, samples_per_class: 40, seed: 2}
+train: {epochs: 5, batch_size: 16, learning_rate: 1e6}
+method: fd_lm
+"""
+DIVERGED_ERR = ("error: the old side diverged: member 0's weights are not "
+                "finite\n")
+
+
 def test_a_diverged_old_side_exits_1_naming_it(tmp_path, capsys):
     """A learning rate that sends the old model's weights to inf or nan is
     an error; scored, it would predict class 0 everywhere and report no
     flips."""
     path = tmp_path / "diverge.yaml"
-    path.write_text(
-        "dataset: {k: 4, input_dim: 6, samples_per_class: 40, seed: 2}\n"
-        "train: {epochs: 5, batch_size: 16, learning_rate: 1e6}\n"
-        "method: fd_lm\n", encoding="utf-8")
+    path.write_text(DIVERGING_TEXT, encoding="utf-8")
     out = tmp_path / "out"
     with np.errstate(all="ignore"):
         assert main(["run", "--config", str(path), "--out", str(out)]) == 1
     captured = capsys.readouterr()
-    assert captured.err == ("error: the old side diverged: member 0's "
-                            "weights are not finite\n")
+    assert captured.err == DIVERGED_ERR
     assert captured.out == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep-ensemble"])
+def test_a_diverged_old_side_prints_only_its_error(tmp_path, command):
+    """Run as a program, outside pytest's warning filters, a diverging old
+    side prints the one error line: the overflow warnings of its training
+    are not shown, since the finiteness check reports them."""
+    path = tmp_path / "diverge.yaml"
+    path.write_text(DIVERGING_TEXT, encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "pctlab.cli", command, "--config", str(path),
+         "--out", str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        timeout=120)
+    assert (done.returncode, done.stderr, done.stdout) == (1, DIVERGED_ERR, "")
 
 
 @pytest.mark.parametrize("text, message", [

@@ -7,7 +7,9 @@ ensemble of one) and every size of the sweep. ``Ensemble.predictions``
 scores the first L members for each requested L in one pass over the rows,
 in the row blocks of ``nn.block_cuts``: each block runs through the members
 in order, their running sum is one block long, and only the integer
-predictions span all the rows.
+predictions span all the rows. ``scoring_workspace`` sizes a fresh
+workspace for its longest block over several row sets, so no buffer grows
+while they are scored.
 ``train_ensemble`` builds and trains every weight stack in the package:
 member j from seed base_seed + j (its init and its shuffle), all members in
 lockstep as one ``(M, fan_in, fan_out)`` weight stack through a single
@@ -95,6 +97,21 @@ class Ensemble:
 
     def parameter_count(self) -> int:
         return sum(m.parameter_count() for m in self.members)
+
+
+def scoring_workspace(model: MLPModel, *row_counts: int) -> Workspace:
+    """A fresh ``Workspace`` holding every buffer that ``predictions`` of
+    members shaped like ``model`` (one model or a stack) needs on each of
+    ``row_counts`` rows, each sized once for the longest row block among
+    them, so that no buffer grows while they are scored."""
+    widest = max(layer.fan_out for layer in model.layers)
+    rows = max(cuts[-1] - cuts[-2]
+               for cuts in (block_cuts(n, widest) for n in row_counts))
+    workspace = Workspace()
+    for i, layer in enumerate(model.layers):
+        workspace.get(i, (rows, layer.fan_out))
+    workspace.get("sum", (rows, model.num_classes))
+    return workspace
 
 
 def train_ensemble(dims: Sequence[int], features: np.ndarray, labels: np.ndarray,

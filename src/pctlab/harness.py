@@ -37,10 +37,14 @@ An old side whose trained weights are not finite is a ValueError that
 names the member, since every flip would be scored against a model that
 predicts class 0.
 
-The state also owns one ``nn.Workspace``. The old side's evaluation
-and every epoch's scoring in every ``run_experiment`` on that state run
-their forwards in its buffers, so per-epoch evaluation reuses the same
-memory instead of allocating (and page-faulting) it anew on every call.
+Scoring runs its forwards in ``nn.Workspace`` buffers that live for one
+epoch. ``run_experiment``'s epoch hook scores every group of the epoch in
+one fresh workspace, which ``ensembles.scoring_workspace`` sizes for the
+longest row block of the new job's rows and the held-out rows, so no
+buffer grows while the epoch is scored; it dies when the hook returns.
+The old side scores in a workspace of its own. So the scoring buffers and
+the training steps' arrays take turns in the same heap memory instead of
+both staying resident.
 ``Ensemble.predict_batch`` scores in even row blocks, each block through
 every member in turn, so the hidden layers', the logits' and the member
 sum's buffers all hold one block, a few MB whatever the row count; only
@@ -241,8 +245,7 @@ class ScenarioState:
     method is scored against the bit-identical old side. ``spec``,
     ``scenario`` and ``train`` record what the state was prepared with.
     ``old_sides`` maps a member count L to its old side, which
-    ``old_side(L)`` trains on a miss. ``workspace`` holds the buffers that
-    every evaluation on this state reuses.
+    ``old_side(L)`` trains on a miss.
     """
     dataset: Dataset
     plan: ScenarioPlan
@@ -250,13 +253,12 @@ class ScenarioState:
     scenario: UpdateScenario
     train: TrainConfig
     old_sides: Dict[int, OldReference] = field(default_factory=dict)
-    workspace: Workspace = field(default_factory=Workspace)
 
     def old_side(self, members: int = 1) -> OldReference:
         old = self.old_sides.get(members)
         if old is None:
             old = self.old_sides[members] = _build_old_reference(
-                self.dataset, self.plan, self.train, self.workspace, members)
+                self.dataset, self.plan, self.train, members)
         return old
 
     def check(self, config: ExperimentConfig) -> None:
@@ -271,13 +273,13 @@ class ScenarioState:
 
 
 def _build_old_reference(dataset: Dataset, plan: ScenarioPlan,
-                         train_cfg: TrainConfig, workspace: Workspace,
-                         members: int) -> OldReference:
+                         train_cfg: TrainConfig, members: int) -> OldReference:
     """Train the old side (`members` CE-trained models) on the old job's rows
     and cache its predictions, mapped by ``plan.old_to_new`` into the new
     model's label space, on the new job's rows and the eval set, evaluated
-    in ``workspace``. A single model also gets the oracle the PC objectives
-    read; its predictions on the new job's rows are the oracle's."""
+    in a workspace that dies on return. A single model also gets the oracle
+    the PC objectives read; its predictions on the new job's rows are the
+    oracle's."""
     old_job, new_job = plan.old_job, plan.new_job
     with np.errstate(all="ignore"):     # check_old_side reports a divergence
         old = ensembles.train_ensemble(
@@ -285,7 +287,7 @@ def _build_old_reference(dataset: Dataset, plan: ScenarioPlan,
             train_cfg, members, model_seed(train_cfg.seed, "old"))
     ensembles.check_old_side(old)
 
-    xt = dataset.features[new_job.rows]
+    xt, workspace = dataset.features[new_job.rows], Workspace()
     if members == 1:
         oracle = OldModelOracle.from_model(old.members[0], xt, new_job.labels,
                                            class_map=plan.old_to_new)
@@ -343,24 +345,27 @@ def run_experiment(config: ExperimentConfig,
         series = [[] for _ in reps]
         finals = [None] * len(reps)
 
-        def score(g, group, epoch):
-            row, finals[g] = old.score(group, x, plan, state.workspace, epoch)
-            series[g].append(row)
+        def score(epoch, members):
+            # one workspace scores every group, and dies before the next epoch
+            workspace = ensembles.scoring_workspace(
+                members[0], len(x), len(plan.eval_plan.labels))
+            for g in range(len(reps)):
+                row, finals[g] = old.score(members[g * size:(g + 1) * size],
+                                           x, plan, workspace, epoch)
+                series[g].append(row)
 
         def hook(e, stack):
-            for g in range(len(reps)):
-                score(g, [stack.member(j)
-                          for j in range(g * size, (g + 1) * size)], e)
+            score(e, [stack.member(j) for j in range(size * len(reps))])
 
         members = ensembles.train_ensemble(
             plan.new_job.dims, x, y, config.train, size * len(reps),
             model_seed(config.train.seed, role, r0), objective=objective,
             init=old.ensemble.members * len(reps) if plan.init_from_old else None,
             on_epoch_end=hook).members
+        if config.train.epochs == 0:  # no epoch ends: score the init
+            score(-1, members)
         for g, rep in enumerate(reps):
             group = members[g * size:(g + 1) * size]
-            if config.train.epochs == 0:  # no epoch ends: score the init
-                score(g, group, -1)
             runs.append(RunArtifacts(rep, model_seed(config.train.seed, role, rep),
                                      Ensemble(group).parameter_count(),
                                      series[g], finals[g]))

@@ -45,6 +45,7 @@ import numpy as np
 # because pctbench/tracing.py wraps it by name
 from .nn import (DimensionError, MLPModel, Workspace, batch_logits, ce_rows,
                  forward_into, label_positions, row_max)
+from .tables import check_finite
 
 DISTANCE_KINDS = ("kl", "logit_match")
 PC_MODES = ("none", "naive", "focal")
@@ -59,6 +60,7 @@ class FilterSpec:
     beta: float = 5.0
 
     def __post_init__(self):
+        check_finite(self)
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("filter weights must be non-negative")
 
@@ -69,6 +71,7 @@ class DistanceSpec:
     tau: float = 100.0
 
     def __post_init__(self):
+        check_finite(self)
         if self.kind not in DISTANCE_KINDS:
             raise ValueError(f"unknown distance kind {self.kind!r}")
         if self.tau <= 0:
@@ -85,6 +88,7 @@ class PCLossConfig:
                                    metadata={"flat": True})
 
     def __post_init__(self):
+        check_finite(self)
         if self.mode not in PC_MODES:
             raise ValueError(f"unknown PC mode {self.mode!r}")
         if self.lam < 0:

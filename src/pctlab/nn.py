@@ -30,16 +30,18 @@ Every forward runs one layer loop, ``_layers_into``: each layer writes
 applies relu there in place. ``forward_batch`` gives it fresh arrays that
 a training step keeps for the backward pass, which masks on the relu
 output. ``forward_into`` gives it ``Workspace`` buffers that are reused
-from call to call, so per-epoch evaluation, one model at a time,
-allocates, and page-faults, nothing after its first call. It runs in the
-even row blocks of ``block_cuts``, each of about 2 MB of the widest
-layer (one core's L2 on the Xeon this was measured on), and only the
-logits span all the rows it is given; ``ensembles.Ensemble`` gives it
-one block at a time. Its logits are ``forward_batch(...).logits`` of each
-block, bit for bit. That equals ``forward_batch(...).logits`` of all the
-rows wherever OpenBLAS rounds a row the same at any row count, as the
-tests check for hidden widths 32, 64 and 256; at some other widths, 478
-for one, a logit can differ in the last bit.
+from call to call: an epoch's scoring, one model at a time, runs in one
+workspace that ``ensembles.scoring_workspace`` sizes before the first
+forward, so it allocates each buffer once, and frees them all when the
+epoch's scoring ends. It runs in the even row blocks of ``block_cuts``,
+each of about 2 MB of the widest layer (one core's L2 on the Xeon this
+was measured on), and only the logits span all the rows it is given;
+``ensembles.Ensemble`` gives it one block at a time. Its logits are
+``forward_batch(...).logits`` of each block, bit for bit. That equals
+``forward_batch(...).logits`` of all the rows wherever OpenBLAS rounds a
+row the same at any row count, as the tests check for hidden widths 32,
+64 and 256; at some other widths, 478 for one, a logit can differ in the
+last bit.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from .rng import STREAM_INIT, STREAM_SHUFFLE, stream_rng
+from .tables import check_finite
 
 # float64 elements of the widest layer's output in one evaluation block
 BLOCK_ELEMENTS = 2 ** 18
@@ -171,6 +174,7 @@ class TrainConfig:
     weight_init: str = "glorot_uniform"
 
     def __post_init__(self):
+        check_finite(self)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if not 0.0 <= self.momentum < 1.0:

@@ -12,7 +12,8 @@ gives it no key, and ``{"flat": True}`` puts the keys of the nested
 dataclass in its parent's mapping. ``as_record`` is the one walker from a
 dataclass to the mapping a file holds: the flip reports, the rows of every
 ``Table``, and ``artifacts.json`` with its config blocks. ``config`` reads
-the same keys back.
+the same keys back. ``check_finite`` walks the same fields: a config
+dataclass calls it to reject a nan or infinite number.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
+import numbers
 from functools import lru_cache
 from dataclasses import Field, dataclass, field, fields, is_dataclass
 from enum import Enum
@@ -47,6 +50,16 @@ def as_record(obj) -> dict:
         else:
             record[key] = _record_value(value)
     return record
+
+
+def check_finite(obj, error: type = ValueError) -> None:
+    """Raise ``error`` naming the first non-integer number field of
+    dataclass ``obj`` that holds nan or an infinity."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, numbers.Real) and not isinstance(
+                value, numbers.Integral) and not math.isfinite(value):
+            raise error(f"{f.name} must be finite, got {value!r}")
 
 
 @lru_cache(maxsize=None)

@@ -235,6 +235,25 @@ def test_non_finite_and_unparsable_numbers_are_rejected(text, key):
         loads_config(text)
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda v: TrainConfig(learning_rate=v), "learning_rate"),
+    (lambda v: TrainConfig(momentum=v), "momentum"),
+    (lambda v: PCLossConfig(lam=v), "lam"),
+    (lambda v: FilterSpec(alpha=v), "alpha"),
+    (lambda v: FilterSpec(beta=v), "beta"),
+    (lambda v: DistanceSpec(tau=v), "tau"),
+    (lambda v: SyntheticSpec(cluster_spread=v), "cluster_spread"),
+    (lambda v: SyntheticSpec(class_center_scale=v), "class_center_scale"),
+])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")],
+                         ids=["nan", "inf", "-inf"])
+def test_the_python_api_rejects_non_finite_numbers(make, name, value):
+    # a nan learning rate trained nan weights, and the new side was scored
+    # as a model that predicts class 0
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+        make(value)
+
+
 def test_numbers_that_yaml_reads_as_strings_still_load():
     # YAML 1.1 floats need a dot in the mantissa, so 1e-3 is a string
     assert loads_config("train: {learning_rate: 1e-3}").train.learning_rate == 1e-3

@@ -3,6 +3,8 @@ per-epoch series."""
 
 import resource
 import statistics
+import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -23,8 +25,9 @@ from pctlab.losses import (DistanceSpec, PCLossConfig, make_ce_objective,
                            make_objective)
 from pctlab.nn import TrainConfig, init_model
 from pctlab.rng import STREAM_SHUFFLE, stream_rng
-from pctlab.scenarios import (DataFilter, ScenarioKind, UpdateScenario,
-                              build_scenario, reference_scenario)
+from pctlab.scenarios import (DataFilter, ModelSpec, ScenarioKind,
+                              UpdateScenario, build_scenario,
+                              reference_scenario)
 
 
 def test_pc_config_for_method_mapping():
@@ -310,6 +313,67 @@ def test_old_side_score_takes_no_page_faults_after_warm_up():
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     old.score([model], x, plan, ws, 1)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50
+
+
+def _wide_config(samples_per_class, epochs):
+    """The ``wide`` update, arch_change from [20, 32, 10] to
+    [20, 256, 256, 10] at batch 512, on a dataset of this size."""
+    return ExperimentConfig(
+        dataset=SyntheticSpec(samples_per_class=samples_per_class),
+        scenario=UpdateScenario(ScenarioKind.ARCH_CHANGE, ModelSpec((32,)),
+                                ModelSpec((256, 256))),
+        train=TrainConfig(batch_size=512, epochs=epochs, lr_decay_every=2),
+        method="fd_lm")
+
+
+def test_no_scoring_buffer_outlives_its_epoch(monkeypatch):
+    """The memory traced as each training epoch starts stays within 64 KiB
+    of the first epoch's: the scoring buffers of an epoch, about 2.9 MB per
+    hidden layer on these 2,800 training rows, die before the next epoch
+    trains. A workspace kept across epochs would hold them throughout."""
+    config = _wide_config(400, 4)
+    state = prepare_scenario(config)
+    traced = []
+    train_epoch = nn._train_epoch
+
+    def recording(*args):
+        traced.append(tracemalloc.get_traced_memory()[0])
+        return train_epoch(*args)
+
+    monkeypatch.setattr(nn, "_train_epoch", recording)
+    tracemalloc.start()
+    try:
+        run_experiment(config, state)
+    finally:
+        tracemalloc.stop()
+    assert len(traced) == 4
+    assert all(abs(t - traced[0]) <= 64 * 1024 for t in traced[1:]), traced
+
+
+def test_one_epochs_scoring_allocates_each_buffer_once(monkeypatch):
+    """Scoring an epoch of ``wide`` allocates each workspace buffer once,
+    though the 4,000 held-out rows run in longer blocks (1,334 rows) than
+    the 14,000 training rows (1,077): the workspace is sized for both before
+    its first forward, so no buffer grows."""
+    config = _wide_config(2000, 1)
+    state = prepare_scenario(config)
+    assert (len(state.plan.new_job.labels),
+            len(state.plan.eval_plan.labels)) == (14000, 4000)
+    allocated = []
+    get = nn.Workspace.get
+
+    def recording(workspace, key, shape):
+        before = workspace.buffers.get(key)
+        view = get(workspace, key, shape)
+        if workspace.buffers[key] is not before:
+            allocated.append((id(workspace), key))
+        return view
+
+    monkeypatch.setattr(nn.Workspace, "get", recording)
+    run_experiment(config, state)
+    counts = Counter(allocated)
+    assert set(counts.values()) == {1}, counts
+    assert {key for _, key in counts} == {0, 1, 2, "sum"}
 
 
 def test_summary_medians_match_statistics(small_config, small_state):

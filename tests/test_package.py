@@ -59,6 +59,8 @@ def test_oracles_live_only_in_the_tests():
     for cls, names in gone.items():
         assert names.isdisjoint(f.name for f in fields(cls)), cls.__name__
     assert not hasattr(scenarios.DataFilter, "apply")
+    # scoring buffers live for one epoch, so no state owns a workspace
+    assert "workspace" not in {f.name for f in fields(harness.ScenarioState)}
 
 
 def test_names_only_tests_reached_stay_gone():

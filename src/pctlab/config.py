@@ -2,28 +2,13 @@
 
 One document describes one experiment: the synthetic task, the update
 scenario, the training schedule, the update method, and its PC-loss
-hyperparameters. Its keys are those ``tables.as_record`` writes: field
-names, or the key a field's metadata declares (``k``, ``lambda``, the flat
-``pc`` block, no key for ``pc.mode``). Unknown keys are rejected so typos
-fail loudly instead of silently using defaults.
-``from_document`` walks ``dataclasses.fields`` and coerces each value by
-its field's type: an int field takes an integral number, a float field any
-finite number, a bool field only true or false, a string field only a
-string, an enum field one of its values, a tuple field only a list (of the
-tuple's length when it has one), and no bool is read as a number. A string
-in a number field is parsed as that type, since PyYAML reads ``1e-3`` as a
-string, and one that does not parse, or parses to inf or nan, is an error
-that names its key. A block's own check, run when its dataclass is
-built, raises its own error type with the block's name in front, as in
-``scenario.new_data: class_subset must name at least 2 classes``. The
-method picks the distance of fd_kl and fd_lm, so their ``pc.distance`` may
-name only that one. ``reports`` reads ``artifacts.json`` back through
-``from_document``.
-
-Three optional top-level lists parameterize the sweep subcommands, the
-fields of ``SweepLists``: ``methods`` (compare), ``focal_grid``
-(sweep-focal, pairs of alpha/beta), and ``ensemble_sizes``
-(sweep-ensemble). Their entries follow the rules of the block keys.
+hyperparameters, under the keys that ``tables.as_record`` writes, plus the
+``SweepLists``. Unknown keys are rejected so typos fail loudly instead of
+silently using defaults. ``from_document`` reads each value through
+``_coerce``, and a block's own check, run when its dataclass is built,
+raises its own error type with the block's name in front, as in
+``scenario.new_data: class_subset must name at least 2 classes``.
+``reports`` reads ``artifacts.json`` back through ``from_document``.
 
 PyYAML is imported only inside ``load_document``, the one function that
 parses YAML, so importing this module, as every report writer does, does
@@ -50,7 +35,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class SweepLists:
-    """The lists of the sweep subcommands (module docstring)."""
+    """The optional top-level lists of the sweep subcommands: ``methods``
+    (compare), ``focal_grid`` (sweep-focal, alpha/beta pairs) and
+    ``ensemble_sizes`` (sweep-ensemble). Entries follow ``_coerce``."""
     methods: Tuple[str, ...] = METHODS
     focal_grid: Tuple[Tuple[float, float], ...] = (
         (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (1.0, 2.0), (1.0, 5.0),
@@ -79,7 +66,12 @@ def _keys(cls) -> List[str]:
 
 
 def _coerce(tp, value, where: str):
-    """``value`` as type ``tp``; a dataclass is a block named ``where``."""
+    """``value`` as type ``tp``; a dataclass is a block named ``where``. An
+    int takes an integral number, a float any finite number, a bool only
+    true or false, a string only a string, an enum one of its values, and a
+    tuple only a list (of the tuple's length when it has one). A string in a
+    number field is parsed as that type. Anything else is a ConfigError that
+    names ``where``."""
     if is_dataclass(tp):
         return from_document(tp, value, where)
     if get_origin(tp) is Union:  # Optional[T]

@@ -1,10 +1,8 @@
-"""Synthetic Gaussian-cluster classification data.
+"""Synthetic Gaussian-cluster classification data, drawn by ``generate``.
 
-One isotropic Gaussian cluster per class, stratified 70/10/20
-train/validation/test split, optional uniform resampling of a fraction of
-the train labels. Which rows each side of an update trains on, and in
-which label space, is resolved by ``scenarios.build_scenario`` as row
-indices into these arrays, which are never mutated.
+Which rows each side of an update trains on, and in which label space, is
+resolved by ``scenarios.build_scenario`` as row indices into a
+``Dataset``'s arrays, which are never mutated.
 """
 
 from __future__ import annotations
@@ -60,9 +58,12 @@ class SyntheticSpec:
 
 @dataclass
 class Dataset:
-    features: np.ndarray  # (n, input_dim) float64
-    labels: np.ndarray    # (n,) int64
-    split: np.ndarray     # (n,) uint8 codes, see SPLIT_NAMES
+    """``(n, input_dim)`` float64 features, their int64 labels in
+    [0, num_classes), and uint8 split codes (``SPLIT_NAMES``)."""
+
+    features: np.ndarray
+    labels: np.ndarray
+    split: np.ndarray
     num_classes: int
 
     def __post_init__(self):
@@ -94,11 +95,11 @@ class Dataset:
 def generate(spec: SyntheticSpec) -> Dataset:
     """Draw the dataset for a spec; identical specs yield identical datasets.
 
-    Rows are grouped by generating class; within each class the first 70%
-    are tagged train, the next 10% validation, the rest test (the draws are
-    i.i.d., so the positional split is already random). Label noise then
-    resamples a fraction of the train labels uniformly over all classes.
-    """
+    One isotropic Gaussian cluster per class, its rows grouped together:
+    the first 70% are tagged train, the next 10% validation, the rest test
+    (the draws are i.i.d., so the positional split is already random).
+    Label noise then resamples a fraction of the train labels uniformly
+    over all classes."""
     k, d, spc = spec.num_classes, spec.input_dim, spec.samples_per_class
     rng = stream_rng(spec.seed, STREAM_DATA)
     centers = spec.class_center_scale * rng.standard_normal((k, d))

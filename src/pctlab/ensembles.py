@@ -1,23 +1,10 @@
 """Independently trained model ensembles.
 
-An ensemble predicts the argmax of its member logits summed in member
-order. The sum skips the 1/L of the mean, so one exact rule scores every
-ensemble: the old side, the new side of every run (a single model is an
-ensemble of one) and every size of the sweep. ``Ensemble.predictions``
-scores the first L members for each requested L in one pass over the rows,
-in the row blocks of ``nn.block_cuts``: each block runs through the members
-in order, their running sum is one block long, and only the integer
-predictions span all the rows. ``scoring_workspace`` sizes a fresh
-workspace for its longest block over several row sets, so no buffer grows
-while they are scored.
-``train_ensemble`` builds and trains every weight stack in the package:
-member j from seed base_seed + j (its init and its shuffle), all members in
-lockstep as one ``(M, fan_in, fan_out)`` weight stack through a single
-``nn.train`` call, under plain CE or the objective it is given. Stacks are
-therefore reproducible, member j equals a solo run under its seed bit for
-bit, and two stacks built from disjoint seed ranges are independent. The
-old side of every update, the size sweep and every repetition stack of
-``harness.run_experiment`` train through it.
+``Ensemble`` scores a group of models and ``scoring_workspace`` sizes its
+buffers. ``train_ensemble`` builds and trains every weight stack in the
+package: every old side, the size sweep and each repetition stack of
+``harness.run_experiment``. ``check_old_side`` rejects a diverged old
+side, and ``sweep_ensemble_size`` measures flips against ensemble size.
 """
 
 from __future__ import annotations
@@ -30,15 +17,20 @@ import numpy as np
 from .datasets import SPLIT_TEST, SPLIT_TRAIN, Dataset
 from .flips import report_from_arrays
 from .losses import make_ce_objective
-# batch_logits is not called here; it stays importable from this module
-# because pctbench/tracing.py wraps it by name
+# tracer-only import: see tests/test_package.py::TRACER_ONLY_IMPORTS
 from .nn import (MLPModel, Objective, TrainConfig, Workspace, batch_logits,
                  block_cuts, forward_into, init_model, stack_models, train)
-from .tables import Table
+from .tables import Table, is_integer
 
 
 @dataclass
 class Ensemble:
+    """Models that predict the argmax of their logits summed in member
+    order; ties resolve to the lowest index. The sum skips the 1/L of the
+    mean, so one exact rule scores every ensemble: the old side, the new
+    side of every run (a single model is an ensemble of one) and every size
+    of the sweep."""
+
     members: List[MLPModel]
 
     def __post_init__(self):
@@ -60,16 +52,14 @@ class Ensemble:
 
     def predictions(self, x: np.ndarray, sizes: Sequence[int],
                     workspace: Workspace) -> np.ndarray:
-        """``(len(sizes), n)`` row argmaxes of the member-order logit sum of
-        the first L members, for each L of the ascending ``sizes``; ties
-        resolve to the lowest index.
+        """``(len(sizes), n)`` predictions of the first L members, for each L
+        of the ascending ``sizes``, in one pass over the rows.
 
         The rows run in the blocks of ``nn.block_cuts`` for the widest layer
-        of any member. Each member's ``forward_into`` on a block is then one
-        block of its own, and the running sum lives in ``workspace``'s
-        buffer ``"sum"``, one block long, because each forward overwrites the
-        last one's logits.
-        """
+        of any member, so each member's ``forward_into`` on a block is one
+        block of its own. The running sum lives in ``workspace``'s buffer
+        ``"sum"``, one block long, and only the integer predictions span all
+        the rows."""
         if not sizes or sizes[0] < 1 or sizes[-1] > self.size \
                 or any(a >= b for a, b in zip(sizes, sizes[1:])):
             raise ValueError(f"sizes must ascend strictly within [1, {self.size}]")
@@ -91,8 +81,7 @@ class Ensemble:
         return preds
 
     def predict_batch(self, x: np.ndarray, workspace: Workspace) -> np.ndarray:
-        """Argmax of the member logits summed in member order; ties resolve
-        to the lowest index. The sum runs in ``workspace``'s buffers."""
+        """The prediction of all the members, scored in ``workspace``."""
         return self.predictions(x, [self.size], workspace)[0]
 
     def parameter_count(self) -> int:
@@ -103,7 +92,12 @@ def scoring_workspace(model: MLPModel, *row_counts: int) -> Workspace:
     """A fresh ``Workspace`` holding every buffer that ``predictions`` of
     members shaped like ``model`` (one model or a stack) needs on each of
     ``row_counts`` rows, each sized once for the longest row block among
-    them, so that no buffer grows while they are scored."""
+    them, so that no buffer grows while they are scored.
+
+    A workspace serves one epoch's scoring: ``harness.run_experiment`` takes
+    a fresh one each epoch, and an old side scores in one of its own, so the
+    scoring buffers die before the next epoch trains and take turns with the
+    training steps' arrays in the same heap memory."""
     widest = max(layer.fan_out for layer in model.layers)
     rows = max(cuts[-1] - cuts[-2]
                for cuts in (block_cuts(n, widest) for n in row_counts))
@@ -123,12 +117,10 @@ def train_ensemble(dims: Sequence[int], features: np.ndarray, labels: np.ndarray
     """Train ``size`` members as one stack; member j uses seed base_seed + j.
 
     Member j starts from ``init[j]`` when given (fine-tuning), else from a
-    fresh init under its seed; the seed also drives its shuffle stream. All
-    members train in lockstep under ``objective`` (plain CE on ``labels``
-    when None) in a single ``train`` call, which calls
-    ``on_epoch_end(epoch, stack)`` once per epoch with the live stack. The
-    members returned are views of the trained stack.
-    """
+    fresh init under its seed. The stack trains in one ``nn.train`` call
+    from seed base_seed, which fixes each member's shuffle, under
+    ``objective`` (plain CE on ``labels`` when None) and ``on_epoch_end``.
+    The members returned are views of the trained stack."""
     if size < 1:
         raise ValueError("ensemble size must be >= 1")
     if init is not None and len(init) != size:
@@ -166,13 +158,12 @@ def sweep_ensemble_size(old_dims: Sequence[int], new_dims: Sequence[int],
                         sizes: Sequence[int], old_base_seed: int,
                         new_base_seed: int) -> Table:
     """One ``SweepRow`` of old/new ensemble flip metrics per requested size.
-
     Trains max(sizes) members per side once and scores every size L on the
-    first L members, one side at a time, which is exactly the ensemble
-    train_ensemble would produce for that L: ``Ensemble.predictions`` takes
-    the argmax of the same member-order sum as ``Ensemble.predict_batch``.
-    Seed ranges for the two sides must not overlap.
-    """
+    first L members: exactly the ensemble ``train_ensemble`` would produce
+    for that L. Seed ranges for the two sides must not overlap."""
+    sizes = list(sizes)
+    if not all(map(is_integer, sizes)):
+        raise ValueError(f"ensemble sizes must be integers, got {sizes}")
     sizes = [int(s) for s in sizes]
     if not sizes or sizes[0] < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly ascending and >= 1")

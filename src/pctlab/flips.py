@@ -7,11 +7,6 @@ and only turned into fractions when a report is assembled, so the set
 identities (quadrants partition N, er_new - er_old = nfr - pfr) hold
 exactly over the counts. This module is the only place a rate is
 computed: every rate in every result file is a ``FlipReport`` field.
-
-The library counts quadrants over whole prediction arrays
-(``report_from_arrays``); the one-record-at-a-time form it is checked
-against lives in the tests. ``FlipReport.to_json`` writes the JSON format
-of ``tables``.
 """
 
 from __future__ import annotations
@@ -30,12 +25,10 @@ class UndefinedMetricError(ValueError):
 
 @dataclass(frozen=True)
 class FlipReport:
-    """Aggregate flip statistics over one record set.
-
-    ``rel_nfr`` is the negative flip rate normalized by the rate two
-    independent models with these error rates would produce,
-    ``(1 - er_old) * er_new``; it is None when that denominator is zero.
-    """
+    """Aggregate flip statistics over one record set. ``rel_nfr`` is the
+    negative flip rate normalized by the rate two independent models with
+    these error rates would produce, ``(1 - er_old) * er_new``; it is None
+    when that denominator is zero."""
 
     n: int
     both_correct: int

@@ -1,75 +1,20 @@
 """Config-driven experiment runner.
 
-An experiment fixes a synthetic task, an update scenario, a training
-schedule, and one update method. Running it trains the old side once,
-trains the new side under the method's objective (repeated across seeds),
-and scores the new side against the old side after every epoch.
-Every rate is a ``flips.FlipReport`` field, and ``old_side(L).score`` makes
-each comparison: it scores L new members as one ``Ensemble``, the argmax of
-their logits summed in member order, against the old side's cached
-predictions. It returns the epoch's ``EpochMetrics``, whose ``er_train``
-and ``nfr_train`` come from the training rows' report, and the held-out
-report. A run keeps its rows and its last held-out report, whose
-``er_old`` is ``ExperimentResult.er_old``: every run shares one old side.
+An ``ExperimentConfig`` fixes a synthetic task, an update scenario, a
+training schedule and one of the update methods ``METHODS``:
 
-``run_experiment`` holds the one run loop for all five methods. Each
-repetition is a group of L members, L = ``ensemble_size`` for ``ensemble``
-and 1 for every other method, scored into a plain list after every epoch,
-or once on its init when there are no epochs. A weight stack holds one
-ensemble repetition, or up to ``REPETITION_STACK`` repetitions of a
-single-model method. Its member seeds are consecutive, so
-``ensembles.train_ensemble``, the trainer of every weight stack, old sides
-included, trains it in lockstep from its first seed.
-
-A ``ScenarioState`` holds the dataset, the plan and the old sides, one per
-member count L, each trained on first use under the state's
-``TrainConfig``. The plan's jobs hold row indices, so each side's training
-features are gathered from the dataset where they are needed, and every
-prediction is scored in the new model's label space. L = 1 is the single
-old model; the ``ensemble`` method at size 1 reuses it, since an ensemble
-of one is that model.
-``prepare_scenario`` trains L = 1 only for the four single-model methods,
-so an ``ensemble`` run trains no old side it does not score against. A
-state serves only configs with its dataset, scenario and training
-schedule; ``run_experiment`` rejects any other, which would score the new
-side against an old side trained on other data or another schedule.
-An old side whose trained weights are not finite is a ValueError that
-names the member, since every flip would be scored against a model that
-predicts class 0.
-
-Scoring runs its forwards in ``nn.Workspace`` buffers that live for one
-epoch. ``run_experiment``'s epoch hook scores every group of the epoch in
-one fresh workspace, which ``ensembles.scoring_workspace`` sizes for the
-longest row block of the new job's rows and the held-out rows, so no
-buffer grows while the epoch is scored; it dies when the hook returns.
-The old side scores in a workspace of its own. So the scoring buffers and
-the training steps' arrays take turns in the same heap memory instead of
-both staying resident.
-``Ensemble.predict_batch`` scores in even row blocks, each block through
-every member in turn, so the hidden layers', the logits' and the member
-sum's buffers all hold one block, a few MB whatever the row count; only
-the integer predictions span every scored row.
-
-``EpochMetrics``, ``MethodRow`` and ``FocalSweepRow`` are the row classes
-of the epoch series, comparison and focal-sweep ``tables.Table``s.
-
-Update methods
   no_treatment  plain cross-entropy
   naive         cross-entropy re-weighted on samples the old model got right
   fd_kl         focal distillation, softened-KL distance
   fd_lm         focal distillation, squared logit distance
   ensemble      both sides are logit-averaged ensembles trained under CE
 
-Seed layout (relative to the configured base seed), all from ``model_seed``
-  base + j                        old model (member j for ensembles)
-  base + 1000 + r                 new model, repetition r
-  base + 100000 + 1000*r + j      new ensemble member j, repetition r
-The ranges stay disjoint because ExperimentConfig bounds ensemble sizes
-below 1000 and repetitions to at most 99000, and ``sweep_ensemble`` bounds
-its sizes below 1000 too, so old and new models never share an
-initialisation or shuffle stream. The largest seed of the layout is
-base + 99,099,999, so ExperimentConfig bounds the base seed to keep it
-below 2**64, the range of a Philox key word.
+``prepare_scenario`` builds a ``ScenarioState``, whose old sides score
+every new side, and ``run_experiment`` runs one experiment on it;
+``compare_methods``, ``sweep_focal`` and ``sweep_ensemble`` run several.
+``model_seed`` lays out every seed. ``EpochMetrics``, ``MethodRow`` and
+``FocalSweepRow`` are the rows of the epoch series, comparison and
+focal-sweep tables.
 """
 
 from __future__ import annotations
@@ -84,8 +29,7 @@ from . import ensembles
 from .datasets import Dataset, SyntheticSpec, generate
 from .ensembles import Ensemble, sweep_ensemble_size
 from .flips import FlipReport, report_from_arrays
-# make_ce_objective, batch_logits, predict_batch and train are not called here;
-# they stay importable because pctbench/tracing.py wraps them by name
+# tracer-only imports: see tests/test_package.py::TRACER_ONLY_IMPORTS
 from .losses import (FilterSpec, OldModelOracle, PCLossConfig, make_ce_objective,
                      make_objective)
 from .nn import (MLPModel, TrainConfig, Workspace, batch_logits, predict_batch,
@@ -93,7 +37,7 @@ from .nn import (MLPModel, TrainConfig, Workspace, batch_logits, predict_batch,
 from .rng import SEED_LIMIT
 from .scenarios import (ScenarioKind, ScenarioPlan, UpdateScenario,
                         build_scenario, reference_scenario)
-from .tables import Table
+from .tables import Table, check_finite
 
 METHODS = ("no_treatment", "naive", "fd_kl", "fd_lm", "ensemble")
 
@@ -107,10 +51,16 @@ REPETITION_STACK = 16
 
 
 def model_seed(base_seed: int, role: str, rep: int = 0, member: int = 0) -> int:
-    """Seed of one model in the module docstring's layout: role "old" (old
-    member), "new" (new model of repetition ``rep``) or "new_member" (member
-    of repetition ``rep``'s new ensemble). Member j of an ensemble trained
-    from the member-0 seed gets the seed of ``member=j``."""
+    """Seed of one model by role, for repetition ``rep`` and member j:
+
+      "old"         base + j                       old model, or old member j
+      "new"         base + 1000 + rep              new model
+      "new_member"  base + 100000 + 1000*rep + j   new ensemble member j
+
+    Within the bounds that ``ExperimentConfig`` enforces the ranges are
+    disjoint, so old and new models never share an initialisation or
+    shuffle stream. A stack trained from the member-0 seed gives member j
+    the seed of ``member=j`` (``ensembles.train_ensemble``)."""
     if role == "old":
         return base_seed + member
     if role == "new":
@@ -138,6 +88,11 @@ def pc_config_for_method(method: str, base: Optional[PCLossConfig] = None) -> PC
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment; ``method`` sets ``pc.mode`` (``pc_config_for_method``).
+    The bounds keep ``model_seed``'s ranges disjoint and every seed below
+    2**64: ``ensemble_size`` below ``ENSEMBLE_REP_STRIDE``, ``repetitions``
+    at most ``MAX_REPETITIONS``, and ``train.seed`` below 2**64 minus the
+    layout's largest offset, 99,099,999."""
     dataset: SyntheticSpec = field(default_factory=SyntheticSpec)
     scenario: UpdateScenario = field(
         default_factory=lambda: reference_scenario(ScenarioKind.SAME_ARCH_RETRAIN))
@@ -149,6 +104,7 @@ class ExperimentConfig:
     output_dir: Optional[str] = None
 
     def __post_init__(self):
+        check_finite(self)
         if not 1 <= self.repetitions <= MAX_REPETITIONS:
             raise ValueError(f"repetitions must be in [1, {MAX_REPETITIONS}]")
         if not 1 <= self.ensemble_size < ENSEMBLE_REP_STRIDE:
@@ -159,7 +115,6 @@ class ExperimentConfig:
         if self.train.seed >= SEED_LIMIT - top:
             raise ValueError(f"train.seed must be below 2**64 - {top}, the "
                              f"largest seed offset, got {self.train.seed}")
-        # the method determines the PC mode; hyperparameters come from `pc`
         object.__setattr__(self, "pc", pc_config_for_method(self.method, self.pc))
 
 
@@ -185,6 +140,8 @@ class RunArtifacts:
 
 @dataclass
 class ExperimentResult:
+    """Every repetition's run, and the held-out error and parameter count
+    of the one old side that every run scores against."""
     config: ExperimentConfig
     er_old: float
     old_param_count: int
@@ -239,14 +196,12 @@ class OldReference:
 
 @dataclass
 class ScenarioState:
-    """Shared per-scenario work: the dataset, the plan, and the old sides.
-
-    Passing one state to several run_experiment calls guarantees every
-    method is scored against the bit-identical old side. ``spec``,
-    ``scenario`` and ``train`` record what the state was prepared with.
-    ``old_sides`` maps a member count L to its old side, which
-    ``old_side(L)`` trains on a miss.
-    """
+    """Shared per-scenario work: the dataset, the plan, and the old sides,
+    so that every method run on one state scores against the bit-identical
+    old side. ``spec``, ``scenario`` and ``train`` record what the state was
+    prepared with. ``old_sides`` maps a member count L to its old side, which
+    ``old_side(L)`` trains under ``train`` on a miss; L = 1, the single old
+    model, also serves the ``ensemble`` method at size 1."""
     dataset: Dataset
     plan: ScenarioPlan
     spec: SyntheticSpec
@@ -263,7 +218,8 @@ class ScenarioState:
 
     def check(self, config: ExperimentConfig) -> None:
         """Raise ValueError unless ``config`` has this state's dataset,
-        scenario and training schedule."""
+        scenario and training schedule: any other would score the new side
+        against an old side trained on other data or another schedule."""
         for name, mine, theirs in (("dataset", self.spec, config.dataset),
                                    ("scenario", self.scenario, config.scenario),
                                    ("train", self.train, config.train)):
@@ -274,12 +230,12 @@ class ScenarioState:
 
 def _build_old_reference(dataset: Dataset, plan: ScenarioPlan,
                          train_cfg: TrainConfig, members: int) -> OldReference:
-    """Train the old side (`members` CE-trained models) on the old job's rows
-    and cache its predictions, mapped by ``plan.old_to_new`` into the new
-    model's label space, on the new job's rows and the eval set, evaluated
-    in a workspace that dies on return. A single model also gets the oracle
-    the PC objectives read; its predictions on the new job's rows are the
-    oracle's."""
+    """Train the old side (`members` CE-trained models) on the old job's rows,
+    reject it if ``ensembles.check_old_side`` does, and cache its
+    predictions, mapped by ``plan.old_to_new`` into the new model's label
+    space, on the new job's rows and the eval set. A single model also gets
+    the oracle the PC objectives read; its predictions on the new job's
+    rows are the oracle's."""
     old_job, new_job = plan.old_job, plan.new_job
     with np.errstate(all="ignore"):     # check_old_side reports a divergence
         old = ensembles.train_ensemble(
@@ -304,7 +260,8 @@ def _build_old_reference(dataset: Dataset, plan: ScenarioPlan,
 def prepare_scenario(config: ExperimentConfig) -> ScenarioState:
     """Generate the dataset and resolve the scenario. The single old model
     trains here when ``config.method`` reads it (every method but
-    ``ensemble``); any other old side trains on first use."""
+    ``ensemble``); any other old side trains on first use, so an
+    ``ensemble`` run trains no old side it does not score against."""
     dataset = generate(config.dataset)
     plan = build_scenario(config.scenario, dataset)
     state = ScenarioState(dataset, plan, config.dataset, config.scenario,
@@ -316,17 +273,15 @@ def prepare_scenario(config: ExperimentConfig) -> ScenarioState:
 
 def run_experiment(config: ExperimentConfig,
                    state: Optional[ScenarioState] = None) -> ExperimentResult:
-    """Run one experiment; reuses `state` (dataset + old sides) when given,
-    and raises ValueError if it was prepared for another dataset, scenario
-    or training schedule.
+    """Run one experiment on ``state``, which ``state.check`` must accept,
+    or on a fresh ``prepare_scenario(config)``.
 
-    Repetition r is a group of L members (module docstring) with
-    consecutive seeds: ``model_seed(base, "new", r)`` when L = 1, else
-    ``model_seed(base, "new_member", r, j)`` for member j. A stack trains
-    through ``ensembles.train_ensemble`` from its first member's seed, which
-    gives stack member i that seed + i for its init and its shuffle, so every
-    member ends bit for bit where training it alone would leave it.
-    """
+    Repetition r is a group of L members, L = ``ensemble_size`` for
+    ``ensemble`` and 1 otherwise, seeded by ``model_seed``. One weight stack
+    of consecutive seeds, trained by ``ensembles.train_ensemble``, holds one
+    ensemble repetition or up to ``REPETITION_STACK`` others. Each group is
+    scored after every epoch, or once on its init when there are no epochs,
+    in a fresh ``ensembles.scoring_workspace`` per epoch."""
     if state is None:
         state = prepare_scenario(config)
     state.check(config)
@@ -346,7 +301,6 @@ def run_experiment(config: ExperimentConfig,
         finals = [None] * len(reps)
 
         def score(epoch, members):
-            # one workspace scores every group, and dies before the next epoch
             workspace = ensembles.scoring_workspace(
                 members[0], len(x), len(plan.eval_plan.labels))
             for g in range(len(reps)):
@@ -398,11 +352,8 @@ class MethodRow:
 def compare_methods(config: ExperimentConfig,
                     methods: Sequence[str] = METHODS,
                     state: Optional[ScenarioState] = None) -> Table:
-    """Run each method on the same scenario against the same old model.
-
-    Medians across repetitions land in the table as ``MethodRow``s; full
-    results stay in ``results`` keyed by method name.
-    """
+    """Run each method on one state: a ``MethodRow`` of medians each, and
+    the full results keyed by method name."""
     methods = list(methods)
     if not methods or len(set(methods)) != len(methods):
         raise ValueError("methods must be non-empty and unique")
@@ -451,17 +402,12 @@ def sweep_focal(config: ExperimentConfig,
 
 def sweep_ensemble(config: ExperimentConfig, sizes: Sequence[int],
                    max_workers: int = 1) -> Table:
-    """Flip metrics versus ensemble size, on the full training split.
-
-    Both sides use the scenario's architectures and the full data so that
-    size is the only variable. Sizes must be below ``ENSEMBLE_REP_STRIDE``,
-    the bound ExperimentConfig puts on ``ensemble_size``, so both sides keep
-    to the seed layout of the module docstring; a larger size raises
-    ValueError before anything trains. Each side's members train in
-    lockstep as one stack: ``max_workers`` is accepted and ignored, because
-    pctbench/workloads.py still passes ``max_workers=1``.
-    """
-    if any(int(s) >= ENSEMBLE_REP_STRIDE for s in sizes):
+    """Flip metrics versus ensemble size, on the full training split and the
+    scenario's architectures, so that size is the only variable. A size
+    outside ``ExperimentConfig``'s ``ensemble_size`` bound raises ValueError
+    before anything trains. ``max_workers`` is ignored, since each side
+    trains as one stack; pctbench/workloads.py still passes it."""
+    if any(s >= ENSEMBLE_REP_STRIDE for s in sizes):
         raise ValueError(f"ensemble sizes must be below {ENSEMBLE_REP_STRIDE}")
     dataset = generate(config.dataset)
     old_dims = config.scenario.old_model.dims(dataset.input_dim, dataset.num_classes)

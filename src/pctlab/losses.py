@@ -1,37 +1,12 @@
 """Training objectives for congruence-aware model updates.
 
-The total objective is ``CE + lambda * PC`` where the PC (positive
-congruence) term penalizes drifting away from a frozen reference model:
-
-* ``naive``  - cross-entropy re-weighted on samples the reference got right,
-  i.e. those samples count ``1 + lambda`` times.
-* ``focal``  - a distillation distance (temperature-scaled KL or half squared
-  logit distance) weighted per sample by ``alpha + beta * [reference correct]``.
-
-There is one batch objective, the closure ``make_objective`` returns for
-any mode (``make_ce_objective`` is its ``mode="none"`` call). It folds in
-the batch mean and is what ``nn.train`` consumes. The one per-sample form
-kept here, ``distance_kl``, returns the value and the gradient w.r.t. the
-new logits for one sample; the other per-sample oracles the batch
-objective is tested against (CE, the filter weight, the naive and focal PC
-terms, the logit distance and their sum) live in ``tests/oracles.py``.
-
-The objective takes ``(B, K)`` logits with ``(B,)`` indices, or a
-stack's ``(M, B, K)`` logits with ``(M, B)`` indices, which it flattens to
-``M * B`` rows through the same per-row ops, so member m's gradient equals
-that of its own 2-D call bit for bit.
-
-The old side is frozen, so ``make_objective`` computes its per-row
-quantities once per factory call, over every training row: the naive weight
-``1 + lambda * old_correct``, the focal weight ``alpha + beta * old_correct``
-and, for the KL distance, the old side's tau-softened log-softmax and its
-exp. A step only gathers them by index. Each is computed row by row, so
-the gathered rows equal what the step used to compute from the gathered
-inputs, bit for bit. In focal mode the objective selects the new logits'
-reference columns once per step, through a full slice when the reference
-classes are exactly the new model's classes in order (a view, no copy)
-and through ``logit_index`` otherwise, and adds its gradient back through
-the same selector.
+The total objective is ``CE + lambda * PC``, where the PC (positive
+congruence) term penalizes drifting away from a frozen reference model;
+``PCLossConfig`` names its modes. ``make_objective`` builds the one batch
+objective that ``nn.train`` consumes, reading the reference model's
+outputs from an ``OldModelOracle``. ``distance_kl`` is the one
+per-sample form kept here; the per-sample oracles the batch objective is
+tested against live in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -41,8 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-# batch_logits is not called here; it stays importable from this module
-# because pctbench/tracing.py wraps it by name
+# tracer-only import: see tests/test_package.py::TRACER_ONLY_IMPORTS
 from .nn import (DimensionError, MLPModel, Workspace, batch_logits, ce_rows,
                  forward_into, label_positions, row_max)
 from .tables import check_finite
@@ -67,6 +41,9 @@ class FilterSpec:
 
 @dataclass(frozen=True)
 class DistanceSpec:
+    """The focal distance: ``kind`` "kl" is ``distance_kl`` at temperature
+    ``tau``, "logit_match" half the squared logit distance."""
+
     kind: str = field(default="logit_match", metadata={"key": "distance"})
     tau: float = 100.0
 
@@ -80,6 +57,11 @@ class DistanceSpec:
 
 @dataclass(frozen=True)
 class PCLossConfig:
+    """The PC term: ``mode`` "none" has none, "naive" re-weights the
+    cross-entropy so that samples the reference got right count
+    ``1 + lam`` times, and "focal" adds ``lam`` times the ``distance`` to
+    the reference logits, weighted per sample by ``filter``."""
+
     mode: str = field(default="none", metadata={"key": None})
     lam: float = field(default=1.0, metadata={"key": "lambda"})
     filter: FilterSpec = field(default_factory=FilterSpec,
@@ -96,13 +78,11 @@ class PCLossConfig:
 
 
 class OldModelOracle:
-    """Frozen reference-model outputs over a training set.
-
-    Caches the reference logits and per-sample correctness flags once, so
-    training never re-evaluates the old model. When the new model has more
-    classes, ``logit_index`` records where each reference class sits in the
-    new logit vector (identity when the label spaces coincide).
-    """
+    """Frozen reference-model outputs over a training set: its logits,
+    per-sample correctness flags and predictions, cached once so training
+    never re-evaluates the old model. ``logit_index`` records where each
+    reference class sits in the new logit vector (identity when the label
+    spaces coincide)."""
 
     def __init__(self, logits: np.ndarray, old_correct: np.ndarray,
                  old_pred: np.ndarray, logit_index: Optional[np.ndarray] = None):
@@ -123,11 +103,9 @@ class OldModelOracle:
     @classmethod
     def from_model(cls, model: MLPModel, features: np.ndarray, labels: np.ndarray,
                    class_map: Optional[np.ndarray] = None) -> "OldModelOracle":
-        """Evaluate a reference model once over ``features``.
-
-        ``class_map[j]`` is the label (in the evaluation label space) that the
-        reference model's class j denotes; identity when omitted.
-        """
+        """Evaluate a reference model once over ``features``. ``class_map[j]``
+        is the label (in the evaluation label space) that the reference model's
+        class j denotes; identity when omitted."""
         labels = np.asarray(labels, dtype=np.int64)
         logits = forward_into(model, features, Workspace())
         preds = np.argmax(logits, axis=1)
@@ -149,11 +127,8 @@ def _log_softmax_rows(x: np.ndarray, m: Optional[np.ndarray] = None) -> np.ndarr
 
 def distance_kl(new_logits: np.ndarray, old_logits: np.ndarray,
                 tau: float) -> tuple:
-    """KL between the tau-softened reference and new distributions.
-
-    Value is KL(softmax(old/tau) || softmax(new/tau)); the reference side is
-    the target distribution. Returns (value, gradient w.r.t. new logits).
-    """
+    """KL(softmax(old/tau) || softmax(new/tau)), the reference side being
+    the target distribution, and its gradient w.r.t. the new logits."""
     new_logits = np.asarray(new_logits, dtype=np.float64)
     old_logits = np.asarray(old_logits, dtype=np.float64)
     if new_logits.shape != old_logits.shape:
@@ -180,16 +155,24 @@ def make_ce_objective(labels: np.ndarray):
 
 def make_objective(labels: np.ndarray, oracle: Optional[OldModelOracle],
                    config: PCLossConfig):
-    """Batch-mean of the per-sample total objective ``CE_i + lambda * PC_i``.
+    """Batch-mean of the per-sample total objective ``CE_i + lambda * PC_i``
+    (``PCLossConfig``), as an ``nn.Objective``.
 
     One closure serves every mode: the CE rows and their gradient, then the
-    batch mean (``naive`` folds its weight ``1 + lambda * old_correct`` into
-    it), then, for ``focal`` only, the weighted distance term. With
-    ``mode="none"`` the oracle is not needed and this is plain CE. Each
-    member of a stack's ``(M, B, K)`` logits with ``(M, B)`` indices gets
-    its own batch mean as gradient; the loss is the mean over all M * B
-    rows.
-    """
+    batch mean (``naive`` folds its weight into it), then, for ``focal``
+    only, the weighted distance term; with ``mode="none"`` it needs no
+    oracle. A stack's ``(M, B, K)`` logits with ``(M, B)`` indices run as
+    M * B rows through the same per-row ops, so member m's gradient, its own
+    batch mean, equals that of its own 2-D call bit for bit; the loss is the
+    mean over all M * B rows.
+
+    The oracle is frozen, so the naive weight, the focal weight and, for
+    KL, the reference's tau-softened log-softmax and its exp are computed
+    here once per training row. A step gathers them by index: row by row,
+    bit for bit what it would compute from the gathered rows. In focal mode
+    a step selects the new logits' reference columns once, by a full slice
+    (a view) when they are the new model's classes in order and by
+    ``logit_index`` otherwise, and adds its gradient back the same way."""
     mode, lam = config.mode, config.lam
     if mode != "none" and oracle is None:
         raise ValueError(f"PC mode {mode!r} needs a reference-model oracle")

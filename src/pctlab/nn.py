@@ -1,47 +1,14 @@
 """Minimal deterministic feed-forward classifier engine.
 
-Dense layers with relu after every layer but the last, which emits raw
-logits, exact analytic gradients, and SGD with momentum under a stepped
-learning-rate schedule. Everything is driven by counter-based RNG streams
-so that a (seed, config, dataset) triple always reproduces the same
-trained weights, bit for bit.
-
-Batches are row-major ``(n, dim)`` float64 arrays, weights are
-``(fan_in, fan_out)``, biases ``(fan_out,)`` and labels int64.
-
-A stack of M same-shape models (``stack_models``) is one ``MLPModel`` whose
-layers hold ``(M, fan_in, fan_out)`` weights and ``(M, fan_out)`` biases;
-its batches are ``(M, n, dim)``. ``forward_batch``, ``backward_batch`` and
-``sgd_step`` work on the last two axes through stacked ``np.matmul``, so
-``train`` trains all M members in lockstep, one step per mini-batch, and
-member j ends bit for bit where training it alone would leave it. A single
-model is the 2-D case of the same code.
-
-``train`` keeps the parameters of the model or stack it trains in one flat
-buffer, with each layer's ``weights`` and ``bias`` as views of it, and the
-gradients and the velocity in two more buffers of that layout, so a step
-allocates no gradient and updates everything in three in-place ops. Bias
-gradients are an einsum that adds the rows in the order of
-``dz.sum(axis=-2)``; a layer of fan_out 1 keeps ``sum``, which adds its
-contiguous rows pairwise (see ``_train_epoch``).
-
-Every forward runs one layer loop, ``_layers_into``: each layer writes
-``a @ weights + bias`` into its own output and, unless it is the last,
-applies relu there in place. ``forward_batch`` gives it fresh arrays that
-a training step keeps for the backward pass, which masks on the relu
-output. ``forward_into`` gives it ``Workspace`` buffers that are reused
-from call to call: an epoch's scoring, one model at a time, runs in one
-workspace that ``ensembles.scoring_workspace`` sizes before the first
-forward, so it allocates each buffer once, and frees them all when the
-epoch's scoring ends. It runs in the even row blocks of ``block_cuts``,
-each of about 2 MB of the widest layer (one core's L2 on the Xeon this
-was measured on), and only the logits span all the rows it is given;
-``ensembles.Ensemble`` gives it one block at a time. Its logits are
-``forward_batch(...).logits`` of each block, bit for bit. That equals
-``forward_batch(...).logits`` of all the rows wherever OpenBLAS rounds a
-row the same at any row count, as the tests check for hidden widths 32,
-64 and 256; at some other widths, 478 for one, a logit can differ in the
-last bit.
+Dense layers (``MLPModel``), exact analytic gradients (``backward_batch``)
+and SGD with momentum (``train``). Every random draw comes from an ``rng``
+stream, so a (seed, config, dataset) triple always reproduces the same
+trained weights, bit for bit. Batches are row-major ``(n, dim)`` float64
+arrays, weights ``(fan_in, fan_out)``, biases ``(fan_out,)`` and labels
+int64; a stack of M same-shape models (``stack_models``) adds a leading
+member axis to each. ``forward_batch`` runs training steps and
+``forward_into`` evaluation, both through the one layer loop
+``_layers_into``.
 """
 
 from __future__ import annotations
@@ -56,7 +23,8 @@ import numpy as np
 from .rng import STREAM_INIT, STREAM_SHUFFLE, stream_rng
 from .tables import check_finite
 
-# float64 elements of the widest layer's output in one evaluation block
+# float64 elements of the widest layer's output in one evaluation block:
+# 2 MB, one core's L2 on the Xeon this was measured on
 BLOCK_ELEMENTS = 2 ** 18
 
 
@@ -67,8 +35,7 @@ class DimensionError(ValueError):
 @dataclass
 class Layer:
     """One dense layer, ``x @ weights + bias``, or a stack of M such layers
-    with a leading member axis. Its model applies relu to the output unless
-    the layer is the model's last."""
+    with a leading member axis."""
 
     weights: np.ndarray  # (fan_in, fan_out), stacked (M, fan_in, fan_out)
     bias: np.ndarray     # (fan_out,), stacked (M, fan_out)
@@ -125,11 +92,9 @@ class MLPModel:
         return weights.shape[0] if weights.ndim == 3 else None
 
     def member(self, j: int) -> "MLPModel":
-        """Model j of a stack, as live views of the stacked parameters.
-
-        The views skip ``Layer``'s checks, so a member that diverged comes
-        back unchecked, as ``train`` returns a diverged single model.
-        """
+        """Model j of a stack, as live views of the stacked parameters. The
+        views skip ``Layer``'s checks, so a member that diverged comes back
+        unchecked, as ``train`` returns a diverged single model."""
         layers = []
         for layer in self.layers:
             view = copy.copy(layer)
@@ -154,15 +119,11 @@ def stack_models(models: Sequence[MLPModel]) -> MLPModel:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """SGD hyper-parameters.
-
-    The learning rate at epoch t is
-    ``learning_rate * lr_decay_factor ** (t // lr_decay_every)``.
-
-    The default rate was fixed by a one-time calibration on the reference
-    task: it is the largest schedule (with momentum 0.9) at which the
-    squared-logit distillation objective trains stably from a fresh init.
-    """
+    """SGD hyper-parameters; the learning rate at epoch t is
+    ``learning_rate * lr_decay_factor ** (t // lr_decay_every)``. The default
+    rate, fixed by a one-time calibration on the reference task, is the
+    largest (with momentum 0.9) at which the squared-logit distillation
+    objective trains stably from a fresh init."""
 
     learning_rate: float = 0.003
     momentum: float = 0.9
@@ -212,24 +173,22 @@ class BatchCache:
 
 @dataclass
 class TrainResult:
+    """What ``train`` returns: the trained model or stack."""
     model: MLPModel
 
 
 # Objective protocol: (batch_logits (B, K), batch_indices (B,)) -> (loss, dlogits).
 # dlogits is the gradient of the scalar batch loss w.r.t. the logits, so any
 # batch averaging must already be folded in. Training a stack passes
-# (M, B, K) logits with (M, B) indices; the one objective ``losses`` builds,
-# whatever its PC mode, takes them, and member m's gradient must equal that
-# of its own 2-D call.
+# (M, B, K) logits with (M, B) indices, and member m's gradient must equal
+# that of its own 2-D call.
 Objective = Callable[[np.ndarray, np.ndarray], tuple]
 
 
 def init_model(dims: Sequence[int], seed: int) -> MLPModel:
-    """Build an MLP with the given layer sizes ``[input, h1, ..., K]``.
-
-    Weights are glorot_uniform, drawn from +-sqrt(6 / (fan_in + fan_out));
-    biases start at zero. Deterministic in ``seed``.
-    """
+    """An MLP with layer sizes ``[input, h1, ..., K]``, deterministic in
+    ``seed``: glorot_uniform weights, drawn from +-sqrt(6 / (fan_in +
+    fan_out)), and zero biases."""
     dims = [int(d) for d in dims]
     if len(dims) < 2:
         raise DimensionError("need at least input and output dims")
@@ -275,6 +234,7 @@ def forward_batch(model: MLPModel, x: np.ndarray) -> BatchCache:
 
 
 def batch_logits(model: MLPModel, x: np.ndarray) -> np.ndarray:
+    """``forward_batch(model, x).logits``."""
     return forward_batch(model, x).logits
 
 
@@ -290,11 +250,8 @@ class Workspace:
     buffer per key, which grows to the largest request and never shrinks,
     so repeated requests of the same or a smaller size allocate nothing.
     A larger request releases the smaller buffer before it allocates the
-    new one, so the two are never both held by the workspace.
-    A view stays valid until the next request under its key.
-    ``forward_into`` keys its buffers by layer index: the hidden layers'
-    hold one row block, the logits' all the rows it is given.
-    """
+    new one, so the two are never both held by the workspace. A view stays
+    valid until the next request under its key."""
 
     def __init__(self):
         self.buffers: Dict[object, np.ndarray] = {}
@@ -310,11 +267,9 @@ class Workspace:
 
 def block_cuts(n: int, widest: int) -> List[int]:
     """Cuts ``[c_0, ..., c_q]`` of n rows into q = max(1, n // R) blocks,
-    R = max(1, ``BLOCK_ELEMENTS`` // ``widest``), with c_b = n * b // q.
-
-    Block sizes differ by at most one row, so no block holds more than
-    ceil(n / q) rows, and when n >= R every block holds R to 2R - 1 rows.
-    """
+    R = max(1, ``BLOCK_ELEMENTS`` // ``widest``), with c_b = n * b // q. Block
+    sizes differ by at most one row, so no block holds more than ceil(n / q)
+    rows, and when n >= R every block holds R to 2R - 1 rows."""
     blocks = max(1, n // max(1, BLOCK_ELEMENTS // widest))
     return [n * b // blocks for b in range(blocks + 1)]
 
@@ -323,12 +278,14 @@ def forward_into(model: MLPModel, x: np.ndarray, workspace: Workspace) -> np.nda
     """Logits of one (unstacked) model over ``(n, input_dim)`` rows.
 
     The rows run through ``_layers_into`` in the blocks of ``block_cuts(n,
-    widest fan_out)``, so input under 2R rows is one block. Hidden layer i
-    writes into ``workspace``'s buffer ``i``, one block (ceil(n / q) rows)
-    long; the logits go into the last layer's buffer, all n rows, and are a
-    view that the workspace's next forward overwrites. Each block's logits
-    are bit for bit ``forward_batch(...).logits`` of that block's rows.
-    """
+    widest fan_out)``. Hidden layer i writes into ``workspace``'s buffer
+    ``i``, one block (ceil(n / q) rows) long; the logits go into the last
+    layer's buffer, all n rows, a view that the workspace's next forward
+    overwrites. Each block's logits are bit for bit ``forward_batch`` logits
+    of that block's rows, and equal those of one ``forward_batch`` over all
+    the rows wherever OpenBLAS rounds a row the same at any row count, as
+    the tests check for hidden widths 32, 64 and 256; at some other widths,
+    478 for one, a logit can differ in the last bit."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     if model.stack_size is not None or x.ndim != 2 \
             or x.shape[1] != model.input_dim:
@@ -349,22 +306,18 @@ def forward_into(model: MLPModel, x: np.ndarray, workspace: Workspace) -> np.nda
 
 def row_max(x: np.ndarray) -> np.ndarray:
     """``x.max(axis=1)`` of a 2-D array, bit for bit, since max is exact.
-
     Reducing a transposed copy runs one vectorised maximum per column
     instead of a short inner loop per row: 6 against 22 us at 320 x 10 on
-    one core of a 2-vCPU Xeon VM.
-    """
+    one core of a 2-vCPU Xeon VM."""
     return np.ascontiguousarray(x.T).max(axis=0)
 
 
 def ce_rows(logits: np.ndarray, m: np.ndarray, at: np.ndarray) -> tuple:
-    """Per-row cross-entropy and softmax probabilities of ``(n, K)`` logits.
-
-    Returns (losses, probs); callers reuse probs to assemble the gradient
+    """Per-row cross-entropy and softmax probabilities of ``(n, K)`` logits,
+    as (losses, probs); callers reuse probs to assemble the gradient
     softmax(logits) - onehot(label). ``m`` is the logits' row max as a
     column and ``at`` the labels' flat positions ``label_positions(labels,
-    K)``. Labels must lie in [0, K): the flat gather does not check them.
-    """
+    K)``. Labels must lie in [0, K): the flat gather does not check them."""
     e = np.subtract(logits, m)
     np.exp(e, out=e)
     s = e.sum(axis=1, keepdims=True)
@@ -384,14 +337,11 @@ def label_positions(labels: np.ndarray, k: int) -> np.ndarray:
 
 def backward_batch(model: MLPModel, cache: BatchCache, dlogits: np.ndarray,
                    out: List[tuple]) -> List[tuple]:
-    """Exact gradients of the scalar loss whose logit gradient is given.
-
-    Writes one ``(dW, db)`` pair per layer, shapes matching the parameters,
-    into ``out``'s arrays (``train`` passes views of its flat gradient
-    buffer) and returns ``out``. Every layer below the last is relu; the
-    gradient reaching it passes where its relu output is positive, which is
-    exactly where its input was (NaN and +-0.0 fail both tests).
-    """
+    """Exact gradients of the scalar loss whose logit gradient is given,
+    one ``(dW, db)`` pair per layer, written into ``out``'s arrays (``train``
+    passes views of its flat gradient buffer) and returned as ``out``. The
+    gradient reaching a relu layer passes where its output is positive,
+    which is exactly where its input was (NaN and +-0.0 fail both tests)."""
     dlogits = np.ascontiguousarray(dlogits, dtype=np.float64)
     if dlogits.shape != cache.logits.shape:
         raise DimensionError(
@@ -460,14 +410,14 @@ def train(model: MLPModel, features: np.ndarray, labels: np.ndarray,
           ) -> TrainResult:
     """Mini-batch SGD on a copy of ``model``; the input model is untouched.
 
-    ``model`` is one model or a stack of M. Member j of a stack shuffles
-    with seed ``config.seed + j``: epoch t visits the rows in the order of
-    the counter-based stream (seed + j, t), gathered as
-    ``features[order[:, s:e]]``, so training is reproducible regardless of
-    global RNG state and member j ends exactly as training it alone under
-    seed ``config.seed + j`` would leave it. ``on_epoch_end(epoch, model)``
-    fires once per epoch with the whole live model or stack.
-    """
+    ``model`` is one model or a stack of M, whose members train in lockstep,
+    one step per mini-batch. Member j of a stack shuffles with seed
+    ``config.seed + j``: epoch t visits the rows in the order of the
+    counter-based stream (seed + j, t), gathered as ``features[order[:,
+    s:e]]``, so member j ends bit for bit as training it alone under that
+    seed would leave it, whatever the global RNG state.
+    ``on_epoch_end(epoch, model)`` fires once per epoch with the whole live
+    model or stack."""
     features = np.ascontiguousarray(features, dtype=np.float64)
     labels = np.ascontiguousarray(labels, dtype=np.int64)
     n = features.shape[0]
@@ -495,21 +445,18 @@ def _train_epoch(model: MLPModel, features: np.ndarray, objective: Objective,
                  params: np.ndarray, grads: np.ndarray, velocity: np.ndarray,
                  config: TrainConfig, epoch: int) -> None:
     """One epoch of steps; the stacked shuffle and the last batch's arrays
-    die on return, before ``on_epoch_end`` runs.
-
-    ``params`` is the flat buffer that the model's layers view, and
-    ``grads`` and ``velocity`` are flat buffers of the same layout.
-    ``backward_batch`` writes each step's gradients into views of
-    ``grads``, so no step allocates them, and ``sgd_step`` runs its three
-    in-place ops over the whole buffers: per element the same arithmetic
-    as one update per array.
+    die on return, before ``on_epoch_end`` runs. ``params`` is the flat
+    buffer that the model's layers view, and ``grads`` and ``velocity`` are
+    flat buffers of the same layout: ``backward_batch`` writes each step's
+    gradients into views of ``grads``, and ``sgd_step`` runs its three
+    in-place ops over the whole buffers, per element the same arithmetic as
+    one update per array.
 
     Bias gradients are the einsum ``"...bf->...f"``. For fan_out F >= 2,
     ``dz.sum(axis=-2)`` adds the rows one after another, and so does the
     einsum, bit for bit, in about a third of the time at 64 rows. At F = 1
     the rows are contiguous, so ``sum`` adds them in pairwise order, which
-    the einsum does not follow; that case keeps ``sum``.
-    """
+    the einsum does not follow; that case keeps ``sum``."""
     grad_views = _views(grads, model)
     n = features.shape[0]
     size = model.stack_size

@@ -22,11 +22,9 @@ SEED_LIMIT = 2 ** 64
 
 
 def stream_rng(seed: int, stream: int, index: int = 0) -> np.random.Generator:
-    """Return a Generator for the (seed, stream, index) triple.
-
-    `index` varies the stream within a tag, e.g. the epoch number for
-    per-epoch shuffles. A seed outside [0, SEED_LIMIT) raises ValueError.
-    """
+    """A Generator for the (seed, stream, index) triple. ``index`` varies
+    the stream within a tag, e.g. the epoch number for per-epoch shuffles. A
+    seed outside [0, SEED_LIMIT) raises ValueError."""
     if not 0 <= seed < SEED_LIMIT:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     if index < 0:

@@ -3,13 +3,8 @@
 A scenario names the kind of update (retrain, capacity change, data growth,
 class growth, combined changes, or fine-tuning), the model shapes, and the
 data filters for each side. ``build_scenario`` resolves it once against a
-concrete dataset, so every method run of the same scenario sees identical
-data. Each side becomes a ``TrainingJob``: the training rows it sees (row
-indices, not a feature copy), labelled in its label space, which is its
-sorted class subset relabelled 0..k-1 (all classes when it has none). The
-evaluation set is the test rows of the old side's classes, labelled in the
-new model's label space, and ``old_to_new`` maps each old-model class into
-that space too.
+concrete dataset into a ``ScenarioPlan``, so every method run of the same
+scenario sees identical data.
 """
 
 from __future__ import annotations
@@ -22,9 +17,13 @@ import numpy as np
 
 from .datasets import SPLIT_TEST, SPLIT_TRAIN, Dataset
 from .rng import SEED_LIMIT, STREAM_SUBSET, stream_rng
+from .tables import check_finite
 
 
 class ScenarioKind(str, Enum):
+    """The kind of an update; ``reference_scenario`` gives each one its
+    desk-scale pairing."""
+
     SAME_ARCH_RETRAIN = "same_arch_retrain"
     ARCH_CHANGE = "arch_change"
     SAMPLE_GROWTH = "sample_growth"
@@ -36,17 +35,14 @@ class ScenarioKind(str, Enum):
 @dataclass(frozen=True)
 class ModelSpec:
     """Hidden-layer widths; input and output sizes come from the data.
-
-    ``nn`` applies relu after every layer but a model's last, which emits
-    raw logits, so ``activation`` can only be ``relu``. The field is kept
-    so that config documents and ``artifacts.json`` keep their
-    ``activation`` key.
-    """
+    ``activation`` can only be relu (``nn.MLPModel``); the field keeps the
+    ``activation`` key of config documents and ``artifacts.json``."""
 
     hidden_dims: Tuple[int, ...] = (32,)
     activation: str = "relu"
 
     def __post_init__(self):
+        check_finite(self)
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
         if any(d < 1 for d in self.hidden_dims):
             raise ValueError("hidden dims must be >= 1")
@@ -67,6 +63,7 @@ class DataFilter:
     subset_seed: int = 0
 
     def __post_init__(self):
+        check_finite(self)
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ValueError("sample_fraction must be in (0, 1]")
         if not 0 <= self.subset_seed < SEED_LIMIT:
@@ -111,6 +108,9 @@ class DataFilter:
 
 @dataclass(frozen=True)
 class UpdateScenario:
+    """One update: its kind, each side's model and data filter, and whether
+    the new side starts from the old side's weights."""
+
     kind: ScenarioKind
     old_model: ModelSpec = field(default_factory=ModelSpec)
     new_model: ModelSpec = field(default_factory=ModelSpec)
@@ -137,8 +137,9 @@ class UpdateScenario:
 
 @dataclass
 class TrainingJob:
-    """One side's training data: ``rows`` of the dataset, their ``labels``
-    in the side's label space, and the side's layer ``dims``."""
+    """One side's training data: ``rows``, indices of the dataset's rows it
+    sees (no feature copy), their ``labels`` in the side's label space (its
+    sorted classes relabelled 0..k-1), and the side's layer ``dims``."""
 
     rows: np.ndarray
     labels: np.ndarray
@@ -156,7 +157,8 @@ class EvalPlan:
 
 @dataclass
 class ScenarioPlan:
-    """A scenario resolved against a dataset (module docstring)."""
+    """A scenario resolved against a dataset: each side's job, the eval
+    plan, and ``old_to_new[j]``, the new model's class for old class j."""
 
     old_job: TrainingJob
     new_job: TrainingJob
@@ -192,10 +194,6 @@ def build_scenario(scenario: UpdateScenario, dataset: Dataset) -> ScenarioPlan:
 
 # ---------------------------------------------------------------------------
 # reference desk-scale setup
-#
-# The cluster spread below was fixed by a one-time calibration run so that
-# plain cross-entropy training of the small model lands in the 15-30% test
-# error band (errors must exist for flips to exist).
 
 REFERENCE_SMALL = ModelSpec(hidden_dims=(32,))
 REFERENCE_LARGE = ModelSpec(hidden_dims=(64, 64))

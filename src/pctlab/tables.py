@@ -12,8 +12,8 @@ gives it no key, and ``{"flat": True}`` puts the keys of the nested
 dataclass in its parent's mapping. ``as_record`` is the one walker from a
 dataclass to the mapping a file holds: the flip reports, the rows of every
 ``Table``, and ``artifacts.json`` with its config blocks. ``config`` reads
-the same keys back. ``check_finite`` walks the same fields: a config
-dataclass calls it to reject a nan or infinite number.
+the same keys back, and a config dataclass rejects a bad number through
+``check_finite``.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ import numbers
 from functools import lru_cache
 from dataclasses import Field, dataclass, field, fields, is_dataclass
 from enum import Enum
-from typing import Iterable, List, Optional, Sequence
+from typing import (Iterable, List, Optional, Sequence, Union, get_args,
+                    get_origin, get_type_hints)
 
 
 def field_key(f: Field) -> Optional[str]:
@@ -37,11 +38,9 @@ def field_key(f: Field) -> Optional[str]:
 def as_record(obj) -> dict:
     """Dataclass instance ``obj`` as ``{key: value}`` in field order, keyed
     by ``field_key``, flat fields merged in. Nested dataclasses become
-    mappings, lists and tuples lists, enums their values.
-
-    Unlike ``dataclasses.asdict`` it copies no other value: the files it
-    feeds read each value once, so a deep copy would only cost time.
-    """
+    mappings, lists and tuples lists, enums their values. Unlike
+    ``dataclasses.asdict`` it copies no other value: the files it feeds read
+    each value once, so a deep copy would only cost time."""
     record = {}
     for name, key, flat in _layout(type(obj)):
         value = getattr(obj, name)
@@ -53,13 +52,39 @@ def as_record(obj) -> dict:
 
 
 def check_finite(obj, error: type = ValueError) -> None:
-    """Raise ``error`` naming the first non-integer number field of
-    dataclass ``obj`` that holds nan or an infinity."""
+    """Raise ``error`` naming the first field of dataclass ``obj`` that holds
+    nan or an infinity, or a value that ``is_integer`` rejects in an int
+    field or a tuple-of-ints entry, where ``int`` would truncate 0.5."""
+    integer = _integer_fields(type(obj))
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if isinstance(value, numbers.Real) and not isinstance(
-                value, numbers.Integral) and not math.isfinite(value):
-            raise error(f"{f.name} must be finite, got {value!r}")
+        if f.name not in integer:
+            if isinstance(value, numbers.Real) and not isinstance(
+                    value, numbers.Integral) and not math.isfinite(value):
+                raise error(f"{f.name} must be finite, got {value!r}")
+        elif not integer[f.name]:
+            if not is_integer(value):
+                raise error(f"{f.name} must be an integer, got {value!r}")
+        elif value is not None and not all(map(is_integer, value)):
+            raise error(f"{f.name} must list integers, got {value!r}")
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is a ``numbers.Integral`` other than a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+@lru_cache(maxsize=None)
+def _integer_fields(cls) -> dict:
+    """``{name: listed}`` for each field of ``cls`` typed ``int`` (listed
+    False) or a tuple of ints, optional or not (listed True)."""
+    found = {}
+    for name, tp in get_type_hints(cls).items():
+        if get_origin(tp) is Union:  # Optional[T]
+            tp = get_args(tp)[0]
+        if tp is int or (get_origin(tp) is tuple and get_args(tp)[0] is int):
+            found[name] = tp is not int
+    return found
 
 
 @lru_cache(maxsize=None)

@@ -254,6 +254,25 @@ def test_the_python_api_rejects_non_finite_numbers(make, name, value):
         make(value)
 
 
+@pytest.mark.parametrize("make, name, value", [
+    (lambda v: TrainConfig(seed=v), "seed", 0.5),
+    (lambda v: TrainConfig(epochs=v), "epochs", True),
+    (lambda v: TrainConfig(batch_size=v), "batch_size", 2.5),
+    (lambda v: TrainConfig(lr_decay_every=v), "lr_decay_every", 2.0),
+    (lambda v: SyntheticSpec(seed=v), "seed", 7.5),
+    (lambda v: SyntheticSpec(num_classes=v), "num_classes", 4.0),
+    (lambda v: ExperimentConfig(repetitions=v), "repetitions", 1.5),
+    (lambda v: ExperimentConfig(ensemble_size=v), "ensemble_size", True),
+    (lambda v: DataFilter(subset_seed=v), "subset_seed", 0.5),
+])
+def test_the_python_api_rejects_non_integers_in_integer_fields(make, name,
+                                                               value):
+    # seed=0.5 trained as seed 0 but recorded seed 1000.5, and
+    # batch_size=2.5 or repetitions=1.5 failed later, inside training
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        make(value)
+
+
 def test_numbers_that_yaml_reads_as_strings_still_load():
     # YAML 1.1 floats need a dot in the mantissa, so 1e-3 is a string
     assert loads_config("train: {learning_rate: 1e-3}").train.learning_rate == 1e-3

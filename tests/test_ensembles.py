@@ -247,6 +247,10 @@ def test_sweep_validates_sizes_and_seed_ranges(data):
         sweep_ensemble_size([5, 4], [5, 4], data, CFG, [1, 1, 2], 0, 100)
     with pytest.raises(ValueError, match="overlap"):
         sweep_ensemble_size([5, 4], [5, 4], data, CFG, [1, 4], 0, 2)
+    # int() read [2.5, 2] as [2, 2], which failed as not ascending
+    for sizes in ([2.5, 2], [1, True]):
+        with pytest.raises(ValueError, match="sizes must be integers"):
+            sweep_ensemble_size([5, 4], [5, 4], data, CFG, sizes, 0, 100)
 
 
 def test_sweep_prefix_rows_match_direct_ensembles(data, train_xy):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pctlab import harness, nn, reports
+from pctlab import ensembles, harness, nn, reports
 from pctlab.datasets import SyntheticSpec, generate
 from pctlab.flips import report_from_arrays
 from pctlab.harness import (ENSEMBLE_REP_STRIDE, ENSEMBLE_SEED_OFFSET,
@@ -691,6 +691,15 @@ def test_sweep_ensemble_rejects_sizes_outside_the_seed_layout(small_config,
     assert sizes_trained == []
     sweep_ensemble(small_config, [ENSEMBLE_REP_STRIDE - 1])
     assert sizes_trained == [[ENSEMBLE_REP_STRIDE - 1]]
+
+
+def test_sweep_ensemble_rejects_non_integer_sizes_before_training(
+        small_config, monkeypatch):
+    monkeypatch.setattr(ensembles, "train_ensemble",
+                        lambda *args, **kwargs: pytest.fail("trained"))
+    with pytest.raises(ValueError,
+                       match=r"^ensemble sizes must be integers, got \[2\.5, 2\]"):
+        sweep_ensemble(small_config, [2.5, 2])
 
 
 def test_fine_tune_with_zero_epochs_scores_the_old_model():

@@ -1,8 +1,9 @@
-"""The package namespace: every exported name resolves, and the per-sample
-and per-record oracles that moved to ``tests/oracles.py``, the record-level
-flip API, the dataset views and the names that only tests reached, all
-deleted, stay out of it. No module imports a name it never loads, except
-the ones the benchmark's tracer patches."""
+"""The package namespace: every exported name resolves and has its own
+docstring, and the per-sample and per-record oracles that moved to
+``tests/oracles.py``, the record-level flip API, the dataset views and the
+names that only tests reached, all deleted, stay out of it. No module
+imports a name it never loads, except the ones the benchmark's tracer
+patches."""
 
 import ast
 import inspect
@@ -18,6 +19,19 @@ def test_every_exported_name_resolves():
     assert len(set(pctlab.__all__)) == len(pctlab.__all__)
     missing = [name for name in pctlab.__all__ if not hasattr(pctlab, name)]
     assert missing == []
+
+
+def test_every_exported_name_has_a_docstring():
+    undocumented = []
+    for name in pctlab.__all__:
+        obj = getattr(pctlab, name)
+        if not callable(obj):  # METHODS and __version__ are values
+            continue
+        doc = obj.__doc__
+        # a dataclass without one gets its generated signature
+        if not doc or doc.startswith(f"{obj.__name__}("):
+            undocumented.append(name)
+    assert undocumented == []
 
 
 def test_oracles_live_only_in_the_tests():

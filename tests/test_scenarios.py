@@ -22,6 +22,8 @@ def data():
 def test_model_spec_dims():
     assert ModelSpec(hidden_dims=(32,)).dims(20, 10) == [20, 32, 10]
     assert ModelSpec(hidden_dims=(64, 64)).dims(5, 3) == [5, 64, 64, 3]
+    # numpy integers are integers, and become plain ints
+    assert ModelSpec(hidden_dims=np.array([8, 4])).hidden_dims == (8, 4)
     with pytest.raises(ValueError):
         ModelSpec(hidden_dims=(0,))
 
@@ -62,6 +64,19 @@ def test_data_filter_validation():
         DataFilter(sample_fraction=0.0)
     with pytest.raises(ValueError):
         DataFilter(sample_fraction=1.5)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: ModelSpec(hidden_dims=(2.5, 7.9)), "hidden_dims"),
+    (lambda: ModelSpec(hidden_dims=[64, True]), "hidden_dims"),
+    (lambda: ModelSpec(hidden_dims="64"), "hidden_dims"),
+    (lambda: DataFilter(class_subset=(0, 1.5)), "class_subset"),
+    (lambda: DataFilter(class_subset=[0.0, 1.0]), "class_subset"),
+])
+def test_list_entries_must_be_integers(make, name):
+    # int() read (2.5, 7.9) as (2, 7) and "64" as (6, 4)
+    with pytest.raises(ValueError, match=f"^{name} must list integers, got "):
+        make()
 
 
 def test_reference_scenarios_cover_all_kinds():

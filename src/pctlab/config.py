@@ -5,7 +5,9 @@ scenario, the training schedule, the update method, and its PC-loss
 hyperparameters, under the keys that ``tables.as_record`` writes, plus the
 ``SweepLists``. Unknown keys are rejected so typos fail loudly instead of
 silently using defaults. ``from_document`` reads each value through
-``_coerce``, and a block's own check, run when its dataclass is built,
+``tables.check_value``, the walker that also checks every field a
+dataclass is built with, so a value means the same in a document and in
+Python. A block's own check, run when its dataclass is built,
 raises its own error type with the block's name in front, as in
 ``scenario.new_data: class_subset must name at least 2 classes``.
 ``reports`` reads ``artifacts.json`` back through ``from_document``.
@@ -17,16 +19,13 @@ not load it.
 
 from __future__ import annotations
 
-import math
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
-from enum import Enum
-from typing import (List, Optional, Sequence, Tuple, Union, get_args,
-                    get_origin, get_type_hints)
+from dataclasses import MISSING, dataclass, fields, replace
+from typing import List, Optional, Sequence, Tuple
 
 from .datasets import SyntheticSpec
 from .harness import METHODS, ExperimentConfig
 from .scenarios import ScenarioKind, UpdateScenario, reference_scenario
-from .tables import field_key
+from .tables import check_fields, check_value, field_key, type_hints
 
 
 class ConfigError(ValueError):
@@ -37,12 +36,15 @@ class ConfigError(ValueError):
 class SweepLists:
     """The optional top-level lists of the sweep subcommands: ``methods``
     (compare), ``focal_grid`` (sweep-focal, alpha/beta pairs) and
-    ``ensemble_sizes`` (sweep-ensemble). Entries follow ``_coerce``."""
+    ``ensemble_sizes`` (sweep-ensemble)."""
     methods: Tuple[str, ...] = METHODS
     focal_grid: Tuple[Tuple[float, float], ...] = (
         (0.0, 1.0), (1.0, 0.0), (1.0, 1.0), (1.0, 2.0), (1.0, 5.0),
         (1.0, 10.0), (1.0, 20.0))
     ensemble_sizes: Tuple[int, ...] = (1, 2, 4, 8, 16)
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 def _check_keys(mapping: dict, allowed: Sequence[str], where: str) -> None:
@@ -59,68 +61,23 @@ def _keys(cls) -> List[str]:
     keys = []
     for f in fields(cls):
         if f.metadata.get("flat"):
-            keys += _keys(get_type_hints(cls)[f.name])
+            keys += _keys(type_hints(cls)[f.name])
         elif field_key(f) is not None:
             keys.append(field_key(f))
     return keys
 
 
 def _coerce(tp, value, where: str):
-    """``value`` as type ``tp``; a dataclass is a block named ``where``. An
-    int takes an integral number, a float any finite number, a bool only
-    true or false, a string only a string, an enum one of its values, and a
-    tuple only a list (of the tuple's length when it has one). A string in a
-    number field is parsed as that type. Anything else is a ConfigError that
-    names ``where``."""
-    if is_dataclass(tp):
-        return from_document(tp, value, where)
-    if get_origin(tp) is Union:  # Optional[T]
-        return None if value is None else _coerce(get_args(tp)[0], value, where)
-    if get_origin(tp) in (tuple, list):
-        # a string or a number is not a list: "64" would load as (6, 4)
-        if not isinstance(value, list):
-            raise ConfigError(f"{where} must be a list, got {value!r}")
-        types = get_args(tp)
-        if get_origin(tp) is list or types[-1] is Ellipsis:
-            types = types[:1] * len(value)
-        elif len(value) != len(types):
-            raise ConfigError(f"{where} must be a list of {len(types)}, "
-                              f"got {value!r}")
-        return get_origin(tp)(_coerce(t, v, where) for t, v in zip(types, value))
-    if issubclass(tp, str):
-        # str(['kl']) or str(5) would load as a name nobody wrote
-        if not isinstance(value, str):
-            raise ConfigError(f"{where} must be a string, got {value!r}")
-        if issubclass(tp, Enum) and value not in {m.value for m in tp}:
-            raise ConfigError(f"{where} must be one of "
-                              f"{[m.value for m in tp]}, got {value!r}")
-        return tp(value)
-    if isinstance(value, str) and tp in (int, float):
-        # PyYAML reads 1e-3 (no dot in the mantissa) and nan as strings
-        try:
-            value = tp(value)
-        except ValueError:
-            raise ConfigError(
-                f"{where} must be {tp.__name__}, got {value!r}") from None
-    if tp is int and isinstance(value, float) and value.is_integer():
-        value = int(value)
-    # bool is an int subclass, so int(True) and float(True) would pass, and
-    # int(3.7), bool("no") and float(None) would misread the value or fail
-    # without naming its key
-    if (isinstance(value, bool) != (tp is bool)
-            or not isinstance(value, (int, float))
-            or (tp is int and isinstance(value, float))):
-        raise ConfigError(f"{where} must be {tp.__name__}, got {value!r}")
-    value = tp(value)
-    if tp is float and not math.isfinite(value):
-        raise ConfigError(f"{where} must be finite, got {value!r}")
-    return value
+    """``value`` of a document as type ``tp`` by ``tables.check_value``,
+    which reads a block through ``from_document``; a ConfigError names
+    ``where``."""
+    return check_value(tp, value, where, ConfigError, from_document)
 
 
 def _decode(cls, doc: dict, where: str, given: dict):
     """``cls`` from block ``doc``, whose keys the caller has checked;
     ``where`` names the block ("" at the top level)."""
-    hints = get_type_hints(cls)
+    hints = type_hints(cls)
     for f in fields(cls):
         key = field_key(f)
         if f.name in given or key is None:

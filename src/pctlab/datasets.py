@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .rng import SEED_LIMIT, STREAM_DATA, STREAM_NOISE, stream_rng
-from .tables import check_finite, csv_text
+from .tables import check_fields, csv_text
 
 SPLIT_TRAIN = 0
 SPLIT_VALIDATION = 1
@@ -40,7 +40,7 @@ class SyntheticSpec:
     seed: int = 7
 
     def __post_init__(self):
-        check_finite(self, DegenerateSpecError)
+        check_fields(self, DegenerateSpecError)
         if self.num_classes < 2:
             raise DegenerateSpecError("need at least 2 classes")
         if self.samples_per_class < 2:

@@ -10,7 +10,7 @@ side, and ``sweep_ensemble_size`` measures flips against ensemble size.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .losses import make_ce_objective
 # tracer-only import: see tests/test_package.py::TRACER_ONLY_IMPORTS
 from .nn import (MLPModel, Objective, TrainConfig, Workspace, batch_logits,
                  block_cuts, forward_into, init_model, stack_models, train)
-from .tables import Table, is_integer
+from .tables import Table, check_value
 
 
 @dataclass
@@ -161,10 +161,7 @@ def sweep_ensemble_size(old_dims: Sequence[int], new_dims: Sequence[int],
     Trains max(sizes) members per side once and scores every size L on the
     first L members: exactly the ensemble ``train_ensemble`` would produce
     for that L. Seed ranges for the two sides must not overlap."""
-    sizes = list(sizes)
-    if not all(map(is_integer, sizes)):
-        raise ValueError(f"ensemble sizes must be integers, got {sizes}")
-    sizes = [int(s) for s in sizes]
+    sizes = check_value(Tuple[int, ...], list(sizes), "ensemble sizes")
     if not sizes or sizes[0] < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly ascending and >= 1")
     top = sizes[-1]

@@ -37,7 +37,7 @@ from .nn import (MLPModel, TrainConfig, Workspace, batch_logits, predict_batch,
 from .rng import SEED_LIMIT
 from .scenarios import (ScenarioKind, ScenarioPlan, UpdateScenario,
                         build_scenario, reference_scenario)
-from .tables import Table, check_finite
+from .tables import Table, check_fields, check_value
 
 METHODS = ("no_treatment", "naive", "fd_kl", "fd_lm", "ensemble")
 
@@ -104,7 +104,7 @@ class ExperimentConfig:
     output_dir: Optional[str] = None
 
     def __post_init__(self):
-        check_finite(self)
+        check_fields(self)
         if not 1 <= self.repetitions <= MAX_REPETITIONS:
             raise ValueError(f"repetitions must be in [1, {MAX_REPETITIONS}]")
         if not 1 <= self.ensemble_size < ENSEMBLE_REP_STRIDE:
@@ -382,12 +382,12 @@ def sweep_focal(config: ExperimentConfig,
     one ``FocalSweepRow`` each, full results keyed by the pair."""
     if config.pc.mode != "focal":
         raise ValueError("focal sweep needs method fd_kl or fd_lm")
-    grid = [(float(a), float(b)) for a, b in grid]
+    # a bad pair fails here, before anything trains
+    filters = [FilterSpec(a, b) for a, b in grid]
+    grid = [(f.alpha, f.beta) for f in filters]
     if not grid or len(set(grid)) != len(grid):
         raise ValueError("grid must be non-empty and unique")
-    # a bad pair fails here, before anything trains
-    configs = [replace(config, pc=replace(config.pc, filter=FilterSpec(a, b)))
-               for a, b in grid]
+    configs = [replace(config, pc=replace(config.pc, filter=f)) for f in filters]
     if state is None:
         state = prepare_scenario(config)
 
@@ -407,6 +407,8 @@ def sweep_ensemble(config: ExperimentConfig, sizes: Sequence[int],
     outside ``ExperimentConfig``'s ``ensemble_size`` bound raises ValueError
     before anything trains. ``max_workers`` is ignored, since each side
     trains as one stack; pctbench/workloads.py still passes it."""
+    sizes = list(sizes)
+    check_value(Tuple[int, ...], sizes, "ensemble sizes")
     if any(s >= ENSEMBLE_REP_STRIDE for s in sizes):
         raise ValueError(f"ensemble sizes must be below {ENSEMBLE_REP_STRIDE}")
     dataset = generate(config.dataset)

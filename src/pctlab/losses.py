@@ -19,7 +19,7 @@ import numpy as np
 # tracer-only import: see tests/test_package.py::TRACER_ONLY_IMPORTS
 from .nn import (DimensionError, MLPModel, Workspace, batch_logits, ce_rows,
                  forward_into, label_positions, row_max)
-from .tables import check_finite
+from .tables import check_fields
 
 DISTANCE_KINDS = ("kl", "logit_match")
 PC_MODES = ("none", "naive", "focal")
@@ -34,7 +34,7 @@ class FilterSpec:
     beta: float = 5.0
 
     def __post_init__(self):
-        check_finite(self)
+        check_fields(self)
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("filter weights must be non-negative")
 
@@ -48,7 +48,7 @@ class DistanceSpec:
     tau: float = 100.0
 
     def __post_init__(self):
-        check_finite(self)
+        check_fields(self)
         if self.kind not in DISTANCE_KINDS:
             raise ValueError(f"unknown distance kind {self.kind!r}")
         if self.tau <= 0:
@@ -70,7 +70,7 @@ class PCLossConfig:
                                    metadata={"flat": True})
 
     def __post_init__(self):
-        check_finite(self)
+        check_fields(self)
         if self.mode not in PC_MODES:
             raise ValueError(f"unknown PC mode {self.mode!r}")
         if self.lam < 0:

@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from .rng import STREAM_INIT, STREAM_SHUFFLE, stream_rng
-from .tables import check_finite
+from .tables import check_fields
 
 # float64 elements of the widest layer's output in one evaluation block:
 # 2 MB, one core's L2 on the Xeon this was measured on
@@ -135,7 +135,7 @@ class TrainConfig:
     weight_init: str = "glorot_uniform"
 
     def __post_init__(self):
-        check_finite(self)
+        check_fields(self)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if not 0.0 <= self.momentum < 1.0:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .datasets import SPLIT_TEST, SPLIT_TRAIN, Dataset
 from .rng import SEED_LIMIT, STREAM_SUBSET, stream_rng
-from .tables import check_finite
+from .tables import check_fields
 
 
 class ScenarioKind(str, Enum):
@@ -42,8 +42,7 @@ class ModelSpec:
     activation: str = "relu"
 
     def __post_init__(self):
-        check_finite(self)
-        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
+        check_fields(self)
         if any(d < 1 for d in self.hidden_dims):
             raise ValueError("hidden dims must be >= 1")
         if self.activation != "relu":
@@ -63,15 +62,13 @@ class DataFilter:
     subset_seed: int = 0
 
     def __post_init__(self):
-        check_finite(self)
+        check_fields(self)
         if not 0.0 < self.sample_fraction <= 1.0:
             raise ValueError("sample_fraction must be in (0, 1]")
         if not 0 <= self.subset_seed < SEED_LIMIT:
             raise ValueError(
                 f"subset_seed must be in [0, 2**64), got {self.subset_seed}")
         if self.class_subset is not None:
-            object.__setattr__(self, "class_subset",
-                               tuple(int(c) for c in self.class_subset))
             if not self.class_subset:
                 raise ValueError("class subset must be nonempty")
             if len(set(self.class_subset)) < 2:
@@ -119,7 +116,7 @@ class UpdateScenario:
     init_from_old: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "kind", ScenarioKind(self.kind))
+        check_fields(self)
         if self.kind is ScenarioKind.FINE_TUNE:
             if self.old_model != self.new_model or not self.init_from_old:
                 raise ValueError(

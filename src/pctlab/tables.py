@@ -12,8 +12,10 @@ gives it no key, and ``{"flat": True}`` puts the keys of the nested
 dataclass in its parent's mapping. ``as_record`` is the one walker from a
 dataclass to the mapping a file holds: the flip reports, the rows of every
 ``Table``, and ``artifacts.json`` with its config blocks. ``config`` reads
-the same keys back, and a config dataclass rejects a bad number through
-``check_finite``.
+the same keys back. ``check_value`` is the one walker from a type hint to
+the values a field may hold: every config dataclass runs it on its fields
+through ``check_fields``, and ``config`` on each value of a document, so
+whatever a run writes reads back as the same value.
 """
 
 from __future__ import annotations
@@ -23,11 +25,14 @@ import io
 import json
 import math
 import numbers
+from collections.abc import Collection, Mapping
 from functools import lru_cache
 from dataclasses import Field, dataclass, field, fields, is_dataclass
 from enum import Enum
-from typing import (Iterable, List, Optional, Sequence, Union, get_args,
-                    get_origin, get_type_hints)
+from typing import (Callable, Iterable, List, Optional, Sequence, Union,
+                    get_args, get_origin, get_type_hints)
+
+import numpy as np
 
 
 def field_key(f: Field) -> Optional[str]:
@@ -51,40 +56,77 @@ def as_record(obj) -> dict:
     return record
 
 
-def check_finite(obj, error: type = ValueError) -> None:
-    """Raise ``error`` naming the first field of dataclass ``obj`` that holds
-    nan or an infinity, or a value that ``is_integer`` rejects in an int
-    field or a tuple-of-ints entry, where ``int`` would truncate 0.5."""
-    integer = _integer_fields(type(obj))
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if f.name not in integer:
-            if isinstance(value, numbers.Real) and not isinstance(
-                    value, numbers.Integral) and not math.isfinite(value):
-                raise error(f"{f.name} must be finite, got {value!r}")
-        elif not integer[f.name]:
-            if not is_integer(value):
-                raise error(f"{f.name} must be an integer, got {value!r}")
-        elif value is not None and not all(map(is_integer, value)):
-            raise error(f"{f.name} must list integers, got {value!r}")
+def check_value(tp, value, name: str, error: type = ValueError,
+                decode: Optional[Callable] = None):
+    """``value`` in the normal form of type hint ``tp``, or ``error`` naming
+    ``name``: the one rule for what a config field may hold. A numpy value
+    counts as its Python value. An int takes only an integer, a float any
+    finite number, a bool only True or False, a string only a string, an
+    enum one of its values, a tuple any collection but a string or a mapping
+    (of the tuple's length when it has one), and a dataclass an instance.
+    ``decode(cls, block, name)``, given only for a document, reads a block
+    into dataclass ``cls``; there a number may also be written as a string,
+    since PyYAML reads 1e-3 and nan as strings, and an int takes 2.0."""
+    if get_origin(tp) is Union:  # Optional[T]
+        return None if value is None else check_value(
+            get_args(tp)[0], value, name, error, decode)
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
+    if is_dataclass(tp):
+        if decode is not None:
+            value = decode(tp, value, name)
+        if not isinstance(value, tp):
+            raise error(f"{name} must be {tp.__name__}, got {value!r}")
+        return value
+    if get_origin(tp) in (tuple, list):
+        # a string is not a list: "64" would read as (6, 4)
+        if isinstance(value, (str, Mapping)) or not isinstance(value, Collection):
+            raise error(f"{name} must be a list, got {value!r}")
+        types = get_args(tp)
+        if get_origin(tp) is list or types[-1] is Ellipsis:
+            types = types[:1] * len(value)
+        elif len(value) != len(types):
+            raise error(f"{name} must be a list of {len(types)}, got {value!r}")
+        return get_origin(tp)(check_value(t, v, name, error, decode)
+                              for t, v in zip(types, value))
+    if issubclass(tp, str):
+        # str(['kl']) or str(5) would read as a name nobody wrote
+        if not isinstance(value, str):
+            raise error(f"{name} must be a string, got {value!r}")
+        if issubclass(tp, Enum) and value not in {m.value for m in tp}:
+            raise error(f"{name} must be one of {[m.value for m in tp]}, "
+                        f"got {value!r}")
+        return tp(value) if issubclass(tp, Enum) else value
+    if decode is not None and tp in (int, float):
+        if isinstance(value, str):
+            try:
+                value = tp(value)
+            except ValueError:
+                pass
+        if tp is int and isinstance(value, float) and value.is_integer():
+            value = int(value)
+    # bool is an int subclass, so True would pass as 1; int(3.7), bool(0)
+    # and float(None) would misread the value or fail without naming it
+    if (isinstance(value, bool) != (tp is bool)
+            or not isinstance(value, numbers.Real)
+            or (tp is int and not isinstance(value, numbers.Integral))):
+        raise error(f"{name} must be {tp.__name__}, got {value!r}")
+    value = tp(value)
+    if tp is float and not math.isfinite(value):
+        raise error(f"{name} must be finite, got {value!r}")
+    return value
 
 
-def is_integer(value) -> bool:
-    """Whether ``value`` is a ``numbers.Integral`` other than a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def check_fields(obj, error: type = ValueError) -> None:
+    """Store each field of dataclass ``obj`` in its ``check_value`` normal
+    form, or raise ``error`` naming the first field that rule rejects."""
+    for name, tp in type_hints(type(obj)).items():
+        object.__setattr__(obj, name,
+                           check_value(tp, getattr(obj, name), name, error))
 
 
-@lru_cache(maxsize=None)
-def _integer_fields(cls) -> dict:
-    """``{name: listed}`` for each field of ``cls`` typed ``int`` (listed
-    False) or a tuple of ints, optional or not (listed True)."""
-    found = {}
-    for name, tp in get_type_hints(cls).items():
-        if get_origin(tp) is Union:  # Optional[T]
-            tp = get_args(tp)[0]
-        if tp is int or (get_origin(tp) is tuple and get_args(tp)[0] is int):
-            found[name] = tp is not int
-    return found
+# typing.get_type_hints, resolved once per class
+type_hints = lru_cache(maxsize=None)(get_type_hints)
 
 
 @lru_cache(maxsize=None)

@@ -5,24 +5,25 @@ import re
 import subprocess
 import sys
 import textwrap
-from dataclasses import fields, is_dataclass
-from typing import get_type_hints
+from dataclasses import fields, is_dataclass, replace
+from typing import Union, get_args, get_origin, get_type_hints
 
 import pytest
 import yaml
 
 import pctlab
 from oracles import loads_config
+from pctlab import reports
 from pctlab.config import (ConfigError, SweepLists, apply_overrides,
                            experiment_from_document, load_document,
                            sweep_lists_from_document)
 from pctlab.datasets import DegenerateSpecError, SyntheticSpec
-from pctlab.harness import ExperimentConfig
+from pctlab.harness import ExperimentConfig, run_experiment
 from pctlab.losses import DistanceSpec, FilterSpec, PCLossConfig
 from pctlab.nn import TrainConfig
 from pctlab.scenarios import (DataFilter, ModelSpec, ScenarioKind,
                               UpdateScenario, reference_scenario)
-from pctlab.tables import as_record
+from pctlab.tables import as_record, field_key
 
 
 def test_empty_document_yields_defaults():
@@ -269,8 +270,88 @@ def test_the_python_api_rejects_non_integers_in_integer_fields(make, name,
                                                                value):
     # seed=0.5 trained as seed 0 but recorded seed 1000.5, and
     # batch_size=2.5 or repetitions=1.5 failed later, inside training
-    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+    with pytest.raises(ValueError, match=f"^{name} must be int, got "):
         make(value)
+
+
+def _leaves(obj, path=(), keys=()):
+    """``(holder, name, key path)`` of each field that is not a dataclass,
+    reached from dataclass instance ``obj``: the instance that holds it, its
+    name, and its document keys (None when it has no key)."""
+    for f in fields(obj):
+        value, key = getattr(obj, f.name), field_key(f)
+        if is_dataclass(value):
+            inner = keys if f.metadata.get("flat") else keys + (key,)
+            yield from _leaves(value, path + (f.name,), inner)
+        else:
+            yield obj, f.name, None if key is None else keys + (key,)
+
+
+def _wrong_value(tp):
+    """A value of the wrong kind for type hint ``tp``: a bool for a number,
+    0 for a bool, 2.5 for an int, a bare string for a list and 5 for a
+    string or an enum."""
+    if get_origin(tp) is Union:  # Optional[T]
+        tp = get_args(tp)[0]
+    if get_origin(tp) is tuple:
+        return "abc"
+    return {float: True, bool: 0, int: 2.5}.get(tp, 5)
+
+
+_ROOTS = {ExperimentConfig: experiment_from_document,
+          SweepLists: sweep_lists_from_document}
+_LEAVES = [(root, holder, name, keys,
+            _wrong_value(get_type_hints(type(holder))[name]))
+           for root in _ROOTS for holder, name, keys in _leaves(root())]
+
+
+def test_every_kind_of_field_is_walked():
+    assert {repr(leaf[-1]) for leaf in _LEAVES} == {"True", "0", "2.5",
+                                                     "'abc'", "5"}
+    assert sum(keys is None for _, _, _, keys, _ in _LEAVES) == 1  # pc.mode
+
+
+@pytest.mark.parametrize(
+    "root, holder, name, keys, value", _LEAVES,
+    ids=[".".join(k or ("pc", "mode")) for _, _, _, k, _ in _LEAVES])
+def test_constructor_and_document_reject_a_value_of_the_wrong_kind_alike(
+        root, holder, name, keys, value):
+    """Every field of every config dataclass follows one value rule:
+    built in Python or read from a document, a value of the wrong kind is
+    rejected with the same words after the field's name (the constructor)
+    or dotted key (the codec)."""
+    with pytest.raises(ValueError, match=f"^{name} must be ") as built:
+        replace(holder, **{name: value})
+    if keys is None:  # pc.mode: set by the method, never read
+        return
+    doc = as_record(root())
+    block = doc
+    for key in keys[:-1]:
+        block = block[key]
+    block[keys[-1]] = value
+    dotted = ".".join(keys)
+    with pytest.raises(ConfigError, match=f"^{re.escape(dotted)} must be ") as read:
+        _ROOTS[root](doc)
+    assert str(read.value)[len(dotted):] == str(built.value)[len(name):]
+
+
+def test_an_int_in_a_float_field_writes_what_it_reads_back(tmp_path):
+    """A run with ``learning_rate=1`` stores 1.0, so the ``artifacts.json``
+    that ``report`` re-emits from it has the same bytes; a bool is no
+    learning rate and fails when the config is built."""
+    config = ExperimentConfig(
+        dataset=SyntheticSpec(num_classes=3, input_dim=4, samples_per_class=20,
+                              seed=1),
+        train=TrainConfig(epochs=1, batch_size=16, learning_rate=1),
+        method="fd_lm")
+    assert type(config.train.learning_rate) is float
+    reports.write_experiment(run_experiment(config), str(tmp_path / "a"))
+    written = (tmp_path / "a" / "artifacts.json").read_bytes()
+    reloaded = reports.load_result(str(tmp_path / "a" / "artifacts.json"))
+    reports.write_experiment(reloaded, str(tmp_path / "b"))
+    assert (tmp_path / "b" / "artifacts.json").read_bytes() == written
+    with pytest.raises(ValueError, match="^learning_rate must be float, got True$"):
+        TrainConfig(learning_rate=True)
 
 
 def test_numbers_that_yaml_reads_as_strings_still_load():

@@ -249,7 +249,7 @@ def test_sweep_validates_sizes_and_seed_ranges(data):
         sweep_ensemble_size([5, 4], [5, 4], data, CFG, [1, 4], 0, 2)
     # int() read [2.5, 2] as [2, 2], which failed as not ascending
     for sizes in ([2.5, 2], [1, True]):
-        with pytest.raises(ValueError, match="sizes must be integers"):
+        with pytest.raises(ValueError, match="sizes must be int, got "):
             sweep_ensemble_size([5, 4], [5, 4], data, CFG, sizes, 0, 100)
 
 

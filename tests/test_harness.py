@@ -603,6 +603,19 @@ def test_sweep_focal_requires_focal_method(small_config, small_state,
     assert calls == []
 
 
+@pytest.mark.parametrize("grid, message", [
+    ([(1, 5), ("1", True)], "^alpha must be float, got '1'$"),
+    ([(1, 5), (1, True)], "^beta must be float, got True$"),
+], ids=["string", "bool"])
+def test_sweep_focal_rejects_weights_of_the_wrong_kind(small_config, grid,
+                                                       message, monkeypatch):
+    # float("1") and float(True) ran this pair as (1.0, 1.0)
+    calls = _count_old_trainings(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        sweep_focal(small_config, grid)
+    assert calls == []
+
+
 def test_compare_prepares_the_state_for_its_first_method(small_config,
                                                           monkeypatch):
     """A ``no_treatment`` config compared on ``ensemble`` alone trains the
@@ -680,6 +693,14 @@ def test_sweep_ensemble_row_shape(small_config):
         assert 0.0 <= row.nfr <= row.er_new <= 1.0
 
 
+def test_sweep_ensemble_takes_sizes_from_a_generator(small_config):
+    # the bound check used to consume the generator, so the sweep saw none
+    config = replace(small_config, train=replace(small_config.train, epochs=1))
+    from_list = sweep_ensemble(config, [1, 2])
+    assert sweep_ensemble(config, (s for s in [1, 2])).records() == \
+        from_list.records()
+
+
 def test_sweep_ensemble_rejects_sizes_outside_the_seed_layout(small_config,
                                                              monkeypatch):
     sizes_trained = []
@@ -698,8 +719,11 @@ def test_sweep_ensemble_rejects_non_integer_sizes_before_training(
     monkeypatch.setattr(ensembles, "train_ensemble",
                         lambda *args, **kwargs: pytest.fail("trained"))
     with pytest.raises(ValueError,
-                       match=r"^ensemble sizes must be integers, got \[2\.5, 2\]"):
+                       match=r"^ensemble sizes must be int, got 2\.5$"):
         sweep_ensemble(small_config, [2.5, 2])
+    # a string used to reach the bound check and raise a bare TypeError
+    with pytest.raises(ValueError, match="^ensemble sizes must be int, got '2'$"):
+        sweep_ensemble(small_config, ["2"])
 
 
 def test_fine_tune_with_zero_epochs_scores_the_old_model():

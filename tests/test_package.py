@@ -3,7 +3,7 @@ docstring, and the per-sample and per-record oracles that moved to
 ``tests/oracles.py``, the record-level flip API, the dataset views and the
 names that only tests reached, all deleted, stay out of it. No module
 imports a name it never loads, except the ones the benchmark's tracer
-patches."""
+patches, and only ``tables`` walks type hints."""
 
 import ast
 import inspect
@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pctlab
 from pctlab import (config, datasets, ensembles, flips, harness, losses, nn,
-                    reports, scenarios)
+                    reports, scenarios, tables)
 
 
 def test_every_exported_name_resolves():
@@ -98,6 +98,9 @@ def test_names_only_tests_reached_stay_gone():
     assert not hasattr(harness, "epoch_series_csv")
     # the old side scores every new side: no per-run collector object
     assert not hasattr(harness, "_EpochCollector")
+    # tables.check_value is the one rule for what a field may hold
+    for name in ("check_finite", "is_integer", "_integer_fields"):
+        assert not hasattr(tables, name), name
     # every caller passes these, so none has a fallback
     required = {nn.ce_rows: ("m", "at"), nn.backward_batch: ("out",),
                 ensembles.Ensemble.predict_batch: ("workspace",),
@@ -106,6 +109,19 @@ def test_names_only_tests_reached_stay_gone():
         params = inspect.signature(fn).parameters
         for name in names:
             assert params[name].default is inspect.Parameter.empty, name
+
+
+def test_only_tables_walks_type_hints():
+    """``tables.check_value`` is the one walker over type hints, so no other
+    module of the package reads a hint's origin."""
+    walkers = []
+    for path in sorted(Path(pctlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.stem != "tables" and any(
+                getattr(node, "id", getattr(node, "attr", None)) == "get_origin"
+                for node in ast.walk(tree)):
+            walkers.append(path.stem)
+    assert walkers == []
 
 
 def test_model_shape_is_structural():

@@ -75,7 +75,8 @@ def test_data_filter_validation():
 ])
 def test_list_entries_must_be_integers(make, name):
     # int() read (2.5, 7.9) as (2, 7) and "64" as (6, 4)
-    with pytest.raises(ValueError, match=f"^{name} must list integers, got "):
+    with pytest.raises(ValueError,
+                       match=f"^{name} must be (int|a list), got "):
         make()
 
 

@@ -168,10 +168,11 @@ def sweep_ensemble_size(old_dims: Sequence[int], new_dims: Sequence[int],
     if abs(old_base_seed - new_base_seed) < top:
         raise ValueError("old and new seed ranges overlap")
 
-    train_x = dataset.features[dataset.rows_of_split(SPLIT_TRAIN)]
-    train_y = dataset.labels[dataset.rows_of_split(SPLIT_TRAIN)]
-    test_x = dataset.features[dataset.rows_of_split(SPLIT_TEST)]
-    test_y = dataset.labels[dataset.rows_of_split(SPLIT_TEST)]
+    train_rows = dataset.rows_of_split(SPLIT_TRAIN)
+    test_rows = dataset.rows_of_split(SPLIT_TEST)
+    train_x, train_y = dataset.features[train_rows], dataset.labels[train_rows]
+    test_x, test_y = dataset.features[test_rows], dataset.labels[test_rows]
+    del dataset, train_rows, test_rows  # both sides need only the splits
 
     with np.errstate(all="ignore"):     # check_old_side reports a divergence
         old_ens = train_ensemble(old_dims, train_x, train_y, config, top,

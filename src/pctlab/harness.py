@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import ensembles
-from .datasets import Dataset, SyntheticSpec, generate
+from .datasets import SyntheticSpec, generate
 from .ensembles import Ensemble, sweep_ensemble_size
 from .flips import FlipReport, report_from_arrays
 # tracer-only imports: see tests/test_package.py::TRACER_ONLY_IMPORTS
@@ -183,7 +183,7 @@ class OldReference:
               epoch: int) -> Tuple[EpochMetrics, FlipReport]:
         """Epoch ``epoch``'s metrics and held-out report of ``members``,
         scored as one ensemble in ``workspace`` against this old side: on
-        the new job's rows ``x`` and on the plan's eval set."""
+        the new job's features ``x`` and on the plan's eval set."""
         new = Ensemble(list(members))
         on_train = report_from_arrays(plan.new_job.labels, self.train_preds,
                                       new.predict_batch(x, workspace))
@@ -196,13 +196,13 @@ class OldReference:
 
 @dataclass
 class ScenarioState:
-    """Shared per-scenario work: the dataset, the plan, and the old sides,
-    so that every method run on one state scores against the bit-identical
-    old side. ``spec``, ``scenario`` and ``train`` record what the state was
-    prepared with. ``old_sides`` maps a member count L to its old side, which
-    ``old_side(L)`` trains under ``train`` on a miss; L = 1, the single old
-    model, also serves the ``ensemble`` method at size 1."""
-    dataset: Dataset
+    """Shared per-scenario work: the plan, whose jobs hold each side's
+    training rows, and the old sides, so that every method run on one state
+    scores against the bit-identical old side. ``spec``, ``scenario`` and
+    ``train`` record what the state was prepared with. ``old_sides`` maps a
+    member count L to its old side, which ``old_side(L)`` trains under
+    ``train`` on a miss; L = 1, the single old model, also serves the
+    ``ensemble`` method at size 1."""
     plan: ScenarioPlan
     spec: SyntheticSpec
     scenario: UpdateScenario
@@ -213,7 +213,7 @@ class ScenarioState:
         old = self.old_sides.get(members)
         if old is None:
             old = self.old_sides[members] = _build_old_reference(
-                self.dataset, self.plan, self.train, members)
+                self.plan, self.train, members)
         return old
 
     def check(self, config: ExperimentConfig) -> None:
@@ -228,8 +228,8 @@ class ScenarioState:
                                  "scenario state was prepared with")
 
 
-def _build_old_reference(dataset: Dataset, plan: ScenarioPlan,
-                         train_cfg: TrainConfig, members: int) -> OldReference:
+def _build_old_reference(plan: ScenarioPlan, train_cfg: TrainConfig,
+                         members: int) -> OldReference:
     """Train the old side (`members` CE-trained models) on the old job's rows,
     reject it if ``ensembles.check_old_side`` does, and cache its
     predictions, mapped by ``plan.old_to_new`` into the new model's label
@@ -239,11 +239,11 @@ def _build_old_reference(dataset: Dataset, plan: ScenarioPlan,
     old_job, new_job = plan.old_job, plan.new_job
     with np.errstate(all="ignore"):     # check_old_side reports a divergence
         old = ensembles.train_ensemble(
-            old_job.dims, dataset.features[old_job.rows], old_job.labels,
+            old_job.dims, old_job.features, old_job.labels,
             train_cfg, members, model_seed(train_cfg.seed, "old"))
     ensembles.check_old_side(old)
 
-    xt, workspace = dataset.features[new_job.rows], Workspace()
+    xt, workspace = new_job.features, Workspace()
     if members == 1:
         oracle = OldModelOracle.from_model(old.members[0], xt, new_job.labels,
                                            class_map=plan.old_to_new)
@@ -258,14 +258,13 @@ def _build_old_reference(dataset: Dataset, plan: ScenarioPlan,
 
 
 def prepare_scenario(config: ExperimentConfig) -> ScenarioState:
-    """Generate the dataset and resolve the scenario. The single old model
+    """Generate the dataset and resolve the scenario; the plan keeps each
+    side's rows, and the dataset is freed on return. The single old model
     trains here when ``config.method`` reads it (every method but
     ``ensemble``); any other old side trains on first use, so an
     ``ensemble`` run trains no old side it does not score against."""
-    dataset = generate(config.dataset)
-    plan = build_scenario(config.scenario, dataset)
-    state = ScenarioState(dataset, plan, config.dataset, config.scenario,
-                          config.train)
+    plan = build_scenario(config.scenario, generate(config.dataset))
+    state = ScenarioState(plan, config.dataset, config.scenario, config.train)
     if config.method != "ensemble":
         state.old_side(1)
     return state
@@ -291,7 +290,7 @@ def run_experiment(config: ExperimentConfig,
     else:
         size, per_stack, role = 1, REPETITION_STACK, "new"
     old = state.old_side(size)
-    x, y = state.dataset.features[plan.new_job.rows], plan.new_job.labels
+    x, y = plan.new_job.features, plan.new_job.labels
     objective = make_objective(y, old.oracle, config.pc)
 
     runs = []
@@ -411,10 +410,10 @@ def sweep_ensemble(config: ExperimentConfig, sizes: Sequence[int],
     check_value(Tuple[int, ...], sizes, "ensemble sizes")
     if any(s >= ENSEMBLE_REP_STRIDE for s in sizes):
         raise ValueError(f"ensemble sizes must be below {ENSEMBLE_REP_STRIDE}")
-    dataset = generate(config.dataset)
-    old_dims = config.scenario.old_model.dims(dataset.input_dim, dataset.num_classes)
-    new_dims = config.scenario.new_model.dims(dataset.input_dim, dataset.num_classes)
+    spec = config.dataset
+    old_dims = config.scenario.old_model.dims(spec.input_dim, spec.num_classes)
+    new_dims = config.scenario.new_model.dims(spec.input_dim, spec.num_classes)
     base = config.train.seed
-    return sweep_ensemble_size(old_dims, new_dims, dataset, config.train, sizes,
-                               model_seed(base, "old"),
+    return sweep_ensemble_size(old_dims, new_dims, generate(spec), config.train,
+                               sizes, model_seed(base, "old"),
                                model_seed(base, "new_member"))

@@ -135,10 +135,13 @@ class UpdateScenario:
 @dataclass
 class TrainingJob:
     """One side's training data: ``rows``, indices of the dataset's rows it
-    sees (no feature copy), their ``labels`` in the side's label space (its
-    sorted classes relabelled 0..k-1), and the side's layer ``dims``."""
+    sees, ``features``, those rows of the dataset's features, gathered once
+    and shared by both sides when their data filters are equal, their
+    ``labels`` in the side's label space (its sorted classes relabelled
+    0..k-1), and the side's layer ``dims``."""
 
     rows: np.ndarray
+    features: np.ndarray
     labels: np.ndarray
     dims: List[int]
 
@@ -164,12 +167,14 @@ class ScenarioPlan:
     init_from_old: bool
 
 
-def _job(data: DataFilter, model: ModelSpec,
-         dataset: Dataset) -> Tuple[TrainingJob, np.ndarray]:
+def _job(data: DataFilter, model: ModelSpec, dataset: Dataset,
+         features: Optional[np.ndarray] = None) -> Tuple[TrainingJob, np.ndarray]:
     rows, classes = data.select(dataset)
+    if features is None:
+        features = dataset.features[rows]
     labels = np.searchsorted(classes, dataset.labels[rows])
     dims = model.dims(dataset.input_dim, classes.size)
-    return TrainingJob(rows, labels, dims), classes
+    return TrainingJob(rows, features, labels, dims), classes
 
 
 def build_scenario(scenario: UpdateScenario, dataset: Dataset) -> ScenarioPlan:
@@ -177,7 +182,9 @@ def build_scenario(scenario: UpdateScenario, dataset: Dataset) -> ScenarioPlan:
     Raises ValueError, before anything trains, when the new side lacks a
     class the old side has."""
     old_job, old_classes = _job(scenario.old_data, scenario.old_model, dataset)
-    new_job, new_classes = _job(scenario.new_data, scenario.new_model, dataset)
+    same_rows = scenario.new_data == scenario.old_data
+    new_job, new_classes = _job(scenario.new_data, scenario.new_model, dataset,
+                                old_job.features if same_rows else None)
     if not np.isin(old_classes, new_classes).all():
         raise ValueError("every old class must be present in the new data view")
     test_rows = dataset.rows_of_split(SPLIT_TEST)

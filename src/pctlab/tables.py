@@ -67,6 +67,10 @@ def check_value(tp, value, name: str, error: type = ValueError,
     ``decode(cls, block, name)``, given only for a document, reads a block
     into dataclass ``cls``; there a number may also be written as a string,
     since PyYAML reads 1e-3 and nan as strings, and an int takes 2.0."""
+    # outside a document, most values come already in their normal form
+    if (decode is None and type(value) is tp
+            and (tp is not float or math.isfinite(value))):
+        return value
     if get_origin(tp) is Union:  # Optional[T]
         return None if value is None else check_value(
             get_args(tp)[0], value, name, error, decode)

@@ -31,10 +31,5 @@ def small_config():
 
 @pytest.fixture(scope="session")
 def small_state(small_config):
-    # one dataset + old model shared by every harness-level test
+    # one plan + old model shared by every harness-level test
     return prepare_scenario(small_config)
-
-
-@pytest.fixture(scope="session")
-def small_dataset(small_state):
-    return small_state.dataset

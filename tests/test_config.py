@@ -274,6 +274,24 @@ def test_the_python_api_rejects_non_integers_in_integer_fields(make, name,
         make(value)
 
 
+@pytest.mark.parametrize("base, name, value, message", [
+    (TrainConfig(), "learning_rate", True,
+     "learning_rate must be float, got True"),
+    (TrainConfig(), "epochs", 2.0, "epochs must be int, got 2.0"),
+    (TrainConfig(), "learning_rate", float("nan"),
+     "learning_rate must be finite, got nan"),
+    (TrainConfig(), "learning_rate", float("inf"),
+     "learning_rate must be finite, got inf"),
+    (reference_scenario(ScenarioKind.ARCH_CHANGE), "kind", "retrain",
+     f"kind must be one of {[k.value for k in ScenarioKind]}, got 'retrain'"),
+], ids=["bool-in-float", "float-in-int", "nan", "inf", "unknown-kind"])
+def test_values_a_field_type_rejects_stay_rejected(base, name, value, message):
+    # every other field of the rebuilt instance has its field's exact type,
+    # which check_value passes at once; the rule must still reach this one
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        replace(base, **{name: value})
+
+
 def _leaves(obj, path=(), keys=()):
     """``(holder, name, key path)`` of each field that is not a dataclass,
     reached from dataclass instance ``obj``: the instance that holds it, its

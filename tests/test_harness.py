@@ -4,21 +4,22 @@ per-epoch series."""
 import resource
 import statistics
 import tracemalloc
+import weakref
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pctlab import ensembles, harness, nn, reports
+from pctlab import datasets, ensembles, harness, nn, reports
 from pctlab.datasets import SyntheticSpec, generate
 from pctlab.flips import report_from_arrays
 from pctlab.harness import (ENSEMBLE_REP_STRIDE, ENSEMBLE_SEED_OFFSET,
                             MAX_REPETITIONS, METHODS, NEW_MODEL_SEED_OFFSET,
                             EpochMetrics, ExperimentConfig, OldReference,
-                            compare_methods, model_seed,
+                            ScenarioState, compare_methods, model_seed,
                             pc_config_for_method, prepare_scenario,
                             run_experiment, sweep_ensemble, sweep_focal)
 from pctlab.losses import (DistanceSpec, PCLossConfig, make_ce_objective,
@@ -137,7 +138,7 @@ def _solo_runs(config, state):
     ``OldReference.score`` in its own workspace: the oracle for the
     repetition stack."""
     plan, old = state.plan, state.old_side(1)
-    x, y = state.dataset.features[plan.new_job.rows], plan.new_job.labels
+    x, y = plan.new_job.features, plan.new_job.labels
     objective = make_objective(y, old.oracle, config.pc)
     runs = []
     for rep in range(config.repetitions):
@@ -193,7 +194,7 @@ def _ensemble_runs(config, state):
     the oracle for the ensemble method's stack."""
     plan, size = state.plan, config.ensemble_size
     old = state.old_side(size)
-    x, y = state.dataset.features[plan.new_job.rows], plan.new_job.labels
+    x, y = plan.new_job.features, plan.new_job.labels
     runs = []
     for rep in range(config.repetitions):
         base = model_seed(config.train.seed, "new_member", rep)
@@ -254,9 +255,8 @@ def _reference_task_score_inputs():
     """The reference task's 3,500 training and 1,000 held-out rows, with an
     old side of fixed predictions; no model is trained."""
     config = ExperimentConfig()
-    dataset = generate(config.dataset)
-    plan = build_scenario(config.scenario, dataset)
-    x, y = dataset.features[plan.new_job.rows], plan.new_job.labels
+    plan = build_scenario(config.scenario, generate(config.dataset))
+    x, y = plan.new_job.features, plan.new_job.labels
     assert (len(x), len(plan.eval_plan.labels)) == (3500, 1000)
     old_eval = np.roll(plan.eval_plan.labels, 1)
     old = OldReference(None, old_eval, np.roll(y, 1), None)
@@ -526,10 +526,9 @@ def test_single_old_model_equals_an_ensemble_of_one(small_config, small_state):
     """The cached L = 1 entry, oracle predictions included, is what a
     separately trained ensemble of one predicts, bit for bit."""
     plan, cfg = small_state.plan, small_config
-    features = small_state.dataset.features
     single = small_state.old_side(1)
     solo = harness.ensembles.train_ensemble(
-        plan.old_job.dims, features[plan.old_job.rows], plan.old_job.labels,
+        plan.old_job.dims, plan.old_job.features, plan.old_job.labels,
         cfg.train, 1, model_seed(cfg.train.seed, "old"))
     for got, want in zip(single.ensemble.members[0].layers,
                          solo.members[0].layers):
@@ -537,7 +536,7 @@ def test_single_old_model_equals_an_ensemble_of_one(small_config, small_state):
         np.testing.assert_array_equal(got.bias, want.bias)
     np.testing.assert_array_equal(
         single.train_preds,
-        plan.old_to_new[solo.predict_batch(features[plan.new_job.rows],
+        plan.old_to_new[solo.predict_batch(plan.new_job.features,
                                            nn.Workspace())])
     eval_preds = plan.old_to_new[solo.predict_batch(plan.eval_plan.features,
                                                     nn.Workspace())]
@@ -691,6 +690,62 @@ def test_sweep_ensemble_row_shape(small_config):
     assert [r.size for r in result.rows] == [1, 2]
     for row in result.rows:
         assert 0.0 <= row.nfr <= row.er_new <= 1.0
+
+
+def _spy_on_generate(monkeypatch):
+    """A weak reference to each dataset ``harness.generate`` draws."""
+    refs = []
+
+    def spy(spec):
+        dataset = datasets.generate(spec)
+        refs.append(weakref.ref(dataset))
+        return dataset
+    monkeypatch.setattr(harness, "generate", spy)
+    return refs
+
+
+def _spy_on_training(monkeypatch, note):
+    """Call ``note(features)`` at each ``ensembles.train_ensemble`` call."""
+    real = ensembles.train_ensemble
+
+    def spy(dims, features, *args, **kwargs):
+        note(features)
+        return real(dims, features, *args, **kwargs)
+    monkeypatch.setattr(ensembles, "train_ensemble", spy)
+
+
+def test_no_state_keeps_the_dataset(small_config, monkeypatch):
+    refs = _spy_on_generate(monkeypatch)
+    state = prepare_scenario(small_config)
+    assert "dataset" not in {f.name for f in fields(ScenarioState)}
+    # the plan's jobs hold the rows that train, so the dataset is freed
+    assert len(refs) == 1 and refs[0]() is None
+    assert state.old_sides
+
+
+def test_runs_train_on_their_jobs_own_rows(small_config, monkeypatch):
+    """No run gathers rows again: the old side trains on the old job's
+    array and each new stack on the new job's, not on copies."""
+    cfg = replace(small_config, repetitions=1, scenario=reference_scenario(
+        ScenarioKind.SAMPLE_GROWTH, small_config.dataset.num_classes))
+    seen = []
+    _spy_on_training(monkeypatch, seen.append)
+    state = prepare_scenario(cfg)  # trains state.old_side(1)
+    run_experiment(cfg, state)
+    plan = state.plan
+    assert plan.old_job.features is not plan.new_job.features
+    assert len(seen) == 2
+    assert seen[0] is plan.old_job.features
+    assert seen[1] is plan.new_job.features
+
+
+def test_sweep_ensemble_trains_without_the_dataset(small_config, monkeypatch):
+    refs, alive = _spy_on_generate(monkeypatch), []
+    _spy_on_training(monkeypatch, lambda _: alive.append(refs[0]() is not None))
+    config = replace(small_config, train=replace(small_config.train, epochs=1))
+    sweep_ensemble(config, [1, 2])
+    # both sides train on the splits alone, gathered before the first
+    assert alive == [False, False]
 
 
 def test_sweep_ensemble_takes_sizes_from_a_generator(small_config):

@@ -172,6 +172,24 @@ def test_build_scenario_sample_growth_shares_eval_rows(data):
                                   data.features[data.rows_of_split(SPLIT_TEST)])
 
 
+# the sides of these pairings have equal data filters
+SHARED_ROWS = {ScenarioKind.SAME_ARCH_RETRAIN, ScenarioKind.ARCH_CHANGE}
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind))
+def test_each_job_holds_its_rows_features(data, kind):
+    plan = build_scenario(reference_scenario(kind, SPEC.num_classes), data)
+    for job in (plan.old_job, plan.new_job):
+        want = data.features[job.rows]
+        assert (job.features.dtype, job.features.shape) == (want.dtype,
+                                                            want.shape)
+        assert job.features.tobytes() == want.tobytes()
+    # equal filters select equal rows, which are gathered once
+    assert np.shares_memory(plan.old_job.features,
+                            plan.new_job.features) == (kind in SHARED_ROWS)
+    assert not np.shares_memory(plan.new_job.features, data.features)
+
+
 def test_build_scenario_fine_tune_marks_init(data):
     plan = build_scenario(reference_scenario(ScenarioKind.FINE_TUNE,
                                              SPEC.num_classes), data)

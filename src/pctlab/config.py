@@ -2,13 +2,14 @@
 
 One document describes one experiment: the synthetic task, the update
 scenario, the training schedule, the update method, and its PC-loss
-hyperparameters, under the keys that ``tables.as_record`` writes, plus the
-``SweepLists``. Unknown keys are rejected so typos fail loudly instead of
-silently using defaults. ``from_document`` reads each value through
-``tables.check_value``, the walker that also checks every field a
-dataclass is built with, so a value means the same in a document and in
-Python. A block's own check, run when its dataclass is built,
-raises its own error type with the block's name in front, as in
+hyperparameters, plus the ``SweepLists``. It walks ``tables.layout``, the
+one field layout that ``tables.as_record`` writes with, so every file is
+read back by the walk that wrote it. Unknown keys are rejected so typos
+fail loudly instead of silently using defaults. ``from_document`` reads
+each value through ``tables.check_value``, the walker that also checks
+every field a dataclass is built with, so a value means the same in a
+document and in Python. A block's own check, run when its dataclass is
+built, raises its own error type with the block's name in front, as in
 ``scenario.new_data: class_subset must name at least 2 classes``.
 ``reports`` reads ``artifacts.json`` back through ``from_document``.
 
@@ -19,13 +20,13 @@ not load it.
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import List, Optional, Sequence, Tuple
 
 from .datasets import SyntheticSpec
 from .harness import METHODS, ExperimentConfig
 from .scenarios import ScenarioKind, UpdateScenario, reference_scenario
-from .tables import check_fields, check_value, field_key, type_hints
+from .tables import check_fields, check_value, layout
 
 
 class ConfigError(ValueError):
@@ -59,11 +60,8 @@ def _check_keys(mapping: dict, allowed: Sequence[str], where: str) -> None:
 def _keys(cls) -> List[str]:
     """The keys of dataclass ``cls``'s document block, in field order."""
     keys = []
-    for f in fields(cls):
-        if f.metadata.get("flat"):
-            keys += _keys(type_hints(cls)[f.name])
-        elif field_key(f) is not None:
-            keys.append(field_key(f))
+    for _, key, flat, _, tp in layout(cls):
+        keys += _keys(tp) if flat else [key]
     return keys
 
 
@@ -77,17 +75,14 @@ def _coerce(tp, value, where: str):
 def _decode(cls, doc: dict, where: str, given: dict):
     """``cls`` from block ``doc``, whose keys the caller has checked;
     ``where`` names the block ("" at the top level)."""
-    hints = type_hints(cls)
-    for f in fields(cls):
-        key = field_key(f)
-        if f.name in given or key is None:
+    for name, key, flat, required, tp in layout(cls):
+        if name in given:
             continue
-        if f.metadata.get("flat"):
-            given[f.name] = _decode(hints[f.name], doc, where, {})
+        if flat:
+            given[name] = _decode(tp, doc, where, {})
         elif key in doc:
-            given[f.name] = _coerce(hints[f.name], doc[key],
-                                    f"{where}.{key}".lstrip("."))
-        elif f.default is MISSING and f.default_factory is MISSING:
+            given[name] = _coerce(tp, doc[key], f"{where}.{key}".lstrip("."))
+        elif required:
             raise ConfigError(f"{where} needs a {key!r}")
     try:
         return cls(**given)

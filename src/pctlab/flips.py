@@ -16,8 +16,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .tables import as_record, json_text
-
 
 class UndefinedMetricError(ValueError):
     """A rate normalization is undefined (e.g. the new model has zero error)."""
@@ -40,9 +38,6 @@ class FlipReport:
     nfr: float
     pfr: float
     rel_nfr: Optional[float]
-
-    def to_json(self) -> str:
-        return json_text(as_record(self))
 
 
 def _quadrant_counts(true_labels: np.ndarray, old_preds: np.ndarray,

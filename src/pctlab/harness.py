@@ -178,15 +178,15 @@ class OldReference:
     train_preds: np.ndarray
     oracle: Optional[OldModelOracle]
 
-    def score(self, members: Sequence[MLPModel], x: np.ndarray,
-              plan: ScenarioPlan, workspace: Workspace,
+    def score(self, members: Sequence[MLPModel], plan: ScenarioPlan,
+              workspace: Workspace,
               epoch: int) -> Tuple[EpochMetrics, FlipReport]:
         """Epoch ``epoch``'s metrics and held-out report of ``members``,
         scored as one ensemble in ``workspace`` against this old side: on
-        the new job's features ``x`` and on the plan's eval set."""
-        new = Ensemble(list(members))
-        on_train = report_from_arrays(plan.new_job.labels, self.train_preds,
-                                      new.predict_batch(x, workspace))
+        the new job's rows and on the plan's eval set."""
+        new, job = Ensemble(list(members)), plan.new_job
+        on_train = report_from_arrays(job.labels, self.train_preds,
+                                      new.predict_batch(job.features, workspace))
         ep = plan.eval_plan
         report = report_from_arrays(ep.labels, self.eval_preds,
                                     new.predict_batch(ep.features, workspace))
@@ -304,7 +304,7 @@ def run_experiment(config: ExperimentConfig,
                 members[0], len(x), len(plan.eval_plan.labels))
             for g in range(len(reps)):
                 row, finals[g] = old.score(members[g * size:(g + 1) * size],
-                                           x, plan, workspace, epoch)
+                                           plan, workspace, epoch)
                 series[g].append(row)
 
         def hook(e, stack):

@@ -109,6 +109,8 @@ class OldModelOracle:
         labels = np.asarray(labels, dtype=np.int64)
         logits = forward_into(model, features, Workspace())
         preds = np.argmax(logits, axis=1)
+        if labels.shape != preds.shape:
+            raise DimensionError("labels must be 1-D and match the feature rows")
         if class_map is not None:
             class_map = np.asarray(class_map, dtype=np.int64)
             pred_labels = class_map[preds]

@@ -419,7 +419,12 @@ def train(model: MLPModel, features: np.ndarray, labels: np.ndarray,
     ``on_epoch_end(epoch, model)`` fires once per epoch with the whole live
     model or stack."""
     features = np.ascontiguousarray(features, dtype=np.float64)
+    labels = np.asarray(labels)
+    if labels.dtype.kind not in "iu":  # int64 would truncate 0.5 to 0
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
     labels = np.ascontiguousarray(labels, dtype=np.int64)
+    if features.ndim != 2:
+        raise DimensionError(f"features must be 2-D, got shape {features.shape}")
     n = features.shape[0]
     if n == 0:
         raise ValueError("training set is empty")

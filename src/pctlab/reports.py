@@ -67,7 +67,7 @@ def write_experiment(result: ExperimentResult, out_dir: str,
         files.append(_write(os.path.join(out_dir, f"epochs_{tag}.csv"),
                             Table(run.epochs).to_csv()))
         files.append(_write(os.path.join(out_dir, f"report_{tag}.json"),
-                            run.final.to_json()))
+                            json_text(as_record(run.final))))
     if fmt == "json":
         files.append(_write(os.path.join(out_dir, "summary.json"),
                             json_text(result.summary())))

@@ -68,12 +68,9 @@ class DataFilter:
         if not 0 <= self.subset_seed < SEED_LIMIT:
             raise ValueError(
                 f"subset_seed must be in [0, 2**64), got {self.subset_seed}")
-        if self.class_subset is not None:
-            if not self.class_subset:
-                raise ValueError("class subset must be nonempty")
-            if len(set(self.class_subset)) < 2:
-                raise ValueError("class_subset must name at least 2 classes, "
-                                 f"got {list(self.class_subset)}")
+        if self.class_subset is not None and len(set(self.class_subset)) < 2:
+            raise ValueError("class_subset must name at least 2 classes, "
+                             f"got {list(self.class_subset)}")
 
     def select(self, dataset: Dataset) -> Tuple[np.ndarray, np.ndarray]:
         """The training rows this side sees, ascending, and its classes: the
@@ -117,10 +114,8 @@ class UpdateScenario:
 
     def __post_init__(self):
         check_fields(self)
-        if self.kind is ScenarioKind.FINE_TUNE:
-            if self.old_model != self.new_model or not self.init_from_old:
-                raise ValueError(
-                    "fine_tune needs identical model specs and init_from_old")
+        if self.kind is ScenarioKind.FINE_TUNE and not self.init_from_old:
+            raise ValueError("fine_tune needs init_from_old")
         if self.init_from_old and self.old_model != self.new_model:
             raise ValueError("init_from_old requires identical model specs")
         old_classes, new_classes = (

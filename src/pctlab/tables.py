@@ -9,10 +9,11 @@ byte-identical files.
 A dataclass field's key in every file is its name unless its metadata says
 otherwise: ``field(metadata={"key": "k"})`` renames it, ``{"key": None}``
 gives it no key, and ``{"flat": True}`` puts the keys of the nested
-dataclass in its parent's mapping. ``as_record`` is the one walker from a
-dataclass to the mapping a file holds: the flip reports, the rows of every
-``Table``, and ``artifacts.json`` with its config blocks. ``config`` reads
-the same keys back. ``check_value`` is the one walker from a type hint to
+dataclass in its parent's mapping. ``layout`` alone reads that metadata,
+and one layout serves both directions: ``as_record`` walks it to write the
+mapping a file holds (the flip reports, the rows of every ``Table``, and
+``artifacts.json`` with its config blocks), and ``config`` walks it to
+read a document back. ``check_value`` is the one walker from a type hint to
 the values a field may hold: every config dataclass runs it on its fields
 through ``check_fields``, and ``config`` on each value of a document, so
 whatever a run writes reads back as the same value.
@@ -27,7 +28,7 @@ import math
 import numbers
 from collections.abc import Collection, Mapping
 from functools import lru_cache
-from dataclasses import Field, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from typing import (Callable, Iterable, List, Optional, Sequence, Union,
                     get_args, get_origin, get_type_hints)
@@ -35,19 +36,14 @@ from typing import (Callable, Iterable, List, Optional, Sequence, Union,
 import numpy as np
 
 
-def field_key(f: Field) -> Optional[str]:
-    """The key of dataclass field ``f`` (module docstring)."""
-    return f.metadata.get("key", f.name)
-
-
 def as_record(obj) -> dict:
-    """Dataclass instance ``obj`` as ``{key: value}`` in field order, keyed
-    by ``field_key``, flat fields merged in. Nested dataclasses become
-    mappings, lists and tuples lists, enums their values. Unlike
-    ``dataclasses.asdict`` it copies no other value: the files it feeds read
-    each value once, so a deep copy would only cost time."""
+    """Dataclass instance ``obj`` as ``{key: value}`` in ``layout`` order,
+    flat fields merged in. Nested dataclasses become mappings, lists and
+    tuples lists, enums their values. Unlike ``dataclasses.asdict`` it
+    copies no other value: the files it feeds read each value once, so a
+    deep copy would only cost time."""
     record = {}
-    for name, key, flat in _layout(type(obj)):
+    for name, key, flat, _, _ in layout(type(obj)):
         value = getattr(obj, name)
         if flat:
             record.update(as_record(value))
@@ -134,10 +130,16 @@ type_hints = lru_cache(maxsize=None)(get_type_hints)
 
 
 @lru_cache(maxsize=None)
-def _layout(cls) -> tuple:
-    """``(name, key, flat)`` of each field of ``cls`` that has a key."""
-    return tuple((f.name, field_key(f), f.metadata.get("flat", False))
-                 for f in fields(cls) if field_key(f) is not None)
+def layout(cls) -> tuple:
+    """``(name, key, flat, required, tp)`` of each field of dataclass ``cls``
+    that has a key, in field order: ``required`` when the field has no
+    default, ``tp`` its type hint."""
+    hints = type_hints(cls)
+    return tuple((f.name, key, f.metadata.get("flat", False),
+                  f.default is MISSING and f.default_factory is MISSING,
+                  hints[f.name])
+                 for f in fields(cls)
+                 if (key := f.metadata.get("key", f.name)) is not None)
 
 
 def _record_value(value):

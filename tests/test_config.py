@@ -23,7 +23,7 @@ from pctlab.losses import DistanceSpec, FilterSpec, PCLossConfig
 from pctlab.nn import TrainConfig
 from pctlab.scenarios import (DataFilter, ModelSpec, ScenarioKind,
                               UpdateScenario, reference_scenario)
-from pctlab.tables import as_record, field_key
+from pctlab.tables import as_record
 
 
 def test_empty_document_yields_defaults():
@@ -295,9 +295,11 @@ def test_values_a_field_type_rejects_stay_rejected(base, name, value, message):
 def _leaves(obj, path=(), keys=()):
     """``(holder, name, key path)`` of each field that is not a dataclass,
     reached from dataclass instance ``obj``: the instance that holds it, its
-    name, and its document keys (None when it has no key)."""
+    name, and its document keys (None when it has no key). It reads each
+    key from the field's metadata itself, not from ``tables.layout``, so it
+    checks the codec instead of sharing its walk."""
     for f in fields(obj):
-        value, key = getattr(obj, f.name), field_key(f)
+        value, key = getattr(obj, f.name), f.metadata.get("key", f.name)
         if is_dataclass(value):
             inner = keys if f.metadata.get("flat") else keys + (key,)
             yield from _leaves(value, path + (f.name,), inner)

@@ -171,7 +171,8 @@ def test_half_classes_view_validation(data):
         with pytest.raises(ValueError, match=re.escape(
                 f"class_subset {list(subset)} names a class outside [0, 4)")):
             DataFilter(class_subset=subset).select(data)
-    with pytest.raises(ValueError, match="nonempty"):
+    with pytest.raises(ValueError, match=re.escape(
+            "class_subset must name at least 2 classes, got []")):
         DataFilter(class_subset=()).select(data)
     # the full subset keeps the identity label space
     rows, classes = DataFilter(class_subset=(3, 1, 2, 0)).select(data)

@@ -12,6 +12,7 @@ from oracles import (FlipQuadrant, PredictionRecord, classify_flip,
                      records_from_arrays)
 from pctlab.flips import (UndefinedMetricError, compute_relative_nfr,
                           report_from_arrays, report_from_counts)
+from pctlab.tables import as_record, json_text
 
 
 def _rec(y, old, new, sid=0):
@@ -101,5 +102,6 @@ def test_empty_record_sets_are_rejected():
 
 def test_report_json_round_trip():
     report = report_from_counts(bc=7, nf=2, pf=1, bw=3)
-    assert flip_report_from_json(report.to_json()) == report
-    assert report.to_json().endswith("\n")
+    text = json_text(as_record(report))
+    assert flip_report_from_json(text) == report
+    assert text.endswith("\n")

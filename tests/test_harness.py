@@ -150,7 +150,7 @@ def _solo_runs(config, state):
         ws, scored = nn.Workspace(), []
         nn.train(start, x, y, objective, replace(config.train, seed=seed),
                  on_epoch_end=lambda e, model: scored.append(
-                     old.score([model], x, plan, ws, e)))
+                     old.score([model], plan, ws, e)))
         runs.append((rep, seed, [row for row, _ in scored], scored[-1][1]))
     return runs
 
@@ -207,7 +207,7 @@ def _ensemble_runs(config, state):
 
         def hook(e, stack):
             scored.append(old.score([stack.member(j) for j in range(size)],
-                                    x, plan, ws, e))
+                                    plan, ws, e))
 
         new = nn.train(nn.stack_models(init), x, y, make_ce_objective(y),
                        replace(config.train, seed=base), on_epoch_end=hook).model
@@ -291,7 +291,7 @@ def test_scores_sharing_a_workspace_equal_unbuffered_scoring(size):
         for c in range(2):
             members = [init_model(dims, 100 * epoch + 10 * c + j)
                        for j in range(size)]
-            rows[c].append(old.score(members, x, plan, ws, epoch)[0])
+            rows[c].append(old.score(members, plan, ws, epoch)[0])
             expected[c].append(_unbuffered_metrics(epoch, x, y, old_train, plan,
                                                    old_eval, members))
         buffers = {k: b.ctypes.data for k, b in ws.buffers.items()}
@@ -309,9 +309,9 @@ def test_old_side_score_takes_no_page_faults_after_warm_up():
     x, y, old_train, plan, old_eval, old = _reference_task_score_inputs()
     ws = nn.Workspace()
     model = init_model(plan.new_job.dims, 3)
-    old.score([model], x, plan, ws, 0)
+    old.score([model], plan, ws, 0)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    old.score([model], x, plan, ws, 1)
+    old.score([model], plan, ws, 1)
     assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 50
 
 

@@ -208,6 +208,15 @@ def _toy_oracle(k: int = 4, n: int = 12, seed: int = 6):
     return model, x, y, OldModelOracle.from_model(model, x, y)
 
 
+def test_oracle_from_model_names_labels_of_another_length():
+    # numpy once failed comparing predictions with them: "operands could
+    # not be broadcast"
+    model, x, y, _ = _toy_oracle()
+    with pytest.raises(nn.DimensionError, match=
+                       "labels must be 1-D and match the feature rows"):
+        OldModelOracle.from_model(model, x, y[:-1])
+
+
 def test_oracle_from_model_matches_predictions():
     model, x, y, oracle = _toy_oracle()
     preds = nn.predict_batch(model, x)

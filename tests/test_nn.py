@@ -6,6 +6,7 @@ follows the documented shuffle and update rules.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -575,3 +576,22 @@ def test_train_validates_inputs():
     bad[0] = 9
     with pytest.raises(ValueError, match="range"):
         nn.train(model, x, bad, make_ce_objective(bad), cfg)
+
+
+def test_train_rejects_features_that_are_not_2_d():
+    # one row per sample: a 1-D array of as many values as labels once
+    # failed with an IndexError
+    x, y = _blobs(5)
+    with pytest.raises(nn.DimensionError, match=re.escape(
+            "features must be 2-D, got shape (10,)")):
+        nn.train(nn.init_model([2, 2], seed=0), x[:, 0], y,
+                 make_ce_objective(y), nn.TrainConfig(epochs=1))
+
+
+def test_train_rejects_labels_that_are_not_integers():
+    # int64 would truncate them: 0.5 and 1.5 once trained as 0 and 1
+    x, y = _blobs(5)
+    with pytest.raises(ValueError, match=re.escape(
+            "labels must be integers, got dtype float64")):
+        nn.train(nn.init_model([2, 2], seed=0), x, y + 0.5,
+                 make_ce_objective(y), nn.TrainConfig(epochs=1))

@@ -3,7 +3,7 @@ docstring, and the per-sample and per-record oracles that moved to
 ``tests/oracles.py``, the record-level flip API, the dataset views and the
 names that only tests reached, all deleted, stay out of it. No module
 imports a name it never loads, except the ones the benchmark's tracer
-patches, and only ``tables`` walks type hints."""
+patches, and only ``tables`` walks type hints or reads a field's key."""
 
 import ast
 import inspect
@@ -101,6 +101,10 @@ def test_names_only_tests_reached_stay_gone():
     # tables.check_value is the one rule for what a field may hold
     for name in ("check_finite", "is_integer", "_integer_fields"):
         assert not hasattr(tables, name), name
+    # tables.layout is the one reader of a field's key, and a flip report is
+    # written as json_text(as_record(report)), like every other file
+    assert not hasattr(tables, "field_key")
+    assert not hasattr(flips.FlipReport, "to_json")
     # every caller passes these, so none has a fallback
     required = {nn.ce_rows: ("m", "at"), nn.backward_batch: ("out",),
                 ensembles.Ensemble.predict_batch: ("workspace",),
@@ -122,6 +126,24 @@ def test_only_tables_walks_type_hints():
                 for node in ast.walk(tree)):
             walkers.append(path.stem)
     assert walkers == []
+
+
+def test_only_tables_reads_a_fields_metadata():
+    """``tables.layout`` is the one reader of a field's key metadata, so the
+    writer and the config codec walk the same layout: no other module of the
+    package reads a field's ``metadata`` or calls ``dataclasses.fields``."""
+    readers = set()
+    for path in sorted(Path(pctlab.__file__).parent.glob("*.py")):
+        if path.stem == "tables":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("metadata", "fields")
+                    or isinstance(node, ast.ImportFrom)
+                    and node.module == "dataclasses"
+                    and "fields" in {a.name for a in node.names}):
+                readers.add(path.stem)
+    assert readers == set()
 
 
 def test_model_shape_is_structural():

@@ -17,6 +17,7 @@ import numpy as np
 from .datasets import SPLIT_TEST, SPLIT_TRAIN, Dataset
 from .flips import report_from_arrays
 from .losses import make_ce_objective
+from .rng import check_seed
 # tracer-only import: see tests/test_package.py::TRACER_ONLY_IMPORTS
 from .nn import (MLPModel, Objective, TrainConfig, Workspace, batch_logits,
                  block_cuts, forward_into, init_model, stack_models, train)
@@ -36,10 +37,11 @@ class Ensemble:
     def __post_init__(self):
         if not self.members:
             raise ValueError("ensemble needs at least one member")
-        dim = self.members[0].input_dim
-        k = self.members[0].num_classes
-        for m in self.members[1:]:
-            if m.input_dim != dim or m.num_classes != k:
+        first = self.members[0]
+        for j, m in enumerate(self.members):
+            if m.stack_size is not None:
+                raise ValueError(f"member {j} is a stack of {m.stack_size} models")
+            if m.input_dim != first.input_dim or m.num_classes != first.num_classes:
                 raise ValueError("members must share input_dim and class count")
 
     @property
@@ -167,6 +169,9 @@ def sweep_ensemble_size(old_dims: Sequence[int], new_dims: Sequence[int],
     top = sizes[-1]
     if abs(old_base_seed - new_base_seed) < top:
         raise ValueError("old and new seed ranges overlap")
+    for seed in (old_base_seed, new_base_seed):  # before anything trains
+        check_seed(seed)
+        check_seed(seed + top - 1)
 
     train_rows = dataset.rows_of_split(SPLIT_TRAIN)
     test_rows = dataset.rows_of_split(SPLIT_TEST)

@@ -433,6 +433,8 @@ def train(model: MLPModel, features: np.ndarray, labels: np.ndarray,
     if features.shape[1] != model.input_dim:
         raise DimensionError(
             f"features have dim {features.shape[1]}, model expects {model.input_dim}")
+    if not np.isfinite(features).all():  # a NaN would spread to every weight
+        raise ValueError("features must be finite, got nan or inf")
     if labels.min() < 0 or labels.max() >= model.num_classes:
         raise ValueError("labels out of range for the model's class count")
 

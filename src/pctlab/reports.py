@@ -13,24 +13,13 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import replace
-from typing import List
+from typing import Dict, List
 
 from .config import ConfigError, experiment_from_document, from_document
 from .harness import ExperimentResult, MethodRow
 from .tables import Table, as_record, json_text
 
 FORMATS = ("csv", "json")
-
-
-def _check_format(fmt: str) -> None:
-    if fmt not in FORMATS:
-        raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
-
-
-def _write(path: str, text: str) -> str:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
-    return path
 
 
 def result_from_document(doc: dict) -> ExperimentResult:
@@ -56,40 +45,41 @@ def summary_csv(result: ExperimentResult) -> str:
     return Table([MethodRow.of(result)]).to_csv()
 
 
+def _write_files(out_dir: str, fmt: str, texts: Dict[str, str]) -> List[str]:
+    """Check ``fmt``, then write each text to its file name in ``out_dir``."""
+    if fmt not in FORMATS:
+        raise ValueError(f"format must be one of {FORMATS}, got {fmt!r}")
+    os.makedirs(out_dir, exist_ok=True)
+    files = []
+    for name, text in texts.items():
+        files.append(os.path.join(out_dir, name))
+        with open(files[-1], "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    return files
+
+
 def write_experiment(result: ExperimentResult, out_dir: str,
                      fmt: str = "json") -> List[str]:
     """Emit the full artifact set for one experiment into ``out_dir``."""
-    _check_format(fmt)
-    os.makedirs(out_dir, exist_ok=True)
-    files = []
+    texts = {}
     for run in result.runs:
         tag = f"rep{run.repetition:02d}"
-        files.append(_write(os.path.join(out_dir, f"epochs_{tag}.csv"),
-                            Table(run.epochs).to_csv()))
-        files.append(_write(os.path.join(out_dir, f"report_{tag}.json"),
-                            json_text(as_record(run.final))))
-    if fmt == "json":
-        files.append(_write(os.path.join(out_dir, "summary.json"),
-                            json_text(result.summary())))
-    else:
-        files.append(_write(os.path.join(out_dir, "summary.csv"),
-                            summary_csv(result)))
+        texts[f"epochs_{tag}.csv"] = Table(run.epochs).to_csv()
+        texts[f"report_{tag}.json"] = json_text(as_record(run.final))
+    texts[f"summary.{fmt}"] = (json_text(result.summary()) if fmt == "json"
+                               else summary_csv(result))
     # the destination is not part of the experiment
     artifacts = replace(result, config=replace(result.config, output_dir=None))
-    files.append(_write(os.path.join(out_dir, "artifacts.json"),
-                        json_text(as_record(artifacts))))
-    return files
+    texts["artifacts.json"] = json_text(as_record(artifacts))
+    return _write_files(out_dir, fmt, texts)
 
 
 def _write_table(table: Table, out_dir: str, name: str, fmt: str) -> List[str]:
     """``name``.csv, plus ``name``.json when ``fmt`` is json."""
-    _check_format(fmt)
-    os.makedirs(out_dir, exist_ok=True)
-    files = [_write(os.path.join(out_dir, f"{name}.csv"), table.to_csv())]
+    texts = {f"{name}.csv": table.to_csv()}
     if fmt == "json":
-        files.append(_write(os.path.join(out_dir, f"{name}.json"),
-                            json_text({"rows": table.records()})))
-    return files
+        texts[f"{name}.json"] = json_text({"rows": table.records()})
+    return _write_files(out_dir, fmt, texts)
 
 
 def write_comparison(table: Table, out_dir: str, fmt: str = "csv") -> List[str]:

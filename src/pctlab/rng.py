@@ -21,12 +21,17 @@ STREAM_SUBSET = 5
 SEED_LIMIT = 2 ** 64
 
 
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless ``seed`` lies in [0, SEED_LIMIT)."""
+    if not 0 <= seed < SEED_LIMIT:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+
+
 def stream_rng(seed: int, stream: int, index: int = 0) -> np.random.Generator:
     """A Generator for the (seed, stream, index) triple. ``index`` varies
     the stream within a tag, e.g. the epoch number for per-epoch shuffles. A
     seed outside [0, SEED_LIMIT) raises ValueError."""
-    if not 0 <= seed < SEED_LIMIT:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+    check_seed(seed)
     if index < 0:
         raise ValueError(f"stream index must be non-negative, got {index}")
     key = np.array([np.uint64(seed), np.uint64((stream << 48) + index)],

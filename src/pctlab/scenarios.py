@@ -129,13 +129,11 @@ class UpdateScenario:
 
 @dataclass
 class TrainingJob:
-    """One side's training data: ``rows``, indices of the dataset's rows it
-    sees, ``features``, those rows of the dataset's features, gathered once
-    and shared by both sides when their data filters are equal, their
-    ``labels`` in the side's label space (its sorted classes relabelled
-    0..k-1), and the side's layer ``dims``."""
+    """One side's training data: the dataset's ``features`` on the rows its
+    ``DataFilter.select`` picks, gathered once and shared by both sides when
+    their filters are equal, their ``labels`` in the side's label space (its
+    sorted classes relabelled 0..k-1), and the side's layer ``dims``."""
 
-    rows: np.ndarray
     features: np.ndarray
     labels: np.ndarray
     dims: List[int]
@@ -169,7 +167,7 @@ def _job(data: DataFilter, model: ModelSpec, dataset: Dataset,
         features = dataset.features[rows]
     labels = np.searchsorted(classes, dataset.labels[rows])
     dims = model.dims(dataset.input_dim, classes.size)
-    return TrainingJob(rows, features, labels, dims), classes
+    return TrainingJob(features, labels, dims), classes
 
 
 def build_scenario(scenario: UpdateScenario, dataset: Dataset) -> ScenarioPlan:

@@ -4,6 +4,7 @@ and error reporting."""
 import filecmp
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -15,7 +16,8 @@ from oracles import loads_config
 from pctlab import cli, harness, reports
 from pctlab.cli import main
 from pctlab.config import experiment_from_document, load_document
-from pctlab.tables import as_record
+from pctlab.harness import MethodRow
+from pctlab.tables import Table, as_record
 
 CONFIG_TEXT = """\
 dataset: {k: 5, input_dim: 8, samples_per_class: 80, cluster_spread: 1.2, seed: 11}
@@ -395,6 +397,46 @@ def test_generate_seed_drives_only_the_data(config_path, tmp_path, capsys):
 def test_unknown_subcommand_is_rejected():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
+
+
+EXPERIMENT_COMMANDS = ("run", "compare", "sweep-focal", "sweep-ensemble")
+
+
+def test_experiment_subcommands_share_one_handler_and_options():
+    parser = cli.build_parser()
+    parsed = [parser.parse_args([command, "--config", "c.yaml", "--seed", "1",
+                                 "--out", "o", "--format", "json"])
+              for command in EXPERIMENT_COMMANDS]
+    assert len({args.func for args in parsed}) == 1
+    for command, args in zip(EXPERIMENT_COMMANDS, parsed):
+        assert vars(args) == {"command": command, "config": "c.yaml",
+                              "seed": 1, "out": "o", "format": "json",
+                              "func": parsed[0].func}
+
+
+@pytest.mark.parametrize("argv", [["run", "--bogus"], [], ["run", "--seed",
+                                                           "abc"]],
+                         ids=["unknown-option", "no-subcommand", "bad-seed"])
+def test_argument_errors_exit_2_with_the_usage_line(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: pctlab") and "error: " in err
+
+
+@pytest.mark.parametrize("write, as_written", [
+    (reports.write_experiment, lambda result: result),
+    (reports.write_comparison, lambda result: Table([MethodRow.of(result)])),
+], ids=["experiment", "comparison"])
+def test_a_bad_format_raises_and_makes_no_directory(tmp_path, write,
+                                                    as_written):
+    stored = os.path.join(os.path.dirname(__file__), "data", "artifacts.json")
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=re.escape(
+            "format must be one of ('csv', 'json'), got 'xml'")):
+        write(as_written(reports.load_result(stored)), str(out), "xml")
+    assert not out.exists()
 
 
 def test_config_module_round_trips_cli_document(config_path):

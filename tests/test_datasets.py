@@ -160,7 +160,7 @@ def test_half_classes_view_relabels_contiguously(data):
     np.testing.assert_array_equal(classes, [0, 2])  # sorted
     job = build_scenario(UpdateScenario(ScenarioKind.CLASS_GROWTH,
                                         old_data=subset), data).old_job
-    np.testing.assert_array_equal(job.rows, rows)
+    np.testing.assert_array_equal(job.features, data.features[rows])
     assert set(np.unique(job.labels)) == {0, 1}
     np.testing.assert_array_equal(classes[job.labels], data.labels[rows])
     assert job.dims[-1] == 2

@@ -1,12 +1,13 @@
 """Logit-averaged ensembles: member math, training reproducibility, and the
 size sweep's prefix-reuse trick."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pctlab import nn
+from pctlab import ensembles, nn
 from pctlab.datasets import SPLIT_TEST, SPLIT_TRAIN, SyntheticSpec, generate
 from pctlab.ensembles import Ensemble, sweep_ensemble_size, train_ensemble
 from pctlab.flips import report_from_arrays
@@ -41,6 +42,16 @@ def test_ensemble_requires_homogeneous_members():
     mixed = [_models(1)[0], nn.init_model([5, 6, 3], seed=9)]
     with pytest.raises(ValueError, match="share"):
         Ensemble(mixed)
+
+
+def test_ensemble_rejects_a_stacked_member():
+    # a stack once passed as one member, and its first predict_batch blamed
+    # the rows: "expected one model and rows of shape (n, 5)"
+    single, stack = _models(1)[0], nn.stack_models(_models(3))
+    for members, j in (([stack], 0), ([single, stack], 1)):
+        with pytest.raises(ValueError,
+                           match=f"^member {j} is a stack of 3 models$"):
+            Ensemble(members)
 
 
 def test_mean_logits_is_member_mean():
@@ -251,6 +262,29 @@ def test_sweep_validates_sizes_and_seed_ranges(data):
     for sizes in ([2.5, 2], [1, True]):
         with pytest.raises(ValueError, match="sizes must be int, got "):
             sweep_ensemble_size([5, 4], [5, 4], data, CFG, sizes, 0, 100)
+
+
+@pytest.mark.parametrize("old_seed, new_seed, bad", [
+    (0, 2**64 - 1, 2**64),   # the new side's member 1 is past 2**64
+    (2**64 - 1, 0, 2**64),   # and so is the old side's
+    (-2, 5, -2),
+], ids=["new", "old", "negative"])
+def test_sweep_checks_every_seed_before_anything_trains(data, monkeypatch,
+                                                        old_seed, new_seed,
+                                                        bad):
+    # the whole old side once trained before the new side's seed was checked
+    trained = []
+
+    def spy(*args, **kwargs):
+        trained.append(args[5])
+        return train_ensemble(*args, **kwargs)
+
+    monkeypatch.setattr(ensembles, "train_ensemble", spy)
+    with pytest.raises(ValueError, match=re.escape(
+            f"seed must be in [0, 2**64), got {bad}")):
+        sweep_ensemble_size([5, 4], [5, 4], data, CFG, [1, 2], old_seed,
+                            new_seed)
+    assert trained == []
 
 
 def test_sweep_prefix_rows_match_direct_ensembles(data, train_xy):

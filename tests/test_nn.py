@@ -595,3 +595,20 @@ def test_train_rejects_labels_that_are_not_integers():
             "labels must be integers, got dtype float64")):
         nn.train(nn.init_model([2, 2], seed=0), x, y + 0.5,
                  make_ce_objective(y), nn.TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_train_rejects_features_that_are_not_finite(monkeypatch, bad):
+    # one NaN once spread to every weight in two epochs, and the model then
+    # predicted class 0 on every row
+    x, y = _blobs(20)
+    x[3, 1] = bad
+
+    def must_not_step(*args, **kwargs):
+        raise AssertionError("stepped on features that are not finite")
+
+    monkeypatch.setattr(nn, "forward_batch", must_not_step)
+    with pytest.raises(ValueError, match="^features must be finite, got nan "
+                                         "or inf$"):
+        nn.train(nn.init_model([2, 3, 2], seed=0), x, y,
+                 make_ce_objective(y), nn.TrainConfig(epochs=2))

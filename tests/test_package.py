@@ -11,8 +11,8 @@ from dataclasses import fields
 from pathlib import Path
 
 import pctlab
-from pctlab import (config, datasets, ensembles, flips, harness, losses, nn,
-                    reports, scenarios, tables)
+from pctlab import (cli, config, datasets, ensembles, flips, harness, losses,
+                    nn, reports, scenarios, tables)
 
 
 def test_every_exported_name_resolves():
@@ -66,9 +66,10 @@ def test_oracles_live_only_in_the_tests():
     for name in ("init_model", "stack_models", "with_seed"):
         assert not hasattr(harness, name), name
     # a plan holds rows and labels in the new model's label space, and one
-    # old-to-new class map instead of a label map per side
+    # old-to-new class map instead of a label map per side; a side's row
+    # indices come from its DataFilter.select
     gone = {scenarios.EvalPlan: {"old_label_map", "new_label_map", "sample_ids"},
-            scenarios.TrainingJob: {"view", "init_from_old"},
+            scenarios.TrainingJob: {"view", "init_from_old", "rows"},
             scenarios.ScenarioPlan: {"scenario"}}
     for cls, names in gone.items():
         assert names.isdisjoint(f.name for f in fields(cls)), cls.__name__
@@ -105,6 +106,13 @@ def test_names_only_tests_reached_stay_gone():
     # written as json_text(as_record(report)), like every other file
     assert not hasattr(tables, "field_key")
     assert not hasattr(flips.FlipReport, "to_json")
+    # one handler serves the four experiment subcommands, and one writer
+    # writes every result file
+    for name in ("_load", "_out_dir", "_cmd_run", "_cmd_compare",
+                 "_cmd_sweep_focal", "_cmd_sweep_ensemble"):
+        assert not hasattr(cli, name), name
+    for name in ("_check_format", "_write"):
+        assert not hasattr(reports, name), name
     # every caller passes these, so none has a fallback
     required = {nn.ce_rows: ("m", "at"), nn.backward_batch: ("out",),
                 ensembles.Ensemble.predict_batch: ("workspace",),

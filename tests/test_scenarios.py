@@ -138,16 +138,19 @@ def test_scenario_accepts_kind_as_string():
 
 
 def test_build_scenario_same_arch_shares_full_eval(data):
-    plan = build_scenario(reference_scenario(ScenarioKind.SAME_ARCH_RETRAIN,
-                                             SPEC.num_classes), data)
+    scenario = reference_scenario(ScenarioKind.SAME_ARCH_RETRAIN,
+                                  SPEC.num_classes)
+    plan = build_scenario(scenario, data)
     test_rows = data.rows_of_split(SPLIT_TEST)
     np.testing.assert_array_equal(plan.eval_plan.features,
                                   data.features[test_rows])
     np.testing.assert_array_equal(plan.eval_plan.labels, data.labels[test_rows])
     np.testing.assert_array_equal(plan.old_to_new, np.arange(6))
     train = data.rows_of_split(SPLIT_TRAIN)
-    for job in (plan.old_job, plan.new_job):
-        np.testing.assert_array_equal(job.rows, train)
+    for job, side in ((plan.old_job, scenario.old_data),
+                      (plan.new_job, scenario.new_data)):
+        np.testing.assert_array_equal(side.select(data)[0], train)
+        np.testing.assert_array_equal(job.features, data.features[train])
         np.testing.assert_array_equal(job.labels, data.labels[train])
         assert job.dims == [5, 32, 6]
     assert not plan.init_from_old
@@ -168,9 +171,12 @@ def test_build_scenario_class_growth_restricts_eval(data):
 
 
 def test_build_scenario_sample_growth_shares_eval_rows(data):
-    plan = build_scenario(reference_scenario(ScenarioKind.SAMPLE_GROWTH,
-                                             SPEC.num_classes), data)
-    old_train, new_train = plan.old_job.rows, plan.new_job.rows
+    scenario = reference_scenario(ScenarioKind.SAMPLE_GROWTH, SPEC.num_classes)
+    plan = build_scenario(scenario, data)
+    old_train = scenario.old_data.select(data)[0]
+    new_train = scenario.new_data.select(data)[0]
+    np.testing.assert_array_equal(plan.old_job.features, data.features[old_train])
+    np.testing.assert_array_equal(plan.new_job.features, data.features[new_train])
     assert old_train.size < new_train.size
     assert set(old_train) <= set(new_train)
     np.testing.assert_array_equal(plan.eval_plan.features,
@@ -183,9 +189,11 @@ SHARED_ROWS = {ScenarioKind.SAME_ARCH_RETRAIN, ScenarioKind.ARCH_CHANGE}
 
 @pytest.mark.parametrize("kind", list(ScenarioKind))
 def test_each_job_holds_its_rows_features(data, kind):
-    plan = build_scenario(reference_scenario(kind, SPEC.num_classes), data)
-    for job in (plan.old_job, plan.new_job):
-        want = data.features[job.rows]
+    scenario = reference_scenario(kind, SPEC.num_classes)
+    plan = build_scenario(scenario, data)
+    for job, side in ((plan.old_job, scenario.old_data),
+                      (plan.new_job, scenario.new_data)):
+        want = data.features[side.select(data)[0]]
         assert (job.features.dtype, job.features.shape) == (want.dtype,
                                                             want.shape)
         assert job.features.tobytes() == want.tobytes()
@@ -217,7 +225,7 @@ def test_build_scenario_labels_everything_in_the_new_label_space(data):
                                   np.searchsorted([1, 2, 3, 5], data.labels[keep]))
     np.testing.assert_array_equal(
         np.array([1, 2, 3, 5])[plan.new_job.labels],
-        data.labels[plan.new_job.rows])
+        data.labels[scenario.new_data.select(data)[0]])
     assert plan.new_job.dims == [5, 32, 4]
 
 

@@ -7,7 +7,7 @@ focal distillation, and logit-averaged ensembles.
 """
 
 from .datasets import Dataset, SyntheticSpec, generate
-from .ensembles import Ensemble, sweep_ensemble_size, train_ensemble
+from .ensembles import Ensemble, train_ensemble
 from .flips import FlipReport, compute_relative_nfr, report_from_arrays
 from .harness import (METHODS, ExperimentConfig, ExperimentResult, RunArtifacts,
                       compare_methods, pc_config_for_method, prepare_scenario,
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Dataset", "SyntheticSpec", "generate",
-    "Ensemble", "sweep_ensemble_size", "train_ensemble",
+    "Ensemble", "train_ensemble",
     "FlipReport", "compute_relative_nfr", "report_from_arrays",
     "METHODS", "ExperimentConfig", "ExperimentResult", "RunArtifacts",
     "compare_methods", "pc_config_for_method", "prepare_scenario",

@@ -2,26 +2,25 @@
 
 ``Ensemble`` scores a group of models and ``scoring_workspace`` sizes its
 buffers. ``train_ensemble`` builds and trains every weight stack in the
-package: every old side, the size sweep and each repetition stack of
-``harness.run_experiment``. ``check_old_side`` rejects a diverged old
-side, and ``sweep_ensemble_size`` measures flips against ensemble size.
+package: every old side, the size sweep's new side and each repetition
+stack of ``harness.run_experiment``. ``check_old_side`` rejects a
+diverged old side. The size sweep, ``harness.sweep_ensemble``, runs on a
+``harness.ScenarioState``: its L row is the ``ensemble`` method's
+repetition 0 for a full-data scenario.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .datasets import SPLIT_TEST, SPLIT_TRAIN, Dataset
+# tracer-only imports: see tests/test_package.py::TRACER_ONLY_IMPORTS
 from .flips import report_from_arrays
 from .losses import make_ce_objective
-from .rng import check_seed
-# tracer-only import: see tests/test_package.py::TRACER_ONLY_IMPORTS
 from .nn import (MLPModel, Objective, TrainConfig, Workspace, batch_logits,
                  block_cuts, forward_into, init_model, stack_models, train)
-from .tables import Table, check_value
 
 
 @dataclass
@@ -144,53 +143,3 @@ def check_old_side(old: Ensemble) -> None:
                    for a in (layer.weights, layer.bias)):
             raise ValueError(f"the old side diverged: member {j}'s weights "
                              "are not finite")
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    size: int = field(metadata={"key": "L"})
-    er_old: float
-    er_new: float
-    nfr: float
-    rel_nfr: Optional[float]
-
-
-def sweep_ensemble_size(old_dims: Sequence[int], new_dims: Sequence[int],
-                        dataset: Dataset, config: TrainConfig,
-                        sizes: Sequence[int], old_base_seed: int,
-                        new_base_seed: int) -> Table:
-    """One ``SweepRow`` of old/new ensemble flip metrics per requested size.
-    Trains max(sizes) members per side once and scores every size L on the
-    first L members: exactly the ensemble ``train_ensemble`` would produce
-    for that L. Seed ranges for the two sides must not overlap."""
-    sizes = check_value(Tuple[int, ...], list(sizes), "ensemble sizes")
-    if not sizes or sizes[0] < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
-        raise ValueError("sizes must be strictly ascending and >= 1")
-    top = sizes[-1]
-    if abs(old_base_seed - new_base_seed) < top:
-        raise ValueError("old and new seed ranges overlap")
-    for seed in (old_base_seed, new_base_seed):  # before anything trains
-        check_seed(seed)
-        check_seed(seed + top - 1)
-
-    train_rows = dataset.rows_of_split(SPLIT_TRAIN)
-    test_rows = dataset.rows_of_split(SPLIT_TEST)
-    train_x, train_y = dataset.features[train_rows], dataset.labels[train_rows]
-    test_x, test_y = dataset.features[test_rows], dataset.labels[test_rows]
-    del dataset, train_rows, test_rows  # both sides need only the splits
-
-    with np.errstate(all="ignore"):     # check_old_side reports a divergence
-        old_ens = train_ensemble(old_dims, train_x, train_y, config, top,
-                                 old_base_seed)
-    check_old_side(old_ens)
-    new_ens = train_ensemble(new_dims, train_x, train_y, config, top,
-                             new_base_seed)
-    workspace = Workspace()
-    old_preds = old_ens.predictions(test_x, sizes, workspace)
-    new_preds = new_ens.predictions(test_x, sizes, workspace)
-    rows = []
-    for size, old_row, new_row in zip(sizes, old_preds, new_preds):
-        report = report_from_arrays(test_y, old_row, new_row)
-        rows.append(SweepRow(size, report.er_old, report.er_new, report.nfr,
-                             report.rel_nfr))
-    return Table(rows)

@@ -12,9 +12,11 @@ training schedule and one of the update methods ``METHODS``:
 ``prepare_scenario`` builds a ``ScenarioState``, whose old sides score
 every new side, and ``run_experiment`` runs one experiment on it;
 ``compare_methods``, ``sweep_focal`` and ``sweep_ensemble`` run several.
-``model_seed`` lays out every seed. ``EpochMetrics``, ``MethodRow`` and
-``FocalSweepRow`` are the rows of the epoch series, comparison and
-focal-sweep tables.
+The ensemble sweep runs on a ``ScenarioState`` of its own, so its L row is
+the ``ensemble`` method's repetition 0 for a full-data scenario.
+``model_seed`` lays out every seed. ``EpochMetrics``, ``MethodRow``,
+``FocalSweepRow`` and ``SweepRow`` are the rows of the epoch series,
+comparison, focal-sweep and ensemble-sweep tables.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from . import ensembles
 from .datasets import SyntheticSpec, generate
-from .ensembles import Ensemble, sweep_ensemble_size
+from .ensembles import Ensemble
 from .flips import FlipReport, report_from_arrays
 # tracer-only imports: see tests/test_package.py::TRACER_ONLY_IMPORTS
 from .losses import (FilterSpec, OldModelOracle, PCLossConfig, make_ce_objective,
@@ -399,21 +401,54 @@ def sweep_focal(config: ExperimentConfig,
     return Table(rows, results)
 
 
+@dataclass(frozen=True)
+class SweepRow:
+    size: int = field(metadata={"key": "L"})
+    er_old: float
+    er_new: float
+    nfr: float
+    rel_nfr: Optional[float]
+
+
+def sweep_ensemble_size(state: ScenarioState, sizes: Sequence[int]) -> Table:
+    """One ``SweepRow`` per size L of the strictly ascending ``sizes``. The
+    old side is ``state.old_side(max(sizes))`` and the new side one stack
+    of as many members, seeded as the ``ensemble`` method's repetition 0;
+    each side's first L members are the ensemble that side trains at size
+    L, and both are scored on the eval set at every L in one pass."""
+    plan, top = state.plan, sizes[-1]
+    old, job = state.old_side(top).ensemble, plan.new_job
+    new = ensembles.train_ensemble(job.dims, job.features, job.labels,
+                                   state.train, top,
+                                   model_seed(state.train.seed, "new_member"))
+    ep, workspace = plan.eval_plan, Workspace()
+    old_preds = plan.old_to_new[old.predictions(ep.features, sizes, workspace)]
+    new_preds = new.predictions(ep.features, sizes, workspace)
+    rows = []
+    for size, old_row, new_row in zip(sizes, old_preds, new_preds):
+        report = report_from_arrays(ep.labels, old_row, new_row)
+        rows.append(SweepRow(size, report.er_old, report.er_new, report.nfr,
+                             report.rel_nfr))
+    return Table(rows)
+
+
 def sweep_ensemble(config: ExperimentConfig, sizes: Sequence[int],
                    max_workers: int = 1) -> Table:
-    """Flip metrics versus ensemble size, on the full training split and the
-    scenario's architectures, so that size is the only variable. A size
-    outside ``ExperimentConfig``'s ``ensemble_size`` bound raises ValueError
-    before anything trains. ``max_workers`` is ignored, since each side
-    trains as one stack; pctbench/workloads.py still passes it."""
-    sizes = list(sizes)
-    check_value(Tuple[int, ...], sizes, "ensemble sizes")
-    if any(s >= ENSEMBLE_REP_STRIDE for s in sizes):
+    """Flip metrics versus ensemble size: ``sweep_ensemble_size`` on a state
+    prepared for the config's two architectures with full data on both
+    sides and no fine-tune, so that size is the only variable. Sizes that
+    are not ints, not strictly ascending, or outside ``ExperimentConfig``'s
+    ``ensemble_size`` bound raise ValueError before anything trains.
+    ``max_workers`` is ignored, since each side trains as one stack;
+    pctbench/workloads.py still passes it."""
+    sizes = list(check_value(Tuple[int, ...], list(sizes), "ensemble sizes"))
+    if not sizes or sizes[0] < 1 or any(a >= b for a, b in zip(sizes, sizes[1:])):
+        raise ValueError("sizes must be strictly ascending and >= 1")
+    if sizes[-1] >= ENSEMBLE_REP_STRIDE:
         raise ValueError(f"ensemble sizes must be below {ENSEMBLE_REP_STRIDE}")
-    spec = config.dataset
-    old_dims = config.scenario.old_model.dims(spec.input_dim, spec.num_classes)
-    new_dims = config.scenario.new_model.dims(spec.input_dim, spec.num_classes)
-    base = config.train.seed
-    return sweep_ensemble_size(old_dims, new_dims, generate(spec), config.train,
-                               sizes, model_seed(base, "old"),
-                               model_seed(base, "new_member"))
+    s = config.scenario
+    # build_scenario never reads the kind; this one accepts any two specs
+    # on full data, which fine_tune and class_growth would reject
+    full_data = UpdateScenario(ScenarioKind.ARCH_CHANGE, s.old_model, s.new_model)
+    return sweep_ensemble_size(prepare_scenario(
+        replace(config, method="ensemble", scenario=full_data)), sizes)

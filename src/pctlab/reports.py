@@ -28,8 +28,14 @@ def result_from_document(doc: dict) -> ExperimentResult:
     for key in ("config", "runs"):
         if not doc.get(key):
             raise ConfigError(f"artifacts needs a non-empty {key!r}")
-    return from_document(ExperimentResult, doc, "artifacts",
-                         config=experiment_from_document(doc["config"]))
+    result = from_document(ExperimentResult, doc, "artifacts",
+                          config=experiment_from_document(doc["config"]))
+    # each run writes files named by its repetition, so a repeat overwrites
+    reps = [run.repetition for run in result.runs]
+    if reps != list(range(result.config.repetitions)):
+        raise ConfigError(f"artifacts runs must be repetitions 0 to "
+                          f"{result.config.repetitions - 1} in order, got {reps}")
+    return result
 
 
 def load_result(path: str) -> ExperimentResult:

@@ -358,6 +358,29 @@ def test_report_names_the_fault_of_malformed_artifacts(tmp_path, capsys, text,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("reps", [[0, 0], [5, 0], [1, 0], [0]],
+                         ids=["repeated", "out-of-range", "reordered", "missing"])
+def test_report_rejects_runs_that_are_not_each_repetition_once(tmp_path, capsys,
+                                                              reps):
+    """Each run's files are named by its repetition, so runs numbered
+    [0, 0] once loaded and ``report`` overwrote ``epochs_rep00.csv``. The
+    stored run, numbered [0, 1] under ``repetitions: 2``, still loads."""
+    stored = os.path.join(os.path.dirname(__file__), "data", "artifacts.json")
+    with open(stored, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert doc["config"]["repetitions"] == 2
+    assert [run.repetition for run in reports.result_from_document(doc).runs] \
+        == [0, 1]
+    runs = [dict(run, repetition=r) for run, r in zip(doc["runs"], reps)]
+    path = tmp_path / "artifacts.json"
+    path.write_text(json.dumps(dict(doc, runs=runs)), encoding="utf-8")
+    assert main(["report", "--artifacts", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == ("error: artifacts runs must be "
+                                       f"repetitions 0 to 1 in order, got {reps}\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("text, extra, message", [
     ("dataset: {seed: 18446744073709551616}\n", [],
      "dataset: seed must be in [0, 2**64)"),

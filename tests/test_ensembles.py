@@ -1,16 +1,14 @@
-"""Logit-averaged ensembles: member math, training reproducibility, and the
-size sweep's prefix-reuse trick."""
+"""Logit-averaged ensembles: member math, blockwise scoring of every prefix,
+and training reproducibility."""
 
-import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pctlab import ensembles, nn
-from pctlab.datasets import SPLIT_TEST, SPLIT_TRAIN, SyntheticSpec, generate
-from pctlab.ensembles import Ensemble, sweep_ensemble_size, train_ensemble
-from pctlab.flips import report_from_arrays
+from pctlab import nn
+from pctlab.datasets import SPLIT_TRAIN, SyntheticSpec, generate
+from pctlab.ensembles import Ensemble, train_ensemble
 from pctlab.losses import (DistanceSpec, OldModelOracle, PCLossConfig,
                            make_ce_objective, make_objective)
 
@@ -247,67 +245,3 @@ def test_member_seeds_past_2_64_raise_a_named_error():
             train_ensemble([3, 2], x, y, nn.TrainConfig(epochs=1, seed=top), 2,
                            top, init=init)
     train_ensemble([3, 2], x, y, nn.TrainConfig(epochs=1, seed=top), 1, top)
-
-
-def test_sweep_validates_sizes_and_seed_ranges(data):
-    with pytest.raises(ValueError, match="ascending"):
-        sweep_ensemble_size([5, 4], [5, 4], data, CFG, [2, 1], 0, 100)
-    with pytest.raises(ValueError, match="ascending"):
-        sweep_ensemble_size([5, 4], [5, 4], data, CFG, [], 0, 100)
-    with pytest.raises(ValueError, match="strictly ascending"):
-        sweep_ensemble_size([5, 4], [5, 4], data, CFG, [1, 1, 2], 0, 100)
-    with pytest.raises(ValueError, match="overlap"):
-        sweep_ensemble_size([5, 4], [5, 4], data, CFG, [1, 4], 0, 2)
-    # int() read [2.5, 2] as [2, 2], which failed as not ascending
-    for sizes in ([2.5, 2], [1, True]):
-        with pytest.raises(ValueError, match="sizes must be int, got "):
-            sweep_ensemble_size([5, 4], [5, 4], data, CFG, sizes, 0, 100)
-
-
-@pytest.mark.parametrize("old_seed, new_seed, bad", [
-    (0, 2**64 - 1, 2**64),   # the new side's member 1 is past 2**64
-    (2**64 - 1, 0, 2**64),   # and so is the old side's
-    (-2, 5, -2),
-], ids=["new", "old", "negative"])
-def test_sweep_checks_every_seed_before_anything_trains(data, monkeypatch,
-                                                        old_seed, new_seed,
-                                                        bad):
-    # the whole old side once trained before the new side's seed was checked
-    trained = []
-
-    def spy(*args, **kwargs):
-        trained.append(args[5])
-        return train_ensemble(*args, **kwargs)
-
-    monkeypatch.setattr(ensembles, "train_ensemble", spy)
-    with pytest.raises(ValueError, match=re.escape(
-            f"seed must be in [0, 2**64), got {bad}")):
-        sweep_ensemble_size([5, 4], [5, 4], data, CFG, [1, 2], old_seed,
-                            new_seed)
-    assert trained == []
-
-
-def test_sweep_prefix_rows_match_direct_ensembles(data, train_xy):
-    x, y = train_xy
-    result = sweep_ensemble_size([5, 8, 4], [5, 8, 4], data, CFG, [1, 2],
-                                 old_base_seed=0, new_base_seed=50)
-    assert [r.size for r in result.rows] == [1, 2]
-
-    test_rows = data.rows_of_split(SPLIT_TEST)
-    xt, yt = data.features[test_rows], data.labels[test_rows]
-    for size, row in zip((1, 2), result.rows):
-        old = train_ensemble([5, 8, 4], x, y, CFG, size, base_seed=0)
-        new = train_ensemble([5, 8, 4], x, y, CFG, size, base_seed=50)
-        report = report_from_arrays(yt, old.predict_batch(xt, nn.Workspace()),
-                                    new.predict_batch(xt, nn.Workspace()))
-        assert (row.er_old, row.er_new, row.nfr) == (
-            report.er_old, report.er_new, report.nfr)
-
-
-def test_sweep_csv_layout(data):
-    result = sweep_ensemble_size([5, 4], [5, 4], data, CFG, [1],
-                                 old_base_seed=0, new_base_seed=10)
-    lines = result.to_csv().splitlines()
-    assert lines[0] == "L,er_old,er_new,nfr,rel_nfr"
-    assert lines[1].startswith("1,")
-    assert len(lines) == 2

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pctlab import datasets, ensembles, harness, nn, reports
-from pctlab.datasets import SyntheticSpec, generate
+from pctlab.datasets import SPLIT_TEST, SPLIT_TRAIN, SyntheticSpec, generate
 from pctlab.flips import report_from_arrays
 from pctlab.harness import (ENSEMBLE_REP_STRIDE, ENSEMBLE_SEED_OFFSET,
                             MAX_REPETITIONS, METHODS, NEW_MODEL_SEED_OFFSET,
@@ -690,6 +690,60 @@ def test_sweep_ensemble_row_shape(small_config):
     assert [r.size for r in result.rows] == [1, 2]
     for row in result.rows:
         assert 0.0 <= row.nfr <= row.er_new <= 1.0
+    lines = result.to_csv().splitlines()
+    assert lines[0] == "L,er_old,er_new,nfr,rel_nfr"
+    assert [line.split(",")[0] for line in lines[1:]] == ["1", "2"]
+
+
+@pytest.mark.parametrize("data_seed, train_seed", [(11, 3), (14, 0)])
+def test_sweep_ensemble_row_is_the_ensemble_methods_repetition_0(
+        small_config, data_seed, train_seed):
+    """On a full-data scenario the sweep's L row is the final report of the
+    ``ensemble`` method's repetition 0 at ``ensemble_size`` L."""
+    cfg = replace(small_config, method="ensemble", repetitions=1,
+                  dataset=replace(small_config.dataset, seed=data_seed),
+                  train=replace(small_config.train, epochs=3, seed=train_seed))
+    state = prepare_scenario(cfg)
+    table = sweep_ensemble(cfg, [1, 2, 3])
+    assert [row.size for row in table.rows] == [1, 2, 3]
+    for row in table.rows:
+        final = run_experiment(replace(cfg, ensemble_size=row.size),
+                               state).runs[0].final
+        assert (row.er_old, row.er_new, row.nfr, row.rel_nfr) == (
+            final.er_old, final.er_new, final.nfr, final.rel_nfr)
+
+
+@pytest.mark.parametrize("kind", [ScenarioKind.SAMPLE_GROWTH,
+                                  ScenarioKind.CLASS_GROWTH,
+                                  ScenarioKind.FINE_TUNE])
+def test_sweep_ensemble_rows_match_direct_full_data_ensembles(small_config,
+                                                              kind):
+    """A scenario's data filters and fine-tune do not reach the sweep: its L
+    row scores old and new ``train_ensemble`` stacks of L members, trained
+    on the whole training split, on the whole test split."""
+    spec = small_config.dataset
+    cfg = replace(small_config, scenario=reference_scenario(kind, spec.num_classes),
+                  train=replace(small_config.train, epochs=2))
+    table = sweep_ensemble(cfg, [1, 2])
+    assert [row.size for row in table.rows] == [1, 2]
+
+    data = generate(spec)
+    train_rows, test_rows = (data.rows_of_split(SPLIT_TRAIN),
+                             data.rows_of_split(SPLIT_TEST))
+    x, y = data.features[train_rows], data.labels[train_rows]
+    xt, yt = data.features[test_rows], data.labels[test_rows]
+    seed = cfg.train.seed
+    for size, row in zip((1, 2), table.rows):
+        old, new = (ensembles.train_ensemble(
+            model.dims(spec.input_dim, spec.num_classes), x, y, cfg.train,
+            size, model_seed(seed, role))
+            for model, role in ((cfg.scenario.old_model, "old"),
+                                (cfg.scenario.new_model, "new_member")))
+        workspace = nn.Workspace()
+        report = report_from_arrays(yt, old.predict_batch(xt, workspace),
+                                    new.predict_batch(xt, workspace))
+        assert (row.er_old, row.er_new, row.nfr, row.rel_nfr) == (
+            report.er_old, report.er_new, report.nfr, report.rel_nfr)
 
 
 def _spy_on_generate(monkeypatch):
@@ -744,7 +798,7 @@ def test_sweep_ensemble_trains_without_the_dataset(small_config, monkeypatch):
     _spy_on_training(monkeypatch, lambda _: alive.append(refs[0]() is not None))
     config = replace(small_config, train=replace(small_config.train, epochs=1))
     sweep_ensemble(config, [1, 2])
-    # both sides train on the splits alone, gathered before the first
+    # both sides train on the plan's jobs, and the dataset is freed first
     assert alive == [False, False]
 
 
@@ -760,7 +814,7 @@ def test_sweep_ensemble_rejects_sizes_outside_the_seed_layout(small_config,
                                                              monkeypatch):
     sizes_trained = []
     monkeypatch.setattr(harness, "sweep_ensemble_size",
-                        lambda *args: sizes_trained.append(args[4]))
+                        lambda state, sizes: sizes_trained.append(sizes))
     for sizes in ([ENSEMBLE_REP_STRIDE], [1, 2, 100_000]):
         with pytest.raises(ValueError, match=f"below {ENSEMBLE_REP_STRIDE}"):
             sweep_ensemble(small_config, sizes)
@@ -769,13 +823,25 @@ def test_sweep_ensemble_rejects_sizes_outside_the_seed_layout(small_config,
     assert sizes_trained == [[ENSEMBLE_REP_STRIDE - 1]]
 
 
+@pytest.mark.parametrize("sizes", [[2, 1], [], [1, 1, 2]],
+                         ids=["descending", "empty", "repeated"])
+def test_sweep_ensemble_rejects_unordered_sizes_before_training(
+        small_config, monkeypatch, sizes):
+    monkeypatch.setattr(ensembles, "train_ensemble",
+                        lambda *args, **kwargs: pytest.fail("trained"))
+    with pytest.raises(ValueError, match="^sizes must be strictly ascending"):
+        sweep_ensemble(small_config, sizes)
+
+
 def test_sweep_ensemble_rejects_non_integer_sizes_before_training(
         small_config, monkeypatch):
     monkeypatch.setattr(ensembles, "train_ensemble",
                         lambda *args, **kwargs: pytest.fail("trained"))
-    with pytest.raises(ValueError,
-                       match=r"^ensemble sizes must be int, got 2\.5$"):
-        sweep_ensemble(small_config, [2.5, 2])
+    # int() read [2.5, 2] as [2, 2], which failed as not ascending
+    for sizes, bad in (([2.5, 2], r"2\.5"), ([1, True], "True")):
+        with pytest.raises(ValueError,
+                           match=f"^ensemble sizes must be int, got {bad}$"):
+            sweep_ensemble(small_config, sizes)
     # a string used to reach the bound check and raise a bare TypeError
     with pytest.raises(ValueError, match="^ensemble sizes must be int, got '2'$"):
         sweep_ensemble(small_config, ["2"])

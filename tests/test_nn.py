@@ -496,6 +496,9 @@ def test_train_config_validation():
         nn.TrainConfig(momentum=1.0)
     with pytest.raises(ValueError):
         nn.TrainConfig(epochs=-1)
+    # every seed of model_seed's layout is this base plus an offset
+    with pytest.raises(ValueError, match="^seed must be non-negative$"):
+        nn.TrainConfig(seed=-1)
     for init in ("ones", "zeros"):
         with pytest.raises(ValueError, match=f"^weight_init must be "
                                              f"'glorot_uniform', got '{init}'$"):

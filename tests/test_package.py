@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pctlab
 from pctlab import (cli, config, datasets, ensembles, flips, harness, losses,
-                    nn, reports, scenarios, tables)
+                    nn, reports, rng, scenarios, tables)
 
 
 def test_every_exported_name_resolves():
@@ -90,7 +90,7 @@ def test_names_only_tests_reached_stay_gone():
                  "focal_grid_from_document", "ensemble_sizes_from_document"):
         assert not hasattr(config, name), name
     for row_class in (harness.EpochMetrics, harness.MethodRow,
-                      harness.FocalSweepRow, ensembles.SweepRow):
+                      harness.FocalSweepRow, harness.SweepRow):
         assert not hasattr(row_class, "COLUMNS"), row_class.__name__
     assert not hasattr(reports, "result_to_document")
     assert not hasattr(datasets.Dataset, "n")
@@ -99,6 +99,12 @@ def test_names_only_tests_reached_stay_gone():
     assert not hasattr(harness, "epoch_series_csv")
     # the old side scores every new side: no per-run collector object
     assert not hasattr(harness, "_EpochCollector")
+    # the size sweep runs on a ScenarioState: ensembles keeps no second
+    # pipeline of its own, and ExperimentConfig bounds every seed it trains
+    for name in ("sweep_ensemble_size", "SweepRow"):
+        assert not hasattr(ensembles, name), name
+    assert "sweep_ensemble_size" not in pctlab.__all__
+    assert not hasattr(rng, "check_seed")
     # tables.check_value is the one rule for what a field may hold
     for name in ("check_finite", "is_integer", "_integer_fields"):
         assert not hasattr(tables, name), name
@@ -179,6 +185,8 @@ TRACER_ONLY_IMPORTS = {
     ("harness", "predict_batch"): '(harness, "predict_batch", "nn.predict")',
     ("harness", "train"): "harness.train = wrap_train(harness.train)",
     ("ensembles", "batch_logits"): '(ensembles, "batch_logits", "nn.logits")',
+    ("ensembles", "report_from_arrays"):
+        '(ensembles, "report_from_arrays", "flips.report")',
     ("losses", "batch_logits"): '(losses, "batch_logits", "nn.logits")',
 }
 

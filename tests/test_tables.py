@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from pctlab import reports
-from pctlab.ensembles import SweepRow
-from pctlab.harness import EpochMetrics, FocalSweepRow, MethodRow
+from pctlab.harness import EpochMetrics, FocalSweepRow, MethodRow, SweepRow
 from pctlab.tables import Table, csv_text
 
 

@@ -174,11 +174,21 @@ def _stats(values: Sequence[Optional[float]]) -> dict:
 
 @dataclass
 class OldReference:
-    """Frozen old side of an update: its ensemble plus cached predictions."""
-    ensemble: Ensemble
+    """An old side's predictions, mapped by ``plan.old_to_new`` into the new
+    model's label space, on the eval set and on the new job's rows."""
     eval_preds: np.ndarray
     train_preds: np.ndarray
-    oracle: Optional[OldModelOracle]
+
+    @classmethod
+    def of(cls, old: Ensemble, plan: ScenarioPlan,
+           oracle: Optional[OldModelOracle]) -> "OldReference":
+        """``old``'s predictions on ``plan``; on the new job's rows, those of
+        ``oracle`` if given, so that a PC run forwards those rows once."""
+        job, ep, ws = plan.new_job, plan.eval_plan, Workspace()
+        train_preds = (oracle.old_pred if oracle is not None else
+                       plan.old_to_new[old.predict_batch(job.features, ws)])
+        return cls(plan.old_to_new[old.predict_batch(ep.features, ws)],
+                   train_preds)
 
     def score(self, members: Sequence[MLPModel], plan: ScenarioPlan,
               workspace: Workspace,
@@ -199,23 +209,29 @@ class OldReference:
 @dataclass
 class ScenarioState:
     """Shared per-scenario work: the plan, whose jobs hold each side's
-    training rows, and the old sides, so that every method run on one state
-    scores against the bit-identical old side. ``spec``, ``scenario`` and
-    ``train`` record what the state was prepared with. ``old_sides`` maps a
-    member count L to its old side, which ``old_side(L)`` trains under
-    ``train`` on a miss; L = 1, the single old model, also serves the
-    ``ensemble`` method at size 1."""
+    training rows, and the trained old sides, so that every method run on
+    one state scores against the bit-identical old side. ``spec``,
+    ``scenario`` and ``train`` record what the state was prepared with.
+    ``old_sides`` maps a member count L to its old ``Ensemble``, which
+    ``old_side(L)`` trains under ``train`` on a miss and checks with
+    ``ensembles.check_old_side``; L = 1, the single old model, also serves
+    the ``ensemble`` method at size 1."""
     plan: ScenarioPlan
     spec: SyntheticSpec
     scenario: UpdateScenario
     train: TrainConfig
-    old_sides: Dict[int, OldReference] = field(default_factory=dict)
+    old_sides: Dict[int, Ensemble] = field(default_factory=dict)
 
-    def old_side(self, members: int = 1) -> OldReference:
+    def old_side(self, members: int = 1) -> Ensemble:
         old = self.old_sides.get(members)
         if old is None:
-            old = self.old_sides[members] = _build_old_reference(
-                self.plan, self.train, members)
+            job = self.plan.old_job
+            with np.errstate(all="ignore"):  # check_old_side reports a divergence
+                old = ensembles.train_ensemble(
+                    job.dims, job.features, job.labels, self.train, members,
+                    model_seed(self.train.seed, "old"))
+            ensembles.check_old_side(old)
+            self.old_sides[members] = old
         return old
 
     def check(self, config: ExperimentConfig) -> None:
@@ -230,41 +246,13 @@ class ScenarioState:
                                  "scenario state was prepared with")
 
 
-def _build_old_reference(plan: ScenarioPlan, train_cfg: TrainConfig,
-                         members: int) -> OldReference:
-    """Train the old side (`members` CE-trained models) on the old job's rows,
-    reject it if ``ensembles.check_old_side`` does, and cache its
-    predictions, mapped by ``plan.old_to_new`` into the new model's label
-    space, on the new job's rows and the eval set. A single model also gets
-    the oracle the PC objectives read; its predictions on the new job's
-    rows are the oracle's."""
-    old_job, new_job = plan.old_job, plan.new_job
-    with np.errstate(all="ignore"):     # check_old_side reports a divergence
-        old = ensembles.train_ensemble(
-            old_job.dims, old_job.features, old_job.labels,
-            train_cfg, members, model_seed(train_cfg.seed, "old"))
-    ensembles.check_old_side(old)
-
-    xt, workspace = new_job.features, Workspace()
-    if members == 1:
-        oracle = OldModelOracle.from_model(old.members[0], xt, new_job.labels,
-                                           class_map=plan.old_to_new)
-        train_preds = oracle.old_pred
-    else:
-        oracle = None
-        train_preds = plan.old_to_new[old.predict_batch(xt, workspace)]
-
-    ep = plan.eval_plan
-    eval_preds = plan.old_to_new[old.predict_batch(ep.features, workspace)]
-    return OldReference(old, eval_preds, train_preds, oracle)
-
-
 def prepare_scenario(config: ExperimentConfig) -> ScenarioState:
     """Generate the dataset and resolve the scenario; the plan keeps each
     side's rows, and the dataset is freed on return. The single old model
     trains here when ``config.method`` reads it (every method but
     ``ensemble``); any other old side trains on first use, so an
-    ``ensemble`` run trains no old side it does not score against."""
+    ``ensemble`` run trains no old side it does not score against. It
+    builds no prediction and no oracle: each run builds its own."""
     plan = build_scenario(config.scenario, generate(config.dataset))
     state = ScenarioState(plan, config.dataset, config.scenario, config.train)
     if config.method != "ensemble":
@@ -275,7 +263,9 @@ def prepare_scenario(config: ExperimentConfig) -> ScenarioState:
 def run_experiment(config: ExperimentConfig,
                    state: Optional[ScenarioState] = None) -> ExperimentResult:
     """Run one experiment on ``state``, which ``state.check`` must accept,
-    or on a fresh ``prepare_scenario(config)``.
+    or on a fresh ``prepare_scenario(config)``. It builds the
+    ``OldReference`` it scores against and, in a PC mode only, the
+    ``OldModelOracle`` its objective reads.
 
     Repetition r is a group of L members, L = ``ensemble_size`` for
     ``ensemble`` and 1 otherwise, seeded by ``model_seed``. One weight stack
@@ -293,7 +283,12 @@ def run_experiment(config: ExperimentConfig,
         size, per_stack, role = 1, REPETITION_STACK, "new"
     old = state.old_side(size)
     x, y = plan.new_job.features, plan.new_job.labels
-    objective = make_objective(y, old.oracle, config.pc)
+    # a PC mode implies a single old model (pc_config_for_method)
+    oracle = (OldModelOracle.from_model(old.members[0], x, y,
+                                        class_map=plan.old_to_new)
+              if config.pc.mode != "none" else None)
+    reference = OldReference.of(old, plan, oracle)
+    objective = make_objective(y, oracle, config.pc)
 
     runs = []
     for r0 in range(0, config.repetitions, per_stack):
@@ -305,8 +300,8 @@ def run_experiment(config: ExperimentConfig,
             workspace = ensembles.scoring_workspace(
                 members[0], len(x), len(plan.eval_plan.labels))
             for g in range(len(reps)):
-                row, finals[g] = old.score(members[g * size:(g + 1) * size],
-                                           plan, workspace, epoch)
+                row, finals[g] = reference.score(
+                    members[g * size:(g + 1) * size], plan, workspace, epoch)
                 series[g].append(row)
 
         def hook(e, stack):
@@ -315,7 +310,7 @@ def run_experiment(config: ExperimentConfig,
         members = ensembles.train_ensemble(
             plan.new_job.dims, x, y, config.train, size * len(reps),
             model_seed(config.train.seed, role, r0), objective=objective,
-            init=old.ensemble.members * len(reps) if plan.init_from_old else None,
+            init=old.members * len(reps) if plan.init_from_old else None,
             on_epoch_end=hook).members
         if config.train.epochs == 0:  # no epoch ends: score the init
             score(-1, members)
@@ -325,7 +320,7 @@ def run_experiment(config: ExperimentConfig,
                                      Ensemble(group).parameter_count(),
                                      series[g], finals[g]))
     return ExperimentResult(config, runs[0].final.er_old,
-                            old.ensemble.parameter_count(), runs)
+                            old.parameter_count(), runs)
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +412,7 @@ def sweep_ensemble_size(state: ScenarioState, sizes: Sequence[int]) -> Table:
     each side's first L members are the ensemble that side trains at size
     L, and both are scored on the eval set at every L in one pass."""
     plan, top = state.plan, sizes[-1]
-    old, job = state.old_side(top).ensemble, plan.new_job
+    old, job = state.old_side(top), plan.new_job
     new = ensembles.train_ensemble(job.dims, job.features, job.labels,
                                    state.train, top,
                                    model_seed(state.train.seed, "new_member"))

@@ -22,8 +22,8 @@ from pctlab.harness import (ENSEMBLE_REP_STRIDE, ENSEMBLE_SEED_OFFSET,
                             ScenarioState, compare_methods, model_seed,
                             pc_config_for_method, prepare_scenario,
                             run_experiment, sweep_ensemble, sweep_focal)
-from pctlab.losses import (DistanceSpec, PCLossConfig, make_ce_objective,
-                           make_objective)
+from pctlab.losses import (DistanceSpec, OldModelOracle, PCLossConfig,
+                           make_ce_objective, make_objective)
 from pctlab.nn import TrainConfig, init_model
 from pctlab.rng import STREAM_SHUFFLE, stream_rng
 from pctlab.scenarios import (DataFilter, ModelSpec, ScenarioKind,
@@ -139,18 +139,21 @@ def _solo_runs(config, state):
     repetition stack."""
     plan, old = state.plan, state.old_side(1)
     x, y = plan.new_job.features, plan.new_job.labels
-    objective = make_objective(y, old.oracle, config.pc)
+    oracle = OldModelOracle.from_model(old.members[0], x, y,
+                                       class_map=plan.old_to_new)
+    reference = OldReference.of(old, plan, oracle)
+    objective = make_objective(y, oracle, config.pc)
     runs = []
     for rep in range(config.repetitions):
         seed = model_seed(config.train.seed, "new", rep)
         if plan.init_from_old:
-            start = old.ensemble.members[0]
+            start = old.members[0]
         else:
             start = init_model(plan.new_job.dims, seed)
         ws, scored = nn.Workspace(), []
         nn.train(start, x, y, objective, replace(config.train, seed=seed),
                  on_epoch_end=lambda e, model: scored.append(
-                     old.score([model], plan, ws, e)))
+                     reference.score([model], plan, ws, e)))
         runs.append((rep, seed, [row for row, _ in scored], scored[-1][1]))
     return runs
 
@@ -177,7 +180,7 @@ def test_repetition_stack_fine_tune_equals_solo_runs():
         repetitions=2,
     )
     state = prepare_scenario(cfg)
-    old = state.old_side(1).ensemble.members[0]
+    old = state.old_side(1).members[0]
     before = [(l.weights.copy(), l.bias.copy()) for l in old.layers]
     result = run_experiment(cfg, state)
     # every repetition starts from the one old model, which stays untouched
@@ -194,20 +197,21 @@ def _ensemble_runs(config, state):
     the oracle for the ensemble method's stack."""
     plan, size = state.plan, config.ensemble_size
     old = state.old_side(size)
+    reference = OldReference.of(old, plan, None)
     x, y = plan.new_job.features, plan.new_job.labels
     runs = []
     for rep in range(config.repetitions):
         base = model_seed(config.train.seed, "new_member", rep)
         if plan.init_from_old:
-            init = old.ensemble.members
+            init = old.members
         else:
             init = [init_model(plan.new_job.dims, base + j)
                     for j in range(size)]
         ws, scored = nn.Workspace(), []
 
         def hook(e, stack):
-            scored.append(old.score([stack.member(j) for j in range(size)],
-                                    plan, ws, e))
+            scored.append(reference.score(
+                [stack.member(j) for j in range(size)], plan, ws, e))
 
         new = nn.train(nn.stack_models(init), x, y, make_ce_objective(y),
                        replace(config.train, seed=base), on_epoch_end=hook).model
@@ -259,7 +263,7 @@ def _reference_task_score_inputs():
     x, y = plan.new_job.features, plan.new_job.labels
     assert (len(x), len(plan.eval_plan.labels)) == (3500, 1000)
     old_eval = np.roll(plan.eval_plan.labels, 1)
-    old = OldReference(None, old_eval, np.roll(y, 1), None)
+    old = OldReference(old_eval, np.roll(y, 1))
     return x, y, old.train_preds, plan, old_eval, old
 
 
@@ -354,18 +358,22 @@ def test_one_epochs_scoring_allocates_each_buffer_once(monkeypatch):
     """Scoring an epoch of ``wide`` allocates each workspace buffer once,
     though the 4,000 held-out rows run in longer blocks (1,334 rows) than
     the 14,000 training rows (1,077): the workspace is sized for both before
-    its first forward, so no buffer grows."""
+    its first forward, so no buffer grows. The run's old-side predictions
+    and oracle run in workspaces of their own, which also allocate each
+    buffer once."""
     config = _wide_config(2000, 1)
     state = prepare_scenario(config)
     assert (len(state.plan.new_job.labels),
             len(state.plan.eval_plan.labels)) == (14000, 4000)
-    allocated = []
+    allocated, workspaces = [], []
     get = nn.Workspace.get
 
     def recording(workspace, key, shape):
         before = workspace.buffers.get(key)
         view = get(workspace, key, shape)
         if workspace.buffers[key] is not before:
+            # held, so that no later workspace reuses a freed one's id
+            workspaces.append(workspace)
             allocated.append((id(workspace), key))
         return view
 
@@ -402,8 +410,9 @@ def test_result_er_old_is_every_runs_held_out_er_old(small_config, small_state,
     result = run_experiment(cfg, state)
     assert [run.final.er_old for run in result.runs] == [result.er_old] * 3
     old = state.old_side(3 if method == "ensemble" else 1)
+    eval_preds = OldReference.of(old, state.plan, None).eval_preds
     assert result.er_old == float(
-        np.mean(old.eval_preds != state.plan.eval_plan.labels))
+        np.mean(eval_preds != state.plan.eval_plan.labels))
 
 
 def test_epoch_series_csv_layout(small_config, small_state, tmp_path):
@@ -455,7 +464,7 @@ def test_ensemble_method_caches_old_side(small_config, small_state):
                             small_state).runs[0].param_count
     assert r1.runs[0].param_count == 3 * single
     assert r1.old_param_count == (
-        3 * small_state.old_side(1).ensemble.parameter_count())
+        3 * small_state.old_side(1).parameter_count())
     base = cfg.train.seed + ENSEMBLE_SEED_OFFSET
     assert r1.runs[0].seed == base
     assert len(r1.runs[0].epochs) == cfg.train.epochs
@@ -501,6 +510,38 @@ def test_prepare_trains_the_single_old_model_for_single_model_methods(
     assert calls == [1, 1, 1, 1]
 
 
+def _count_oracles(monkeypatch):
+    """Count the ``OldModelOracle.from_model`` calls."""
+    calls = []
+    from_model = OldModelOracle.from_model.__func__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args[0])
+        return from_model(cls, *args, **kwargs)
+
+    monkeypatch.setattr(OldModelOracle, "from_model", classmethod(counting))
+    return calls
+
+
+def test_only_a_pc_run_builds_an_oracle(small_config, monkeypatch):
+    """Preparing a state builds no oracle for any method; a run builds one
+    from the single old model when its objective reads it, and only then."""
+    calls = _count_oracles(monkeypatch)
+    cfg = replace(small_config, repetitions=1,
+                  train=replace(small_config.train, epochs=1))
+    for method in METHODS:
+        prepare_scenario(replace(cfg, method=method))
+        assert calls == [], method
+    state = prepare_scenario(cfg)
+    for method, size, want in [("naive", 1, 1), ("fd_kl", 1, 1),
+                               ("fd_lm", 1, 1), ("no_treatment", 1, 0),
+                               ("ensemble", 1, 0), ("ensemble", 3, 0)]:
+        calls.clear()
+        run_experiment(replace(cfg, method=method, ensemble_size=size), state)
+        assert len(calls) == want, (method, size)
+        assert all(model is state.old_side(1).members[0] for model in calls)
+
+
 def _must_not_train(*args, **kwargs):
     raise AssertionError("an old side trained for a rejected scenario")
 
@@ -522,28 +563,61 @@ def test_a_new_side_without_an_old_class_is_rejected_before_training(
             call(cfg)
 
 
+def _old_reference_with_oracle(state):
+    """The L = 1 old side's ``OldReference`` as a PC run builds it, with
+    its training-row predictions taken from the oracle."""
+    plan, old = state.plan, state.old_side(1)
+    job = plan.new_job
+    oracle = OldModelOracle.from_model(old.members[0], job.features,
+                                       job.labels, class_map=plan.old_to_new)
+    return OldReference.of(old, plan, oracle)
+
+
 def test_single_old_model_equals_an_ensemble_of_one(small_config, small_state):
-    """The cached L = 1 entry, oracle predictions included, is what a
-    separately trained ensemble of one predicts, bit for bit."""
+    """The cached L = 1 entry, and the predictions a PC run builds from it
+    and its oracle, are what a separately trained ensemble of one predicts,
+    bit for bit. The oracle's predictions on the new job's rows equal the
+    ensemble's, so the fork in ``OldReference.of`` changes no bit, also
+    when old class j is not new class j and when the new side has another
+    architecture."""
     plan, cfg = small_state.plan, small_config
     single = small_state.old_side(1)
+    reference = _old_reference_with_oracle(small_state)
     solo = harness.ensembles.train_ensemble(
         plan.old_job.dims, plan.old_job.features, plan.old_job.labels,
         cfg.train, 1, model_seed(cfg.train.seed, "old"))
-    for got, want in zip(single.ensemble.members[0].layers,
-                         solo.members[0].layers):
+    for got, want in zip(single.members[0].layers, solo.members[0].layers):
         np.testing.assert_array_equal(got.weights, want.weights)
         np.testing.assert_array_equal(got.bias, want.bias)
     np.testing.assert_array_equal(
-        single.train_preds,
+        reference.train_preds,
         plan.old_to_new[solo.predict_batch(plan.new_job.features,
                                            nn.Workspace())])
     eval_preds = plan.old_to_new[solo.predict_batch(plan.eval_plan.features,
                                                     nn.Workspace())]
-    np.testing.assert_array_equal(single.eval_preds, eval_preds)
+    np.testing.assert_array_equal(reference.eval_preds, eval_preds)
     assert run_experiment(cfg, small_state).runs[0].final.er_old == float(
         np.mean(eval_preds != plan.eval_plan.labels))
-    assert single.ensemble.parameter_count() == solo.parameter_count()
+    assert single.parameter_count() == solo.parameter_count()
+
+    # old classes 1 and 3 are new classes 1 and 3, so a prediction left
+    # unmapped would differ
+    growth = prepare_scenario(replace(cfg, scenario=UpdateScenario(
+        ScenarioKind.CLASS_GROWTH, old_data=DataFilter(class_subset=(1, 3)))))
+    arch = prepare_scenario(replace(cfg, scenario=reference_scenario(
+        ScenarioKind.ARCH_CHANGE, cfg.dataset.num_classes)))
+    assert small_state.scenario.kind is ScenarioKind.SAME_ARCH_RETRAIN
+    assert growth.plan.old_to_new.tolist() == [1, 3]
+    assert arch.plan.old_job.dims != arch.plan.new_job.dims
+    for state in (small_state, growth, arch):
+        plan = state.plan
+        with_oracle = _old_reference_with_oracle(state)
+        without = OldReference.of(state.old_side(1), plan, None)
+        assert with_oracle.train_preds.dtype == without.train_preds.dtype
+        np.testing.assert_array_equal(with_oracle.train_preds,
+                                      without.train_preds)
+        np.testing.assert_array_equal(with_oracle.eval_preds,
+                                      without.eval_preds)
 
 
 def test_compare_is_independent_of_the_preparing_method(small_config):
@@ -711,6 +785,35 @@ def test_sweep_ensemble_row_is_the_ensemble_methods_repetition_0(
                                state).runs[0].final
         assert (row.er_old, row.er_new, row.nfr, row.rel_nfr) == (
             final.er_old, final.er_new, final.nfr, final.rel_nfr)
+
+
+def test_sweep_ensemble_scores_each_side_once_on_the_eval_rows(
+        small_config, monkeypatch):
+    """The sweep makes two prediction passes, the old side's and then the
+    new side's, both over the eval rows at every size; it predicts nothing
+    on the training rows, which it does not report."""
+    states, passes = [], []
+    prepare, predictions = harness.prepare_scenario, ensembles.Ensemble.predictions
+
+    def preparing(config):
+        states.append(prepare(config))
+        return states[-1]
+
+    def recording(ensemble, x, sizes, workspace):
+        passes.append((ensemble, x, list(sizes)))
+        return predictions(ensemble, x, sizes, workspace)
+
+    monkeypatch.setattr(harness, "prepare_scenario", preparing)
+    monkeypatch.setattr(ensembles.Ensemble, "predictions", recording)
+    cfg = replace(small_config, train=replace(small_config.train, epochs=1))
+    sweep_ensemble(cfg, [1, 2, 3])
+    (state,) = states
+    assert len(passes) == 2
+    (old, x_old, sizes_old), (new, x_new, sizes_new) = passes
+    assert old is state.old_side(3) and new is not old
+    assert x_old is state.plan.eval_plan.features
+    assert x_new is state.plan.eval_plan.features
+    assert sizes_old == sizes_new == [1, 2, 3]
 
 
 @pytest.mark.parametrize("kind", [ScenarioKind.SAMPLE_GROWTH,

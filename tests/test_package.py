@@ -163,15 +163,17 @@ def test_only_tables_reads_a_fields_metadata():
 def test_model_shape_is_structural():
     # a layer is relu unless it is its model's last, so it stores no
     # activation, and a forward keeps no pre-activation, since the backward
-    # masks on the relu output; glorot_uniform is the only init; an old side
-    # is the Ensemble it trained as, and its error rate is a field of the
-    # flip reports scored against it
+    # masks on the relu output; glorot_uniform is the only init; a state
+    # keeps an old side as the Ensemble it trained as, and a run builds the
+    # predictions it scores against, whose error rate is a field of the
+    # flip reports
     assert not hasattr(nn, "ACTIVATIONS")
     assert not hasattr(nn, "WEIGHT_INITS")
     assert [f.name for f in fields(nn.Layer)] == ["weights", "bias"]
     assert [f.name for f in fields(nn.BatchCache)] == ["x", "activations"]
-    assert {"models", "param_count", "er_old"}.isdisjoint(
-        f.name for f in fields(harness.OldReference))
+    assert [f.name for f in fields(harness.OldReference)] == [
+        "eval_preds", "train_preds"]
+    assert not hasattr(harness, "_build_old_reference")
 
 
 # Imports that their module never loads. Each stays only because

@@ -125,6 +125,6 @@ def generate(spec: SyntheticSpec) -> Dataset:
 
     dataset = Dataset(features, labels, split, k)
     train_labels = dataset.labels[dataset.rows_of_split(SPLIT_TRAIN)]
-    if np.unique(train_labels).size < k:
+    if np.bincount(train_labels, minlength=k).min() == 0:
         raise DegenerateSpecError("a class has no training samples after noise")
     return dataset

@@ -44,10 +44,12 @@ def _quadrant_counts(true_labels: np.ndarray, old_preds: np.ndarray,
                      new_preds: np.ndarray) -> Tuple[int, int, int, int]:
     old_ok = old_preds == true_labels
     new_ok = new_preds == true_labels
-    bc = int(np.sum(old_ok & new_ok))
-    nf = int(np.sum(old_ok & ~new_ok))
-    pf = int(np.sum(~old_ok & new_ok))
-    bw = int(np.sum(~old_ok & ~new_ok))
+    old_right = int(np.count_nonzero(old_ok))
+    new_right = int(np.count_nonzero(new_ok))
+    bc = int(np.count_nonzero(old_ok & new_ok))
+    nf = old_right - bc
+    pf = new_right - bc
+    bw = old_ok.size - old_right - pf
     return bc, nf, pf, bw
 
 

@@ -81,7 +81,7 @@ class DataFilter:
         rows = dataset.rows_of_split(SPLIT_TRAIN)
         classes = np.arange(dataset.num_classes)
         if self.class_subset is not None:
-            classes = np.unique(np.asarray(self.class_subset, dtype=np.int64))
+            classes = np.array(sorted(set(self.class_subset)), dtype=np.int64)
             if classes.min() < 0 or classes.max() >= dataset.num_classes:
                 raise ValueError(f"class_subset {list(self.class_subset)} names "
                                  f"a class outside [0, {dataset.num_classes})")
@@ -89,7 +89,7 @@ class DataFilter:
         if self.sample_fraction < 1.0:
             rng = stream_rng(self.subset_seed, STREAM_SUBSET)
             labels, kept = dataset.labels[rows], []
-            for c in np.unique(labels):
+            for c in np.flatnonzero(np.bincount(labels)):
                 rows_c = rows[labels == c]
                 n_keep = int(self.sample_fraction * rows_c.size)
                 if n_keep < 1:

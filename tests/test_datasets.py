@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from oracles import dataset_from_csv, error_rate
-from pctlab import nn
+from pctlab import datasets, nn
 from pctlab.datasets import (SPLIT_TEST, SPLIT_TRAIN, SPLIT_VALIDATION,
                              Dataset, DegenerateSpecError, SyntheticSpec,
                              generate)
 from pctlab.losses import make_ce_objective
+from pctlab.rng import STREAM_SUBSET, stream_rng
 from pctlab.scenarios import (DataFilter, ScenarioKind, UpdateScenario,
                               build_scenario)
 
@@ -74,6 +75,29 @@ def test_degenerate_specs_are_rejected():
         SyntheticSpec(label_noise=1.0)
     with pytest.raises(DegenerateSpecError):
         SyntheticSpec(seed=-1)
+
+
+def test_a_class_emptied_by_label_noise_is_rejected(monkeypatch):
+    # 3 training rows, all relabeled: a class is left empty for most seeds
+    built = []
+
+    def record(*args):
+        built.append(Dataset(*args))
+        return built[-1]
+
+    monkeypatch.setattr(datasets, "Dataset", record)
+    raised = []
+    for seed in range(40):
+        try:
+            generate(SyntheticSpec(num_classes=3, samples_per_class=2,
+                                   label_noise=0.99, seed=seed))
+        except DegenerateSpecError as err:
+            assert str(err) == "a class has no training samples after noise"
+            raised.append(seed)
+    empty = [seed for seed, d in enumerate(built)
+             if np.unique(d.labels[d.rows_of_split(SPLIT_TRAIN)]).size < 3]
+    assert raised == empty
+    assert 0 < len(empty) < 40
 
 
 def test_csv_round_trip_is_exact(data):
@@ -188,3 +212,35 @@ def test_views_compose_classes_then_samples(data):
     full = data.labels[DataFilter(class_subset=(0, 1)).select(data)[0]]
     expected = sum(int(0.5 * np.sum(full == c)) for c in (0, 1))
     assert rows.size == expected
+
+
+def _select_with_unique(filt, dataset):
+    """``DataFilter.select`` as written with ``np.unique``."""
+    rows = dataset.rows_of_split(SPLIT_TRAIN)
+    classes = np.arange(dataset.num_classes)
+    if filt.class_subset is not None:
+        classes = np.unique(np.asarray(filt.class_subset, dtype=np.int64))
+        rows = rows[np.isin(dataset.labels[rows], classes)]
+    if filt.sample_fraction < 1.0:
+        rng = stream_rng(filt.subset_seed, STREAM_SUBSET)
+        labels, kept = dataset.labels[rows], []
+        for c in np.unique(labels):
+            rows_c = rows[labels == c]
+            n_keep = int(filt.sample_fraction * rows_c.size)
+            kept.append(rng.permutation(rows_c)[:n_keep])
+        rows = np.sort(np.concatenate(kept))
+    return rows, classes
+
+
+@pytest.mark.parametrize("filt", [
+    DataFilter(class_subset=(3, 1, 3)),
+    DataFilter(sample_fraction=0.5, subset_seed=2),
+    DataFilter(sample_fraction=0.5, class_subset=(3, 1, 3), subset_seed=4),
+    DataFilter(sample_fraction=0.3, class_subset=(2, 0, 2, 3)),
+])
+def test_select_equals_its_np_unique_form(data, filt):
+    rows, classes = filt.select(data)
+    want_rows, want_classes = _select_with_unique(filt, data)
+    np.testing.assert_array_equal(rows, want_rows)
+    np.testing.assert_array_equal(classes, want_classes)
+    assert (rows.dtype, classes.dtype) == (want_rows.dtype, want_classes.dtype)

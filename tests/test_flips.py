@@ -1,5 +1,6 @@
 """Flip bookkeeping: quadrants, rates and the exact count identities."""
 
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 from oracles import (FlipQuadrant, PredictionRecord, classify_flip,
                      compute_nfr, flip_report, flip_report_from_json,
                      records_from_arrays)
-from pctlab.flips import (UndefinedMetricError, compute_relative_nfr,
-                          report_from_arrays, report_from_counts)
+from pctlab.flips import (UndefinedMetricError, _quadrant_counts,
+                          compute_relative_nfr, report_from_arrays,
+                          report_from_counts)
 from pctlab.tables import as_record, json_text
 
 
@@ -65,13 +67,22 @@ def test_flip_identities_hold_exactly(triples):
     assert report.pfr == pfr.numerator / pfr.denominator
 
 
-def test_report_from_arrays_matches_record_path():
+@pytest.mark.parametrize("n", [0, 1, 50, 14_000])
+def test_report_from_arrays_matches_record_path(n):
     rng = np.random.default_rng(0)
-    y = rng.integers(0, 3, 50)
-    old = rng.integers(0, 3, 50)
-    new = rng.integers(0, 3, 50)
-    assert report_from_arrays(y, old, new) == flip_report(
-        records_from_arrays(y, old, new))
+    y, old, new = (rng.integers(0, 3, n) for _ in range(3))
+    records = records_from_arrays(y, old, new)
+    counts = Counter(classify_flip(r) for r in records)
+    assert _quadrant_counts(y, old, new) == tuple(counts[q] for q in FlipQuadrant)
+    if n == 0:
+        return
+    report = report_from_arrays(y, old, new)
+    assert report == flip_report(records)
+    # numpy counts are np.int64, which json cannot write
+    for name in ("n", "both_correct", "negative_flips", "positive_flips",
+                 "both_wrong"):
+        assert type(getattr(report, name)) is int, name
+    assert flip_report_from_json(json_text(as_record(report))) == report
 
 
 def test_relative_nfr_matches_hand_computation():
@@ -105,3 +116,4 @@ def test_report_json_round_trip():
     text = json_text(as_record(report))
     assert flip_report_from_json(text) == report
     assert text.endswith("\n")
+

@@ -3,10 +3,15 @@ docstring, and the per-sample and per-record oracles that moved to
 ``tests/oracles.py``, the record-level flip API, the dataset views and the
 names that only tests reached, all deleted, stay out of it. No module
 imports a name it never loads, except the ones the benchmark's tracer
-patches, and only ``tables`` walks type hints or reads a field's key."""
+patches, and only ``tables`` walks type hints or reads a field's key. A
+run loads no module that importing the package has not loaded already."""
 
 import ast
 import inspect
+import json
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -221,3 +226,40 @@ def test_no_module_imports_a_name_it_never_loads():
     source = tracing.read_text(encoding="utf-8")
     for key, wrapper in TRACER_ONLY_IMPORTS.items():
         assert wrapper in source, key
+
+
+# Runs every scenario kind with every method, the ensemble sweep and every
+# writer, at a tiny size, and prints the modules this loaded that importing
+# the package, the CLI and the writers had not.
+RUN_EVERYTHING = """\
+import json, sys, tempfile
+import pctlab, pctlab.cli, pctlab.reports
+before = set(sys.modules)
+from pctlab import (METHODS, ExperimentConfig, ScenarioKind, SyntheticSpec,
+                    TrainConfig, reference_scenario, run_experiment,
+                    sweep_ensemble)
+from pctlab.reports import write_ensemble_sweep, write_experiment
+spec = SyntheticSpec(num_classes=4, samples_per_class=40)
+train = TrainConfig(epochs=2, batch_size=32, seed=1)
+with tempfile.TemporaryDirectory() as out:
+    for kind in ScenarioKind:
+        for method in METHODS:
+            cfg = ExperimentConfig(dataset=spec, train=train, method=method,
+                                   scenario=reference_scenario(kind, 4),
+                                   repetitions=2, ensemble_size=2)
+            write_experiment(run_experiment(cfg), f"{out}/{kind.value}_{method}")
+    write_ensemble_sweep(sweep_ensemble(cfg, [1, 2]), f"{out}/sweep", "json")
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_a_run_loads_no_module_beyond_the_package_imports():
+    # a fresh interpreter: pytest's plugins may already have loaded numpy.ma
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pctlab.__file__)))
+    done = subprocess.run([sys.executable, "-c", RUN_EVERYTHING],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = json.loads(done.stdout)
+    assert loaded == [], ("a run loaded modules that importing pctlab does "
+                          f"not, such as numpy.ma or yaml: {loaded}")

@@ -92,13 +92,13 @@ def _decode(cls, doc: dict, where: str, given: dict):
         raise
 
 
-def from_document(cls, doc: dict, where: str, **given):
+def from_document(cls, doc: dict, where: str):
     """An instance of dataclass ``cls`` from its document block: unknown keys
     are rejected, each value is coerced by its field's type, and a missing
-    key takes the field's default. ``given`` fields are taken as they are.
-    ``where`` names the block in error messages."""
+    key takes the field's default. ``where`` names the block in error
+    messages."""
     _check_keys(doc, _keys(cls), where)
-    return _decode(cls, doc, where, given)
+    return _decode(cls, doc, where, {})
 
 
 def experiment_from_document(doc: Optional[dict]) -> ExperimentConfig:
@@ -118,12 +118,16 @@ def experiment_from_document(doc: Optional[dict]) -> ExperimentConfig:
                          dict(dataset=dataset, scenario=scenario))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    # a focal method picks its distance, so a document may not name another
-    distance = doc.get("pc", {}).get("distance")
-    if config.pc.mode == "focal" and distance not in (None, config.pc.distance.kind):
-        raise ConfigError(f"pc.distance must be {config.pc.distance.kind!r} for "
-                          f"method {config.method}, got {distance!r}")
+    check_distance(doc, config, "")
     return config
+
+
+def check_distance(doc: dict, config: ExperimentConfig, where: str) -> None:
+    """A focal method picks its distance, so ``doc`` may not name another."""
+    distance, own = doc.get("pc", {}).get("distance"), config.pc.distance.kind
+    if config.pc.mode == "focal" and distance not in (None, own):
+        raise ConfigError(f"{where}pc.distance must be {own!r} for method "
+                          f"{config.method}, got {distance!r}")
 
 
 def sweep_lists_from_document(doc: Optional[dict]) -> SweepLists:

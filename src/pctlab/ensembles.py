@@ -19,8 +19,9 @@ import numpy as np
 # tracer-only imports: see tests/test_package.py::TRACER_ONLY_IMPORTS
 from .flips import report_from_arrays
 from .losses import make_ce_objective
-from .nn import (MLPModel, Objective, TrainConfig, Workspace, batch_logits,
-                 block_cuts, forward_into, init_model, stack_models, train)
+from .nn import (DimensionError, MLPModel, Objective, TrainConfig, Workspace,
+                 batch_logits, block_cuts, forward_into, init_model,
+                 stack_models, train)
 
 
 @dataclass
@@ -117,17 +118,21 @@ def train_ensemble(dims: Sequence[int], features: np.ndarray, labels: np.ndarray
                    ) -> Ensemble:
     """Train ``size`` members as one stack; member j uses seed base_seed + j.
 
-    Member j starts from ``init[j]`` when given (fine-tuning), else from a
-    fresh init under its seed. The stack trains in one ``nn.train`` call
-    from seed base_seed, which fixes each member's shuffle, under
-    ``objective`` (plain CE on ``labels`` when None) and ``on_epoch_end``.
-    The members returned are views of the trained stack."""
+    Member j starts from ``init[j]``, of layer sizes ``dims``, when given
+    (fine-tuning), else from a fresh init under its seed. The stack trains
+    in one ``nn.train`` call from seed base_seed, which fixes each member's
+    shuffle, under ``objective`` (plain CE on ``labels`` when None) and
+    ``on_epoch_end``. The members returned are views of the trained stack."""
     if size < 1:
         raise ValueError("ensemble size must be >= 1")
     if init is not None and len(init) != size:
         raise ValueError("init needs one model per member")
     if init is None:
         init = [init_model(dims, base_seed + j) for j in range(size)]
+    else:
+        given = [l.fan_in for l in init[0].layers] + [init[0].num_classes]
+        if given != list(dims):
+            raise DimensionError(f"init has dims {given}, not {list(dims)}")
     stack = train(stack_models(init), features, labels,
                   make_ce_objective(labels) if objective is None else objective,
                   replace(config, seed=base_seed), on_epoch_end=on_epoch_end).model

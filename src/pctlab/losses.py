@@ -179,6 +179,9 @@ def make_objective(labels: np.ndarray, oracle: Optional[OldModelOracle],
     if mode != "none" and oracle is None:
         raise ValueError(f"PC mode {mode!r} needs a reference-model oracle")
     labels = np.ascontiguousarray(labels, dtype=np.int64)
+    if mode != "none" and oracle.logits.shape[0] != len(labels):
+        raise DimensionError(
+            f"oracle has {oracle.logits.shape[0]} rows for {len(labels)} labels")
     if mode == "naive":
         weight = 1.0 + lam * oracle.old_correct
     elif mode == "focal":

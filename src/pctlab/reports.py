@@ -15,7 +15,7 @@ import os
 from dataclasses import replace
 from typing import Dict, List
 
-from .config import ConfigError, experiment_from_document, from_document
+from .config import ConfigError, check_distance, from_document
 from .harness import ExperimentResult, MethodRow
 from .tables import Table, as_record, json_text
 
@@ -28,8 +28,8 @@ def result_from_document(doc: dict) -> ExperimentResult:
     for key in ("config", "runs"):
         if not doc.get(key):
             raise ConfigError(f"artifacts needs a non-empty {key!r}")
-    result = from_document(ExperimentResult, doc, "artifacts",
-                          config=experiment_from_document(doc["config"]))
+    result = from_document(ExperimentResult, doc, "artifacts")
+    check_distance(doc["config"], result.config, "artifacts.config.")
     # each run writes files named by its repetition, so a repeat overwrites
     reps = [run.repetition for run in result.runs]
     if reps != list(range(result.config.repetitions)):

@@ -26,7 +26,7 @@ import yaml
 
 from pctlab.config import experiment_from_document, from_document
 from pctlab.datasets import SPLIT_NAMES, Dataset
-from pctlab.flips import FlipReport, report_from_counts
+from pctlab.flips import FlipReport
 from pctlab.harness import ExperimentConfig
 from pctlab.losses import (DistanceSpec, FilterSpec, OldModelOracle,
                            PCLossConfig, distance_kl)
@@ -366,12 +366,18 @@ def compute_nfr(records: Sequence[PredictionRecord]) -> float:
 
 
 def flip_report(records: Sequence[PredictionRecord]) -> FlipReport:
-    """The report of a record set, counted one record at a time."""
+    """The report of a record set, counted one record at a time, with each
+    rate a quotient of those counts."""
+    if not records:
+        raise ValueError("cannot build a report over an empty record set")
     counts = Counter(classify_flip(r) for r in records)
-    return report_from_counts(counts[FlipQuadrant.BOTH_CORRECT],
-                              counts[FlipQuadrant.NEGATIVE_FLIP],
-                              counts[FlipQuadrant.POSITIVE_FLIP],
-                              counts[FlipQuadrant.BOTH_WRONG])
+    bc, nf, pf, bw = (counts[q] for q in FlipQuadrant)
+    n = len(records)
+    er_old, er_new = (pf + bw) / n, (nf + bw) / n
+    nfr = nf / n
+    denom = (1.0 - er_old) * er_new
+    return FlipReport(n, bc, nf, pf, bw, er_old, er_new, nfr, pf / n,
+                      nfr / denom if denom > 0.0 else None)
 
 
 def flip_report_from_json(text: str) -> FlipReport:

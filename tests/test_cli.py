@@ -381,6 +381,35 @@ def test_report_rejects_runs_that_are_not_each_repetition_once(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("methods", ["bogus_method_name"],
+     "unknown key(s) ['methods'] in artifacts.config; allowed: "),
+    ("ensemble_sizes", "x",
+     "unknown key(s) ['ensemble_sizes'] in artifacts.config; allowed: "),
+    ("focal_grid", [[1.0, 2.0]],
+     "unknown key(s) ['focal_grid'] in artifacts.config; allowed: "),
+    ("pc", {"distance": "kl"}, "artifacts.config.pc.distance must be "
+     "'logit_match' for method fd_lm, got 'kl'\n"),
+], ids=["methods", "ensemble_sizes", "focal_grid", "distance"])
+def test_report_rejects_config_file_keys_in_artifacts(tmp_path, capsys, key,
+                                                      value, message):
+    """The sweep lists belong to CLI config files; an artifacts config
+    block once loaded with any of them, since it was read as one. A focal
+    method still picks its distance."""
+    stored = os.path.join(os.path.dirname(__file__), "data", "artifacts.json")
+    with open(stored, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    assert doc["config"]["method"] == "fd_lm"
+    path = tmp_path / "artifacts.json"
+    path.write_text(json.dumps(dict(doc, config=dict(doc["config"],
+                                                     **{key: value}))),
+                    encoding="utf-8")
+    assert main(["report", "--artifacts", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("text, extra, message", [
     ("dataset: {seed: 18446744073709551616}\n", [],
      "dataset: seed must be in [0, 2**64)"),

@@ -235,6 +235,15 @@ def test_train_ensemble_rejects_bad_size(train_xy):
                              nn.init_model([5, 6, 4], seed=1)])
 
 
+def test_train_ensemble_rejects_init_of_other_dims(train_xy):
+    # it once trained and returned members of the init's dims
+    x, y = train_xy
+    init = [nn.init_model([5, 8, 4], seed=j) for j in range(2)]
+    for dims in ([5, 64, 64, 4], [5, 8, 3], [5, 4]):
+        with pytest.raises(nn.DimensionError, match=r"init has dims \[5, 8, 4\]"):
+            train_ensemble(dims, x, y, CFG, size=2, base_seed=0, init=init)
+
+
 def test_member_seeds_past_2_64_raise_a_named_error():
     x = np.random.default_rng(0).standard_normal((4, 3))
     y = np.array([0, 1, 0, 1])

@@ -1,6 +1,5 @@
 """Flip bookkeeping: quadrants, rates and the exact count identities."""
 
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -11,9 +10,7 @@ from hypothesis import strategies as st
 from oracles import (FlipQuadrant, PredictionRecord, classify_flip,
                      compute_nfr, flip_report, flip_report_from_json,
                      records_from_arrays)
-from pctlab.flips import (UndefinedMetricError, _quadrant_counts,
-                          compute_relative_nfr, report_from_arrays,
-                          report_from_counts)
+from pctlab.flips import compute_relative_nfr, report_from_arrays
 from pctlab.tables import as_record, json_text
 
 
@@ -67,17 +64,22 @@ def test_flip_identities_hold_exactly(triples):
     assert report.pfr == pfr.numerator / pfr.denominator
 
 
-@pytest.mark.parametrize("n", [0, 1, 50, 14_000])
+def _arrays_with_counts(bc, nf, pf, bw):
+    """Label and prediction arrays with the given quadrant counts, in
+    quadrant order; every label is 0."""
+    y = np.zeros(bc + nf + pf + bw, dtype=np.int64)
+    old = np.array([0] * bc + [0] * nf + [1] * pf + [1] * bw)
+    new = np.array([0] * bc + [1] * nf + [0] * pf + [1] * bw)
+    return y, old, new
+
+
+@pytest.mark.parametrize("n", [1, 50, 14_000])
 def test_report_from_arrays_matches_record_path(n):
     rng = np.random.default_rng(0)
     y, old, new = (rng.integers(0, 3, n) for _ in range(3))
-    records = records_from_arrays(y, old, new)
-    counts = Counter(classify_flip(r) for r in records)
-    assert _quadrant_counts(y, old, new) == tuple(counts[q] for q in FlipQuadrant)
-    if n == 0:
-        return
     report = report_from_arrays(y, old, new)
-    assert report == flip_report(records)
+    # every count and every rate, field by field
+    assert report == flip_report(records_from_arrays(y, old, new))
     # numpy counts are np.int64, which json cannot write
     for name in ("n", "both_correct", "negative_flips", "positive_flips",
                  "both_wrong"):
@@ -88,14 +90,13 @@ def test_report_from_arrays_matches_record_path(n):
 def test_relative_nfr_matches_hand_computation():
     value = compute_relative_nfr(0.0644, 0.3024, 0.3029)
     assert value == pytest.approx(0.0644 / (0.6976 * 0.3029), rel=1e-12)
-    with pytest.raises(UndefinedMetricError):
-        compute_relative_nfr(0.0, 0.3, 0.0)  # perfect new model
-    with pytest.raises(UndefinedMetricError):
-        compute_relative_nfr(0.0, 1.0, 0.3)  # old model always wrong
+    assert compute_relative_nfr(0.0, 0.3, 0.0) is None  # perfect new model
+    assert compute_relative_nfr(0.0, 1.0, 0.3) is None  # old model always wrong
 
 
 def test_report_rel_nfr_none_when_undefined():
-    report = report_from_counts(bc=5, nf=0, pf=0, bw=0)  # er_new == 0
+    report = report_from_arrays(*_arrays_with_counts(bc=5, nf=0, pf=0, bw=0))
+    assert (report.both_correct, report.er_new) == (5, 0.0)
     assert report.rel_nfr is None
     assert report.nfr == 0.0
 
@@ -107,13 +108,16 @@ def test_empty_record_sets_are_rejected():
         compute_nfr([])
     with pytest.raises(ValueError, match="empty record set"):
         report_from_arrays(np.array([]), np.array([]), np.array([]))
+    with pytest.raises(ValueError, match="equal shape"):
+        report_from_arrays(np.array([0, 1]), np.array([0]), np.array([0, 1]))
     with pytest.raises(ValueError):
         records_from_arrays([0, 1], [0], [0, 1])
 
 
 def test_report_json_round_trip():
-    report = report_from_counts(bc=7, nf=2, pf=1, bw=3)
+    report = report_from_arrays(*_arrays_with_counts(bc=7, nf=2, pf=1, bw=3))
+    assert (report.both_correct, report.negative_flips,
+            report.positive_flips, report.both_wrong) == (7, 2, 1, 3)
     text = json_text(as_record(report))
     assert flip_report_from_json(text) == report
     assert text.endswith("\n")
-

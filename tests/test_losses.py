@@ -475,3 +475,16 @@ def test_make_objective_requires_oracle_for_pc_modes():
     with pytest.raises(ValueError, match="oracle"):
         make_objective(y, None, PCLossConfig(mode="naive"))
     assert make_objective(y, None, PCLossConfig(mode="none")) is not None
+
+
+@pytest.mark.parametrize("n_labels", [20, 80])
+@pytest.mark.parametrize("mode", ["naive", "focal"])
+def test_make_objective_rejects_oracle_of_another_length(mode, n_labels):
+    # labels pair with oracle rows by position: with fewer labels it once
+    # trained against the oracle's first rows, with more it failed mid-run
+    _, _, oracle = _batch_setup(n=40)
+    y = np.zeros(n_labels, dtype=np.int64)
+    with pytest.raises(nn.DimensionError, match="40 rows for"):
+        make_objective(y, oracle, PCLossConfig(mode=mode))
+    # with no PC term the oracle is not read
+    assert make_objective(y, oracle, PCLossConfig(mode="none")) is not None

@@ -124,6 +124,17 @@ def test_names_only_tests_reached_stay_gone():
         assert not hasattr(cli, name), name
     for name in ("_check_format", "_write"):
         assert not hasattr(reports, name), name
+    # report_from_arrays counts and divides in one function, an undefined
+    # relative NFR is None, and the record oracle does its own arithmetic
+    for name in ("UndefinedMetricError", "_quadrant_counts",
+                 "report_from_counts"):
+        assert not hasattr(flips, name), name
+    oracle_tree = ast.parse(
+        (Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    from_flips = [a.name for node in ast.walk(oracle_tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and node.module == "pctlab.flips" for a in node.names]
+    assert from_flips == ["FlipReport"]
     # every caller passes these, so none has a fallback
     required = {nn.ce_rows: ("m", "at"), nn.backward_batch: ("out",),
                 ensembles.Ensemble.predict_batch: ("workspace",),

@@ -78,7 +78,10 @@ def _decode(cls, doc: dict, where: str, given: dict):
     for name, key, flat, required, tp in layout(cls):
         if name in given:
             continue
-        if flat:
+        if tp is UpdateScenario:  # read after the dataset, for its class count
+            dataset = given.get("dataset", SyntheticSpec())
+            given[name] = _scenario(doc, dataset, where)
+        elif flat:
             given[name] = _decode(tp, doc, where, {})
         elif key in doc:
             given[name] = _coerce(tp, doc[key], f"{where}.{key}".lstrip("."))
@@ -92,6 +95,18 @@ def _decode(cls, doc: dict, where: str, given: dict):
         raise
 
 
+def _scenario(doc: dict, dataset: SyntheticSpec, where: str) -> UpdateScenario:
+    """The ``scenario`` of experiment block ``doc``. One that is absent or
+    has only a ``kind`` is the reference pairing for the dataset's class
+    count, in a config file and in ``artifacts.json`` alike."""
+    where = f"{where}.scenario".lstrip(".")
+    block = doc.get("scenario", {"kind": "same_arch_retrain"})
+    if isinstance(block, dict) and set(block) == {"kind"}:
+        kind = _coerce(ScenarioKind, block["kind"], f"{where}.kind")
+        return reference_scenario(kind, dataset.num_classes)
+    return _coerce(UpdateScenario, block, where)
+
+
 def from_document(cls, doc: dict, where: str):
     """An instance of dataclass ``cls`` from its document block: unknown keys
     are rejected, each value is coerced by its field's type, and a missing
@@ -102,20 +117,13 @@ def from_document(cls, doc: dict, where: str):
 
 
 def experiment_from_document(doc: Optional[dict]) -> ExperimentConfig:
-    """The experiment of a config document. A ``scenario`` with only a
-    ``kind`` selects the reference pairing for the dataset's class count."""
+    """The experiment of a config document. A bad ``dataset`` block raises
+    its own error; every other error is a ConfigError."""
     doc = {} if doc is None else doc
     _check_keys(doc, [*_keys(ExperimentConfig), *_keys(SweepLists)], "config")
     dataset = _coerce(SyntheticSpec, doc.get("dataset", {}), "dataset")
-    scenario = doc.get("scenario", {"kind": "same_arch_retrain"})
     try:
-        if isinstance(scenario, dict) and set(scenario) == {"kind"}:
-            kind = _coerce(ScenarioKind, scenario["kind"], "scenario.kind")
-            scenario = reference_scenario(kind, dataset.num_classes)
-        else:
-            scenario = _coerce(UpdateScenario, scenario, "scenario")
-        config = _decode(ExperimentConfig, doc, "",
-                         dict(dataset=dataset, scenario=scenario))
+        config = _decode(ExperimentConfig, doc, "", dict(dataset=dataset))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     check_distance(doc, config, "")

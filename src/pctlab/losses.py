@@ -18,7 +18,7 @@ import numpy as np
 
 # tracer-only import: see tests/test_package.py::TRACER_ONLY_IMPORTS
 from .nn import (DimensionError, MLPModel, Workspace, batch_logits, ce_rows,
-                 forward_into, label_positions, row_max)
+                 forward_into, row_max)
 from .tables import check_fields
 
 DISTANCE_KINDS = ("kl", "logit_match")
@@ -119,10 +119,9 @@ class OldModelOracle:
         return cls(logits, pred_labels == labels, pred_labels, class_map)
 
 
-def _log_softmax_rows(x: np.ndarray, m: Optional[np.ndarray] = None) -> np.ndarray:
-    """Row-wise log-softmax of 2-D ``x``; ``m`` is its row max as a column,
-    computed when not given."""
-    z = x - (row_max(x)[:, None] if m is None else m)
+def _log_softmax_rows(x: np.ndarray) -> np.ndarray:
+    """Row-wise log-softmax of 2-D ``x``, shifted by its row max."""
+    z = x - row_max(x)[:, None]
     z -= np.log(np.exp(z).sum(axis=1, keepdims=True))
     return z
 
@@ -171,10 +170,11 @@ def make_objective(labels: np.ndarray, oracle: Optional[OldModelOracle],
     The oracle is frozen, so the naive weight, the focal weight and, for
     KL, the reference's tau-softened log-softmax and its exp are computed
     here once per training row. A step gathers them by index: row by row,
-    bit for bit what it would compute from the gathered rows. In focal mode
-    a step selects the new logits' reference columns once, by a full slice
-    (a view) when they are the new model's classes in order and by
-    ``logit_index`` otherwise, and adds its gradient back the same way."""
+    bit for bit what it would compute from the gathered rows. The focal
+    term's reference columns are fixed here too: a slice of the leading
+    columns when ``logit_index`` is ``arange(size)``, the index array
+    otherwise. A step gathers the new logits' columns and adds their
+    gradient back through them."""
     mode, lam = config.mode, config.lam
     if mode != "none" and oracle is None:
         raise ValueError(f"PC mode {mode!r} needs a reference-model oracle")
@@ -187,8 +187,10 @@ def make_objective(labels: np.ndarray, oracle: Optional[OldModelOracle],
     elif mode == "focal":
         filt, dist = config.filter, config.distance
         weight = filt.alpha + filt.beta * oracle.old_correct
-        logit_index = oracle.logit_index
-        identity = np.array_equal(logit_index, np.arange(logit_index.size))
+        size = oracle.logit_index.size
+        cols = (slice(0, size)
+                if np.array_equal(oracle.logit_index, np.arange(size))
+                else oracle.logit_index)
         kl = dist.kind == "kl"
         if kl:
             ls_old_all = _log_softmax_rows(oracle.logits / dist.tau)
@@ -199,10 +201,7 @@ def make_objective(labels: np.ndarray, oracle: Optional[OldModelOracle],
         y = labels[idx]
         n, k, b = y.shape[0], logits.shape[-1], logits.shape[-2]
         rows = logits.reshape(n, k)
-        at = label_positions(y, k)
-        m = row_max(rows)[:, None]
-        losses, dlogits = ce_rows(rows, m, at)
-        dlogits.reshape(-1)[at] -= 1.0
+        losses, dlogits = ce_rows(rows, y)
         if mode == "naive":
             w = weight[idx]
             losses *= w
@@ -212,22 +211,17 @@ def make_objective(labels: np.ndarray, oracle: Optional[OldModelOracle],
         # sum() / n is how np.mean divides
         loss = losses.sum() / n
         if mode == "focal":
-            full = identity and k == logit_index.size
-            cols = slice(None) if full else logit_index
             sub = np.ascontiguousarray(rows[:, cols])
             if kl:
-                # x -> x / tau is monotone for tau > 0, so over all columns
-                # the row max of sub / tau is the CE row max over tau, bit
-                # for bit
-                ls_new = _log_softmax_rows(sub / dist.tau,
-                                           m / dist.tau if full else None)
-                ls_old, p_old = ls_old_all[idx], p_old_all[idx]
+                ls_new = _log_softmax_rows(sub / dist.tau)
+                ls_old = ls_old_all.take(idx, axis=0)
+                p_old = p_old_all.take(idx, axis=0)
                 d = np.maximum((p_old * (ls_old - ls_new)).sum(axis=1), 0.0)
                 sub_grad = np.exp(ls_new, out=ls_new)
                 sub_grad -= p_old
                 sub_grad /= dist.tau
             else:
-                sub_grad = sub - oracle.logits[idx]
+                sub_grad = sub - oracle.logits.take(idx, axis=0)
                 d = 0.5 * (sub_grad * sub_grad).sum(axis=1)
             f = weight[idx]
             loss = loss + lam * ((f * d).sum() / n)

@@ -312,27 +312,22 @@ def row_max(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.T).max(axis=0)
 
 
-def ce_rows(logits: np.ndarray, m: np.ndarray, at: np.ndarray) -> tuple:
-    """Per-row cross-entropy and softmax probabilities of ``(n, K)`` logits,
-    as (losses, probs); callers reuse probs to assemble the gradient
-    softmax(logits) - onehot(label). ``m`` is the logits' row max as a
-    column and ``at`` the labels' flat positions ``label_positions(labels,
-    K)``. Labels must lie in [0, K): the flat gather does not check them."""
+def ce_rows(logits: np.ndarray, labels: np.ndarray) -> tuple:
+    """Per-row cross-entropy of ``(n, K)`` logits and its gradient
+    softmax(logits) - onehot(labels), as (losses, grad). The labels are
+    gathered through their flat positions ``arange(n) * K + labels``, one
+    1-D index, so they must lie in [0, K): the gather does not check them."""
+    at = np.arange(labels.shape[0]) * logits.shape[1]
+    at += labels
+    m = row_max(logits)[:, None]
     e = np.subtract(logits, m)
     np.exp(e, out=e)
     s = e.sum(axis=1, keepdims=True)
     losses = m[:, 0] + np.log(s[:, 0])
     losses -= logits.take(at)
     e /= s
+    e.reshape(-1)[at] -= 1.0
     return losses, e
-
-
-def label_positions(labels: np.ndarray, k: int) -> np.ndarray:
-    """Flat positions ``arange(n) * k + labels`` of each row's label in
-    ``(n, k)`` rows: one 1-D index, cheaper than ``[arange(n), labels]``."""
-    at = np.arange(labels.shape[0]) * k
-    at += labels
-    return at
 
 
 def backward_batch(model: MLPModel, cache: BatchCache, dlogits: np.ndarray,

@@ -57,7 +57,9 @@ def error_rate(model: MLPModel, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def ce_rows_2d(logits: np.ndarray, labels: np.ndarray) -> tuple:
-    """``nn.ce_rows`` with every op a fresh array and a 2-D label gather."""
+    """Per-row cross-entropy and softmax probabilities with every op a
+    fresh array and a 2-D label gather; the caller subtracts the one-hot by
+    its own 2-D scatter, where ``nn.ce_rows`` returns the gradient."""
     m = logits.max(axis=1, keepdims=True)
     e = np.exp(logits - m)
     s = e.sum(axis=1, keepdims=True)

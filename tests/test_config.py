@@ -1,5 +1,6 @@
 """YAML config parsing: round trips, defaults, and strict key checking."""
 
+import json
 import os
 import re
 import subprocess
@@ -82,6 +83,19 @@ def test_yaml_aliases_k_and_lambda():
 def test_bare_scenario_kind_selects_reference_pairing():
     cfg = loads_config("dataset: {k: 6}\nscenario: {kind: two_changes}\n")
     assert cfg.scenario == reference_scenario(ScenarioKind.TWO_CHANGES, 6)
+
+
+@pytest.mark.parametrize("kind", list(ScenarioKind), ids=lambda k: k.value)
+def test_kind_only_scenario_reads_alike_in_config_and_artifacts(kind):
+    """A scenario block of only a ``kind`` is the reference pairing for the
+    dataset's class count in a config file and in ``artifacts.json``."""
+    stored = os.path.join(os.path.dirname(__file__), "data", "artifacts.json")
+    with open(stored, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["config"]["scenario"] = {"kind": kind.value}
+    want = reference_scenario(kind, doc["config"]["dataset"]["k"])
+    assert experiment_from_document(doc["config"]).scenario == want
+    assert reports.result_from_document(doc).config.scenario == want
 
 
 def test_explicit_scenario_block_overrides_reference():

@@ -318,11 +318,14 @@ def test_batch_objective_equals_mean_of_per_sample(name, cfg, index):
 
 
 @pytest.mark.parametrize("name,cfg", _configs()[1:])
-@pytest.mark.parametrize("index", [None, [0, 2, 3], [0, 1, 2]])
+@pytest.mark.parametrize("index", [None, [0, 2, 3], [0, 1, 2], [3, 0, 4, 1, 2]])
 def test_hoisted_objective_equals_per_step_form_bit_for_bit(name, cfg, index):
     """Old-side quantities computed once per factory call and gathered by
-    index, and the identity map's full-slice column selector, leave every
-    bit of a stack's gradient and of the loss unchanged."""
+    index, and the focal columns fixed by the factory, leave every bit of a
+    stack's gradient and of the loss unchanged: a slice for the full width
+    (None) and for an identity prefix of K = 5 ([0, 1, 2], the class_growth
+    layout), the index array for a subset ([0, 2, 3]) and for a permutation
+    of all K columns ([3, 0, 4, 1, 2])."""
     logits, y, oracle = _batch_setup(n=40, index=index)
     hoisted = make_objective(y, oracle, cfg)
     reference = per_step_objective(y, oracle, cfg)
@@ -376,13 +379,13 @@ _SPECIAL_ROW_CASES = {
 
 @pytest.mark.parametrize("case", list(_SPECIAL_ROW_CASES))
 def test_kl_focal_objective_equals_per_step_form_bit_for_bit(case):
-    """The KL focal term's trims (one ``x - m``, the CE row max over tau as
-    the KL row max, ``exp``, divide and gradient scale in place, means as
+    """The KL focal term's trims (one ``x - m``, ``exp``, divide and
+    gradient scale in place, old-side tables gathered by ``take``, means as
     ``sum() / n``) leave every bit of the loss and of a stack's gradient
     unchanged, for K = 2..128, on finite rows and on rows holding +inf,
-    -inf and NaN, through the full slice and through a gather into one more
-    new class. CE (against ``ce_objective``), naive and focal logit-match
-    objectives go through the same rows."""
+    -inf and NaN, through the slice of all K columns and through the slice
+    of the first K of K + 1 new classes. CE (against ``ce_objective``),
+    naive and focal logit-match objectives go through the same rows."""
     rng = np.random.default_rng(12)
     specials = np.array([np.inf, -np.inf, np.nan])
     cfg = _SPECIAL_ROW_CASES[case]

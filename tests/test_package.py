@@ -135,8 +135,12 @@ def test_names_only_tests_reached_stay_gone():
                   if isinstance(node, ast.ImportFrom)
                   and node.module == "pctlab.flips" for a in node.names]
     assert from_flips == ["FlipReport"]
+    # ce_rows finds its labels' flat positions and its row max itself, and
+    # the KL term's log-softmax always takes its own row max
+    assert not hasattr(nn, "label_positions")
+    assert list(inspect.signature(losses._log_softmax_rows).parameters) == ["x"]
     # every caller passes these, so none has a fallback
-    required = {nn.ce_rows: ("m", "at"), nn.backward_batch: ("out",),
+    required = {nn.ce_rows: ("labels",), nn.backward_batch: ("out",),
                 ensembles.Ensemble.predict_batch: ("workspace",),
                 harness.OldReference.score: ("workspace",)}
     for fn, names in required.items():

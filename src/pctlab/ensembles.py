@@ -1,12 +1,11 @@
 """Independently trained model ensembles.
 
-``Ensemble`` scores a group of models and ``scoring_workspace`` sizes its
-buffers. ``train_ensemble`` builds and trains every weight stack in the
-package: every old side, the size sweep's new side and each repetition
-stack of ``harness.run_experiment``. ``check_old_side`` rejects a
-diverged old side. The size sweep, ``harness.sweep_ensemble``, runs on a
-``harness.ScenarioState``: its L row is the ``ensemble`` method's
-repetition 0 for a full-data scenario.
+``Ensemble`` scores a group of models. ``train_ensemble`` builds and
+trains every weight stack in the package: every old side, the size
+sweep's new side and each repetition stack of ``harness.run_experiment``.
+``check_old_side`` rejects a diverged old side. The size sweep,
+``harness.sweep_ensemble``, runs on a ``harness.ScenarioState``: its L
+row is the ``ensemble`` method's repetition 0 for a full-data scenario.
 """
 
 from __future__ import annotations
@@ -52,62 +51,51 @@ class Ensemble:
     def num_classes(self) -> int:
         return self.members[0].num_classes
 
-    def predictions(self, x: np.ndarray, sizes: Sequence[int],
-                    workspace: Workspace) -> np.ndarray:
-        """``(len(sizes), n)`` predictions of the first L members, for each L
-        of the ascending ``sizes``, in one pass over the rows.
+    def predictions(self, row_sets: Sequence[np.ndarray], sizes: Sequence[int],
+                    workspace: Workspace) -> List[np.ndarray]:
+        """One ``(len(sizes), n)`` array per set of n rows in ``row_sets``:
+        the predictions of the first L members, for each L of the ascending
+        ``sizes``, in one pass over the set.
 
         The rows run in the blocks of ``nn.block_cuts`` for the widest layer
         of any member, so each member's ``forward_into`` on a block is one
-        block of its own. The running sum lives in ``workspace``'s buffer
-        ``"sum"``, one block long, and only the integer predictions span all
-        the rows."""
+        block of its own. Before the first forward, ``workspace`` gets the
+        first member's layer buffers and the running sum's ``"sum"``, each
+        as long as the longest block of any set, so no buffer grows between
+        sets. Only the integer predictions span all the rows."""
         if not sizes or sizes[0] < 1 or sizes[-1] > self.size \
                 or any(a >= b for a, b in zip(sizes, sizes[1:])):
             raise ValueError(f"sizes must ascend strictly within [1, {self.size}]")
         widest = max(l.fan_out for m in self.members for l in m.layers)
-        cuts = block_cuts(len(x), widest)
-        preds = np.empty((len(sizes), len(x)), dtype=np.intp)
-        for start, stop in zip(cuts, cuts[1:]):
-            total = workspace.get("sum", (stop - start, self.num_classes))
-            slot = 0
-            for j, member in enumerate(self.members[:sizes[-1]]):
-                logits = forward_into(member, x[start:stop], workspace)
-                if j == 0:
-                    total[...] = logits
-                else:
-                    total += logits
-                if j + 1 == sizes[slot]:
-                    np.argmax(total, axis=1, out=preds[slot, start:stop])
-                    slot += 1
-        return preds
+        cuts = [block_cuts(len(x), widest) for x in row_sets]
+        rows = max(c[-1] - c[-2] for c in cuts)  # a last block is a longest
+        for i, layer in enumerate(self.members[0].layers):
+            workspace.get(i, (rows, layer.fan_out))
+        workspace.get("sum", (rows, self.num_classes))
+        out = []
+        for x, cut in zip(row_sets, cuts):
+            preds = np.empty((len(sizes), len(x)), dtype=np.intp)
+            for start, stop in zip(cut, cut[1:]):
+                total = workspace.get("sum", (stop - start, self.num_classes))
+                slot = 0
+                for j, member in enumerate(self.members[:sizes[-1]]):
+                    logits = forward_into(member, x[start:stop], workspace)
+                    if j == 0:
+                        total[...] = logits
+                    else:
+                        total += logits
+                    if j + 1 == sizes[slot]:
+                        np.argmax(total, axis=1, out=preds[slot, start:stop])
+                        slot += 1
+            out.append(preds)
+        return out
 
     def predict_batch(self, x: np.ndarray, workspace: Workspace) -> np.ndarray:
         """The prediction of all the members, scored in ``workspace``."""
-        return self.predictions(x, [self.size], workspace)[0]
+        return self.predictions([x], [self.size], workspace)[0][0]
 
     def parameter_count(self) -> int:
         return sum(m.parameter_count() for m in self.members)
-
-
-def scoring_workspace(model: MLPModel, *row_counts: int) -> Workspace:
-    """A fresh ``Workspace`` holding every buffer that ``predictions`` of
-    members shaped like ``model`` (one model or a stack) needs on each of
-    ``row_counts`` rows, each sized once for the longest row block among
-    them, so that no buffer grows while they are scored.
-
-    A workspace serves one epoch's scoring: ``harness.run_experiment`` takes
-    a fresh one each epoch, and an old side scores in one of its own, so the
-    scoring buffers die before the next epoch trains and take turns with the
-    training steps' arrays in the same heap memory."""
-    widest = max(layer.fan_out for layer in model.layers)
-    rows = max(cuts[-1] - cuts[-2]
-               for cuts in (block_cuts(n, widest) for n in row_counts))
-    workspace = Workspace()
-    for i, layer in enumerate(model.layers):
-        workspace.get(i, (rows, layer.fan_out))
-    workspace.get("sum", (rows, model.num_classes))
-    return workspace
 
 
 def train_ensemble(dims: Sequence[int], features: np.ndarray, labels: np.ndarray,

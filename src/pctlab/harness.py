@@ -184,11 +184,12 @@ class OldReference:
            oracle: Optional[OldModelOracle]) -> "OldReference":
         """``old``'s predictions on ``plan``; on the new job's rows, those of
         ``oracle`` if given, so that a PC run forwards those rows once."""
-        job, ep, ws = plan.new_job, plan.eval_plan, Workspace()
-        train_preds = (oracle.old_pred if oracle is not None else
-                       plan.old_to_new[old.predict_batch(job.features, ws)])
-        return cls(plan.old_to_new[old.predict_batch(ep.features, ws)],
-                   train_preds)
+        rows = [plan.eval_plan.features]
+        if oracle is None:
+            rows.insert(0, plan.new_job.features)
+        preds = [plan.old_to_new[p] for (p,) in
+                 old.predictions(rows, [old.size], Workspace())]
+        return cls(preds[-1], preds[0] if oracle is None else oracle.old_pred)
 
     def score(self, members: Sequence[MLPModel], plan: ScenarioPlan,
               workspace: Workspace,
@@ -196,12 +197,11 @@ class OldReference:
         """Epoch ``epoch``'s metrics and held-out report of ``members``,
         scored as one ensemble in ``workspace`` against this old side: on
         the new job's rows and on the plan's eval set."""
-        new, job = Ensemble(list(members)), plan.new_job
-        on_train = report_from_arrays(job.labels, self.train_preds,
-                                      new.predict_batch(job.features, workspace))
-        ep = plan.eval_plan
-        report = report_from_arrays(ep.labels, self.eval_preds,
-                                    new.predict_batch(ep.features, workspace))
+        new, job, ep = Ensemble(list(members)), plan.new_job, plan.eval_plan
+        (on_job,), (on_eval,) = new.predictions([job.features, ep.features],
+                                                [new.size], workspace)
+        on_train = report_from_arrays(job.labels, self.train_preds, on_job)
+        report = report_from_arrays(ep.labels, self.eval_preds, on_eval)
         return EpochMetrics(epoch + 1, on_train.er_new, report.er_new,
                             report.nfr, report.rel_nfr, on_train.nfr), report
 
@@ -272,7 +272,8 @@ def run_experiment(config: ExperimentConfig,
     of consecutive seeds, trained by ``ensembles.train_ensemble``, holds one
     ensemble repetition or up to ``REPETITION_STACK`` others. Each group is
     scored after every epoch, or once on its init when there are no epochs,
-    in a fresh ``ensembles.scoring_workspace`` per epoch."""
+    in a fresh ``Workspace`` per epoch, so that the scoring buffers die
+    before the next epoch trains."""
     if state is None:
         state = prepare_scenario(config)
     state.check(config)
@@ -297,8 +298,7 @@ def run_experiment(config: ExperimentConfig,
         finals = [None] * len(reps)
 
         def score(epoch, members):
-            workspace = ensembles.scoring_workspace(
-                members[0], len(x), len(plan.eval_plan.labels))
+            workspace = Workspace()
             for g in range(len(reps)):
                 row, finals[g] = reference.score(
                     members[g * size:(g + 1) * size], plan, workspace, epoch)
@@ -417,8 +417,8 @@ def sweep_ensemble_size(state: ScenarioState, sizes: Sequence[int]) -> Table:
                                    state.train, top,
                                    model_seed(state.train.seed, "new_member"))
     ep, workspace = plan.eval_plan, Workspace()
-    old_preds = plan.old_to_new[old.predictions(ep.features, sizes, workspace)]
-    new_preds = new.predictions(ep.features, sizes, workspace)
+    old_preds = plan.old_to_new[old.predictions([ep.features], sizes, workspace)[0]]
+    (new_preds,) = new.predictions([ep.features], sizes, workspace)
     rows = []
     for size, old_row, new_row in zip(sizes, old_preds, new_preds):
         report = report_from_arrays(ep.labels, old_row, new_row)

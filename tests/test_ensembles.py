@@ -114,7 +114,7 @@ def test_blockwise_scoring_equals_whole_row_member_sums(blocks):
 
     ws = nn.Workspace()
     np.testing.assert_array_equal(
-        Ensemble(members).predictions(x, [1, 3], ws), want)
+        Ensemble(members).predictions([x], [1, 3], ws), [want])
     np.testing.assert_array_equal(Ensemble(members[:1]).predict_batch(x, ws),
                                   want[0])
     np.testing.assert_array_equal(Ensemble(members).predict_batch(x, ws),
@@ -126,7 +126,44 @@ def test_blockwise_scoring_equals_whole_row_member_sums(blocks):
         assert buf.size <= longest * widths[key] < len(x) * widths[key]
     for sizes in ([], [0], [2, 1], [4]):
         with pytest.raises(ValueError, match="ascend"):
-            Ensemble(members).predictions(x, sizes, ws)
+            Ensemble(members).predictions([x], sizes, ws)
+
+
+class _CountingWorkspace(nn.Workspace):
+    """A workspace that records the key and size of each allocation."""
+
+    def __init__(self):
+        super().__init__()
+        self.allocated = []
+
+    def get(self, key, shape):
+        before = self.buffers.get(key)
+        view = super().get(key, shape)
+        if self.buffers[key] is not before:
+            self.allocated.append((key, self.buffers[key].size))
+        return view
+
+
+@pytest.mark.parametrize("order", [(2.5, 3.5), (3.5, 2.5)],
+                         ids=["longest_first", "longest_last"])
+def test_one_call_sizes_each_buffer_once_for_every_row_set(order):
+    """On the ``wide`` shape, one call over 2.5R and 3.5R rows, whose
+    longest blocks hold 1,280 and 1,195 rows, allocates each buffer once, at
+    1,280 rows, in either order: the buffers are sized for every set before
+    the first forward. Each set's predictions equal a single-set call's."""
+    dims = [20, 256, 256, 10]
+    members = [nn.init_model(dims, seed=s) for s in (3, 4, 5)]
+    block = nn.BLOCK_ELEMENTS // 256
+    rng = np.random.default_rng(6)
+    row_sets = [rng.standard_normal((int(b * block), dims[0])) for b in order]
+    ensemble = Ensemble(members)
+    ws = _CountingWorkspace()
+    preds = ensemble.predictions(row_sets, [1, 3], ws)
+    assert len(ws.allocated) == 4 and dict(ws.allocated) == {
+        0: 1280 * 256, 1: 1280 * 256, 2: 1280 * 10, "sum": 1280 * 10}
+    for x, got in zip(row_sets, preds):
+        (want,) = ensemble.predictions([x], [1, 3], nn.Workspace())
+        np.testing.assert_array_equal(got, want)
 
 
 def test_prediction_is_permutation_invariant():

@@ -799,9 +799,9 @@ def test_sweep_ensemble_scores_each_side_once_on_the_eval_rows(
         states.append(prepare(config))
         return states[-1]
 
-    def recording(ensemble, x, sizes, workspace):
-        passes.append((ensemble, x, list(sizes)))
-        return predictions(ensemble, x, sizes, workspace)
+    def recording(ensemble, row_sets, sizes, workspace):
+        passes.append((ensemble, *row_sets, list(sizes)))
+        return predictions(ensemble, row_sets, sizes, workspace)
 
     monkeypatch.setattr(harness, "prepare_scenario", preparing)
     monkeypatch.setattr(ensembles.Ensemble, "predictions", recording)

@@ -109,6 +109,8 @@ def test_names_only_tests_reached_stay_gone():
     for name in ("sweep_ensemble_size", "SweepRow"):
         assert not hasattr(ensembles, name), name
     assert "sweep_ensemble_size" not in pctlab.__all__
+    # Ensemble.predictions sizes its own buffers for every row set it scores
+    assert not hasattr(ensembles, "scoring_workspace")
     assert not hasattr(rng, "check_seed")
     # tables.check_value is the one rule for what a field may hold
     for name in ("check_finite", "is_integer", "_integer_fields"):

@@ -21,7 +21,6 @@ comparison, focal-sweep and ensemble-sweep tables.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -167,9 +166,11 @@ class ExperimentResult:
 def _stats(values: Sequence[Optional[float]]) -> dict:
     if any(v is None for v in values):
         return {"median": None, "min": None, "max": None}
-    vals = [float(v) for v in values]
-    return {"median": float(statistics.median(vals)),
-            "min": min(vals), "max": max(vals)}
+    vals = sorted(float(v) for v in values)
+    # statistics.median's rule; np.median would load numpy.ma
+    mid = len(vals) // 2
+    median = vals[mid] if len(vals) % 2 else (vals[mid - 1] + vals[mid]) / 2
+    return {"median": median, "min": min(vals), "max": max(vals)}
 
 
 @dataclass
@@ -310,7 +311,7 @@ def run_experiment(config: ExperimentConfig,
         members = ensembles.train_ensemble(
             plan.new_job.dims, x, y, config.train, size * len(reps),
             model_seed(config.train.seed, role, r0), objective=objective,
-            init=old.members * len(reps) if plan.init_from_old else None,
+            init=old.members * len(reps) if config.scenario.init_from_old else None,
             on_epoch_end=hook).members
         if config.train.epochs == 0:  # no epoch ends: score the init
             score(-1, members)
@@ -345,20 +346,27 @@ class MethodRow:
                    s["new_param_count"])
 
 
+def _run_each(name: str, keys: list, configs: List[ExperimentConfig],
+              state: Optional[ScenarioState]) -> dict:
+    """Run ``configs[i]`` under ``keys[i]`` on one state, ``state`` or one
+    prepared for the first config, so that every run scores against the
+    same old side; the results keyed in input order. An empty or repeated
+    key list raises ValueError before anything trains."""
+    if not keys or len(set(keys)) != len(keys):
+        raise ValueError(f"{name} must be non-empty and unique")
+    if state is None:
+        state = prepare_scenario(configs[0])
+    return {k: run_experiment(c, state) for k, c in zip(keys, configs)}
+
+
 def compare_methods(config: ExperimentConfig,
                     methods: Sequence[str] = METHODS,
                     state: Optional[ScenarioState] = None) -> Table:
     """Run each method on one state: a ``MethodRow`` of medians each, and
     the full results keyed by method name."""
-    methods = list(methods)
-    if not methods or len(set(methods)) != len(methods):
-        raise ValueError("methods must be non-empty and unique")
     # an unknown method fails here, before anything trains
     configs = [replace(config, method=m) for m in methods]
-    if state is None:
-        state = prepare_scenario(configs[0])
-
-    results = {c.method: run_experiment(c, state) for c in configs}
+    results = _run_each("methods", [c.method for c in configs], configs, state)
     return Table([MethodRow.of(r) for r in results.values()], results)
 
 
@@ -380,20 +388,12 @@ def sweep_focal(config: ExperimentConfig,
         raise ValueError("focal sweep needs method fd_kl or fd_lm")
     # a bad pair fails here, before anything trains
     filters = [FilterSpec(a, b) for a, b in grid]
-    grid = [(f.alpha, f.beta) for f in filters]
-    if not grid or len(set(grid)) != len(grid):
-        raise ValueError("grid must be non-empty and unique")
     configs = [replace(config, pc=replace(config.pc, filter=f)) for f in filters]
-    if state is None:
-        state = prepare_scenario(config)
-
-    rows, results = [], {}
-    for (a, b), cfg in zip(grid, configs):
-        res = results[(a, b)] = run_experiment(cfg, state)
-        s = res.summary()
-        rows.append(FocalSweepRow(a, b, s["er_new"]["median"],
-                                  s["nfr"]["median"], s["rel_nfr"]["median"]))
-    return Table(rows, results)
+    results = _run_each("grid", [(f.alpha, f.beta) for f in filters], configs,
+                        state)
+    medians = map(MethodRow.of, results.values())
+    return Table([FocalSweepRow(a, b, m.er_new, m.nfr, m.rel_nfr)
+                  for (a, b), m in zip(results, medians)], results)
 
 
 @dataclass(frozen=True)

@@ -157,7 +157,6 @@ class ScenarioPlan:
     new_job: TrainingJob
     eval_plan: EvalPlan
     old_to_new: np.ndarray
-    init_from_old: bool
 
 
 def _job(data: DataFilter, model: ModelSpec, dataset: Dataset,
@@ -185,8 +184,7 @@ def build_scenario(scenario: UpdateScenario, dataset: Dataset) -> ScenarioPlan:
     eval_plan = EvalPlan(dataset.features[test_rows],
                          np.searchsorted(new_classes, dataset.labels[test_rows]))
     return ScenarioPlan(old_job, new_job, eval_plan,
-                        np.searchsorted(new_classes, old_classes),
-                        scenario.init_from_old)
+                        np.searchsorted(new_classes, old_classes))
 
 
 # ---------------------------------------------------------------------------

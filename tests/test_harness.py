@@ -18,10 +18,11 @@ from pctlab.datasets import SPLIT_TEST, SPLIT_TRAIN, SyntheticSpec, generate
 from pctlab.flips import report_from_arrays
 from pctlab.harness import (ENSEMBLE_REP_STRIDE, ENSEMBLE_SEED_OFFSET,
                             MAX_REPETITIONS, METHODS, NEW_MODEL_SEED_OFFSET,
-                            EpochMetrics, ExperimentConfig, OldReference,
-                            ScenarioState, compare_methods, model_seed,
-                            pc_config_for_method, prepare_scenario,
-                            run_experiment, sweep_ensemble, sweep_focal)
+                            EpochMetrics, ExperimentConfig, MethodRow,
+                            OldReference, ScenarioState, compare_methods,
+                            model_seed, pc_config_for_method,
+                            prepare_scenario, run_experiment, sweep_ensemble,
+                            sweep_focal)
 from pctlab.losses import (DistanceSpec, OldModelOracle, PCLossConfig,
                            make_ce_objective, make_objective)
 from pctlab.nn import TrainConfig, init_model
@@ -146,7 +147,7 @@ def _solo_runs(config, state):
     runs = []
     for rep in range(config.repetitions):
         seed = model_seed(config.train.seed, "new", rep)
-        if plan.init_from_old:
+        if config.scenario.init_from_old:
             start = old.members[0]
         else:
             start = init_model(plan.new_job.dims, seed)
@@ -202,7 +203,7 @@ def _ensemble_runs(config, state):
     runs = []
     for rep in range(config.repetitions):
         base = model_seed(config.train.seed, "new_member", rep)
-        if plan.init_from_old:
+        if config.scenario.init_from_old:
             init = old.members
         else:
             init = [init_model(plan.new_job.dims, base + j)
@@ -395,6 +396,13 @@ def test_summary_medians_match_statistics(small_config, small_state):
     assert s["er_old"] == result.er_old
 
 
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1, max_size=9))
+def test_summary_median_is_statistics_median_bit_for_bit(values):
+    assert repr(harness._stats(values)["median"]) == repr(
+        statistics.median(values))
+
+
 @pytest.mark.parametrize("method", ["fd_lm", "ensemble"])
 @pytest.mark.parametrize("epochs", [None, 0], ids=["trained", "zero-epoch"])
 def test_result_er_old_is_every_runs_held_out_er_old(small_config, small_state,
@@ -449,6 +457,20 @@ def test_compare_methods_validates_method_list(small_config, small_state):
         compare_methods(small_config, ["naive", "naive"], small_state)
     with pytest.raises(ValueError, match="unknown method"):
         compare_methods(small_config, ["bct"], small_state)
+
+
+@pytest.mark.parametrize("methods", [[], ["naive", "naive"]],
+                         ids=["empty", "repeated"])
+def test_compare_methods_checks_its_list_before_preparing(small_config,
+                                                          methods,
+                                                          monkeypatch):
+    prepared = []
+    monkeypatch.setattr(harness, "prepare_scenario", prepared.append)
+    calls = _count_old_trainings(monkeypatch)
+    with pytest.raises(ValueError,
+                       match="^methods must be non-empty and unique$"):
+        compare_methods(small_config, methods)
+    assert prepared == [] and calls == []
 
 
 def test_ensemble_method_caches_old_side(small_config, small_state):
@@ -647,6 +669,27 @@ def test_a_state_rejects_a_config_it_was_not_prepared_for(
         compare_methods(cfg, ["no_treatment"], small_state)
     with pytest.raises(ValueError, match=f"config.{field} differs"):
         sweep_focal(cfg, [(1.0, 5.0)], small_state)
+
+
+def test_focal_sweep_rows_are_the_method_rows_of_its_results(small_config,
+                                                              small_state):
+    table = sweep_focal(small_config, [(1.0, 5.0), (0.0, 0.0)], small_state)
+    for row, result in zip(table.rows, table.results.values()):
+        medians = MethodRow.of(result)
+        assert (row.er_new, row.nfr, row.rel_nfr) == (
+            medians.er_new, medians.nfr, medians.rel_nfr)
+
+
+def test_rows_and_results_follow_the_input_order(small_config, small_state):
+    cfg = replace(small_config, repetitions=1, ensemble_size=2)
+    methods = ["fd_lm", "ensemble", "no_treatment", "naive"]
+    table = compare_methods(cfg, methods, small_state)
+    assert [r.method for r in table.rows] == methods
+    assert list(table.results) == methods
+    grid = [(2.0, 0.0), (0.0, 0.0), (1.0, 5.0)]
+    table = sweep_focal(cfg, grid, small_state)
+    assert [(r.alpha, r.beta) for r in table.rows] == grid
+    assert list(table.results) == grid
 
 
 def test_focal_zero_filter_equals_no_treatment(small_config, small_state):

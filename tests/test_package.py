@@ -4,7 +4,8 @@ docstring, and the per-sample and per-record oracles that moved to
 names that only tests reached, all deleted, stay out of it. No module
 imports a name it never loads, except the ones the benchmark's tracer
 patches, and only ``tables`` walks type hints or reads a field's key. A
-run loads no module that importing the package has not loaded already."""
+run loads no module that importing the package has not loaded already,
+and that import loads neither ``statistics`` nor what it imports."""
 
 import ast
 import inspect
@@ -72,10 +73,11 @@ def test_oracles_live_only_in_the_tests():
         assert not hasattr(harness, name), name
     # a plan holds rows and labels in the new model's label space, and one
     # old-to-new class map instead of a label map per side; a side's row
-    # indices come from its DataFilter.select
+    # indices come from its DataFilter.select, and a run reads the fine-tune
+    # flag from its config's scenario
     gone = {scenarios.EvalPlan: {"old_label_map", "new_label_map", "sample_ids"},
             scenarios.TrainingJob: {"view", "init_from_old", "rows"},
-            scenarios.ScenarioPlan: {"scenario"}}
+            scenarios.ScenarioPlan: {"scenario", "init_from_old"}}
     for cls, names in gone.items():
         assert names.isdisjoint(f.name for f in fields(cls)), cls.__name__
     assert not hasattr(scenarios.DataFilter, "apply")
@@ -245,13 +247,15 @@ def test_no_module_imports_a_name_it_never_loads():
         assert wrapper in source, key
 
 
-# Runs every scenario kind with every method, the ensemble sweep and every
-# writer, at a tiny size, and prints the modules this loaded that importing
-# the package, the CLI and the writers had not.
+# Prints which of statistics and its imports importing the package, the CLI
+# and the writers loaded; then runs every scenario kind with every method,
+# the ensemble sweep and every writer, at a tiny size, and prints the
+# modules this loaded that the imports had not.
 RUN_EVERYTHING = """\
 import json, sys, tempfile
 import pctlab, pctlab.cli, pctlab.reports
 before = set(sys.modules)
+print(json.dumps(sorted(before & {"statistics", "fractions", "decimal"})))
 from pctlab import (METHODS, ExperimentConfig, ScenarioKind, SyntheticSpec,
                     TrainConfig, reference_scenario, run_experiment,
                     sweep_ensemble)
@@ -277,6 +281,8 @@ def test_a_run_loads_no_module_beyond_the_package_imports():
                           env=dict(os.environ, PYTHONPATH=src),
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    loaded = json.loads(done.stdout)
+    imported, loaded = map(json.loads, done.stdout.splitlines())
+    # harness._stats takes its medians without statistics
+    assert imported == [], f"importing pctlab loaded {imported}"
     assert loaded == [], ("a run loaded modules that importing pctlab does "
                           f"not, such as numpy.ma or yaml: {loaded}")

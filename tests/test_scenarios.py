@@ -153,7 +153,7 @@ def test_build_scenario_same_arch_shares_full_eval(data):
         np.testing.assert_array_equal(job.features, data.features[train])
         np.testing.assert_array_equal(job.labels, data.labels[train])
         assert job.dims == [5, 32, 6]
-    assert not plan.init_from_old
+    assert not scenario.init_from_old
 
 
 def test_build_scenario_class_growth_restricts_eval(data):
@@ -204,9 +204,10 @@ def test_each_job_holds_its_rows_features(data, kind):
 
 
 def test_build_scenario_fine_tune_marks_init(data):
-    plan = build_scenario(reference_scenario(ScenarioKind.FINE_TUNE,
-                                             SPEC.num_classes), data)
-    assert plan.init_from_old
+    # the plan keeps no copy of the flag; run_experiment reads the scenario's
+    scenario = reference_scenario(ScenarioKind.FINE_TUNE, SPEC.num_classes)
+    plan = build_scenario(scenario, data)
+    assert scenario.init_from_old
     assert plan.old_job.dims == plan.new_job.dims
 
 
